@@ -331,34 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    ("vault", "register"): "cmd_vault_register",
-    ("vault", "derive"): "cmd_vault_derive",
-    ("vault", "alias"): "cmd_vault_alias",
-    ("vault", "route"): "cmd_vault_route",
-    ("silo", "create"): "cmd_silo_create",
-    ("silo", "put"): "cmd_silo_put",
-    ("silo", "list"): "cmd_silo_list",
-    ("purpose", "add"): "cmd_purpose_add",
-    ("program", "sign"): "cmd_program_sign",
-    ("grant", None): "cmd_grant",
-    ("extend", None): "cmd_extend",
-    ("consent", "give"): "cmd_consent_give",
-    ("consent", "renew"): "cmd_consent_renew",
-    ("consent", "optout"): "cmd_consent_optout",
-    ("submit", None): "cmd_submit",
-    ("open", None): "cmd_open",
-    ("verify-logs", None): "cmd_verify_logs",
-    ("notifications", None): "cmd_notifications",
-    ("run-scenario", None): "cmd_run_scenario",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     subcommand = getattr(args, f"{args.command.replace('-', '_')}_command", None)
-    method_name = _DISPATCH[(args.command, subcommand)]
+    command = args.command if subcommand is None else f"{args.command}_{subcommand}"
+    method_name = "cmd_" + command.replace("-", "_")
     cli = None
     try:
         cli = _Cli(args)

@@ -10,8 +10,8 @@ first failure, so decisions are deterministic and auditable:
 
     Existence, Status, Window, Scope, PurposeMatch, Manifest, Consent
 
-State mutations append to a signed journal that can be replayed to rebuild
-the registry byte-for-byte.
+Every state mutation is one regulator-signed journal record, applied by the
+same code live and when the journal is replayed on load.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import base64
 import enum
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -214,14 +214,6 @@ class DeletionProof:
 # Registry service
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _JournalRecord:
-    seq: int
-    kind: str
-    payload: dict
-    signature: bytes
-
-
 class Registry:
     def __init__(self, regulator: SigningIdentity, clock: Clock,
                  event_log: EventLog | None = None,
@@ -237,45 +229,50 @@ class Registry:
         self.consents: dict[tuple[str, str], list[ConsentRecord]] = {}
         self.obligations: dict[str, DeletionObligation] = {}
         self.deletion_proofs: list[DeletionProof] = []
-        self.journal: list[_JournalRecord] = []
+        # signed RECv1 records, one per mutation; record i has seq i
+        self.journal: list[bytes] = []
         self._auth_counter = 0
         self._obligation_counter = 0
         self._lock = threading.Lock()
 
     # -- journal ---------------------------------------------------------------
+    #
+    # State changes only through ``_commit`` (live) and ``load`` (replay),
+    # and both apply each record through ``_apply``, so a reloaded registry
+    # decides exactly as the live one did.
 
-    def _journal(self, kind: str, payload: dict) -> None:
+    def _commit(self, kind: str, payload: dict):
+        """Sign one journal record, apply it, and return what ``_apply`` stored."""
         seq = len(self.journal)
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         signature = crypto.sign(self.regulator, crypto.canon_encode("RECv1", [seq, kind, body]))
-        self.journal.append(_JournalRecord(seq, kind, payload, signature))
+        stored = self._apply(kind, payload)
+        self.journal.append(crypto.canon_encode("RECv1", [seq, kind, body, signature]))
+        return stored
 
     def save(self, path: Path) -> None:
-        lines = []
-        for rec in self.journal:
-            body = json.dumps(rec.payload, sort_keys=True).encode("utf-8")
-            blob = crypto.canon_encode("RECv1", [rec.seq, rec.kind, body, rec.signature])
-            lines.append(base64.b64encode(blob).decode("ascii"))
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_text("".join(base64.b64encode(rec).decode("ascii") + "\n" for rec in self.journal))
 
     def load(self, path: Path) -> None:
         """Replay a signed journal file into a fresh registry."""
         if not path.exists():
             return
         for line in path.read_text().splitlines():
-            tag, fields = crypto.canon_decode(base64.b64decode(line))
+            record = base64.b64decode(line)
+            tag, fields = crypto.canon_decode(record)
             if tag != "RECv1" or len(fields) != 4:
                 raise EncodingError("bad registry journal record")
             seq = crypto.decode_int(fields[0])
             kind = crypto.decode_str(fields[1])
             body, signature = fields[2], fields[3]
+            if seq != len(self.journal):
+                raise EncodingError(f"registry journal record {seq} found at position {len(self.journal)}")
             if not crypto.verify(self.regulator, crypto.canon_encode("RECv1", [seq, kind, body]), signature):
                 raise EncodingError(f"registry journal record {seq} signature invalid")
-            payload = json.loads(body)
-            self._apply(kind, payload)
-            self.journal.append(_JournalRecord(seq, kind, payload, signature))
+            self._apply(kind, json.loads(body))
+            self.journal.append(record)
 
-    def _apply(self, kind: str, p: dict) -> None:
+    def _apply(self, kind: str, p: dict):
         if kind == "purpose":
             self.purposes[p["code"]] = p["description"]
         elif kind == "manifest":
@@ -288,6 +285,7 @@ class Registry:
             )
             self.manifests[manifest.program_id] = manifest
             self.manifests_by_digest[manifest.content_digest] = manifest
+            return manifest
         elif kind == "auth":
             auth = Authorization(
                 auth_id=p["auth_id"],
@@ -302,12 +300,15 @@ class Registry:
             )
             self.authorizations[auth.auth_id] = auth
             self._auth_counter = max(self._auth_counter, int(auth.auth_id[1:]))
+            return auth
         elif kind == "auth-status":
-            self.authorizations[p["auth_id"]].status = AuthStatus(p["status"])
+            auth = self.authorizations[p["auth_id"]]
+            auth.status = AuthStatus(p["status"])
+            return auth
         elif kind == "consent":
-            self._consent_list(p["subject_vid"], p["purpose_code"]).append(
-                ConsentRecord(p["subject_vid"], p["purpose_code"], p["granted_at"])
-            )
+            record = ConsentRecord(p["subject_vid"], p["purpose_code"], p["granted_at"])
+            self._consent_list(p["subject_vid"], p["purpose_code"]).append(record)
+            return record
         elif kind == "renewal":
             records = self._consent_list(p["subject_vid"], p["purpose_code"])
             if records and records[-1].live():
@@ -317,9 +318,11 @@ class Registry:
                     ConsentRecord(p["subject_vid"], p["purpose_code"],
                                   p["renewed_at"], renewed_at=p["renewed_at"])
                 )
+            return records[-1]
         elif kind == "optout":
-            records = self._consent_list(p["subject_vid"], p["purpose_code"])
-            records[-1].opted_out_at = p["opted_out_at"]
+            record = self._consent_list(p["subject_vid"], p["purpose_code"])[-1]
+            record.opted_out_at = p["opted_out_at"]
+            return record
         elif kind == "obligation":
             obligation = DeletionObligation(
                 obligation_id=p["obligation_id"],
@@ -331,6 +334,7 @@ class Registry:
             )
             self.obligations[obligation.obligation_id] = obligation
             self._obligation_counter = max(self._obligation_counter, int(obligation.obligation_id[1:]))
+            return obligation
         elif kind == "proof":
             proof = DeletionProof(
                 obligation_id=p["obligation_id"],
@@ -344,6 +348,7 @@ class Registry:
             records = self._consent_list(p["subject_vid"], p["purpose_code"])
             if records:
                 records[-1].deletion_proof = proof.proof_hash
+            return proof
         else:
             raise EncodingError(f"unknown journal record kind: {kind}")
 
@@ -356,8 +361,7 @@ class Registry:
         with self._lock:
             if code in self.purposes:
                 raise DuplicatePurpose(f"purpose {code} already registered")
-            self.purposes[code] = description
-            self._journal("purpose", {"code": code, "description": description})
+            self._commit("purpose", {"code": code, "description": description})
 
     def sign_program(self, program_id: str, artifact: bytes, declared_purpose: str,
                      allowed_scope: Scope) -> ProgramManifest:
@@ -366,24 +370,15 @@ class Registry:
                 raise UnknownPurpose(f"purpose {declared_purpose} not registered")
             if program_id in self.manifests:
                 raise RegctlError(f"program {program_id} already has a manifest")
-            manifest = ProgramManifest(
-                program_id=program_id,
-                content_digest=crypto.sha256(artifact),
-                declared_purpose=declared_purpose,
-                allowed_scope=allowed_scope,
-                signature=b"",
-            )
-            manifest.signature = crypto.sign(self.regulator, manifest.signing_payload())
-            self.manifests[program_id] = manifest
-            self.manifests_by_digest[manifest.content_digest] = manifest
-            self._journal("manifest", {
+            unsigned = ProgramManifest(program_id, crypto.sha256(artifact), declared_purpose,
+                                       allowed_scope, signature=b"")
+            return self._commit("manifest", {
                 "program_id": program_id,
-                "content_digest": manifest.content_digest.hex(),
+                "content_digest": unsigned.content_digest.hex(),
                 "declared_purpose": declared_purpose,
                 "allowed_scope": _scope_to_dict(allowed_scope),
-                "signature": manifest.signature.hex(),
+                "signature": crypto.sign(self.regulator, unsigned.signing_payload()).hex(),
             })
-            return manifest
 
     # -- grants ----------------------------------------------------------------
 
@@ -399,22 +394,11 @@ class Registry:
 
     def _store_auth(self, grantee_key_id: str, scope: Scope, purpose_code: str, basis: Basis,
                     valid_from: int, valid_until: int, status: AuthStatus) -> Authorization:
-        self._auth_counter += 1
-        auth = Authorization(
-            auth_id=f"A{self._auth_counter:05d}",
-            grantee_key_id=grantee_key_id,
-            scope=scope,
-            purpose_code=purpose_code,
-            basis=basis,
-            valid_from=valid_from,
-            valid_until=valid_until,
-            status=status,
-            signature=b"",
-        )
-        auth.signature = crypto.sign(self.regulator, auth.signing_payload())
-        self.authorizations[auth.auth_id] = auth
-        self._journal("auth", {
-            "auth_id": auth.auth_id,
+        unsigned = Authorization(f"A{self._auth_counter + 1:05d}", grantee_key_id, scope,
+                                 purpose_code, basis, valid_from, valid_until, status,
+                                 signature=b"")
+        return self._commit("auth", {
+            "auth_id": unsigned.auth_id,
             "grantee_key_id": grantee_key_id,
             "scope": _scope_to_dict(scope),
             "purpose_code": purpose_code,
@@ -422,17 +406,14 @@ class Registry:
             "valid_from": valid_from,
             "valid_until": valid_until,
             "status": status.value,
-            "signature": auth.signature.hex(),
+            "signature": crypto.sign(self.regulator, unsigned.signing_payload()).hex(),
         })
-        return auth
 
-    def revoke(self, auth_id: str) -> None:
+    def revoke(self, auth_id: str) -> Authorization:
         with self._lock:
-            auth = self.authorizations.get(auth_id)
-            if auth is None:
+            if auth_id not in self.authorizations:
                 raise NotFound(f"authorization {auth_id} not found")
-            auth.status = AuthStatus.REVOKED
-            self._journal("auth-status", {"auth_id": auth_id, "status": "Revoked"})
+            return self._commit("auth-status", {"auth_id": auth_id, "status": "Revoked"})
 
     def extend_purpose(self, auth_id: str, new_purpose_code: str) -> Authorization:
         """Create a new authorization for an extended purpose.
@@ -465,44 +446,27 @@ class Registry:
         with self._lock:
             if purpose_code not in self.purposes:
                 raise UnknownPurpose(f"purpose {purpose_code} not registered")
-            now = self.clock.now()
-            record = ConsentRecord(subject_vid, purpose_code, granted_at=now)
-            self._consent_list(subject_vid, purpose_code).append(record)
-            self._journal("consent", {"subject_vid": subject_vid, "purpose_code": purpose_code,
-                                      "granted_at": now})
-            return record
+            return self._commit("consent", {"subject_vid": subject_vid, "purpose_code": purpose_code,
+                                            "granted_at": self.clock.now()})
 
     def record_consent_renewal(self, subject_vid: str, purpose_code: str) -> ConsentRecord:
         with self._lock:
             if purpose_code not in self.purposes:
                 raise UnknownPurpose(f"purpose {purpose_code} not registered")
-            now = self.clock.now()
-            records = self._consent_list(subject_vid, purpose_code)
-            if records and records[-1].live():
-                records[-1].renewed_at = now
-                record = records[-1]
-            else:
-                record = ConsentRecord(subject_vid, purpose_code, granted_at=now, renewed_at=now)
-                records.append(record)
             # first renewal activates any authorization waiting on this purpose
-            for auth in self.authorizations.values():
-                if auth.purpose_code == purpose_code and auth.status == AuthStatus.PENDING_CONSENT:
-                    auth.status = AuthStatus.ACTIVE
-                    self._journal("auth-status", {"auth_id": auth.auth_id, "status": "Active"})
-            self._journal("renewal", {"subject_vid": subject_vid, "purpose_code": purpose_code,
-                                      "renewed_at": now})
-            return record
+            pending = [auth.auth_id for auth in self.authorizations.values()
+                       if auth.purpose_code == purpose_code and auth.status == AuthStatus.PENDING_CONSENT]
+            for auth_id in pending:
+                self._commit("auth-status", {"auth_id": auth_id, "status": "Active"})
+            return self._commit("renewal", {"subject_vid": subject_vid, "purpose_code": purpose_code,
+                                            "renewed_at": self.clock.now()})
 
     def opt_out(self, subject_vid: str, purpose_code: str) -> ConsentRecord:
         with self._lock:
-            records = self._consent_list(subject_vid, purpose_code)
-            if not records or not records[-1].live():
+            if not self.has_live_consent(subject_vid, purpose_code):
                 raise NoConsentToWithdraw(f"no live consent for ({subject_vid}, {purpose_code})")
-            now = self.clock.now()
-            records[-1].opted_out_at = now
-            self._journal("optout", {"subject_vid": subject_vid, "purpose_code": purpose_code,
-                                     "opted_out_at": now})
-            return records[-1]
+            return self._commit("optout", {"subject_vid": subject_vid, "purpose_code": purpose_code,
+                                           "opted_out_at": self.clock.now()})
 
     def has_live_consent(self, subject_vid: str, purpose_code: str) -> bool:
         records = self.consents.get((subject_vid, purpose_code), [])
@@ -512,38 +476,20 @@ class Registry:
 
     def issue_deletion_obligation(self, subject_vid: str, purpose_code: str, domain: str) -> DeletionObligation:
         with self._lock:
-            self._obligation_counter += 1
-            obligation = DeletionObligation(
-                obligation_id=f"D{self._obligation_counter:05d}",
-                subject_vid=subject_vid,
-                purpose_code=purpose_code,
-                domain=domain,
-                created_at=self.clock.now(),
-                signature=b"",
-            )
-            signature = crypto.sign(self.regulator, obligation.signing_payload())
-            obligation = DeletionObligation(
-                obligation.obligation_id, subject_vid, purpose_code, domain,
-                obligation.created_at, signature,
-            )
-            self.obligations[obligation.obligation_id] = obligation
-            self._journal("obligation", {
-                "obligation_id": obligation.obligation_id,
+            unsigned = DeletionObligation(f"D{self._obligation_counter + 1:05d}", subject_vid,
+                                          purpose_code, domain, self.clock.now(), signature=b"")
+            return self._commit("obligation", {
+                "obligation_id": unsigned.obligation_id,
                 "subject_vid": subject_vid,
                 "purpose_code": purpose_code,
                 "domain": domain,
-                "created_at": obligation.created_at,
-                "signature": signature.hex(),
+                "created_at": unsigned.created_at,
+                "signature": crypto.sign(self.regulator, unsigned.signing_payload()).hex(),
             })
-            return obligation
 
-    def attach_deletion_proof(self, subject_vid: str, purpose_code: str, proof: DeletionProof) -> None:
+    def attach_deletion_proof(self, subject_vid: str, purpose_code: str, proof: DeletionProof) -> DeletionProof:
         with self._lock:
-            self.deletion_proofs.append(proof)
-            records = self._consent_list(subject_vid, purpose_code)
-            if records:
-                records[-1].deletion_proof = proof.proof_hash
-            self._journal("proof", {
+            return self._commit("proof", {
                 "obligation_id": proof.obligation_id,
                 "domain": proof.domain,
                 "record_ids": list(proof.record_ids),

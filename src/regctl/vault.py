@@ -271,7 +271,6 @@ class Vault:
 
     def save(self, directory: Path) -> None:
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "secret.hex").write_text(self._secret.hex() + "\n")
         state = {
             "domains": self.domains,
             "masters": [

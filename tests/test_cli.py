@@ -115,6 +115,45 @@ def test_consent_cycle_and_notifications(capsys, state):
     assert "outcome=Deleted" in stdout
 
 
+def test_extension_pending_until_renewal_across_invocations(capsys, state):
+    world = bootstrap(capsys, state)
+    invoke(capsys, *seeded(state, "purpose", "add", "CARE_RESEARCH", "--desc", "new use"))
+    invoke(capsys, *seeded(state, "program", "sign", "--program-id", "p2",
+                           "--artifact-text", "care research v1", "--purpose", "CARE_RESEARCH",
+                           "--domain", "health", "--classes", "health,other", "--op", "read"))
+    code, stdout, _ = invoke(capsys, *seeded(state, "grant", "--grantee", "controller",
+                                             "--domain", "health", "--classes", "health,other",
+                                             "--op", "read", "--purpose", "CARE_AUDIT",
+                                             "--basis", "Consent", "--from", "0", "--until", "1000"))
+    consent_auth = kv(stdout.strip())["auth_id"]
+    code, stdout, _ = invoke(capsys, *seeded(state, "vault", "derive",
+                                             "--master", world["master"], "--domain", "registry"))
+    registry_vid = kv(stdout.strip())["vid"]
+    invoke(capsys, *seeded(state, "consent", "give", "--subject", registry_vid,
+                           "--purpose", "CARE_AUDIT"))
+    code, stdout, _ = invoke(capsys, *seeded(state, "extend", "--auth", consent_auth,
+                                             "--purpose", "CARE_RESEARCH"))
+    assert code == 0
+    extended = kv(stdout.splitlines()[0])["auth_id"]
+    assert kv(stdout.splitlines()[1])["status"] == "PendingConsent"
+
+    def submit(request_id):
+        return invoke(capsys, *seeded(state, "submit", "--request-id", request_id,
+                                      "--program", "p2", "--auth", extended,
+                                      "--domain", "health", "--subjects", world["vid"],
+                                      "--classes", "health,other", "--purpose", "CARE_RESEARCH"))
+
+    code, _, stderr = submit("q-pending")
+    assert code == 1
+    assert "Deny(Status)" in stderr
+    code, stdout, _ = invoke(capsys, *seeded(state, "consent", "renew", "--subject", registry_vid,
+                                             "--purpose", "CARE_RESEARCH"))
+    assert (code, stdout.strip()) == (0, "consent=renewed")
+    code, stdout, _ = submit("q-renewed")
+    assert code == 0
+    assert "ticket_id=" in stdout
+
+
 def test_verify_logs_ok_and_detects_tamper(capsys, state, tmp_path):
     world = bootstrap(capsys, state)
     invoke(capsys, *seeded(state, "submit", "--request-id", "q1", "--program", "p1",

@@ -78,6 +78,18 @@ def test_reload_and_continue_operating(tmp_path):
                         third.event_log.controller_ledger) is None
 
 
+def test_vault_secret_saved_only_under_keys(tmp_path):
+    state = tmp_path / "state"
+    dep = Deployment(seed=91, state_dir=state)
+    assert _submit(dep, _working_world(dep), "q1").decision.allowed
+    dep.save()
+    secret_hex = (state / "keys" / "vault.secret").read_text().strip()
+    needles = (secret_hex.encode(), bytes.fromhex(secret_hex))
+    holders = [path.relative_to(state).as_posix() for path in sorted(state.rglob("*"))
+               if path.is_file() and any(n in path.read_bytes() for n in needles)]
+    assert holders == ["keys/vault.secret"]
+
+
 def test_consumed_tickets_stay_consumed_across_reload(tmp_path):
     state = tmp_path / "state"
     first = Deployment(seed=91, state_dir=state)

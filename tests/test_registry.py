@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ from regctl import Basis, Decision, DenyReason, Deployment, Scope
 from regctl import crypto
 from regctl.errors import (
     DuplicatePurpose,
+    EncodingError,
     InvalidWindow,
     NoConsentToWithdraw,
     NotFound,
@@ -229,26 +231,58 @@ def test_condition_matrix_small_sample_matches_oracle():
 # -- journal -----------------------------------------------------------------------------
 
 def test_journal_replay_rebuilds_state(dep, tmp_path):
+    from regctl import SiloSchema
+    from regctl.deploy import REGISTRY_DOMAIN
     manifest, auth = _extension_world(dep, Basis.CONSENT)
+    revoked = dep.registry.grant(dep.controller.key_id, scope(), "TAX_AUDIT", Basis.LEGAL, 0, 10)
+    dep.registry.revoke(revoked.auth_id)
     dep.registry.record_consent("subject-1", "TAX_AUDIT")
     extended = dep.registry.extend_purpose(auth.auth_id, "TAX_RESEARCH")
     dep.registry.record_consent_renewal("subject-1", "TAX_RESEARCH")
     dep.registry.opt_out("subject-1", "TAX_AUDIT")
+    # opting out a subject with data journals an obligation and a proof
+    silo = dep.create_silo(SiloSchema(domain="health", field_classes=(("income", "financial"),)))
+    master = dep.vault.register_master({"name": "leaving"})
+    silo.put_record(dep.vault.derive_vid(master, "health").vid, {"income": "55000"})
+    leaving = dep.vault.derive_vid(master, REGISTRY_DOMAIN).vid
+    dep.registry.record_consent(leaving, "TAX_AUDIT")
+    assert len(dep.process_opt_out(leaving, "TAX_AUDIT")) == 1
     path = tmp_path / "registry.journal"
     dep.registry.save(path)
 
     from regctl.registry import Registry
     replayed = Registry(dep.regulator, dep.clock)
     replayed.load(path)
-    assert replayed.purposes == dep.registry.purposes
-    assert set(replayed.authorizations) == set(dep.registry.authorizations)
-    for auth_id, original in dep.registry.authorizations.items():
-        copy = replayed.authorizations[auth_id]
-        assert (copy.status, copy.signature, copy.purpose_code) == (
-            original.status, original.signature, original.purpose_code)
-    assert replayed.manifests["p-research"].signature == dep.registry.manifests["p-research"].signature
+    kinds = {crypto.decode_str(crypto.canon_decode(base64.b64decode(line))[1][1])
+             for line in path.read_text().splitlines()}
+    assert kinds == {"purpose", "manifest", "auth", "auth-status", "consent", "renewal",
+                     "optout", "obligation", "proof"}
+    for name in ("purposes", "manifests", "manifests_by_digest", "authorizations", "consents",
+                 "obligations", "deletion_proofs", "_auth_counter", "_obligation_counter"):
+        assert getattr(replayed, name) == getattr(dep.registry, name), name
+    assert replayed.authorizations[extended.auth_id].status.value == "Active"
+    assert replayed.authorizations[revoked.auth_id].status.value == "Revoked"
     assert not replayed.has_live_consent("subject-1", "TAX_AUDIT")
     assert replayed.has_live_consent("subject-1", "TAX_RESEARCH")
+    again = tmp_path / "again.journal"
+    replayed.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_journal_rejects_out_of_sequence_record(dep, tmp_path):
+    dep.registry.record_consent("subject-1", "TAX_AUDIT")
+    dep.registry.opt_out("subject-1", "TAX_AUDIT")
+    dep.registry.record_consent("subject-2", "TAX_AUDIT")
+    path = tmp_path / "registry.journal"
+    dep.registry.save(path)
+    lines = path.read_text().splitlines()
+    del lines[2]  # the opt-out: without the check, subject-1 consents again
+    path.write_text("".join(l + "\n" for l in lines))
+
+    from regctl.registry import Registry
+    replayed = Registry(dep.regulator, dep.clock)
+    with pytest.raises(EncodingError):
+        replayed.load(path)
 
 
 def test_journal_rejects_tampered_record(dep, tmp_path):
@@ -256,14 +290,12 @@ def test_journal_rejects_tampered_record(dep, tmp_path):
     path = tmp_path / "registry.journal"
     dep.registry.save(path)
     lines = path.read_text().splitlines()
-    import base64
     blob = bytearray(base64.b64decode(lines[0]))
     blob[20] ^= 0x01
     lines[0] = base64.b64encode(bytes(blob)).decode()
     path.write_text("".join(l + "\n" for l in lines))
 
     from regctl.registry import Registry
-    from regctl.errors import EncodingError
     replayed = Registry(dep.regulator, dep.clock)
     with pytest.raises(EncodingError):
         replayed.load(path)
