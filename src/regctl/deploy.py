@@ -14,11 +14,11 @@ the dual-signed proofs to the consent record.
 
 from __future__ import annotations
 
-import json
 import random
 import secrets
 from pathlib import Path
 
+from . import store
 from .clock import Clock
 from .crypto import Role, SigningIdentity
 from .errors import RegctlError
@@ -30,6 +30,7 @@ from .silo import RegulatorShareStore, Silo, SiloSchema
 from .vault import Vault
 
 REGISTRY_DOMAIN = "registry"
+KEY_FILES = ("regulator.seed", "controller.seed", "vault.secret")  # hex, one key each
 
 
 class Deployment:
@@ -65,10 +66,9 @@ class Deployment:
     # -- randomness and keys ------------------------------------------------------
 
     def _bump_invocation_counter(self) -> int:
-        path = self.state_dir / "invocations.txt"
-        count = int(path.read_text()) + 1 if path.exists() else 1
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(str(count))
+        path = self.state_dir / "invocations.json"
+        count = (store.read_json(path) or 0) + 1
+        store.write_json(path, count)
         return count
 
     def rand_bytes(self, n: int) -> bytes:
@@ -76,29 +76,21 @@ class Deployment:
             return self._rng.randbytes(n)
         return secrets.token_bytes(n)
 
-    def _load_or_create_keys(self) -> tuple[bytes, bytes, bytes]:
-        if self.state_dir is not None:
-            keys_dir = self.state_dir / "keys"
-            if (keys_dir / "regulator.seed").exists():
-                self._key_seeds = (
-                    bytes.fromhex((keys_dir / "regulator.seed").read_text().strip()),
-                    bytes.fromhex((keys_dir / "controller.seed").read_text().strip()),
-                    bytes.fromhex((keys_dir / "vault.secret").read_text().strip()),
-                )
-                return self._key_seeds
-        seeds = (self.rand_bytes(32), self.rand_bytes(32), self.rand_bytes(32))
-        self._key_seeds = seeds
-        if self.state_dir is not None:
-            self._write_keys()
-        return seeds
+    def _load_or_create_keys(self) -> tuple[bytes, ...]:
+        if self.state_dir is not None and (self.state_dir / "keys" / KEY_FILES[0]).exists():
+            self._key_seeds = tuple(bytes.fromhex((self.state_dir / "keys" / name).read_text())
+                                    for name in KEY_FILES)
+        else:
+            self._key_seeds = tuple(self.rand_bytes(32) for _ in KEY_FILES)
+            if self.state_dir is not None:
+                self._write_keys()
+        return self._key_seeds
 
     def _write_keys(self) -> None:
         keys_dir = self.state_dir / "keys"
-        keys_dir.mkdir(parents=True, exist_ok=True)
-        if not (keys_dir / "regulator.seed").exists():
-            (keys_dir / "regulator.seed").write_text(self._key_seeds[0].hex() + "\n")
-            (keys_dir / "controller.seed").write_text(self._key_seeds[1].hex() + "\n")
-            (keys_dir / "vault.secret").write_text(self._key_seeds[2].hex() + "\n")
+        if not (keys_dir / KEY_FILES[0]).exists():
+            for name, key in zip(KEY_FILES, self._key_seeds):
+                store.write_atomic(keys_dir / name, (key.hex() + "\n").encode("ascii"))
 
     # -- wiring callbacks -----------------------------------------------------------
 
@@ -162,37 +154,30 @@ class Deployment:
         if self.state_dir is None:
             raise RegctlError("deployment has no state directory")
         root = self.state_dir
-        root.mkdir(parents=True, exist_ok=True)
         self._write_keys()
         self.vault.save(root / "vault")
         self.registry.save(root / "registry.journal")
         self.event_log.save(root / "ledgers")
         self.share_store.save(root / "regulator_shares.json")
-        (root / "gate.json").write_text(json.dumps(self.gate.state_dict(), indent=1, sort_keys=True))
-        self.notifier.save(root / "notifications.jsonl")
+        store.write_json(root / "gate.json", self.gate.state_dict())
+        self.notifier.save(root / "notifications.json")
         for domain in sorted(self.silos):
             self.silos[domain].save(root / "silos" / domain)
         clock_state = {"mode": self.clock.mode, "tick": self.clock.now() if self.clock.mode == "logical" else 0}
-        (root / "clock.json").write_text(json.dumps(clock_state, sort_keys=True))
+        store.write_json(root / "clock.json", clock_state)
 
     def _load_state(self) -> None:
         root = self.state_dir
-        clock_path = root / "clock.json"
-        if clock_path.exists():
-            state = json.loads(clock_path.read_text())
-            if self.clock.mode == "logical" and state["mode"] == "logical":
-                self.clock.set_tick(state["tick"])
+        clock_state = store.read_json(root / "clock.json")
+        if clock_state is not None and self.clock.mode == "logical" and clock_state["mode"] == "logical":
+            self.clock.set_tick(clock_state["tick"])
         self.vault.load_state(root / "vault")
         self.registry.load(root / "registry.journal")
         self.event_log.load(root / "ledgers")
         self.share_store.load(root / "regulator_shares.json")
-        gate_path = root / "gate.json"
-        if gate_path.exists():
-            self.gate.load_state(json.loads(gate_path.read_text()))
-        notif_path = root / "notifications.jsonl"
-        if notif_path.exists():
-            self.notifier = Notifier.load(notif_path)
-            self.event_log.notifier = self.notifier
+        self.gate.load_state(store.read_json(root / "gate.json") or {})
+        self.notifier = Notifier.load(root / "notifications.json")
+        self.event_log.notifier = self.notifier
         silos_root = root / "silos"
         if silos_root.exists():
             for silo_dir in sorted(p for p in silos_root.iterdir() if p.is_dir()):

@@ -10,17 +10,16 @@ from a ledger alone.
 
 from __future__ import annotations
 
-import base64
 import enum
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import crypto
+from . import crypto, store
 from .clock import Clock
 from .crypto import SigningIdentity
 from .errors import EncodingError
-from .ledger import Ledger
+from .ledger import Ledger, LogEntry
 from .notify import Notifier, Outcome
 
 
@@ -157,34 +156,17 @@ class EventLog:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
         self.regulator_ledger.save(directory / "regulator.log")
         self.controller_ledger.save(directory / "controller.log")
-        lines = [base64.b64encode(p).decode("ascii") for p in self.payloads.values()]
-        (directory / "events.log").write_text("".join(sorted(line + "\n" for line in lines)))
-        counters = "".join(f"{k}={v}\n" for k, v in sorted(self._counters.items()))
-        (directory / "counters.txt").write_text(counters)
+        store.write_records(directory / "events.log", self.payloads.values())
+        store.write_json(directory / "counters.json", self._counters)
 
     def load(self, directory: Path) -> None:
-        from .ledger import parse_ledger_lines
-
         for name, ledger in (("regulator.log", self.regulator_ledger),
                              ("controller.log", self.controller_ledger)):
-            path = directory / name
-            if path.exists():
-                entries, bad = parse_ledger_lines(path.read_text())
-                if bad is not None:
-                    raise EncodingError(f"{name}: undecodable entry at line {bad}")
-                ledger.load_entries(entries)
+            ledger.load_entries(store.read_records(directory / name, LogEntry.from_canonical))
         self.regulator_ledger.note_counterpart_head(self.controller_ledger.head())
         self.controller_ledger.note_counterpart_head(self.regulator_ledger.head())
-        events_path = directory / "events.log"
-        if events_path.exists():
-            for line in events_path.read_text().splitlines():
-                payload = base64.b64decode(line)
-                self.payloads[crypto.sha256(payload)] = payload
-        counters_path = directory / "counters.txt"
-        if counters_path.exists():
-            for line in counters_path.read_text().splitlines():
-                key, _, value = line.partition("=")
-                self._counters[key] = int(value)
+        for payload in store.read_records(directory / "events.log", bytes):
+            self.payloads[crypto.sha256(payload)] = payload
+        self._counters.update(store.read_json(directory / "counters.json") or {})

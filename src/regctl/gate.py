@@ -130,7 +130,7 @@ class Gate:
         self.clock = clock
         self.registry_vid_of = registry_vid_of
         self._rand = rand_bytes or secrets.token_bytes
-        self._seen_nonces: set[bytes] = set()
+        self._seen_nonces: dict[bytes, int] = {}  # nonce -> its request's timestamp
         self._request_uses: dict[str, int] = {}
         self._consumed: set[tuple[str, str]] = set()
         self.tickets: dict[str, AccessTicket] = {}
@@ -184,7 +184,7 @@ class Gate:
         with self._lock:  # atomic check-and-mark: a nonce burns on first sight
             replayed = request.nonce in self._seen_nonces
             if not replayed:
-                self._seen_nonces.add(request.nonce)
+                self._seen_nonces[request.nonce] = request.timestamp
         if replayed:
             return self._deny(request, scope, DenyReason.REPLAY)
         if abs(request.timestamp - now) > FRESHNESS_WINDOW_SECONDS:
@@ -331,45 +331,35 @@ class Gate:
     # -- persistence -----------------------------------------------------------------
 
     def state_dict(self) -> dict:
+        now = self.clock.now()
         with self._lock:
-            live = {tid: t for tid, t in self.tickets.items()
-                    if t.expires_at > self.clock.now()}
+            live = {tid: t for tid, t in self.tickets.items() if t.expires_at > now}
             return {
-                "nonces": sorted(n.hex() for n in self._seen_nonces),
-                "request_uses": dict(sorted(self._request_uses.items())),
+                # a nonce whose request is past the freshness window is
+                # refused as stale on replay, so it need not be kept
+                "nonces": {n.hex(): ts for n, ts in self._seen_nonces.items()
+                           if ts + FRESHNESS_WINDOW_SECONDS >= now},
+                "request_uses": dict(self._request_uses),
                 "consumed": sorted([t, r] for t, r in self._consumed),
                 "tickets": [
-                    {
-                        "ticket_id": t.ticket_id,
-                        "request_id": t.request_id,
-                        "scope": {"domain": t.granted_scope.domain,
-                                  "field_classes": list(t.granted_scope.field_classes),
-                                  "operation": t.granted_scope.operation},
-                        "shares": {rid: s.share.hex() for rid, s in sorted(t.regulator_shares.items())},
-                        "expires_at": t.expires_at,
-                        "signature": t.signature.hex(),
-                    }
+                    {**vars(t), "granted_scope": vars(t.granted_scope),
+                     "regulator_shares": {rid: s.share.hex() for rid, s in t.regulator_shares.items()},
+                     "signature": t.signature.hex()}
                     for t in live.values()
                 ],
             }
 
     def load_state(self, state: dict) -> None:
         with self._lock:
-            self._seen_nonces = {bytes.fromhex(n) for n in state.get("nonces", [])}
+            self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
             self._request_uses = dict(state.get("request_uses", {}))
             self._consumed = {(t, r) for t, r in state.get("consumed", [])}
             for t in state.get("tickets", []):
-                ticket = AccessTicket(
-                    ticket_id=t["ticket_id"],
-                    request_id=t["request_id"],
-                    granted_scope=Scope(t["scope"]["domain"],
-                                        tuple(t["scope"]["field_classes"]),
-                                        t["scope"]["operation"]),
-                    regulator_shares={rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
-                                      for rid, h in t["shares"].items()},
-                    expires_at=t["expires_at"],
-                    signature=bytes.fromhex(t["signature"]),
-                )
+                ticket = AccessTicket(**{
+                    **t, "granted_scope": Scope(**t["granted_scope"]),
+                    "regulator_shares": {rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
+                                         for rid, h in t["regulator_shares"].items()},
+                    "signature": bytes.fromhex(t["signature"])})
                 self.tickets[ticket.ticket_id] = ticket
 
     def drop_records_from_tickets(self, record_ids: set[str]) -> None:

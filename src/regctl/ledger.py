@@ -6,20 +6,18 @@ of the counterpart ledger at append time (cross-commitment), so neither
 party can rewrite or silently truncate history without the other's copy
 exposing the divergence.
 
-File format: one entry per line, base64 of the canonical entry bytes.
-Loading is strict: a line must round-trip to the exact same base64 text,
-so any byte-level tampering of a ledger file is reported even when the
-change only touches encoding slack.
+File format: a ``store`` record stream of canonical entry bytes. Loading
+is strict, so any byte-level tampering of a ledger file is reported even
+when the change only touches encoding slack.
 """
 
 from __future__ import annotations
 
-import base64
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import crypto
+from . import crypto, store
 from .crypto import HASH_BYTES, SIGNATURE_BYTES, ZERO_HASH, SigningIdentity
 from .errors import EncodingError, SignatureError, StaleCrossHead
 
@@ -194,11 +192,8 @@ class Ledger:
 
     # -- persistence -----------------------------------------------------------
 
-    def to_lines(self) -> list[str]:
-        return [base64.b64encode(e.canonical_bytes()).decode("ascii") for e in self.entries]
-
     def save(self, path: Path) -> None:
-        path.write_text("".join(line + "\n" for line in self.to_lines()))
+        store.write_records(path, (e.canonical_bytes() for e in self.entries))
 
     def load_entries(self, entries: list[LogEntry]) -> None:
         with self._lock:
@@ -210,30 +205,12 @@ class Ledger:
 
 
 def parse_ledger_lines(raw: str) -> tuple[list[LogEntry], int | None]:
-    """Decode a ledger file strictly.
+    """Decode a ledger file strictly (``store.parse_records``).
 
-    Returns (entries, first_bad_line). A line is bad if it fails base64,
-    fails canonical decoding, or does not re-encode to the identical text,
-    so every byte-level mutation of the file maps to a definite line.
+    Returns (entries, first_bad_line), so every byte-level mutation of the
+    file maps to a definite line.
     """
-    entries: list[LogEntry] = []
-    if raw == "":
-        return entries, None
-    # only "\n" terminates a record: splitlines() would also break on
-    # control characters like \x0b, letting a mutated newline go unnoticed
-    if not raw.endswith("\n"):
-        return entries, max(0, raw.count("\n"))
-    lines = raw.split("\n")[:-1]
-    for i, line in enumerate(lines):
-        try:
-            blob = base64.b64decode(line, validate=True)
-            entry = LogEntry.from_canonical(blob)
-        except Exception:
-            return entries, i
-        if base64.b64encode(entry.canonical_bytes()).decode("ascii") != line:
-            return entries, i
-        entries.append(entry)
-    return entries, None
+    return store.parse_records(raw, LogEntry.from_canonical)
 
 
 @dataclass(frozen=True)

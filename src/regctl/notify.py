@@ -9,11 +9,11 @@ vid, never by any real-world identifier.
 from __future__ import annotations
 
 import enum
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import store
 from .errors import DuplicateNotification
 
 
@@ -85,36 +85,14 @@ class Notifier:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Path) -> None:
-        rows = [
-            {
-                "notif_id": n.notif_id,
-                "subject_vid": n.subject_vid,
-                "request_id": n.request_id,
-                "outcome": n.outcome.value,
-                "summary": n.summary,
-                "created_at": n.created_at,
-                "delivered": n.delivered,
-            }
-            for n in self.all_notifications()
-        ]
-        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+        store.write_json(path, [{**vars(n), "outcome": n.outcome.value}
+                                for n in self.all_notifications()])
 
     @classmethod
     def load(cls, path: Path) -> "Notifier":
         notifier = cls()
-        if not path.exists():
-            return notifier
-        for line in path.read_text().splitlines():
-            r = json.loads(line)
-            notif = Notification(
-                notif_id=r["notif_id"],
-                subject_vid=r["subject_vid"],
-                request_id=r["request_id"],
-                outcome=Outcome(r["outcome"]),
-                summary=r["summary"],
-                created_at=r["created_at"],
-                delivered=r["delivered"],
-            )
+        for r in store.read_json(path) or []:
+            notif = Notification(**{**r, "outcome": Outcome(r["outcome"])})
             notifier._by_subject.setdefault(notif.subject_vid, []).append(notif)
             notifier._seen.add((notif.subject_vid, notif.request_id))
             n = int(notif.notif_id[1:])

@@ -16,7 +16,6 @@ same code live and when the journal is replayed on load.
 
 from __future__ import annotations
 
-import base64
 import enum
 import json
 import threading
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import crypto
+from . import crypto, store
 from .clock import Clock
 from .crypto import SigningIdentity
 from .errors import (
@@ -251,20 +250,11 @@ class Registry:
         return stored
 
     def save(self, path: Path) -> None:
-        path.write_text("".join(base64.b64encode(rec).decode("ascii") + "\n" for rec in self.journal))
+        store.write_records(path, self.journal)
 
     def load(self, path: Path) -> None:
         """Replay a signed journal file into a fresh registry."""
-        if not path.exists():
-            return
-        for line in path.read_text().splitlines():
-            record = base64.b64decode(line)
-            tag, fields = crypto.canon_decode(record)
-            if tag != "RECv1" or len(fields) != 4:
-                raise EncodingError("bad registry journal record")
-            seq = crypto.decode_int(fields[0])
-            kind = crypto.decode_str(fields[1])
-            body, signature = fields[2], fields[3]
+        for seq, kind, body, signature, record in store.read_records(path, _decode_record):
             if seq != len(self.journal):
                 raise EncodingError(f"registry journal record {seq} found at position {len(self.journal)}")
             if not crypto.verify(self.regulator, crypto.canon_encode("RECv1", [seq, kind, body]), signature):
@@ -552,3 +542,11 @@ def _scope_to_dict(scope: Scope) -> dict:
 def _scope_from_dict(d: dict) -> Scope:
     return Scope(domain=d["domain"], field_classes=tuple(d["field_classes"]),
                  operation=d["operation"])
+
+
+def _decode_record(record: bytes) -> tuple[int, str, bytes, bytes, bytes]:
+    """(seq, kind, body, signature, record) of one signed journal record."""
+    tag, fields = crypto.canon_decode(record)
+    if tag != "RECv1" or len(fields) != 4:
+        raise EncodingError("bad registry journal record")
+    return crypto.decode_int(fields[0]), crypto.decode_str(fields[1]), fields[2], fields[3], record

@@ -12,14 +12,13 @@ dual-signed proof over the destroyed record ids.
 
 from __future__ import annotations
 
-import json
 import secrets
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from . import crypto
+from . import crypto, store
 from .crypto import Holder, KeyShare, SigningIdentity
 from .errors import EncodingError, NotFound, SchemaError, WeakIdentifierRejected
 from .events import EventKind, EventLog
@@ -130,13 +129,11 @@ class RegulatorShareStore:
 
     def save(self, path: Path) -> None:
         with self._lock:
-            data = {rid: s.share.hex() for rid, s in sorted(self._shares.items())}
-        path.write_text(json.dumps(data, indent=1, sort_keys=True))
+            data = {rid: s.share.hex() for rid, s in self._shares.items()}
+        store.write_json(path, data)
 
     def load(self, path: Path) -> None:
-        if not path.exists():
-            return
-        for rid, hexshare in json.loads(path.read_text()).items():
+        for rid, hexshare in (store.read_json(path) or {}).items():
             self._shares[rid] = KeyShare(bytes.fromhex(hexshare), Holder.REGULATOR)
 
 
@@ -262,31 +259,17 @@ class Silo:
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
-        schema = {
-            "domain": self.schema.domain,
-            "field_classes": [list(fc) for fc in self.schema.field_classes],
-            "contact_approved": self.schema.contact_approved,
-        }
-        (directory / "schema.json").write_text(json.dumps(schema, indent=1, sort_keys=True))
-        live = set()
-        for record in self.records.values():
-            live.add(f"{record.record_id}.rec")
-            (directory / f"{record.record_id}.rec").write_bytes(record.canonical_bytes())
-        for stale in directory.glob("*.rec"):
-            if stale.name not in live:
-                stale.unlink()
+        store.write_json(directory / "schema.json", vars(self.schema))
+        with self._lock:
+            # by record id, so the file does not give away creation order
+            records = [self.records[rid].canonical_bytes() for rid in sorted(self.records)]
+        store.write_records(directory / "records.log", records)
 
     def load_records(self, directory: Path) -> None:
-        for path in sorted(directory.glob("*.rec")):
-            record = SiloRecord.from_canonical(path.read_bytes())
+        for record in store.read_records(directory / "records.log", SiloRecord.from_canonical):
             self.records[record.record_id] = record
 
     @staticmethod
     def load_schema(directory: Path) -> SiloSchema:
-        raw = json.loads((directory / "schema.json").read_text())
-        return SiloSchema(
-            domain=raw["domain"],
-            field_classes=tuple((n, c) for n, c in raw["field_classes"]),
-            contact_approved=raw["contact_approved"],
-        )
+        raw = store.read_json(directory / "schema.json")
+        return SiloSchema(**{**raw, "field_classes": tuple(map(tuple, raw["field_classes"]))})

@@ -14,7 +14,6 @@ route to a master's real number while active.
 
 from __future__ import annotations
 
-import json
 import re
 import secrets
 import threading
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from . import crypto
+from . import crypto, store
 from .clock import Clock
 from .crypto import SigningIdentity
 from .errors import (
@@ -270,40 +269,26 @@ class Vault:
     # -- persistence ---------------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
         state = {
             "domains": self.domains,
-            "masters": [
-                {"master_id": m.master_id, "attributes": m.attributes, "created_at": m.created_at}
-                for m in self.masters.values()
-            ],
-            "vids": [
-                {"domain": v.domain, "vid": v.vid, "master_id": v.master_id,
-                 "counter": v.derivation_counter}
-                for v in self._vids.values()
-            ],
-            "aliases": [
-                {"alias": g.alias_number, "real": g.real_number,
-                 "issued_at": g.issued_at, "expires_at": g.expires_at}
-                for grants in self._aliases.values() for g in grants
-            ],
+            "masters": [vars(m) for m in self.masters.values()],
+            "vids": [vars(v) for v in self._vids.values()],
+            "aliases": [vars(g) for grants in self._aliases.values() for g in grants],
         }
-        (directory / "state.json").write_text(json.dumps(state, indent=1, sort_keys=True))
+        store.write_json(directory / "state.json", state)
 
     def load_state(self, directory: Path) -> None:
-        path = directory / "state.json"
-        if not path.exists():
+        state = store.read_json(directory / "state.json")
+        if state is None:
             return
-        state = json.loads(path.read_text())
         self.domains = list(state["domains"])
         for m in state["masters"]:
-            self.masters[m["master_id"]] = MasterRecord(m["master_id"], m["attributes"], m["created_at"])
-            self._attr_index[tuple(sorted(m["attributes"].items()))] = m["master_id"]
+            master = MasterRecord(**m)
+            self.masters[master.master_id] = master
+            self._attr_index[tuple(sorted(master.attributes.items()))] = master.master_id
         for v in state["vids"]:
-            virtual = VirtualId(v["domain"], v["vid"], v["master_id"], v["counter"])
+            virtual = VirtualId(**v)
             self._vids[(v["master_id"], v["domain"])] = virtual
             self._vid_index[(v["domain"], v["vid"])] = v["master_id"]
         for a in state["aliases"]:
-            self._aliases.setdefault(a["alias"], []).append(
-                AliasGrant(a["alias"], a["real"], a["issued_at"], a["expires_at"])
-            )
+            self._aliases.setdefault(a["alias_number"], []).append(AliasGrant(**a))

@@ -8,14 +8,15 @@ import pytest
 
 from regctl import Deployment, cross_verify
 from regctl.crypto import ZERO_HASH, sha256
-from regctl.errors import StaleCrossHead
-from regctl.events import EventKind
+from regctl.errors import EncodingError, StaleCrossHead
+from regctl.events import EventKind, EventLog
 from regctl.ledger import (
     Ledger,
     LedgerHead,
     parse_ledger_lines,
     verify_ledger_files,
 )
+from regctl.notify import Notifier
 
 
 def fill(dep: Deployment, n: int) -> None:
@@ -108,9 +109,29 @@ def test_non_canonical_base64_line_is_flagged(pair, tmp_path):
 
 def test_missing_trailing_newline_is_flagged(pair, tmp_path):
     fill(pair, 3)
-    raw = "".join(line + "\n" for line in pair.event_log.regulator_ledger.to_lines())
-    _, bad = parse_ledger_lines(raw[:-1])
+    path = tmp_path / "reg.log"
+    pair.event_log.regulator_ledger.save(path)
+    _, bad = parse_ledger_lines(path.read_text()[:-1])
     assert bad is not None
+
+
+@pytest.mark.parametrize("damage", ["stray characters", "no final newline"])
+def test_events_log_reload_is_strict(pair, tmp_path, damage):
+    fill(pair, 3)
+    pair.event_log.save(tmp_path)
+    path = tmp_path / "events.log"
+    lines = path.read_text().split("\n")
+    if damage == "stray characters":
+        lines[1] = lines[1][:8] + "!*" + lines[1][8:]  # a lax decoder skips them
+        bad = 1
+    else:
+        lines.pop()
+        bad = 2
+    path.write_text("\n".join(lines))
+
+    reloaded = EventLog(pair.regulator, pair.controller, Notifier(), pair.clock)
+    with pytest.raises(EncodingError, match=f"at line {bad}$"):
+        reloaded.load(tmp_path)
 
 
 def test_every_byte_mutation_of_small_ledger_file_detected(tmp_path):

@@ -53,7 +53,7 @@ def test_persistence_round_trip(notifier, tmp_path):
     notifier.enqueue("v1", "q1", Outcome.ALLOWED, "s", now=1)
     notifier.fetch("v1")
     notifier.enqueue("v1", "q2", Outcome.DELETED, "t", now=2)
-    path = tmp_path / "notifications.jsonl"
+    path = tmp_path / "notifications.json"
     notifier.save(path)
     reloaded = Notifier.load(path)
     assert reloaded.pairs() == notifier.pairs()

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import base64
+import json
+import re
+import shutil
 from pathlib import Path
 
-from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify
+import pytest
+
+from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
 from regctl.deploy import REGISTRY_DOMAIN
-from regctl.gate import AccessRequest
+from regctl.gate import FRESHNESS_WINDOW_SECONDS, AccessRequest
+from regctl.scenario import load_scenario, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _working_world(dep: Deployment) -> dict:
@@ -25,15 +34,23 @@ def _working_world(dep: Deployment) -> dict:
             "registry_vid": registry_vid, "record_id": record_id}
 
 
-def _submit(dep: Deployment, world: dict, request_id: str):
-    request = AccessRequest.build(
+def _request(dep: Deployment, world: dict, request_id: str) -> AccessRequest:
+    return AccessRequest.build(
         controller=dep.controller, request_id=request_id, program_id="p1",
         content_digest=world["manifest"].content_digest, auth_id=world["auth"].auth_id,
         domain="health", operation="read", subject_vids=[world["vid"]],
         requested_fields=["health"], purpose_code="CARE_AUDIT",
         timestamp=dep.clock.now(), nonce=dep.rand_bytes(16),
     )
-    return dep.gate.submit(request)
+
+
+def _submit(dep: Deployment, world: dict, request_id: str):
+    return dep.gate.submit(_request(dep, world, request_id))
+
+
+def _snapshot(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def test_reload_and_continue_operating(tmp_path):
@@ -103,7 +120,6 @@ def test_consumed_tickets_stay_consumed_across_reload(tmp_path):
     second = Deployment(seed=91, state_dir=state)
     ticket = second.gate.tickets.get(result.ticket.ticket_id)
     assert ticket is not None  # still within its 60-tick life
-    import pytest
     from regctl.errors import TicketConsumed
     with pytest.raises(TicketConsumed):
         second.gate.open_record(ticket, record_id,
@@ -128,3 +144,132 @@ def test_replayed_nonce_rejected_across_reload(tmp_path):
     replay = second.gate.submit(request)
     assert not replay.decision.allowed
     assert replay.decision.reason.value == "Replay"
+
+
+def test_stale_nonces_leave_gate_state_and_stay_refused(tmp_path):
+    state = tmp_path / "state"
+    first = Deployment(seed=93, state_dir=state)
+    world = _working_world(first)
+    request = _request(first, world, "q1")
+    assert first.gate.submit(request).decision.allowed
+    first.clock.advance(FRESHNESS_WINDOW_SECONDS)
+    first.save()
+    assert request.nonce.hex() in json.loads((state / "gate.json").read_text())["nonces"]
+    first.clock.advance(1)
+    first.save()
+    assert json.loads((state / "gate.json").read_text())["nonces"] == {}
+
+    second = Deployment(seed=93, state_dir=state)
+    replay = second.gate.submit(request)
+    assert not replay.decision.allowed
+    assert replay.decision.reason.value == "Stale"
+
+
+def test_erasure_after_an_earlier_save_leaves_no_trace(tmp_path):
+    state = tmp_path / "state"
+    dep = Deployment(seed=95, state_dir=state)
+    world = _working_world(dep)
+    record_id = world["record_id"]
+    silo = dep.silos["health"]
+    dep.save()
+    result = _submit(dep, world, "q1")
+    assert dep.gate.open_record(result.ticket, record_id,
+                                silo.controller_share(record_id)) == {"bp": "120/80"}
+    dep.save()
+    secrets = [silo.fetch_ciphertext(record_id), silo.controller_share(record_id).share,
+               dep.share_store.get(record_id).share]
+    needles = [form for secret in secrets
+               for form in (secret, secret.hex().encode(), base64.b64encode(secret))]
+
+    def holders() -> list[str]:
+        found = []
+        for name, raw in _snapshot(state).items():
+            blobs = [raw]
+            for line in raw.splitlines():
+                try:
+                    blobs.append(base64.b64decode(line, validate=True))
+                except ValueError:
+                    pass
+            if any(needle in blob for needle in needles for blob in blobs):
+                found.append(name)
+        return found
+
+    # the earlier save holds the record, its shares and the ticket
+    assert {"silos/health/records.log", "regulator_shares.json", "gate.json"} <= set(holders())
+    dep.process_opt_out(world["registry_vid"], "CARE_AUDIT")
+    dep.save()
+    assert holders() == []
+
+
+def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
+    state = tmp_path / "state"
+    dep = Deployment(seed=94, state_dir=state)
+    world = _working_world(dep)
+    dep.save()
+    before = _snapshot(state)
+    assert _submit(dep, world, "q1").decision.allowed
+    master = dep.vault.register_master({"name": "second person"})
+    dep.registry.record_consent(dep.vault.derive_vid(master, REGISTRY_DOMAIN).vid, "CARE_AUDIT")
+    dep.silos["health"].put_record(dep.vault.derive_vid(master, "health").vid, {"bp": "110/70"})
+    dep.clock.advance(1)
+    dep.state_dir = tmp_path / "after"
+    dep.save()
+    after = _snapshot(dep.state_dir)
+    changed = {name for name in after if before.get(name) != after[name]}
+    assert len(changed) >= 10
+
+    real_replace = store.os.replace
+    for k in range(1, 100):
+        shutil.rmtree(state)
+        for name, data in before.items():
+            (state / name).parent.mkdir(parents=True, exist_ok=True)
+            (state / name).write_bytes(data)
+        calls = []
+
+        def crash_at_k(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError("injected crash")
+            real_replace(src, dst)
+
+        dep.state_dir = state
+        with monkeypatch.context() as patch:
+            patch.setattr(store.os, "replace", crash_at_k)
+            try:
+                dep.save()
+                crashed = False
+            except OSError:
+                crashed = True
+        now = _snapshot(state)
+        leftovers = set(now) - set(before) - set(after)
+        assert not leftovers, f"write {k} left {leftovers}"
+        for name, data in now.items():
+            assert data in (before.get(name), after.get(name)), f"write {k} tore {name}"
+        if not crashed:
+            assert now == before | after
+            break
+    assert k == len(calls) + 1  # every write was interrupted once
+    assert len(calls) >= len(changed)
+
+
+def test_state_directory_layout_matches_readme(tmp_path):
+    block = (ROOT / "README.md").read_text().split("## State directory layout", 1)[1]
+    entries: dict[str, str] = {}
+    for line in block.split("```")[1].strip("\n").splitlines():
+        if line[:1].isspace():
+            entries[name] += " " + line.strip()
+        else:
+            name, _, text = line.partition(" ")
+            entries[name] = text
+    state = tmp_path / "state"
+    assert run(load_scenario(ROOT / "scenarios" / "honest.scn"), state_dir=state).passed
+
+    assert {name.split("/")[0] for name in entries} == {p.name for p in state.iterdir()}
+    for name, text in entries.items():
+        if not name.endswith("/"):
+            continue
+        listed = set(re.findall(r"[a-z_]+\.[a-z]+", text))
+        dirs = list(state.glob(name.rstrip("/").replace("<domain>", "*")))
+        assert dirs, name
+        for directory in dirs:
+            assert {p.name for p in directory.iterdir()} == listed, directory

@@ -299,3 +299,24 @@ def test_journal_rejects_tampered_record(dep, tmp_path):
     replayed = Registry(dep.regulator, dep.clock)
     with pytest.raises(EncodingError):
         replayed.load(path)
+
+
+@pytest.mark.parametrize("damage", ["stray characters", "no final newline"])
+def test_journal_reload_is_strict(dep, tmp_path, damage):
+    dep.registry.record_consent("subject-1", "TAX_AUDIT")
+    dep.registry.opt_out("subject-1", "TAX_AUDIT")
+    path = tmp_path / "registry.journal"
+    dep.registry.save(path)
+    lines = path.read_text().split("\n")
+    if damage == "stray characters":
+        lines[1] = lines[1][:8] + "!*" + lines[1][8:]  # a lax decoder skips them
+        bad = 1
+    else:
+        lines.pop()
+        bad = 2
+    path.write_text("\n".join(lines))
+
+    from regctl.registry import Registry
+    replayed = Registry(dep.regulator, dep.clock)
+    with pytest.raises(EncodingError, match=f"at line {bad}$"):
+        replayed.load(path)
