@@ -1,7 +1,7 @@
 """Clock abstraction: real wall time or a logical tick counter.
 
-Scenario runs use the logical mode so every TTL and expiry check is
-deterministic; the CLI defaults to real time.
+Scenario runs and the CLI use the logical mode, so every TTL and expiry
+check is deterministic; ``regctl --clock real`` selects real time.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ class Gate:
         self._rand = rand_bytes or secrets.token_bytes
         self._seen_nonces: dict[bytes, int] = {}  # nonce -> its request's timestamp
         self._request_uses: dict[str, int] = {}
-        self._consumed: set[tuple[str, str]] = set()
+        self._consumed: dict[tuple[str, str], int] = {}  # (ticket, record) -> ticket expiry
         self.tickets: dict[str, AccessTicket] = {}
         self.plaintext_releases = 0
         self.wire_capture: list[bytes] | None = None
@@ -309,7 +309,7 @@ class Gate:
         granted = set(ticket.granted_scope.field_classes)
         released = {k: v for k, v in fields.items() if silo.schema.class_of(k) in granted}
         with self._lock:
-            self._consumed.add((ticket.ticket_id, record_id))
+            self._consumed[(ticket.ticket_id, record_id)] = ticket.expires_at
             self.plaintext_releases += 1
         self.event_log.record(EventKind.OPEN_OK, self.event_log.next_event_id("O"),
                               [], f"open {record_id} ticket={ticket.ticket_id} "
@@ -340,7 +340,10 @@ class Gate:
                 "nonces": {n.hex(): ts for n, ts in self._seen_nonces.items()
                            if ts + FRESHNESS_WINDOW_SECONDS >= now},
                 "request_uses": dict(self._request_uses),
-                "consumed": sorted([t, r] for t, r in self._consumed),
+                # open_record refuses an expired ticket before it looks at
+                # the marks, so only a live ticket's marks are kept
+                "consumed": sorted([t, r, exp] for (t, r), exp in self._consumed.items()
+                                   if exp > now),
                 "tickets": [
                     {**vars(t), "granted_scope": vars(t.granted_scope),
                      "regulator_shares": {rid: s.share.hex() for rid, s in t.regulator_shares.items()},
@@ -353,7 +356,7 @@ class Gate:
         with self._lock:
             self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
             self._request_uses = dict(state.get("request_uses", {}))
-            self._consumed = {(t, r) for t, r in state.get("consumed", [])}
+            self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
             for t in state.get("tickets", []):
                 ticket = AccessTicket(**{
                     **t, "granted_scope": Scope(**t["granted_scope"]),

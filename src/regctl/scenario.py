@@ -19,8 +19,10 @@ from __future__ import annotations
 import base64
 import shlex
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 from . import crypto
 from .crypto import Holder, KeyShare
@@ -31,7 +33,6 @@ from .errors import (
     RegctlError,
     ScenarioReferenceError,
     ScenarioSyntaxError,
-    TicketInvalid,
     WeakIdentifierRejected,
 )
 from .gate import AccessRequest, AccessTicket
@@ -40,38 +41,79 @@ from .registry import Basis, DenyReason, Scope
 from .silo import SiloSchema, record_aad
 from .vault import derive_vid_value
 
-ATTACK_KINDS = (
-    "CrossSiloLink",
-    "ReplayRequest",
-    "TamperProgram",
-    "TruncateLedger",
-    "ForgeTicket",
-    "AccessAfterOptOut",
-    "WeakIdSmuggle",
-)
+MASTERS = "masters"  # argument type: a comma list of master handles
 
-_KEYWORDS = {
-    "DOMAIN", "MASTER", "SILO", "PURPOSE", "PROGRAM", "GRANT", "REVOKE",
-    "CONSENT", "RENEW", "OPTOUT", "PUT", "SUBMIT", "OPEN", "EXTEND",
-    "RESOLVE", "LINK", "ALIAS", "ROUTE", "TICK", "ATTACK",
+
+@dataclass(frozen=True)
+class _Rule:
+    """The grammar of one keyword or of one ATTACK kind.
+
+    The step's leading positional is a handle of kind ``declares`` (the step
+    creates it) or ``refers`` (an earlier step created it); TICK's positional
+    is its count, typed ``int``. ``types`` maps an argument to the handle kind
+    it refers to, to MASTERS, to ``int`` or ``float``, or to a tuple of the
+    values it may take. An ATTACK kind's row names its runner method.
+    """
+
+    declares: str | None = None
+    refers: str | type | None = None
+    required: tuple[str, ...] = ()
+    types: Mapping[str, str | type | tuple[str, ...]] = field(default_factory=dict)
+    handler: str | None = None
+
+
+# the args an access request is built from (SUBMIT, TamperProgram, AccessAfterOptOut)
+_REQUEST = {"program": "program", "auth": "grant", "purpose": "purpose", "domain": "domain"}
+
+RULES: dict[str, _Rule] = {
+    "DOMAIN": _Rule(declares="domain"),
+    "MASTER": _Rule(declares="master"),
+    "SILO": _Rule(declares="silo", required=("domain", "fields"), types={"domain": "domain"}),
+    "PURPOSE": _Rule(declares="purpose"),
+    "PROGRAM": _Rule(declares="program", required=("purpose", "domain", "classes", "op"),
+                     types={"purpose": "purpose", "domain": "domain"}),
+    "GRANT": _Rule(declares="grant", required=("grantee", "domain", "classes", "op", "purpose",
+                                               "basis", "from", "until"),
+                   types={"purpose": "purpose", "domain": "domain", "from": int, "until": int,
+                          "basis": tuple(b.value for b in Basis)}),
+    "REVOKE": _Rule(refers="grant"),
+    "CONSENT": _Rule(refers="master", required=("purpose",), types={"purpose": "purpose"}),
+    "RENEW": _Rule(refers="master", required=("purpose",), types={"purpose": "purpose"}),
+    "OPTOUT": _Rule(refers="master", required=("purpose",), types={"purpose": "purpose"}),
+    "PUT": _Rule(declares="record", required=("silo", "master"),
+                 types={"silo": "silo", "master": "master"}),
+    "SUBMIT": _Rule(declares="submit", required=("program", "auth", "subjects", "purpose"),
+                    types={**_REQUEST, "subjects": MASTERS}),
+    "OPEN": _Rule(refers="submit", required=("record",), types={"record": "record"}),
+    "EXTEND": _Rule(declares="grant", required=("from", "purpose"),
+                    types={"from": "grant", "purpose": "purpose"}),
+    "RESOLVE": _Rule(required=("master", "domain", "submit"),
+                     types={"master": "master", "domain": "domain", "submit": "submit"}),
+    "LINK": _Rule(required=("master", "from", "to", "submit"),
+                  types={"master": "master", "from": "domain", "to": "domain", "submit": "submit"}),
+    "ALIAS": _Rule(declares="alias", required=("master", "ttl"),
+                   types={"master": "master", "ttl": int}),
+    "ROUTE": _Rule(refers="alias", types={"at": int}),
+    "TICK": _Rule(refers=int),
+    "CrossSiloLink": _Rule(required=("domains",), types={"threshold": float},
+                           handler="_attack_cross_silo"),
+    "ReplayRequest": _Rule(required=("submit",), types={"submit": "submit"},
+                           handler="_attack_replay"),
+    "TamperProgram": _Rule(required=("program", "auth", "subjects", "purpose"),
+                           types={**_REQUEST, "subjects": MASTERS},
+                           handler="_attack_tamper_program"),
+    "TruncateLedger": _Rule(types={"side": ("controller", "regulator"), "count": int},
+                            handler="_attack_truncate"),
+    "ForgeTicket": _Rule(required=("record",), types={"record": "record"},
+                         handler="_attack_forge_ticket"),
+    "AccessAfterOptOut": _Rule(required=("master", "program", "auth", "purpose"),
+                               types={**_REQUEST, "master": "master"},
+                               handler="_attack_access_after_optout"),
+    "WeakIdSmuggle": _Rule(handler="_attack_weak_id"),
 }
 
-_REQUIRED_ARGS = {
-    "SILO": ("domain", "fields"),
-    "PROGRAM": ("purpose", "domain", "classes", "op"),
-    "GRANT": ("grantee", "domain", "classes", "op", "purpose", "basis", "from", "until"),
-    "CONSENT": ("purpose",),
-    "RENEW": ("purpose",),
-    "OPTOUT": ("purpose",),
-    "PUT": ("silo", "master"),
-    "SUBMIT": ("program", "auth", "subjects", "purpose"),
-    "OPEN": ("record",),
-    "EXTEND": ("from", "purpose"),
-    "RESOLVE": ("master", "domain", "submit"),
-    "LINK": ("master", "from", "to", "submit"),
-    "ALIAS": ("master", "ttl"),
-    "ATTACK": ("kind",),
-}
+ATTACK_KINDS = tuple(name for name, rule in RULES.items() if rule.handler)
+RULES["ATTACK"] = _Rule(required=("kind",), types={"kind": ATTACK_KINDS})  # kind= picks a row
 
 
 @dataclass(frozen=True)
@@ -116,44 +158,11 @@ class Scenario:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_HANDLE_KEYWORDS = {
-    # keyword -> (positional meaning, declares?)
-    "DOMAIN": ("domain", True),
-    "MASTER": ("master", True),
-    "SILO": ("silo", True),
-    "PURPOSE": ("purpose", True),
-    "PROGRAM": ("program", True),
-    "GRANT": ("grant", True),
-    "EXTEND": ("grant", True),
-    "REVOKE": ("grant", False),
-    "CONSENT": ("master", False),
-    "RENEW": ("master", False),
-    "OPTOUT": ("master", False),
-    "PUT": ("record", True),
-    "SUBMIT": ("submit", True),
-    "OPEN": ("submit", False),
-    "ALIAS": ("alias", True),
-    "ROUTE": ("alias", False),
-}
-
-
 def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
     name = default_name
     seed = 0
     steps: list[Step] = []
-    declared: dict[str, set[str]] = {
-        kind: set() for kind in
-        ("domain", "master", "silo", "purpose", "program", "grant", "record", "submit", "alias")
-    }
-
-    def require_declared(kind: str, handle: str, line_no: int) -> None:
-        if handle not in declared[kind]:
-            raise ScenarioReferenceError(f"{kind} {handle!r} not declared", line_no)
-
-    def declare(kind: str, handle: str, line_no: int) -> None:
-        if handle in declared[kind]:
-            raise ScenarioSyntaxError(f"{kind} {handle!r} already declared", line_no)
-        declared[kind].add(handle)
+    declared: dict[str, set[str]] = defaultdict(set)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         try:
@@ -176,102 +185,67 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
                 except ValueError:
                     raise ScenarioSyntaxError("SEED must be an integer", line_no)
             continue
-        if keyword not in _KEYWORDS:
+        rule = RULES.get(keyword)
+        if rule is None or rule.handler:
             raise ScenarioSyntaxError(f"unknown keyword {keyword!r}", line_no)
 
         handle = None
         rest = tokens[1:]
-        if keyword == "TICK":
-            if len(rest) != 1:
-                raise ScenarioSyntaxError("TICK takes exactly one count", line_no)
-            try:
-                int(rest[0])
-            except ValueError:
-                raise ScenarioSyntaxError("TICK count must be an integer", line_no)
-            handle, rest = rest[0], []
-        elif keyword in _HANDLE_KEYWORDS:
+        if rule.declares or rule.refers:
             if not rest or "=" in rest[0]:
                 raise ScenarioSyntaxError(f"{keyword} needs a leading handle", line_no)
             handle, rest = rest[0], rest[1:]
+            if rule.refers is int and rest:
+                raise ScenarioSyntaxError(f"{keyword} takes exactly one count", line_no)
 
-        args = []
-        seen_keys = set()
+        args: dict[str, str] = {}
         for token in rest:
             key, eq, value = token.partition("=")
             if not eq or not key:
                 raise ScenarioSyntaxError(f"expected key=value, got {token!r}", line_no)
-            if key in seen_keys:
+            if key in args:
                 raise ScenarioSyntaxError(f"duplicate argument {key!r}", line_no)
-            seen_keys.add(key)
-            args.append((key, value))
-        step = Step(keyword=keyword, handle=handle, args=tuple(args), line=line_no)
+            args[key] = value
+        step = Step(keyword=keyword, handle=handle, args=tuple(args.items()), line=line_no)
 
-        for required in _REQUIRED_ARGS.get(keyword, ()):
-            if step.arg(required) is None:
-                raise ScenarioSyntaxError(f"{keyword} requires {required}=", line_no)
-
-        _validate_references(step, declared, require_declared, declare)
+        _check(step, keyword, declared)
+        if keyword == "ATTACK":
+            _check(step, step.arg("kind"), declared)
         steps.append(step)
 
     return Scenario(name=name, seed=seed, steps=tuple(steps))
 
 
-def _validate_references(step: Step, declared, require_declared, declare) -> None:
-    keyword, line_no = step.keyword, step.line
-    if keyword in _HANDLE_KEYWORDS:
-        kind, declares = _HANDLE_KEYWORDS[keyword]
-        if declares:
-            declare(kind, step.handle, line_no)
+def _check(step: Step, row: str, declared: dict[str, set[str]]) -> None:
+    """Check a step against the RULES row ``row``, then declare its handle."""
+    rule = RULES[row]
+    for key in rule.required:
+        if step.arg(key) is None:
+            raise ScenarioSyntaxError(f"{row} requires {key}=", step.line)
+    checks = [(f"{key}=", kind, step.arg(key)) for key, kind in rule.types.items()
+              if step.arg(key) is not None]
+    if rule.refers:
+        checks.append((step.keyword, rule.refers, step.handle))
+    for what, kind, value in checks:
+        if kind is int or kind is float:
+            try:
+                kind(value)
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise ScenarioSyntaxError(f"{what} must be {noun}, got {value!r}", step.line)
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise ScenarioSyntaxError(
+                    f"{what} must be one of {'|'.join(kind)}, got {value!r}", step.line)
         else:
-            require_declared(kind, step.handle, line_no)
-    if keyword == "SILO":
-        require_declared("domain", step.arg("domain"), line_no)
-    elif keyword == "PROGRAM":
-        require_declared("purpose", step.arg("purpose"), line_no)
-        require_declared("domain", step.arg("domain"), line_no)
-    elif keyword == "GRANT":
-        require_declared("purpose", step.arg("purpose"), line_no)
-        require_declared("domain", step.arg("domain"), line_no)
-    elif keyword in ("CONSENT", "RENEW", "OPTOUT"):
-        require_declared("purpose", step.arg("purpose"), line_no)
-    elif keyword == "PUT":
-        require_declared("silo", step.arg("silo"), line_no)
-        require_declared("master", step.arg("master"), line_no)
-    elif keyword == "SUBMIT":
-        require_declared("program", step.arg("program"), line_no)
-        require_declared("grant", step.arg("auth"), line_no)
-        require_declared("purpose", step.arg("purpose"), line_no)
-        for subject in step.arg("subjects").split(","):
-            require_declared("master", subject, line_no)
-        if step.arg("domain"):
-            require_declared("domain", step.arg("domain"), line_no)
-    elif keyword == "OPEN":
-        require_declared("record", step.arg("record"), line_no)
-    elif keyword == "EXTEND":
-        require_declared("grant", step.arg("from"), line_no)
-        require_declared("purpose", step.arg("purpose"), line_no)
-    elif keyword == "RESOLVE":
-        require_declared("master", step.arg("master"), line_no)
-        require_declared("domain", step.arg("domain"), line_no)
-        require_declared("submit", step.arg("submit"), line_no)
-    elif keyword == "LINK":
-        require_declared("master", step.arg("master"), line_no)
-        require_declared("domain", step.arg("from"), line_no)
-        require_declared("domain", step.arg("to"), line_no)
-        require_declared("submit", step.arg("submit"), line_no)
-    elif keyword == "ALIAS":
-        require_declared("master", step.arg("master"), line_no)
-    elif keyword == "ATTACK":
-        kind = step.arg("kind")
-        if kind not in ATTACK_KINDS:
-            raise ScenarioSyntaxError(f"unknown attack kind {kind!r}", line_no)
-        for key, ref_kind in (("submit", "submit"), ("program", "program"),
-                              ("auth", "grant"), ("record", "record"), ("master", "master")):
-            if step.arg(key):
-                require_declared(ref_kind, step.arg(key), line_no)
-        if step.arg("subjects"):
-            for subject in step.arg("subjects").split(","):
-                require_declared("master", subject, line_no)
+            kind, names = ("master", value.split(",")) if kind == MASTERS else (kind, [value])
+            for handle in names:
+                if handle not in declared[kind]:
+                    raise ScenarioReferenceError(f"{kind} {handle!r} not declared", step.line)
+    if rule.declares:
+        if step.handle in declared[rule.declares]:
+            raise ScenarioSyntaxError(f"{rule.declares} {step.handle!r} already declared", step.line)
+        declared[rule.declares].add(step.handle)
 
 
 def load_scenario(path: Path | str) -> Scenario:
@@ -386,13 +360,6 @@ def scan_for_sentinels(state_dir: Path, sentinels: list[str],
 # Adversary models
 # ---------------------------------------------------------------------------
 
-def _match_by_order(reference: list[str], other: list[str]) -> dict[str, str]:
-    return {ref: oth for ref, oth in zip(reference, other)}
-
-def _match_by_rank(reference: list[str], other: list[str]) -> dict[str, str]:
-    return {ref: oth for ref, oth in zip(sorted(reference), sorted(other))}
-
-
 def linkage_accuracy(visible: dict[str, list[str]], truth: dict[str, dict[str, str]]) -> float:
     """Best accuracy an order/rank-matching adversary achieves from silo state.
 
@@ -406,8 +373,8 @@ def linkage_accuracy(visible: dict[str, list[str]], truth: dict[str, dict[str, s
     if not subjects:
         return 0.0
     best = 0.0
-    for strategy in (_match_by_order, _match_by_rank):
-        guesses = {d: strategy(visible[reference], visible[d]) for d in others}
+    for order in (list, sorted):  # match by creation order, then by rank
+        guesses = {d: dict(zip(order(visible[reference]), order(visible[d]))) for d in others}
         correct = 0
         for master in subjects:
             ref_vid = truth[master][reference]
@@ -464,18 +431,11 @@ def adversary_link_accuracy(report: Report) -> float:
 # ---------------------------------------------------------------------------
 
 class _Runner:
-    def __init__(self, scenario: Scenario, seed: int):
-        self.scenario = scenario
-        self.seed = seed
+    def __init__(self, seed: int):
         self.deployment = Deployment(seed=seed, clock_mode="logical")
         self.deployment.gate.wire_capture = []
-        self.masters: dict[str, str] = {}
-        self.silo_domains: dict[str, str] = {}
-        self.programs: dict[str, bytes] = {}
-        self.grants: dict[str, str] = {}
-        self.records: dict[str, str] = {}
-        self.submits: dict[str, tuple[AccessRequest, object]] = {}
-        self.aliases: dict[str, str] = {}
+        # handle kind (a RULES ``declares``) -> handle -> what its step created
+        self.handles: dict[str, dict[str, object]] = defaultdict(dict)
         self.sentinels: list[str] = []
         self.submit_count = 0
         self.truncations: list[tuple[str, int]] = []
@@ -484,36 +444,52 @@ class _Runner:
 
     # -- handle helpers -----------------------------------------------------------
 
-    def vid_of(self, master_handle: str, domain: str) -> str:
-        return self.deployment.vault.derive_vid(self.masters[master_handle], domain).vid
+    def declare(self, step: Step, value: object) -> None:
+        self.handles[RULES[step.keyword].declares][step.handle] = value
 
-    def registry_vid(self, master_handle: str) -> str:
-        return self.vid_of(master_handle, REGISTRY_DOMAIN)
+    def ref(self, step: Step, key: str | None = None):
+        """What the step's handle (``key`` None) or reference argument names.
+
+        A MASTERS argument gives a list. A handle whose declaring step failed
+        raises ScenarioReferenceError.
+        """
+        rule = RULES[step.arg("kind") if step.keyword == "ATTACK" else step.keyword]
+        kind, value = (rule.refers, step.handle) if key is None else (rule.types[key], step.arg(key))
+        if kind == MASTERS:
+            return [self.lookup("master", name, step.line) for name in value.split(",")]
+        return self.lookup(kind, value, step.line)
+
+    def lookup(self, kind: str, name: str, line: int):
+        if name not in self.handles[kind]:
+            raise ScenarioReferenceError(
+                f"{kind} {name!r} does not exist: the step declaring it failed", line)
+        return self.handles[kind][name]
+
+    def vid_of(self, master_id: str, domain: str) -> str:
+        return self.deployment.vault.derive_vid(master_id, domain).vid
 
     def _submit(self, request: AccessRequest):
         self.submit_count += 1
         return self.deployment.gate.submit(request)
 
-    def build_request(self, request_id: str, program: str, auth_handle: str,
-                      subject_handles: list[str], purpose: str, domain: str | None,
-                      operation: str, classes: list[str],
-                      digest: bytes | None = None) -> AccessRequest:
+    def request_for(self, step: Step, request_id: str, master_ids: list[str],
+                    digest: bytes | None = None) -> AccessRequest:
+        """The signed access request a step's program/auth/purpose/domain/op/classes describe."""
         dep = self.deployment
-        auth_id = self.grants[auth_handle]
-        auth = dep.registry.authorizations[auth_id]
-        domain = domain or auth.scope.domain
-        vids = [self.vid_of(h, domain) for h in subject_handles]
+        auth_id = self.ref(step, "auth")
+        domain = step.arg("domain") or dep.registry.authorizations[auth_id].scope.domain
+        vids = [self.vid_of(m, domain) for m in master_ids]
         return AccessRequest.build(
             controller=dep.controller,
             request_id=request_id,
-            program_id=program,
-            content_digest=digest if digest is not None else crypto.sha256(self.programs[program]),
+            program_id=step.arg("program"),
+            content_digest=digest if digest is not None else crypto.sha256(self.ref(step, "program")),
             auth_id=auth_id,
             domain=domain,
-            operation=operation,
+            operation=step.arg("op", "read"),
             subject_vids=vids,
-            requested_fields=classes,
-            purpose_code=purpose,
+            requested_fields=_split(step.arg("classes", "")),
+            purpose_code=step.arg("purpose"),
             timestamp=dep.clock.now(),
             nonce=dep.rand_bytes(16),
         )
@@ -541,8 +517,9 @@ class _Runner:
         if kw == "MASTER":
             attributes = step.arg_map()
             self.sentinels.extend(attributes.values())
-            self.masters[step.handle] = dep.vault.register_master(attributes)
-            return f"master_id={self.masters[step.handle]}"
+            master_id = dep.vault.register_master(attributes)
+            self.declare(step, master_id)
+            return f"master_id={master_id}"
         if kw == "SILO":
             fields = []
             for pair in step.arg("fields").split(","):
@@ -553,7 +530,7 @@ class _Runner:
             schema = SiloSchema(domain=step.arg("domain"), field_classes=tuple(fields),
                                 contact_approved=step.arg("contact", "no") == "yes")
             dep.create_silo(schema)
-            self.silo_domains[step.handle] = schema.domain
+            self.declare(step, schema.domain)
             return f"domain={schema.domain}"
         if kw == "PURPOSE":
             dep.registry.register_purpose(step.handle, step.arg("desc", ""))
@@ -562,7 +539,7 @@ class _Runner:
             artifact = step.arg("artifact", f"program:{step.handle}").encode("utf-8")
             scope = Scope(step.arg("domain"), tuple(_split(step.arg("classes"))), step.arg("op"))
             manifest = dep.registry.sign_program(step.handle, artifact, step.arg("purpose"), scope)
-            self.programs[step.handle] = artifact
+            self.declare(step, artifact)
             return f"digest={manifest.content_digest.hex()[:16]}"
         if kw == "GRANT":
             grantee = step.arg("grantee")
@@ -571,121 +548,92 @@ class _Runner:
             auth = dep.registry.grant(key_id, scope, step.arg("purpose"),
                                       Basis(step.arg("basis")),
                                       int(step.arg("from")), int(step.arg("until")))
-            self.grants[step.handle] = auth.auth_id
+            self.declare(step, auth.auth_id)
             return f"auth_id={auth.auth_id}"
         if kw == "REVOKE":
-            dep.registry.revoke(self.grants[step.handle])
+            dep.registry.revoke(self.ref(step))
             return None
         if kw == "CONSENT":
-            dep.registry.record_consent(self.registry_vid(step.handle), step.arg("purpose"))
+            dep.registry.record_consent(self.registry_vid(step), step.arg("purpose"))
             return None
         if kw == "RENEW":
-            dep.registry.record_consent_renewal(self.registry_vid(step.handle), step.arg("purpose"))
+            dep.registry.record_consent_renewal(self.registry_vid(step), step.arg("purpose"))
             return None
         if kw == "OPTOUT":
-            proofs = dep.process_opt_out(self.registry_vid(step.handle), step.arg("purpose"))
+            proofs = dep.process_opt_out(self.registry_vid(step), step.arg("purpose"))
             return f"obligations={len(proofs)}"
         if kw == "PUT":
-            domain = self.silo_domains[step.arg("silo")]
-            vid = self.vid_of(step.arg("master"), domain)
+            domain = self.ref(step, "silo")
+            vid = self.vid_of(self.ref(step, "master"), domain)
             fields = {k: v for k, v in step.args if k not in ("silo", "master")}
             self.sentinels.extend(fields.values())
             record_id = dep.silos[domain].put_record(vid, fields)
-            self.records[step.handle] = record_id
+            self.declare(step, (domain, record_id))
             return f"record_id={record_id}"
         if kw == "SUBMIT":
-            request = self.build_request(
-                request_id=step.handle,
-                program=step.arg("program"),
-                auth_handle=step.arg("auth"),
-                subject_handles=step.arg("subjects").split(","),
-                purpose=step.arg("purpose"),
-                domain=step.arg("domain"),
-                operation=step.arg("op", "read"),
-                classes=_split(step.arg("classes", "")),
-            )
+            request = self.request_for(step, step.handle, self.ref(step, "subjects"))
             result = self._submit(request)
-            self.submits[step.handle] = (request, result)
+            self.declare(step, (request, result))
             shares = len(result.ticket.regulator_shares) if result.ticket else 0
             return f"{result.decision} shares={shares}"
         if kw == "OPEN":
-            _, result = self.submits[step.handle]
+            _, result = self.ref(step)
             if result.ticket is None:
                 return f"no ticket ({result.decision})"
-            record_id = self.records[step.arg("record")]
+            _, record_id = self.ref(step, "record")
             silo = dep.silos[result.ticket.granted_scope.domain]
             fields = dep.gate.open_record(result.ticket, record_id,
                                           silo.controller_share(record_id))
             return f"fields={'+'.join(sorted(fields)) or '-'}"
         if kw == "EXTEND":
-            auth = dep.registry.extend_purpose(self.grants[step.arg("from")], step.arg("purpose"))
-            self.grants[step.handle] = auth.auth_id
+            auth = dep.registry.extend_purpose(self.ref(step, "from"), step.arg("purpose"))
+            self.declare(step, auth.auth_id)
             return f"auth_id={auth.auth_id} status={auth.status.value}"
         if kw == "RESOLVE":
-            _, result = self.submits[step.arg("submit")]
+            _, result = self.ref(step, "submit")
             if result.ticket is None:
                 return f"no ticket ({result.decision})"
             domain = step.arg("domain")
-            dep.vault.resolve(self.vid_of(step.arg("master"), domain), domain, result.ticket)
+            dep.vault.resolve(self.vid_of(self.ref(step, "master"), domain), domain, result.ticket)
             return "resolved"
         if kw == "LINK":
-            _, result = self.submits[step.arg("submit")]
+            _, result = self.ref(step, "submit")
             if result.ticket is None:
                 return f"no ticket ({result.decision})"
-            vid_a = self.vid_of(step.arg("master"), step.arg("from"))
+            vid_a = self.vid_of(self.ref(step, "master"), step.arg("from"))
             dep.vault.link(vid_a, step.arg("from"), step.arg("to"), result.ticket)
             return "linked"
         if kw == "ALIAS":
-            grant = dep.vault.issue_alias(self.masters[step.arg("master")], int(step.arg("ttl")))
-            self.aliases[step.handle] = grant.alias_number
+            grant = dep.vault.issue_alias(self.ref(step, "master"), int(step.arg("ttl")))
+            self.declare(step, grant.alias_number)
             return f"alias={grant.alias_number}"
         if kw == "ROUTE":
             at = int(step.arg("at")) if step.arg("at") else dep.clock.now()
-            dep.vault.route(self.aliases[step.handle], at)
+            dep.vault.route(self.ref(step), at)
             return "routed"
         if kw == "ATTACK":
-            self._run_attack(step)
+            getattr(self, RULES[step.arg("kind")].handler)(step)
             return f"kind={step.arg('kind')}"
         raise ScenarioSyntaxError(f"unhandled keyword {kw}", step.line)
 
+    def registry_vid(self, step: Step) -> str:
+        return self.vid_of(self.ref(step), REGISTRY_DOMAIN)
+
     # -- attacks ------------------------------------------------------------------
 
-    def _run_attack(self, step: Step) -> None:
-        kind = step.arg("kind")
-        handler = {
-            "ReplayRequest": self._attack_replay,
-            "TamperProgram": self._attack_tamper_program,
-            "TruncateLedger": self._attack_truncate,
-            "ForgeTicket": self._attack_forge_ticket,
-            "AccessAfterOptOut": self._attack_access_after_optout,
-            "WeakIdSmuggle": self._attack_weak_id,
-            "CrossSiloLink": self._attack_cross_silo,
-        }[kind]
-        handler(step)
-
     def _attack_replay(self, step: Step) -> None:
-        request, _ = self.submits[step.arg("submit")]
+        request, _ = self.ref(step, "submit")
         result = self._submit(request)
         caught = (not result.decision.allowed and result.decision.reason == DenyReason.REPLAY)
         self.attacks.append(AttackOutcome("ReplayRequest", caught, str(result.decision)))
 
     def _attack_tamper_program(self, step: Step) -> None:
-        program = step.arg("program")
-        tampered = bytearray(self.programs[program])
+        tampered = bytearray(self.ref(step, "program"))
         tampered[0] ^= 0xFF
         digest = crypto.sha256(bytes(tampered))
-        runtime_ok = self.deployment.gate.verify_program_runtime(program, digest)
-        request = self.build_request(
-            request_id=f"atk-tamper-{len(self.attacks)}",
-            program=program,
-            auth_handle=step.arg("auth"),
-            subject_handles=step.arg("subjects").split(","),
-            purpose=step.arg("purpose"),
-            domain=step.arg("domain"),
-            operation=step.arg("op", "read"),
-            classes=_split(step.arg("classes", "")),
-            digest=digest,
-        )
+        runtime_ok = self.deployment.gate.verify_program_runtime(step.arg("program"), digest)
+        request = self.request_for(step, f"atk-tamper-{len(self.attacks)}",
+                                   self.ref(step, "subjects"), digest)
         result = self._submit(request)
         caught = (not runtime_ok and not result.decision.allowed
                   and result.decision.reason == DenyReason.MANIFEST)
@@ -700,8 +648,7 @@ class _Runner:
 
     def _attack_forge_ticket(self, step: Step) -> None:
         dep = self.deployment
-        record_id = self.records[step.arg("record")]
-        domain = next(d for d, s in dep.silos.items() if record_id in dict(s.list_records()))
+        domain, record_id = self.ref(step, "record")
         forged = AccessTicket(
             ticket_id="T-forged",
             request_id="atk-forge",
@@ -716,23 +663,13 @@ class _Runner:
         try:
             dep.gate.open_record(forged, record_id, silo.controller_share(record_id))
             caught, detail = False, "forged ticket accepted"
-        except TicketInvalid as exc:
-            caught, detail = True, f"TicketInvalid: {exc}"
         except RegctlError as exc:
             caught, detail = True, f"{type(exc).__name__}: {exc}"
         self.attacks.append(AttackOutcome("ForgeTicket", caught, detail))
 
     def _attack_access_after_optout(self, step: Step) -> None:
-        request = self.build_request(
-            request_id=f"atk-optout-{len(self.attacks)}",
-            program=step.arg("program"),
-            auth_handle=step.arg("auth"),
-            subject_handles=[step.arg("master")],
-            purpose=step.arg("purpose"),
-            domain=step.arg("domain"),
-            operation=step.arg("op", "read"),
-            classes=_split(step.arg("classes", "")),
-        )
+        request = self.request_for(step, f"atk-optout-{len(self.attacks)}",
+                                   [self.ref(step, "master")])
         result = self._submit(request)
         denied = (not result.decision.allowed and result.decision.reason == DenyReason.CONSENT)
         notified = any(
@@ -892,15 +829,12 @@ class _Runner:
         return True, f"pairs={probed}"
 
     def _verify_truncation(self, side: str, count: int) -> None:
-        dep = self.deployment
-        victim = (dep.event_log.controller_ledger if side == "controller"
-                  else dep.event_log.regulator_ledger)
-        other = (dep.event_log.regulator_ledger if side == "controller"
-                 else dep.event_log.controller_ledger)
-        tampered = Ledger(owner=victim.owner, counterpart=victim.counterpart)
-        tampered.load_entries(victim.entries[: max(0, len(victim.entries) - count)])
-        divergence = (cross_verify(tampered, other) if side == "controller"
-                      else cross_verify(other, tampered))
+        log = self.deployment.event_log
+        ledgers = {"controller": log.controller_ledger, "regulator": log.regulator_ledger}
+        victim = ledgers[side]
+        ledgers[side] = Ledger(owner=victim.owner, counterpart=victim.counterpart)
+        ledgers[side].load_entries(victim.entries[: max(0, len(victim.entries) - count)])
+        divergence = cross_verify(ledgers["controller"], ledgers["regulator"])
         self.attacks.append(AttackOutcome(
             "TruncateLedger", divergence is not None,
             str(divergence) if divergence else "truncation not detected",
@@ -920,20 +854,15 @@ def run(scenario: Scenario, seed: int | None = None,
         raise RegctlError(f"state dir {state_dir} already holds a deployment; "
                           "scenarios run against fresh services")
     effective_seed = scenario.seed if seed is None else seed
-    runner = _Runner(scenario, effective_seed)
+    runner = _Runner(effective_seed)
     for index, step in enumerate(scenario.steps, start=1):
         runner.deployment.clock.advance(1)
         runner.run_step(index, step)
 
-    if state_dir is not None:
-        runner.deployment.state_dir = Path(state_dir)
+    with tempfile.TemporaryDirectory(prefix="regctl-run-") as tmp:
+        runner.deployment.state_dir = Path(state_dir or tmp)
         runner.deployment.save()
-        invariants = runner.check_invariants(Path(state_dir))
-    else:
-        with tempfile.TemporaryDirectory(prefix="regctl-run-") as tmp:
-            runner.deployment.state_dir = Path(tmp)
-            runner.deployment.save()
-            invariants = runner.check_invariants(Path(tmp))
+        invariants = runner.check_invariants(runner.deployment.state_dir)
 
     return Report(
         scenario_name=scenario.name,

@@ -12,7 +12,8 @@ import pytest
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
 from regctl.deploy import REGISTRY_DOMAIN
-from regctl.gate import FRESHNESS_WINDOW_SECONDS, AccessRequest
+from regctl.errors import TicketConsumed, TicketExpired
+from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest
 from regctl.scenario import load_scenario, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,11 +35,12 @@ def _working_world(dep: Deployment) -> dict:
             "registry_vid": registry_vid, "record_id": record_id}
 
 
-def _request(dep: Deployment, world: dict, request_id: str) -> AccessRequest:
+def _request(dep: Deployment, world: dict, request_id: str,
+             subject_vids: list[str] | None = None) -> AccessRequest:
     return AccessRequest.build(
         controller=dep.controller, request_id=request_id, program_id="p1",
         content_digest=world["manifest"].content_digest, auth_id=world["auth"].auth_id,
-        domain="health", operation="read", subject_vids=[world["vid"]],
+        domain="health", operation="read", subject_vids=subject_vids or [world["vid"]],
         requested_fields=["health"], purpose_code="CARE_AUDIT",
         timestamp=dep.clock.now(), nonce=dep.rand_bytes(16),
     )
@@ -120,10 +122,58 @@ def test_consumed_tickets_stay_consumed_across_reload(tmp_path):
     second = Deployment(seed=91, state_dir=state)
     ticket = second.gate.tickets.get(result.ticket.ticket_id)
     assert ticket is not None  # still within its 60-tick life
-    from regctl.errors import TicketConsumed
     with pytest.raises(TicketConsumed):
         second.gate.open_record(ticket, record_id,
                                 second.silos["health"].controller_share(record_id))
+
+
+def _opened(dep: Deployment, world: dict):
+    result = _submit(dep, world, "q1")
+    record_id = world["record_id"]
+    dep.gate.open_record(result.ticket, record_id,
+                         dep.silos["health"].controller_share(record_id))
+    return result.ticket
+
+
+def test_consumed_marks_leave_gate_state_with_their_ticket(tmp_path):
+    state = tmp_path / "state"
+    first = Deployment(seed=94, state_dir=state)
+    world = _working_world(first)
+    ticket = _opened(first, world)
+    first.save()
+    assert json.loads((state / "gate.json").read_text())["consumed"] == [
+        [ticket.ticket_id, world["record_id"], ticket.expires_at]]
+    first.clock.advance(TICKET_TTL_SECONDS)
+    first.save()
+    assert json.loads((state / "gate.json").read_text())["consumed"] == []
+    assert first.gate.consumed_count() == first.gate.plaintext_releases == 1
+
+    second = Deployment(seed=94, state_dir=state)
+    with pytest.raises(TicketExpired):  # expiry is checked before consumption
+        second.gate.open_record(ticket, world["record_id"],
+                                second.silos["health"].controller_share(world["record_id"]))
+
+
+def test_consumed_mark_outlives_its_ticket_dropped_by_erasure(tmp_path):
+    state = tmp_path / "state"
+    first = Deployment(seed=96, state_dir=state)
+    world = _working_world(first)
+    other = first.vault.register_master({"name": "second person"})
+    other_vid = first.vault.derive_vid(other, "health").vid
+    first.registry.record_consent(first.vault.derive_vid(other, REGISTRY_DOMAIN).vid,
+                                  "CARE_AUDIT")
+    kept = first.silos["health"].put_record(other_vid, {"bp": "110/70"})
+    ticket = first.gate.submit(_request(first, world, "q2", [world["vid"], other_vid])).ticket
+    assert set(ticket.regulator_shares) == {world["record_id"], kept}
+    # erasing one of its records drops the ticket from the gate's saved tickets
+    first.process_opt_out(world["registry_vid"], "CARE_AUDIT")
+    assert ticket.ticket_id not in first.gate.tickets
+    first.gate.open_record(ticket, kept, first.silos["health"].controller_share(kept))
+    first.save()
+
+    second = Deployment(seed=96, state_dir=state)
+    with pytest.raises(TicketConsumed):
+        second.gate.open_record(ticket, kept, second.silos["health"].controller_share(kept))
 
 
 def test_replayed_nonce_rejected_across_reload(tmp_path):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regctl.cli import main as cli_main
 from regctl.errors import InsufficientPopulation, ScenarioReferenceError, ScenarioSyntaxError
 from regctl.scenario import (
     ATTACK_KINDS,
+    RULES,
     adversary_link_accuracy,
     linkage_accuracy,
     load_scenario,
@@ -19,8 +21,20 @@ from regctl.scenario import (
     run,
 )
 
-SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+ROOT = Path(__file__).parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 COMMITTED = sorted(SCENARIO_DIR.glob("*.scn"))
+REPORTS = Path(__file__).parent / "data" / "reports"
+
+# a world in which every kind of handle can be declared
+WORLD = """\
+DOMAIN health
+MASTER m1 name=SENTINEL-WORLD-PERSON
+SILO s domain=health fields=bp:health
+PURPOSE P
+PROGRAM p purpose=P domain=health classes=health op=read
+"""
+GRANT = "GRANT g grantee=controller domain=health classes=health op=read purpose=P"
 
 
 # -- parsing ------------------------------------------------------------------
@@ -63,6 +77,57 @@ def test_duplicate_handle_rejected():
 def test_unknown_attack_kind_rejected():
     with pytest.raises(ScenarioSyntaxError):
         parse_scenario("ATTACK kind=MysteryMeat\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    (WORLD + GRANT + " basis=Legal from=abc until=5\n", 6),
+    (WORLD + GRANT + " basis=Sometimes from=0 until=5\n", 6),
+    (WORLD + "ALIAS a master=m1 ttl=soon\n", 6),
+    ("DOMAIN health\nATTACK kind=TruncateLedger count=many\n", 2),
+    ("DOMAIN health\nATTACK kind=ReplayRequest\n", 2),
+    ("DOMAIN health\nATTACK kind=CrossSiloLink\n", 2),
+    ("DOMAIN health\nATTACK kind=ForgeTicket\n", 2),
+], ids=["from", "basis", "ttl", "count", "replay-no-submit", "crosssilo-no-domains",
+        "forge-no-record"])
+def test_malformed_arguments_are_parse_errors(text, line):
+    with pytest.raises((ScenarioSyntaxError, ScenarioReferenceError)) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("text", [
+    WORLD + GRANT + " basis=Legal from=10 until=5\n"
+    "SUBMIT q program=p auth=g subjects=m1 purpose=P classes=health\n",
+    "DOMAIN health\nMASTER m1 name=SENTINEL-WORLD-PERSON\n"
+    "SILO s domain=health fields=address:other\nPUT r silo=s master=m1 bp=1\n",
+], ids=["grant", "silo"])
+def test_step_using_a_handle_whose_declaring_step_failed_fails(text):
+    report = run(parse_scenario(text))
+    *_, declaring, using = report.steps
+    assert not declaring.ok
+    assert not using.ok
+    last_line = len(text.splitlines())
+    assert using.detail.startswith(f"ScenarioReferenceError: line {last_line}: ")
+    assert report.invariants and report.passed
+
+
+def test_forge_ticket_on_an_erased_record_is_reported():
+    report = run(parse_scenario(WORLD + "PUT r silo=s master=m1 bp=SENTINEL-WORLD-BP\n"
+                                "CONSENT m1 purpose=P\nOPTOUT m1 purpose=P\n"
+                                "ATTACK kind=ForgeTicket record=r\n"))
+    [forge] = report.attacks
+    assert forge.caught and forge.detail.startswith("NotFound: ")
+    assert report.passed
+
+
+def test_readme_lists_the_rule_table():
+    text = (ROOT / "README.md").read_text().split("## Scenarios", 1)[1]
+    steps = text.split("Steps:\n`", 1)[1].split("`", 1)[0].split()
+    assert steps == [name for name in RULES if name not in ATTACK_KINDS]
+    block = text.split("Attack kinds", 1)[1].split("```")[1].strip().splitlines()
+    listed = {kind: tuple(a for a in args if a != "-") for kind, *args in map(str.split, block)}
+    assert list(listed) == list(ATTACK_KINDS)
+    assert listed == {kind: RULES[kind].required for kind in ATTACK_KINDS}
 
 
 def test_round_trip_load_serialize_load():
@@ -129,6 +194,15 @@ def test_same_seed_same_report_bytes():
     first = run(scenario).render()
     second = run(scenario).render()
     assert first == second
+
+
+@pytest.mark.parametrize("name", ["honest", "attacks", "optout"])
+def test_run_scenario_report_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert cli_main(["--state-dir", str(tmp_path / "state"), "run-scenario",
+                     str(SCENARIO_DIR / f"{name}.scn"), "--report", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (REPORTS / f"{name}.txt").read_bytes()
 
 
 def test_seed_override_changes_ids_but_report_stays_well_formed():
