@@ -169,14 +169,26 @@ class Role(enum.Enum):
     PROGRAM = "program"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SigningIdentity:
-    """Ed25519 identity; the private seed is present only on the owning side."""
+    """Ed25519 identity; the private seed is present only on the owning side.
+
+    The parsed key objects are built once, at construction, because parsing
+    a key costs about as much as one signature; the identity is frozen so
+    they cannot fall out of step with the key bytes.
+    """
 
     key_id: str
     public_key: bytes
     role: Role
     _private: bytes | None = field(default=None, repr=False)
+    _signer: Ed25519PrivateKey | None = field(init=False, repr=False, compare=False)
+    _verifier: Ed25519PublicKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        signer = None if self._private is None else Ed25519PrivateKey.from_private_bytes(self._private)
+        object.__setattr__(self, "_signer", signer)
+        object.__setattr__(self, "_verifier", Ed25519PublicKey.from_public_bytes(self.public_key))
 
     @classmethod
     def generate(cls, key_id: str, role: Role, seed: bytes | None = None) -> "SigningIdentity":
@@ -195,16 +207,16 @@ class SigningIdentity:
 
 
 def sign(identity: SigningIdentity, payload: bytes) -> bytes:
-    if identity._private is None:
+    if identity._signer is None:
         raise SignatureError(f"identity {identity.key_id} holds no private key")
-    return Ed25519PrivateKey.from_private_bytes(identity._private).sign(payload)
+    return identity._signer.sign(payload)
 
 
 def verify(identity: SigningIdentity, payload: bytes, signature: bytes) -> bool:
     if len(signature) != SIGNATURE_BYTES:
         raise SignatureError(f"signature must be {SIGNATURE_BYTES} bytes, got {len(signature)}")
     try:
-        Ed25519PublicKey.from_public_bytes(identity.public_key).verify(signature, payload)
+        identity._verifier.verify(signature, payload)
         return True
     except InvalidSignature:
         return False

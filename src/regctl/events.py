@@ -19,7 +19,7 @@ from . import crypto, store
 from .clock import Clock
 from .crypto import SigningIdentity
 from .errors import EncodingError
-from .ledger import Ledger, LogEntry
+from .ledger import Ledger
 from .notify import Notifier, Outcome
 
 
@@ -162,11 +162,10 @@ class EventLog:
         store.write_json(directory / "counters.json", self._counters)
 
     def load(self, directory: Path) -> None:
-        for name, ledger in (("regulator.log", self.regulator_ledger),
-                             ("controller.log", self.controller_ledger)):
-            ledger.load_entries(store.read_records(directory / name, LogEntry.from_canonical))
-        self.regulator_ledger.note_counterpart_head(self.controller_ledger.head())
-        self.controller_ledger.note_counterpart_head(self.regulator_ledger.head())
+        self.regulator_ledger.load(directory / "regulator.log")
+        self.controller_ledger.load(directory / "controller.log")
+        self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
+        self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
         for payload in store.read_records(directory / "events.log", bytes):
             self.payloads[crypto.sha256(payload)] = payload
         self._counters.update(store.read_json(directory / "counters.json") or {})

@@ -115,10 +115,13 @@ class Ledger:
     # -- heads ---------------------------------------------------------------
 
     def head(self) -> LedgerHead:
-        seq = len(self.entries) - 1
-        head_hash = self._heads[-1]
+        seq, head_hash = self.tip()
         payload = crypto.canon_encode("HEADv1", [seq, head_hash])
         return LedgerHead(seq=seq, head_hash=head_hash, signature=crypto.sign(self.owner, payload))
+
+    def tip(self) -> tuple[int, bytes]:
+        """The last sequence number and head hash, unsigned."""
+        return len(self.entries) - 1, self._heads[-1]
 
     def historical_heads(self) -> list[bytes]:
         """Every head hash this chain has ever presented, genesis included."""
@@ -165,12 +168,12 @@ class Ledger:
             self._seen_counterpart_hash = counterpart_head.head_hash
             return entry
 
-    def note_counterpart_head(self, head: LedgerHead) -> None:
+    def note_counterpart_head(self, seq: int, head_hash: bytes) -> None:
         """Record a head exchanged outside an append (e.g. at reload)."""
         with self._lock:
-            if head.seq > self._seen_counterpart_seq:
-                self._seen_counterpart_seq = head.seq
-                self._seen_counterpart_hash = head.head_hash
+            if seq > self._seen_counterpart_seq:
+                self._seen_counterpart_seq = seq
+                self._seen_counterpart_hash = head_hash
 
     # -- verification ----------------------------------------------------------
 
@@ -195,13 +198,23 @@ class Ledger:
     def save(self, path: Path) -> None:
         store.write_records(path, (e.canonical_bytes() for e in self.entries))
 
+    def load(self, path: Path) -> None:
+        """Replace the chain with a saved ledger file (strictly read).
+
+        The strict reader's bytes re-encode to themselves, so the chain is
+        hashed over them as read.
+        """
+        self._load(store.read_records(path, lambda data: (LogEntry.from_canonical(data), data)))
+
     def load_entries(self, entries: list[LogEntry]) -> None:
+        self._load([(entry, entry.canonical_bytes()) for entry in entries])
+
+    def _load(self, records: list[tuple[LogEntry, bytes]]) -> None:
         with self._lock:
-            self.entries = []
+            self.entries = [entry for entry, _ in records]
             self._heads = [ZERO_HASH]
-            for entry in entries:
-                self.entries.append(entry)
-                self._heads.append(crypto.chain_hash(self._heads[-1], entry.canonical_bytes()))
+            for _, data in records:
+                self._heads.append(crypto.chain_hash(self._heads[-1], data))
 
 
 def parse_ledger_lines(raw: str) -> tuple[list[LogEntry], int | None]:

@@ -11,7 +11,9 @@ first failure, so decisions are deterministic and auditable:
     Existence, Status, Window, Scope, PurposeMatch, Manifest, Consent
 
 Every state mutation is one regulator-signed journal record, applied by the
-same code live and when the journal is replayed on load.
+same code live and when the journal is replayed on load. The journal is
+hash-chained: each record's signature covers the chain head over every
+earlier record's bytes, so a load verifies only the last signature.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable
 
 from . import crypto, store
 from .clock import Clock
-from .crypto import SigningIdentity
+from .crypto import SIGNATURE_BYTES, ZERO_HASH, SigningIdentity
 from .errors import (
     DuplicatePurpose,
     EncodingError,
@@ -230,6 +232,10 @@ class Registry:
         self.deletion_proofs: list[DeletionProof] = []
         # signed RECv1 records, one per mutation; record i has seq i
         self.journal: list[bytes] = []
+        # crypto.chain_hash over every record in self.journal
+        self._journal_head = ZERO_HASH
+        # (signing payload, signature) of manifests whose signature verified
+        self._verified_manifests: set[tuple[bytes, bytes]] = set()
         self._auth_counter = 0
         self._obligation_counter = 0
         self._lock = threading.Lock()
@@ -244,23 +250,37 @@ class Registry:
         """Sign one journal record, apply it, and return what ``_apply`` stored."""
         seq = len(self.journal)
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        signature = crypto.sign(self.regulator, crypto.canon_encode("RECv1", [seq, kind, body]))
+        signature = crypto.sign(self.regulator, _signed_payload(seq, self._journal_head, kind, body))
         stored = self._apply(kind, payload)
-        self.journal.append(crypto.canon_encode("RECv1", [seq, kind, body, signature]))
+        record = crypto.canon_encode("RECv1", [seq, kind, body, signature])
+        self.journal.append(record)
+        self._journal_head = crypto.chain_hash(self._journal_head, record)
         return stored
 
     def save(self, path: Path) -> None:
         store.write_records(path, self.journal)
 
     def load(self, path: Path) -> None:
-        """Replay a signed journal file into a fresh registry."""
-        for seq, kind, body, signature, record in store.read_records(path, _decode_record):
-            if seq != len(self.journal):
-                raise EncodingError(f"registry journal record {seq} found at position {len(self.journal)}")
-            if not crypto.verify(self.regulator, crypto.canon_encode("RECv1", [seq, kind, body]), signature):
+        """Replay a signed journal file into a fresh registry.
+
+        Every byte is authenticated before anything is applied: the records
+        must be in sequence, and the last one's signature, which covers the
+        chain head over all the records before it, must verify.
+        """
+        records = store.read_records(path, _decode_record)
+        head = prev = self._journal_head
+        for position, (seq, _, _, _, record) in enumerate(records, len(self.journal)):
+            if seq != position:
+                raise EncodingError(f"registry journal record {seq} found at position {position}")
+            prev, head = head, crypto.chain_hash(head, record)
+        if records:
+            seq, kind, body, signature, _ = records[-1]
+            if not crypto.verify(self.regulator, _signed_payload(seq, prev, kind, body), signature):
                 raise EncodingError(f"registry journal record {seq} signature invalid")
+        for _, kind, body, _, record in records:
             self._apply(kind, json.loads(body))
             self.journal.append(record)
+        self._journal_head = head
 
     def _apply(self, kind: str, p: dict):
         if kind == "purpose":
@@ -515,13 +535,23 @@ class Registry:
             return Decision.deny(DenyReason.PURPOSE_MATCH)
         if (
             manifest is None
-            or not crypto.verify(self.regulator, manifest.signing_payload(), manifest.signature)
+            or not self._manifest_signature_valid(manifest)
             or not manifest.allowed_scope.covers(requested_scope)
         ):
             return Decision.deny(DenyReason.MANIFEST)
         if auth.basis == Basis.CONSENT and not self.has_live_consent(subject_vid, purpose_code):
             return Decision.deny(DenyReason.CONSENT)
         return Decision.allow()
+
+    def _manifest_signature_valid(self, manifest: ProgramManifest) -> bool:
+        """Verify a manifest's signature once per exact (payload, signature) pair."""
+        key = (manifest.signing_payload(), manifest.signature)
+        if key in self._verified_manifests:
+            return True
+        if not crypto.verify(self.regulator, *key):
+            return False
+        self._verified_manifests.add(key)
+        return True
 
     def verify_stored_objects(self) -> bool:
         """All stored authorizations and manifests must verify under the regulator key."""
@@ -544,9 +574,14 @@ def _scope_from_dict(d: dict) -> Scope:
                  operation=d["operation"])
 
 
+def _signed_payload(seq: int, prev_head: bytes, kind: str, body: bytes) -> bytes:
+    """What the regulator signs for journal record ``seq``; ``prev_head`` chains it."""
+    return crypto.canon_encode("RECv2", [seq, prev_head, kind, body])
+
+
 def _decode_record(record: bytes) -> tuple[int, str, bytes, bytes, bytes]:
     """(seq, kind, body, signature, record) of one signed journal record."""
     tag, fields = crypto.canon_decode(record)
-    if tag != "RECv1" or len(fields) != 4:
+    if tag != "RECv1" or len(fields) != 4 or len(fields[3]) != SIGNATURE_BYTES:
         raise EncodingError("bad registry journal record")
     return crypto.decode_int(fields[0]), crypto.decode_str(fields[1]), fields[2], fields[3], record

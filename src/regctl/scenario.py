@@ -41,7 +41,21 @@ from .registry import Basis, DenyReason, Scope
 from .silo import SiloSchema, record_aad
 from .vault import derive_vid_value
 
-MASTERS = "masters"  # argument type: a comma list of master handles
+# argument types that are a comma list of handles, and the handle kind listed
+MASTERS = "masters"
+DOMAINS = "domains"
+HANDLE_LISTS = {MASTERS: "master", DOMAINS: "domain"}
+
+
+def field_spec(value: str) -> tuple[tuple[str, str], ...]:
+    """The (name, class) pairs of a SILO ``fields=name:class,...`` argument."""
+    pairs = []
+    for pair in value.split(","):
+        name, sep, cls = pair.partition(":")
+        if not sep:
+            raise ValueError(f"needs name:class, got {pair!r}")
+        pairs.append((name, cls))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -51,8 +65,9 @@ class _Rule:
     The step's leading positional is a handle of kind ``declares`` (the step
     creates it) or ``refers`` (an earlier step created it); TICK's positional
     is its count, typed ``int``. ``types`` maps an argument to the handle kind
-    it refers to, to MASTERS, to ``int`` or ``float``, or to a tuple of the
-    values it may take. An ATTACK kind's row names its runner method.
+    it refers to, to a HANDLE_LISTS type, to ``int``, ``float`` or
+    ``field_spec``, or to a tuple of the values it may take. An ATTACK kind's
+    row names its runner method.
     """
 
     declares: str | None = None
@@ -68,7 +83,8 @@ _REQUEST = {"program": "program", "auth": "grant", "purpose": "purpose", "domain
 RULES: dict[str, _Rule] = {
     "DOMAIN": _Rule(declares="domain"),
     "MASTER": _Rule(declares="master"),
-    "SILO": _Rule(declares="silo", required=("domain", "fields"), types={"domain": "domain"}),
+    "SILO": _Rule(declares="silo", required=("domain", "fields"),
+                  types={"domain": "domain", "fields": field_spec}),
     "PURPOSE": _Rule(declares="purpose"),
     "PROGRAM": _Rule(declares="program", required=("purpose", "domain", "classes", "op"),
                      types={"purpose": "purpose", "domain": "domain"}),
@@ -95,7 +111,7 @@ RULES: dict[str, _Rule] = {
                    types={"master": "master", "ttl": int}),
     "ROUTE": _Rule(refers="alias", types={"at": int}),
     "TICK": _Rule(refers=int),
-    "CrossSiloLink": _Rule(required=("domains",), types={"threshold": float},
+    "CrossSiloLink": _Rule(required=("domains",), types={"domains": DOMAINS, "threshold": float},
                            handler="_attack_cross_silo"),
     "ReplayRequest": _Rule(required=("submit",), types={"submit": "submit"},
                            handler="_attack_replay"),
@@ -233,12 +249,18 @@ def _check(step: Step, row: str, declared: dict[str, set[str]]) -> None:
             except ValueError:
                 noun = "an integer" if kind is int else "a number"
                 raise ScenarioSyntaxError(f"{what} must be {noun}, got {value!r}", step.line)
+        elif kind is field_spec:
+            try:
+                field_spec(value)
+            except ValueError as exc:
+                raise ScenarioSyntaxError(f"{what} {exc}", step.line)
         elif isinstance(kind, tuple):
             if value not in kind:
                 raise ScenarioSyntaxError(
                     f"{what} must be one of {'|'.join(kind)}, got {value!r}", step.line)
         else:
-            kind, names = ("master", value.split(",")) if kind == MASTERS else (kind, [value])
+            names = value.split(",") if kind in HANDLE_LISTS else [value]
+            kind = HANDLE_LISTS.get(kind, kind)
             for handle in names:
                 if handle not in declared[kind]:
                     raise ScenarioReferenceError(f"{kind} {handle!r} not declared", step.line)
@@ -450,13 +472,13 @@ class _Runner:
     def ref(self, step: Step, key: str | None = None):
         """What the step's handle (``key`` None) or reference argument names.
 
-        A MASTERS argument gives a list. A handle whose declaring step failed
-        raises ScenarioReferenceError.
+        A HANDLE_LISTS argument gives a list. A handle whose declaring step
+        failed raises ScenarioReferenceError.
         """
         rule = RULES[step.arg("kind") if step.keyword == "ATTACK" else step.keyword]
         kind, value = (rule.refers, step.handle) if key is None else (rule.types[key], step.arg(key))
-        if kind == MASTERS:
-            return [self.lookup("master", name, step.line) for name in value.split(",")]
+        if kind in HANDLE_LISTS:
+            return [self.lookup(HANDLE_LISTS[kind], name, step.line) for name in value.split(",")]
         return self.lookup(kind, value, step.line)
 
     def lookup(self, kind: str, name: str, line: int):
@@ -521,13 +543,8 @@ class _Runner:
             self.declare(step, master_id)
             return f"master_id={master_id}"
         if kw == "SILO":
-            fields = []
-            for pair in step.arg("fields").split(","):
-                name, sep, cls = pair.partition(":")
-                if not sep:
-                    raise ScenarioSyntaxError(f"field spec needs name:class, got {pair!r}", step.line)
-                fields.append((name, cls))
-            schema = SiloSchema(domain=step.arg("domain"), field_classes=tuple(fields),
+            schema = SiloSchema(domain=step.arg("domain"),
+                                field_classes=field_spec(step.arg("fields")),
                                 contact_approved=step.arg("contact", "no") == "yes")
             dep.create_silo(schema)
             self.declare(step, schema.domain)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import base64
 import itertools
+from pathlib import Path
 
 import pytest
 
 from regctl import Basis, Decision, DenyReason, Deployment, Scope
-from regctl import crypto
+from regctl import crypto, store
 from regctl.errors import (
     DuplicatePurpose,
     EncodingError,
@@ -72,6 +73,33 @@ def test_artifact_mutation_invalidates_manifest_lookup(dep):
 def test_manifest_signature_verifies(dep):
     manifest = dep.registry.sign_program("p1", b"prog", "TAX_AUDIT", scope())
     assert crypto.verify(dep.regulator, manifest.signing_payload(), manifest.signature)
+
+
+def test_manifest_signature_checked_once_until_it_changes(dep, monkeypatch):
+    manifest = dep.registry.sign_program("p1", b"prog", "TAX_AUDIT", scope())
+    other = dep.registry.sign_program("p2", b"other prog", "TAX_AUDIT", scope())
+    auth = dep.registry.grant(dep.controller.key_id, scope(), "TAX_AUDIT", Basis.LEGAL, 0, 10)
+    verifies = _count_calls(monkeypatch, "verify")
+
+    def check():
+        return dep.registry.check(auth.auth_id, manifest.content_digest, scope(),
+                                  "TAX_AUDIT", "subject-1", now=5)
+
+    assert [check() for _ in range(3)] == [Decision.allow()] * 3
+    assert verifies == {"verify": 1}
+    manifest.signature = other.signature  # a valid regulator signature, for another manifest
+    assert check() == Decision.deny(DenyReason.MANIFEST)
+
+
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count calls to the named ``crypto`` functions from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(crypto, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(crypto, name, counted)
+    return calls
 
 
 def test_manifest_requires_registered_purpose(dep):
@@ -320,3 +348,80 @@ def test_journal_reload_is_strict(dep, tmp_path, damage):
     replayed = Registry(dep.regulator, dep.clock)
     with pytest.raises(EncodingError, match=f"at line {bad}$"):
         replayed.load(path)
+
+
+def _saved_journal(dep, tmp_path) -> tuple[Path, list[bytes]]:
+    for i in range(4):
+        dep.registry.record_consent(f"subject-{i}", "TAX_AUDIT")
+    path = tmp_path / "registry.journal"
+    dep.registry.save(path)
+    return path, store.read_records(path, bytes)
+
+
+def _assert_rejected_before_apply(dep, path):
+    from regctl.registry import Registry
+    replayed = Registry(dep.regulator, dep.clock)
+    with pytest.raises(EncodingError):
+        replayed.load(path)
+    assert replayed.journal == []
+    assert replayed.purposes == {} and replayed.consents == {}
+
+
+def _record_fields(record: bytes) -> list[bytes]:
+    tag, fields = crypto.canon_decode(record)
+    assert tag == "RECv1"
+    return fields
+
+
+def test_journal_rejects_flipped_bit_in_middle_signature(dep, tmp_path):
+    path, records = _saved_journal(dep, tmp_path)
+    middle = bytearray(records[2])
+    middle[-10] ^= 0x01  # inside the 64 signature bytes that end the record
+    records[2] = bytes(middle)
+    store.write_records(path, records)
+    _assert_rejected_before_apply(dep, path)
+
+
+def test_journal_rejects_swapped_bodies(dep, tmp_path):
+    path, records = _saved_journal(dep, tmp_path)
+    one, two = _record_fields(records[1]), _record_fields(records[2])
+    one[2], two[2] = two[2], one[2]
+    records[1], records[2] = (crypto.canon_encode("RECv1", fields) for fields in (one, two))
+    store.write_records(path, records)
+    _assert_rejected_before_apply(dep, path)
+
+
+@pytest.mark.parametrize("source", ["another seed", "same regulator"])
+def test_journal_rejects_record_spliced_from_another_journal(dep, tmp_path, source):
+    from regctl.registry import Registry
+    if source == "another seed":
+        other = Deployment(seed=58).registry
+    else:
+        other = Registry(dep.regulator, dep.clock)
+    other.register_purpose("TAX_AUDIT", "income assessment")
+    for i in range(4):
+        other.record_consent(f"someone-{i}", "TAX_AUDIT")
+    path, records = _saved_journal(dep, tmp_path)
+    assert _record_fields(other.journal[2])[0] == _record_fields(records[2])[0]  # same seq
+    records[2] = other.journal[2]
+    store.write_records(path, records)
+    _assert_rejected_before_apply(dep, path)
+
+
+@pytest.mark.parametrize("consents", [1, 500])
+def test_reload_verifies_one_signature_and_signs_none(tmp_path, monkeypatch, consents):
+    state = tmp_path / "state"
+    dep = Deployment(seed=59, state_dir=state)
+    dep.vault.register_domain("health")
+    dep.registry.register_purpose("TAX_AUDIT", "income assessment")
+    dep.registry.register_purpose("TAX_RESEARCH", "new use")
+    auth = dep.registry.grant(dep.controller.key_id, scope(), "TAX_AUDIT", Basis.LEGAL, 0, 100)
+    dep.registry.extend_purpose(auth.auth_id, "TAX_RESEARCH")  # an event on both ledgers
+    for i in range(consents):
+        dep.registry.record_consent(f"subject-{i}", "TAX_AUDIT")
+    dep.save()
+    calls = _count_calls(monkeypatch, "sign", "verify")
+    again = Deployment(seed=59, state_dir=state)
+    assert calls == {"sign": 0, "verify": 1}
+    assert again.registry.journal == dep.registry.journal
+    assert len(again.event_log.regulator_ledger.entries) == 1

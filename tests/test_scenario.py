@@ -87,8 +87,10 @@ def test_unknown_attack_kind_rejected():
     ("DOMAIN health\nATTACK kind=ReplayRequest\n", 2),
     ("DOMAIN health\nATTACK kind=CrossSiloLink\n", 2),
     ("DOMAIN health\nATTACK kind=ForgeTicket\n", 2),
+    ("DOMAIN health\nATTACK kind=CrossSiloLink domains=health,ghost\n", 2),
+    ("DOMAIN health\nSILO s domain=health fields=bp\n", 2),
 ], ids=["from", "basis", "ttl", "count", "replay-no-submit", "crosssilo-no-domains",
-        "forge-no-record"])
+        "forge-no-record", "crosssilo-undeclared-domain", "silo-field-without-class"])
 def test_malformed_arguments_are_parse_errors(text, line):
     with pytest.raises((ScenarioSyntaxError, ScenarioReferenceError)) as err:
         parse_scenario(text)
