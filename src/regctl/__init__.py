@@ -18,7 +18,7 @@ from .crypto import (
 )
 from .deploy import REGISTRY_DOMAIN, Deployment
 from .gate import AccessRequest, AccessTicket, Gate, SubmitResult
-from .ledger import Divergence, Ledger, LedgerHead, LogEntry, cross_verify
+from .ledger import Divergence, Ledger, LogEntry, cross_verify
 from .notify import Notification, Notifier, Outcome
 from .registry import (
     Authorization,

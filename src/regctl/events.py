@@ -108,9 +108,9 @@ class EventLog:
     def record(self, kind: EventKind, event_id: str, subjects: list[str], summary: str) -> bytes:
         """Commit one event to both ledgers and notify its subjects.
 
-        Returns the payload digest. The paired append uses each side's
-        current signed head as the other's cross-commitment, so an honest
-        pair always cross-verifies.
+        Returns the payload digest. The paired append hands each side the
+        other's last signed entry, whose head hash becomes the
+        cross-commitment, so an honest pair always cross-verifies.
         """
         now = self.clock.now()
         event = Event(kind=kind, event_id=event_id, timestamp=now,
@@ -119,10 +119,8 @@ class EventLog:
         digest = crypto.sha256(payload)
         with self._lock:
             self.payloads[digest] = payload
-            controller_head = self.controller_ledger.head()
-            self.regulator_ledger.append(digest, controller_head, now)
-            regulator_head = self.regulator_ledger.head()
-            self.controller_ledger.append(digest, regulator_head, now)
+            self.regulator_ledger.append(digest, self.controller_ledger.head(), now)
+            self.controller_ledger.append(digest, self.regulator_ledger.head(), now)
         outcome = NOTIFY_OUTCOME[kind]
         if outcome is not None:
             for vid in subjects:

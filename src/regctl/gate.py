@@ -150,11 +150,12 @@ class Gate:
         if self.wire_capture is not None:
             self.wire_capture.append(blob)
 
-    def _summary(self, request: AccessRequest, scope: Scope | None, decision: Decision) -> str:
+    def _summary(self, request: AccessRequest, payload: bytes, scope: Scope | None,
+                 decision: Decision) -> str:
         auth = self.registry.authorizations.get(request.auth_id)
         grantee = auth.grantee_key_id if auth else "-"
         rendered = scope.render() if scope else "-"
-        request_digest = crypto.sha256(request.signing_payload()).hex()
+        request_digest = crypto.sha256(payload).hex()
         return (f"purpose={request.purpose_code} scope={rendered} grantee={grantee} "
                 f"program={request.program_id} request={request.request_id} "
                 f"request_digest={request_digest} decision={decision}")
@@ -171,24 +172,24 @@ class Gate:
         """
         now = self.clock.now()
         scope = self._validate_structure(request)
-        self._capture(request.signing_payload())
+        payload = request.signing_payload()
+        self._capture(payload)
 
         try:
-            signature_ok = crypto.verify(self.controller, request.signing_payload(),
-                                         request.controller_signature)
+            signature_ok = crypto.verify(self.controller, payload, request.controller_signature)
         except SignatureError:
             signature_ok = False
         if not signature_ok:
-            return self._deny(request, scope, DenyReason.SIGNATURE)
+            return self._deny(request, payload, scope, DenyReason.SIGNATURE)
 
         with self._lock:  # atomic check-and-mark: a nonce burns on first sight
             replayed = request.nonce in self._seen_nonces
             if not replayed:
                 self._seen_nonces[request.nonce] = request.timestamp
         if replayed:
-            return self._deny(request, scope, DenyReason.REPLAY)
+            return self._deny(request, payload, scope, DenyReason.REPLAY)
         if abs(request.timestamp - now) > FRESHNESS_WINDOW_SECONDS:
-            return self._deny(request, scope, DenyReason.STALE)
+            return self._deny(request, payload, scope, DenyReason.STALE)
 
         for vid in request.subject_vids:
             registry_vid = vid
@@ -197,7 +198,7 @@ class Gate:
             decision = self.registry.check(request.auth_id, request.content_digest, scope,
                                            request.purpose_code, registry_vid, now)
             if not decision.allowed:
-                return self._deny(request, scope, decision.reason)
+                return self._deny(request, payload, scope, decision.reason)
 
         shares: dict[str, KeyShare] = {}
         if request.operation == "read":
@@ -216,16 +217,17 @@ class Gate:
             expires_at=now + TICKET_TTL_SECONDS,
             signature=b"",
         )
-        ticket.signature = crypto.sign(self.regulator, ticket.signing_payload())
+        ticket_payload = ticket.signing_payload()
+        ticket.signature = crypto.sign(self.regulator, ticket_payload)
         with self._lock:
             self.tickets[ticket.ticket_id] = ticket
-        self._capture(ticket.signing_payload())
+        self._capture(ticket_payload)
 
         decision = Decision.allow()
         event_id = self._event_id_for(request.request_id)
         self.event_log.record(EventKind.ACCESS_ALLOWED, event_id,
                               sorted(set(request.subject_vids)),
-                              self._summary(request, scope, decision))
+                              self._summary(request, payload, scope, decision))
         return SubmitResult(decision=decision, ticket=ticket, event_id=event_id)
 
     def _validate_structure(self, request: AccessRequest) -> Scope:
@@ -251,12 +253,13 @@ class Gate:
             raise ProtocolError(reason)
         return scope
 
-    def _deny(self, request: AccessRequest, scope: Scope, reason: DenyReason) -> SubmitResult:
+    def _deny(self, request: AccessRequest, payload: bytes, scope: Scope,
+              reason: DenyReason) -> SubmitResult:
         decision = Decision.deny(reason)
         event_id = self._event_id_for(request.request_id)
         self.event_log.record(EventKind.ACCESS_DENIED, event_id,
                               sorted(set(request.subject_vids)),
-                              self._summary(request, scope, decision))
+                              self._summary(request, payload, scope, decision))
         return SubmitResult(decision=decision, ticket=None, event_id=event_id)
 
     # -- open --------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tamper-evident append-only ledgers, held in duplicate by regulator and
 controller.
 
-Each entry is hash-chained onto its predecessor and embeds the signed head
-of the counterpart ledger at append time (cross-commitment), so neither
-party can rewrite or silently truncate history without the other's copy
-exposing the divergence.
+Each entry is hash-chained onto its predecessor and embeds the head hash
+of the counterpart ledger's last signed entry at append time
+(cross-commitment), so neither party can rewrite or silently truncate
+history without the other's copy exposing the divergence. The last entry
+is the only commitment a ledger hands its counterpart: its signature
+covers ``prev_hash``, and the head hash follows from its bytes.
 
 File format: a ``store`` record stream of canonical entry bytes. Loading
 is strict, so any byte-level tampering of a ledger file is reported even
@@ -20,21 +22,6 @@ from pathlib import Path
 from . import crypto, store
 from .crypto import HASH_BYTES, SIGNATURE_BYTES, ZERO_HASH, SigningIdentity
 from .errors import EncodingError, SignatureError, StaleCrossHead
-
-
-@dataclass(frozen=True)
-class LedgerHead:
-    """Signed statement of a ledger's last sequence number and head hash.
-
-    An empty ledger has seq -1 and an all-zero hash.
-    """
-
-    seq: int
-    head_hash: bytes
-    signature: bytes
-
-    def signing_payload(self) -> bytes:
-        return crypto.canon_encode("HEADv1", [self.seq, self.head_hash])
 
 
 @dataclass(frozen=True)
@@ -114,10 +101,9 @@ class Ledger:
 
     # -- heads ---------------------------------------------------------------
 
-    def head(self) -> LedgerHead:
-        seq, head_hash = self.tip()
-        payload = crypto.canon_encode("HEADv1", [seq, head_hash])
-        return LedgerHead(seq=seq, head_hash=head_hash, signature=crypto.sign(self.owner, payload))
+    def head(self) -> LogEntry | None:
+        """The last signed entry, the commitment handed to the counterpart."""
+        return self.entries[-1] if self.entries else None
 
     def tip(self) -> tuple[int, bytes]:
         """The last sequence number and head hash, unsigned."""
@@ -129,43 +115,49 @@ class Ledger:
 
     # -- appends -------------------------------------------------------------
 
-    def _check_counterpart_head(self, head: LedgerHead) -> None:
-        try:
-            ok = crypto.verify(self.counterpart, head.signing_payload(), head.signature)
-        except SignatureError:
-            ok = False
-        if not ok:
-            raise StaleCrossHead("counterpart head signature does not verify")
-        if head.seq < self._seen_counterpart_seq:
+    def _check_counterpart_head(self, head: LogEntry | None) -> tuple[int, bytes]:
+        """Verify the counterpart's last entry; return its (seq, head hash)."""
+        if head is None:
+            seq, head_hash = -1, ZERO_HASH
+        else:
+            try:
+                ok = (head.signer_key_id == self.counterpart.key_id
+                      and crypto.verify(self.counterpart, head.signing_payload(), head.signature))
+            except SignatureError:
+                ok = False
+            if not ok:
+                raise StaleCrossHead("counterpart head signature does not verify")
+            seq, head_hash = head.seq, crypto.chain_hash(head.prev_hash, head.canonical_bytes())
+        if seq < self._seen_counterpart_seq:
             raise StaleCrossHead(
-                f"counterpart head seq {head.seq} older than last exchanged {self._seen_counterpart_seq}"
+                f"counterpart head seq {seq} older than last exchanged {self._seen_counterpart_seq}"
             )
-        if head.seq == self._seen_counterpart_seq and head.head_hash != self._seen_counterpart_hash:
+        if seq == self._seen_counterpart_seq and head_hash != self._seen_counterpart_hash:
             raise StaleCrossHead("counterpart head conflicts with last exchanged head")
+        return seq, head_hash
 
-    def append(self, payload_digest: bytes, counterpart_head: LedgerHead, timestamp: int) -> LogEntry:
+    def append(self, payload_digest: bytes, counterpart_head: LogEntry | None,
+               timestamp: int) -> LogEntry:
         if len(payload_digest) != HASH_BYTES:
             raise EncodingError("payload digest must be 32 bytes")
         with self._lock:
-            self._check_counterpart_head(counterpart_head)
+            cross_seq, cross_head = self._check_counterpart_head(counterpart_head)
             seq = len(self.entries)
             prev = self._heads[-1]
-            payload = crypto.canon_encode(
-                "LOGv1", [seq, prev, payload_digest, counterpart_head.head_hash, timestamp]
-            )
+            payload = crypto.canon_encode("LOGv1", [seq, prev, payload_digest, cross_head, timestamp])
             entry = LogEntry(
                 seq=seq,
                 prev_hash=prev,
                 payload_digest=payload_digest,
-                cross_head=counterpart_head.head_hash,
+                cross_head=cross_head,
                 timestamp=timestamp,
                 signer_key_id=self.owner.key_id,
                 signature=crypto.sign(self.owner, payload),
             )
             self.entries.append(entry)
             self._heads.append(crypto.chain_hash(prev, entry.canonical_bytes()))
-            self._seen_counterpart_seq = counterpart_head.seq
-            self._seen_counterpart_hash = counterpart_head.head_hash
+            self._seen_counterpart_seq = cross_seq
+            self._seen_counterpart_hash = cross_head
             return entry
 
     def note_counterpart_head(self, seq: int, head_hash: bytes) -> None:

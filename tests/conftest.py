@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema
+from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto
 from regctl.deploy import REGISTRY_DOMAIN
 
 
@@ -55,3 +55,14 @@ def make_request(dep: Deployment, populated: dict, request_id: str = "q1",
         timestamp=timestamp if timestamp is not None else dep.clock.now(),
         nonce=nonce if nonce is not None else dep.rand_bytes(16),
     )
+
+
+def count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count calls to the named ``crypto`` functions from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(crypto, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(crypto, name, counted)
+    return calls

@@ -18,9 +18,10 @@ from regctl.errors import (
     TicketExpired,
     TicketInvalid,
 )
+from regctl.events import EventKind
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS
 
-from conftest import make_request
+from conftest import count_calls, make_request
 
 
 def test_valid_request_gets_ticket_with_share_per_record(populated):
@@ -233,3 +234,32 @@ def test_plaintext_release_count_matches_ticket_consumption(populated):
     dep.gate.open_record(result.ticket, record_id,
                          dep.silos["health"].controller_share(record_id))
     assert dep.gate.plaintext_releases == dep.gate.consumed_count() == 1
+
+
+# -- crypto work on the hot path ----------------------------------------------------
+
+def test_crypto_calls_per_event_submit_and_open(populated, monkeypatch):
+    """Pins the signatures each step makes: the paired ledger append signs two
+    entries and verifies the counterpart's, and a submit builds its request
+    and ticket payloads once."""
+    dep = populated["dep"]
+    record_id = populated["record_id"]
+    names = ("sign", "verify", "canon_encode")
+    # warm up: the first append of an empty pair has no counterpart entry to
+    # verify, and the registry verifies a manifest on its first check only
+    assert dep.gate.submit(make_request(dep, populated, request_id="q0")).decision.allowed
+
+    calls = count_calls(monkeypatch, *names)
+    dep.event_log.record(EventKind.VAULT_ROUTE, "E00001", [], "route")
+    assert (calls["sign"], calls["verify"]) == (2, 2)
+
+    request = make_request(dep, populated)
+    calls = count_calls(monkeypatch, *names)
+    result = dep.gate.submit(request)
+    assert result.decision.allowed
+    assert (calls["sign"], calls["verify"]) == (3, 3)
+    assert calls["canon_encode"] <= 17, calls
+
+    calls = count_calls(monkeypatch, *names)
+    dep.gate.open_record(result.ticket, record_id, dep.silos["health"].controller_share(record_id))
+    assert (calls["sign"], calls["verify"]) == (2, 3)

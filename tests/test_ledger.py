@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,6 @@ from regctl.errors import EncodingError, StaleCrossHead
 from regctl.events import EventKind, EventLog
 from regctl.ledger import (
     Ledger,
-    LedgerHead,
     parse_ledger_lines,
     verify_ledger_files,
 )
@@ -49,9 +49,33 @@ def test_appends_chain(pair):
 
 def test_fabricated_counterpart_head_rejected(pair):
     fill(pair, 2)
-    fake = LedgerHead(seq=7, head_hash=b"\x05" * 32, signature=b"\x00" * 64)
+    fake = replace(pair.event_log.controller_ledger.head(), signature=b"\x00" * 64)
     with pytest.raises(StaleCrossHead):
         pair.event_log.regulator_ledger.append(sha256(b"x"), fake, timestamp=1)
+
+
+def test_altered_counterpart_entry_rejected(pair):
+    fill(pair, 2)
+    altered = replace(pair.event_log.controller_ledger.head(), payload_digest=sha256(b"other"))
+    with pytest.raises(StaleCrossHead):
+        pair.event_log.regulator_ledger.append(sha256(b"x"), altered, timestamp=1)
+
+
+def test_own_entry_as_counterpart_head_rejected(pair):
+    fill(pair, 2)
+    ledger = pair.event_log.regulator_ledger
+    with pytest.raises(StaleCrossHead):
+        ledger.append(sha256(b"x"), ledger.head(), timestamp=1)
+    # the signature leaves the signer's key id out, so that is checked apart
+    relabelled = replace(pair.event_log.controller_ledger.head(), signer_key_id=ledger.owner.key_id)
+    with pytest.raises(StaleCrossHead):
+        ledger.append(sha256(b"x"), relabelled, timestamp=1)
+
+
+def test_empty_counterpart_head_after_exchange_rejected(pair):
+    fill(pair, 2)
+    with pytest.raises(StaleCrossHead):
+        pair.event_log.regulator_ledger.append(sha256(b"x"), None, timestamp=1)
 
 
 def test_stale_counterpart_head_rejected(pair):
@@ -74,7 +98,6 @@ def test_untampered_50_entry_ledger_verifies(pair):
 def test_in_memory_entry_tamper_detected(pair):
     fill(pair, 5)
     ledger = pair.event_log.regulator_ledger
-    from dataclasses import replace
     tampered = Ledger(owner=ledger.owner, counterpart=ledger.counterpart)
     entries = list(ledger.entries)
     entries[2] = replace(entries[2], payload_digest=sha256(b"swapped"))

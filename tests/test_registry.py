@@ -19,6 +19,7 @@ from regctl.errors import (
     UnknownPurpose,
 )
 
+from conftest import count_calls
 from truthtable import build_matrix
 
 
@@ -79,7 +80,7 @@ def test_manifest_signature_checked_once_until_it_changes(dep, monkeypatch):
     manifest = dep.registry.sign_program("p1", b"prog", "TAX_AUDIT", scope())
     other = dep.registry.sign_program("p2", b"other prog", "TAX_AUDIT", scope())
     auth = dep.registry.grant(dep.controller.key_id, scope(), "TAX_AUDIT", Basis.LEGAL, 0, 10)
-    verifies = _count_calls(monkeypatch, "verify")
+    verifies = count_calls(monkeypatch, "verify")
 
     def check():
         return dep.registry.check(auth.auth_id, manifest.content_digest, scope(),
@@ -89,17 +90,6 @@ def test_manifest_signature_checked_once_until_it_changes(dep, monkeypatch):
     assert verifies == {"verify": 1}
     manifest.signature = other.signature  # a valid regulator signature, for another manifest
     assert check() == Decision.deny(DenyReason.MANIFEST)
-
-
-def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
-    """Count calls to the named ``crypto`` functions from here on."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _original=getattr(crypto, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(crypto, name, counted)
-    return calls
 
 
 def test_manifest_requires_registered_purpose(dep):
@@ -420,7 +410,7 @@ def test_reload_verifies_one_signature_and_signs_none(tmp_path, monkeypatch, con
     for i in range(consents):
         dep.registry.record_consent(f"subject-{i}", "TAX_AUDIT")
     dep.save()
-    calls = _count_calls(monkeypatch, "sign", "verify")
+    calls = count_calls(monkeypatch, "sign", "verify")
     again = Deployment(seed=59, state_dir=state)
     assert calls == {"sign": 0, "verify": 1}
     assert again.registry.journal == dep.registry.journal
