@@ -202,9 +202,6 @@ class SigningIdentity:
     def public_only(self) -> "SigningIdentity":
         return SigningIdentity(self.key_id, self.public_key, self.role)
 
-    def can_sign(self) -> bool:
-        return self._private is not None
-
 
 def sign(identity: SigningIdentity, payload: bytes) -> bytes:
     if identity._signer is None:

@@ -10,12 +10,19 @@ It also hosts the one cross-service workflow: opt-out deletion, which
 walks every silo holding the subject's data, issues one regulator-signed
 obligation per silo, erases records and shares on both sides, and attaches
 the dual-signed proofs to the consent record.
+
+One re-entrant lock serialises the deployment. Each public entry point of
+the services a caller reaches (gate, vault, registry, silos, notifier) holds
+it for its whole body, so a check and the act that depends on it are never
+split by another thread. The event log, ledgers and share store take no
+lock of their own: only those entry points write to them.
 """
 
 from __future__ import annotations
 
 import random
 import secrets
+import threading
 from pathlib import Path
 
 from . import store
@@ -48,18 +55,20 @@ class Deployment:
         self.regulator = SigningIdentity.generate("regulator-1", Role.REGULATOR, reg_seed)
         self.controller = SigningIdentity.generate("controller-1", Role.CONTROLLER, ctrl_seed)
 
-        self.notifier = Notifier()
+        self._lock = threading.RLock()
+        self.notifier = Notifier(lock=self._lock)
         self.event_log = EventLog(self.regulator, self.controller, self.notifier, self.clock)
         self.registry = Registry(self.regulator, self.clock, self.event_log,
-                                 subjects_in_scope=self._subjects_in_scope)
+                                 subjects_in_scope=self._subjects_in_scope, lock=self._lock)
         self.share_store = RegulatorShareStore()
         self.vault = Vault(vault_secret, self.clock, self.event_log,
-                           regulator=self.regulator, rand_bytes=self.rand_bytes)
+                           regulator=self.regulator, rand_bytes=self.rand_bytes, lock=self._lock)
         self.vault.register_domain(REGISTRY_DOMAIN)
         self.silos: dict[str, Silo] = {}
         self.gate = Gate(self.regulator, self.controller, self.registry, self.share_store,
                          self.silos, self.event_log, self.clock,
-                         registry_vid_of=self._registry_vid_of, rand_bytes=self.rand_bytes)
+                         registry_vid_of=self._registry_vid_of, rand_bytes=self.rand_bytes,
+                         lock=self._lock)
         if self.state_dir is not None:
             self._load_state()
 
@@ -106,13 +115,18 @@ class Deployment:
     # -- silo management ---------------------------------------------------------------
 
     def create_silo(self, schema: SiloSchema) -> Silo:
-        if schema.domain in self.silos:
-            raise RegctlError(f"silo for domain {schema.domain} already exists")
-        self.vault.register_domain(schema.domain)
-        silo = Silo(schema, self.share_store, vid_exists=self.vault.vid_exists,
-                    clock=self.clock, event_log=self.event_log, rand_bytes=self.rand_bytes)
-        self.silos[schema.domain] = silo
-        return silo
+        with self._lock:
+            if schema.domain in self.silos:
+                raise RegctlError(f"silo for domain {schema.domain} already exists")
+            self.vault.register_domain(schema.domain)
+            silo = self._new_silo(schema)
+            self.silos[schema.domain] = silo
+            return silo
+
+    def _new_silo(self, schema: SiloSchema) -> Silo:
+        return Silo(schema, self.share_store, vid_exists=self.vault.vid_exists,
+                    clock=self.clock, event_log=self.event_log, rand_bytes=self.rand_bytes,
+                    lock=self._lock)
 
     # -- opt-out deletion workflow --------------------------------------------------------
 
@@ -124,29 +138,30 @@ class Deployment:
         registry vid to per-domain vids happens inside the vault under the
         authority of the signed opt-out journal entry.
         """
-        self.registry.opt_out(subject_registry_vid, purpose_code)
-        master_id = self.vault.master_for_vid(REGISTRY_DOMAIN, subject_registry_vid)
-        proofs: list[DeletionProof] = []
-        if master_id is None:
+        with self._lock:
+            self.registry.opt_out(subject_registry_vid, purpose_code)
+            master_id = self.vault.master_for_vid(REGISTRY_DOMAIN, subject_registry_vid)
+            proofs: list[DeletionProof] = []
+            if master_id is None:
+                return proofs
+            deleted_records: set[str] = set()
+            for domain in sorted(self.silos):
+                silo = self.silos[domain]
+                vid = self.vault.vid_if_derived(master_id, domain)
+                if vid is None:
+                    continue
+                doomed = silo.records_for_vid(vid)
+                if not doomed:
+                    continue
+                obligation = self.registry.issue_deletion_obligation(
+                    subject_registry_vid, purpose_code, domain)
+                proof = silo.process_deletion(obligation, vid, self.regulator, self.controller)
+                self.registry.attach_deletion_proof(subject_registry_vid, purpose_code, proof)
+                proofs.append(proof)
+                deleted_records.update(doomed)
+            if deleted_records:
+                self.gate.drop_records_from_tickets(deleted_records)
             return proofs
-        deleted_records: set[str] = set()
-        for domain in sorted(self.silos):
-            silo = self.silos[domain]
-            vid = self.vault.vid_if_derived(master_id, domain)
-            if vid is None:
-                continue
-            doomed = silo.records_for_vid(vid)
-            if not doomed:
-                continue
-            obligation = self.registry.issue_deletion_obligation(
-                subject_registry_vid, purpose_code, domain)
-            proof = silo.process_deletion(obligation, vid, self.regulator, self.controller)
-            self.registry.attach_deletion_proof(subject_registry_vid, purpose_code, proof)
-            proofs.append(proof)
-            deleted_records.update(doomed)
-        if deleted_records:
-            self.gate.drop_records_from_tickets(deleted_records)
-        return proofs
 
     # -- persistence -------------------------------------------------------------------------
 
@@ -154,36 +169,34 @@ class Deployment:
         if self.state_dir is None:
             raise RegctlError("deployment has no state directory")
         root = self.state_dir
-        self._write_keys()
-        self.vault.save(root / "vault")
-        self.registry.save(root / "registry.journal")
-        self.event_log.save(root / "ledgers")
-        self.share_store.save(root / "regulator_shares.json")
-        store.write_json(root / "gate.json", self.gate.state_dict())
-        self.notifier.save(root / "notifications.json")
-        for domain in sorted(self.silos):
-            self.silos[domain].save(root / "silos" / domain)
-        clock_state = {"mode": self.clock.mode, "tick": self.clock.now() if self.clock.mode == "logical" else 0}
-        store.write_json(root / "clock.json", clock_state)
+        with self._lock:
+            self._write_keys()
+            self.vault.save(root / "vault")
+            self.registry.save(root / "registry.journal")
+            self.event_log.save(root / "ledgers")
+            self.share_store.save(root / "regulator_shares.json")
+            store.write_json(root / "gate.json", self.gate.state_dict())
+            self.notifier.save(root / "notifications.json")
+            for domain in sorted(self.silos):
+                self.silos[domain].save(root / "silos" / domain)
+            clock_state = {"mode": self.clock.mode, "tick": self.clock.now() if self.clock.mode == "logical" else 0}
+            store.write_json(root / "clock.json", clock_state)
 
     def _load_state(self) -> None:
         root = self.state_dir
-        clock_state = store.read_json(root / "clock.json")
-        if clock_state is not None and self.clock.mode == "logical" and clock_state["mode"] == "logical":
-            self.clock.set_tick(clock_state["tick"])
-        self.vault.load_state(root / "vault")
-        self.registry.load(root / "registry.journal")
-        self.event_log.load(root / "ledgers")
-        self.share_store.load(root / "regulator_shares.json")
-        self.gate.load_state(store.read_json(root / "gate.json") or {})
-        self.notifier = Notifier.load(root / "notifications.json")
-        self.event_log.notifier = self.notifier
-        silos_root = root / "silos"
-        if silos_root.exists():
-            for silo_dir in sorted(p for p in silos_root.iterdir() if p.is_dir()):
-                schema = Silo.load_schema(silo_dir)
-                silo = Silo(schema, self.share_store, vid_exists=self.vault.vid_exists,
-                            clock=self.clock, event_log=self.event_log,
-                            rand_bytes=self.rand_bytes)
-                silo.load_records(silo_dir)
-                self.silos[schema.domain] = silo
+        with self._lock:
+            clock_state = store.read_json(root / "clock.json")
+            if clock_state is not None and self.clock.mode == "logical" and clock_state["mode"] == "logical":
+                self.clock.set_tick(clock_state["tick"])
+            self.vault.load_state(root / "vault")
+            self.registry.load(root / "registry.journal")
+            self.event_log.load(root / "ledgers")
+            self.share_store.load(root / "regulator_shares.json")
+            self.gate.load_state(store.read_json(root / "gate.json") or {})
+            self.notifier.load(root / "notifications.json")
+            silos_root = root / "silos"
+            if silos_root.exists():
+                for silo_dir in sorted(p for p in silos_root.iterdir() if p.is_dir()):
+                    silo = self._new_silo(Silo.load_schema(silo_dir))
+                    silo.load_records(silo_dir)
+                    self.silos[silo.domain] = silo

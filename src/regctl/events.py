@@ -11,7 +11,6 @@ from a ledger alone.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,12 +97,10 @@ class EventLog:
         self.clock = clock
         self.payloads: dict[bytes, bytes] = {}
         self._counters: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def next_event_id(self, prefix: str) -> str:
-        with self._lock:
-            self._counters[prefix] = self._counters.get(prefix, 0) + 1
-            return f"{prefix}{self._counters[prefix]:05d}"
+        self._counters[prefix] = self._counters.get(prefix, 0) + 1
+        return f"{prefix}{self._counters[prefix]:05d}"
 
     def record(self, kind: EventKind, event_id: str, subjects: list[str], summary: str) -> bytes:
         """Commit one event to both ledgers and notify its subjects.
@@ -117,10 +114,9 @@ class EventLog:
                       subjects=tuple(subjects), summary=summary)
         payload = event.canonical_bytes()
         digest = crypto.sha256(payload)
-        with self._lock:
-            self.payloads[digest] = payload
-            self.regulator_ledger.append(digest, self.controller_ledger.head(), now)
-            self.controller_ledger.append(digest, self.regulator_ledger.head(), now)
+        self.payloads[digest] = payload
+        self.regulator_ledger.append(digest, self.controller_ledger.head(), now)
+        self.controller_ledger.append(digest, self.regulator_ledger.head(), now)
         outcome = NOTIFY_OUTCOME[kind]
         if outcome is not None:
             for vid in subjects:

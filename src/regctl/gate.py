@@ -120,7 +120,8 @@ class Gate:
                  registry: Registry, share_store: RegulatorShareStore,
                  silos: Mapping[str, Silo], event_log: EventLog, clock: Clock,
                  registry_vid_of: Callable[[str, str], str | None] | None = None,
-                 rand_bytes: Callable[[int], bytes] | None = None):
+                 rand_bytes: Callable[[int], bytes] | None = None,
+                 lock: threading.RLock | None = None):
         self.regulator = regulator
         self.controller = controller
         self.registry = registry
@@ -136,14 +137,13 @@ class Gate:
         self.tickets: dict[str, AccessTicket] = {}
         self.plaintext_releases = 0
         self.wire_capture: list[bytes] | None = None
-        self._lock = threading.Lock()
+        self._lock = lock or threading.RLock()
 
     # -- helpers ---------------------------------------------------------------
 
     def _event_id_for(self, request_id: str) -> str:
-        with self._lock:
-            uses = self._request_uses.get(request_id, 0) + 1
-            self._request_uses[request_id] = uses
+        uses = self._request_uses.get(request_id, 0) + 1
+        self._request_uses[request_id] = uses
         return request_id if uses == 1 else f"{request_id}#{uses}"
 
     def _capture(self, blob: bytes) -> None:
@@ -170,65 +170,62 @@ class Gate:
         Malformed requests raise ProtocolError after being logged; they
         identify no subject, so nobody is notified.
         """
-        now = self.clock.now()
-        scope = self._validate_structure(request)
-        payload = request.signing_payload()
-        self._capture(payload)
-
-        try:
-            signature_ok = crypto.verify(self.controller, payload, request.controller_signature)
-        except SignatureError:
-            signature_ok = False
-        if not signature_ok:
-            return self._deny(request, payload, scope, DenyReason.SIGNATURE)
-
-        with self._lock:  # atomic check-and-mark: a nonce burns on first sight
-            replayed = request.nonce in self._seen_nonces
-            if not replayed:
-                self._seen_nonces[request.nonce] = request.timestamp
-        if replayed:
-            return self._deny(request, payload, scope, DenyReason.REPLAY)
-        if abs(request.timestamp - now) > FRESHNESS_WINDOW_SECONDS:
-            return self._deny(request, payload, scope, DenyReason.STALE)
-
-        for vid in request.subject_vids:
-            registry_vid = vid
-            if self.registry_vid_of is not None:
-                registry_vid = self.registry_vid_of(request.domain, vid) or ""
-            decision = self.registry.check(request.auth_id, request.content_digest, scope,
-                                           request.purpose_code, registry_vid, now)
-            if not decision.allowed:
-                return self._deny(request, payload, scope, decision.reason)
-
-        shares: dict[str, KeyShare] = {}
-        if request.operation == "read":
-            silo = self.silos.get(request.domain)
-            if silo is not None:
-                for vid in request.subject_vids:
-                    for record_id in silo.records_for_vid(vid):
-                        share = self.share_store.get(record_id)
-                        if share is not None:
-                            shares[record_id] = share
-        ticket = AccessTicket(
-            ticket_id="T" + self._rand(6).hex(),
-            request_id=request.request_id,
-            granted_scope=scope,
-            regulator_shares=shares,
-            expires_at=now + TICKET_TTL_SECONDS,
-            signature=b"",
-        )
-        ticket_payload = ticket.signing_payload()
-        ticket.signature = crypto.sign(self.regulator, ticket_payload)
         with self._lock:
-            self.tickets[ticket.ticket_id] = ticket
-        self._capture(ticket_payload)
+            now = self.clock.now()
+            scope = self._validate_structure(request)
+            payload = request.signing_payload()
+            self._capture(payload)
 
-        decision = Decision.allow()
-        event_id = self._event_id_for(request.request_id)
-        self.event_log.record(EventKind.ACCESS_ALLOWED, event_id,
-                              sorted(set(request.subject_vids)),
-                              self._summary(request, payload, scope, decision))
-        return SubmitResult(decision=decision, ticket=ticket, event_id=event_id)
+            try:
+                signature_ok = crypto.verify(self.controller, payload, request.controller_signature)
+            except SignatureError:
+                signature_ok = False
+            if not signature_ok:
+                return self._deny(request, payload, scope, DenyReason.SIGNATURE)
+
+            if request.nonce in self._seen_nonces:
+                return self._deny(request, payload, scope, DenyReason.REPLAY)
+            self._seen_nonces[request.nonce] = request.timestamp  # a nonce burns on first sight
+            if abs(request.timestamp - now) > FRESHNESS_WINDOW_SECONDS:
+                return self._deny(request, payload, scope, DenyReason.STALE)
+
+            for vid in request.subject_vids:
+                registry_vid = vid
+                if self.registry_vid_of is not None:
+                    registry_vid = self.registry_vid_of(request.domain, vid) or ""
+                decision = self.registry.check(request.auth_id, request.content_digest, scope,
+                                               request.purpose_code, registry_vid, now)
+                if not decision.allowed:
+                    return self._deny(request, payload, scope, decision.reason)
+
+            shares: dict[str, KeyShare] = {}
+            if request.operation == "read":
+                silo = self.silos.get(request.domain)
+                if silo is not None:
+                    for vid in request.subject_vids:
+                        for record_id in silo.records_for_vid(vid):
+                            share = self.share_store.get(record_id)
+                            if share is not None:
+                                shares[record_id] = share
+            ticket = AccessTicket(
+                ticket_id="T" + self._rand(6).hex(),
+                request_id=request.request_id,
+                granted_scope=scope,
+                regulator_shares=shares,
+                expires_at=now + TICKET_TTL_SECONDS,
+                signature=b"",
+            )
+            ticket_payload = ticket.signing_payload()
+            ticket.signature = crypto.sign(self.regulator, ticket_payload)
+            self.tickets[ticket.ticket_id] = ticket
+            self._capture(ticket_payload)
+
+            decision = Decision.allow()
+            event_id = self._event_id_for(request.request_id)
+            self.event_log.record(EventKind.ACCESS_ALLOWED, event_id,
+                                  sorted(set(request.subject_vids)),
+                                  self._summary(request, payload, scope, decision))
+            return SubmitResult(decision=decision, ticket=ticket, event_id=event_id)
 
     def _validate_structure(self, request: AccessRequest) -> Scope:
         problems = []
@@ -271,53 +268,52 @@ class Gate:
         Only fields whose class falls inside the ticket's granted scope are
         returned. Every failure mode is logged.
         """
-        def refuse(exc_type, message: str):
-            self.event_log.record(EventKind.OPEN_DENIED, self.event_log.next_event_id("O"),
-                                  [], f"open {record_id} refused: {message}")
-            return exc_type(message)
-
-        try:
-            ticket_ok = crypto.verify(self.regulator, ticket.signing_payload(), ticket.signature)
-        except SignatureError:
-            ticket_ok = False
-        if not ticket_ok:
-            raise refuse(TicketInvalid, "ticket signature does not verify")
-        if self.clock.now() >= ticket.expires_at:
-            raise refuse(TicketExpired, f"ticket {ticket.ticket_id} expired")
         with self._lock:
+            def refuse(exc_type, message: str):
+                self.event_log.record(EventKind.OPEN_DENIED, self.event_log.next_event_id("O"),
+                                      [], f"open {record_id} refused: {message}")
+                return exc_type(message)
+
+            try:
+                ticket_ok = crypto.verify(self.regulator, ticket.signing_payload(), ticket.signature)
+            except SignatureError:
+                ticket_ok = False
+            if not ticket_ok:
+                raise refuse(TicketInvalid, "ticket signature does not verify")
+            if self.clock.now() >= ticket.expires_at:
+                raise refuse(TicketExpired, f"ticket {ticket.ticket_id} expired")
             if (ticket.ticket_id, record_id) in self._consumed:
                 raise refuse(TicketConsumed, f"ticket {ticket.ticket_id} already used for {record_id}")
-        if record_id not in ticket.regulator_shares:
-            raise refuse(ScopeViolation, f"record {record_id} outside ticket scope")
+            if record_id not in ticket.regulator_shares:
+                raise refuse(ScopeViolation, f"record {record_id} outside ticket scope")
 
-        silo = self.silos.get(ticket.granted_scope.domain)
-        if silo is None:
-            raise refuse(NotFound, f"no silo for domain {ticket.granted_scope.domain}")
-        try:
-            ciphertext = silo.fetch_ciphertext(record_id)
-            vid = silo.vid_of(record_id)
-        except NotFound:
-            raise refuse(NotFound, f"record {record_id} no longer exists")
+            silo = self.silos.get(ticket.granted_scope.domain)
+            if silo is None:
+                raise refuse(NotFound, f"no silo for domain {ticket.granted_scope.domain}")
+            try:
+                ciphertext = silo.fetch_ciphertext(record_id)
+                vid = silo.vid_of(record_id)
+            except NotFound:
+                raise refuse(NotFound, f"record {record_id} no longer exists")
 
-        key = crypto.combine_shares(controller_share, ticket.regulator_shares[record_id])
-        try:
-            plaintext = crypto.aead_decrypt(
-                key, crypto.record_nonce(record_id), ciphertext,
-                record_aad(record_id, vid, silo.domain),
-            )
-        except DecryptFailure:
-            raise refuse(DecryptFailure, f"record {record_id} failed to decrypt")
+            key = crypto.combine_shares(controller_share, ticket.regulator_shares[record_id])
+            try:
+                plaintext = crypto.aead_decrypt(
+                    key, crypto.record_nonce(record_id), ciphertext,
+                    record_aad(record_id, vid, silo.domain),
+                )
+            except DecryptFailure:
+                raise refuse(DecryptFailure, f"record {record_id} failed to decrypt")
 
-        fields = decode_fields(plaintext)
-        granted = set(ticket.granted_scope.field_classes)
-        released = {k: v for k, v in fields.items() if silo.schema.class_of(k) in granted}
-        with self._lock:
+            fields = decode_fields(plaintext)
+            granted = set(ticket.granted_scope.field_classes)
+            released = {k: v for k, v in fields.items() if silo.schema.class_of(k) in granted}
             self._consumed[(ticket.ticket_id, record_id)] = ticket.expires_at
             self.plaintext_releases += 1
-        self.event_log.record(EventKind.OPEN_OK, self.event_log.next_event_id("O"),
-                              [], f"open {record_id} ticket={ticket.ticket_id} "
-                                  f"classes={'+'.join(sorted(granted)) or '-'}")
-        return released
+            self.event_log.record(EventKind.OPEN_OK, self.event_log.next_event_id("O"),
+                                  [], f"open {record_id} ticket={ticket.ticket_id} "
+                                      f"classes={'+'.join(sorted(granted)) or '-'}")
+            return released
 
     # -- runtime attestation -------------------------------------------------------
 
@@ -328,50 +324,46 @@ class Gate:
         return manifest.content_digest == content_digest
 
     def consumed_count(self) -> int:
-        with self._lock:
-            return len(self._consumed)
+        return len(self._consumed)
 
     # -- persistence -----------------------------------------------------------------
 
     def state_dict(self) -> dict:
         now = self.clock.now()
-        with self._lock:
-            live = {tid: t for tid, t in self.tickets.items() if t.expires_at > now}
-            return {
-                # a nonce whose request is past the freshness window is
-                # refused as stale on replay, so it need not be kept
-                "nonces": {n.hex(): ts for n, ts in self._seen_nonces.items()
-                           if ts + FRESHNESS_WINDOW_SECONDS >= now},
-                "request_uses": dict(self._request_uses),
-                # open_record refuses an expired ticket before it looks at
-                # the marks, so only a live ticket's marks are kept
-                "consumed": sorted([t, r, exp] for (t, r), exp in self._consumed.items()
-                                   if exp > now),
-                "tickets": [
-                    {**vars(t), "granted_scope": vars(t.granted_scope),
-                     "regulator_shares": {rid: s.share.hex() for rid, s in t.regulator_shares.items()},
-                     "signature": t.signature.hex()}
-                    for t in live.values()
-                ],
-            }
+        live = {tid: t for tid, t in self.tickets.items() if t.expires_at > now}
+        return {
+            # a nonce whose request is past the freshness window is
+            # refused as stale on replay, so it need not be kept
+            "nonces": {n.hex(): ts for n, ts in self._seen_nonces.items()
+                       if ts + FRESHNESS_WINDOW_SECONDS >= now},
+            "request_uses": dict(self._request_uses),
+            # open_record refuses an expired ticket before it looks at
+            # the marks, so only a live ticket's marks are kept
+            "consumed": sorted([t, r, exp] for (t, r), exp in self._consumed.items()
+                               if exp > now),
+            "tickets": [
+                {**vars(t), "granted_scope": vars(t.granted_scope),
+                 "regulator_shares": {rid: s.share.hex() for rid, s in t.regulator_shares.items()},
+                 "signature": t.signature.hex()}
+                for t in live.values()
+            ],
+        }
 
     def load_state(self, state: dict) -> None:
-        with self._lock:
-            self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
-            self._request_uses = dict(state.get("request_uses", {}))
-            self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
-            for t in state.get("tickets", []):
-                ticket = AccessTicket(**{
-                    **t, "granted_scope": Scope(**t["granted_scope"]),
-                    "regulator_shares": {rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
-                                         for rid, h in t["regulator_shares"].items()},
-                    "signature": bytes.fromhex(t["signature"])})
-                self.tickets[ticket.ticket_id] = ticket
+        self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
+        self._request_uses = dict(state.get("request_uses", {}))
+        self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
+        for t in state.get("tickets", []):
+            ticket = AccessTicket(**{
+                **t, "granted_scope": Scope(**t["granted_scope"]),
+                "regulator_shares": {rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
+                                     for rid, h in t["regulator_shares"].items()},
+                "signature": bytes.fromhex(t["signature"])})
+            self.tickets[ticket.ticket_id] = ticket
 
     def drop_records_from_tickets(self, record_ids: set[str]) -> None:
         """Purge stored tickets that referenced now-deleted records."""
-        with self._lock:
-            doomed = [tid for tid, t in self.tickets.items()
-                      if record_ids & set(t.regulator_shares)]
-            for tid in doomed:
-                del self.tickets[tid]
+        doomed = [tid for tid, t in self.tickets.items()
+                  if record_ids & set(t.regulator_shares)]
+        for tid in doomed:
+            del self.tickets[tid]

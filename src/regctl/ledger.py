@@ -15,7 +15,6 @@ when the change only touches encoding slack.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,7 +87,8 @@ class Divergence:
 
 
 class Ledger:
-    """Single-writer hash chain. Appends are serialized; reads are free."""
+    """Single-writer hash chain. It takes no lock: callers serialise appends
+    (``EventLog.record`` runs under its deployment's lock)."""
 
     def __init__(self, owner: SigningIdentity, counterpart: SigningIdentity):
         self.owner = owner
@@ -97,7 +97,6 @@ class Ledger:
         self._heads: list[bytes] = [ZERO_HASH]  # head hash after i entries
         self._seen_counterpart_seq = -1
         self._seen_counterpart_hash = ZERO_HASH
-        self._lock = threading.Lock()
 
     # -- heads ---------------------------------------------------------------
 
@@ -140,32 +139,30 @@ class Ledger:
                timestamp: int) -> LogEntry:
         if len(payload_digest) != HASH_BYTES:
             raise EncodingError("payload digest must be 32 bytes")
-        with self._lock:
-            cross_seq, cross_head = self._check_counterpart_head(counterpart_head)
-            seq = len(self.entries)
-            prev = self._heads[-1]
-            payload = crypto.canon_encode("LOGv1", [seq, prev, payload_digest, cross_head, timestamp])
-            entry = LogEntry(
-                seq=seq,
-                prev_hash=prev,
-                payload_digest=payload_digest,
-                cross_head=cross_head,
-                timestamp=timestamp,
-                signer_key_id=self.owner.key_id,
-                signature=crypto.sign(self.owner, payload),
-            )
-            self.entries.append(entry)
-            self._heads.append(crypto.chain_hash(prev, entry.canonical_bytes()))
-            self._seen_counterpart_seq = cross_seq
-            self._seen_counterpart_hash = cross_head
-            return entry
+        cross_seq, cross_head = self._check_counterpart_head(counterpart_head)
+        seq = len(self.entries)
+        prev = self._heads[-1]
+        payload = crypto.canon_encode("LOGv1", [seq, prev, payload_digest, cross_head, timestamp])
+        entry = LogEntry(
+            seq=seq,
+            prev_hash=prev,
+            payload_digest=payload_digest,
+            cross_head=cross_head,
+            timestamp=timestamp,
+            signer_key_id=self.owner.key_id,
+            signature=crypto.sign(self.owner, payload),
+        )
+        self.entries.append(entry)
+        self._heads.append(crypto.chain_hash(prev, entry.canonical_bytes()))
+        self._seen_counterpart_seq = cross_seq
+        self._seen_counterpart_hash = cross_head
+        return entry
 
     def note_counterpart_head(self, seq: int, head_hash: bytes) -> None:
         """Record a head exchanged outside an append (e.g. at reload)."""
-        with self._lock:
-            if seq > self._seen_counterpart_seq:
-                self._seen_counterpart_seq = seq
-                self._seen_counterpart_hash = head_hash
+        if seq > self._seen_counterpart_seq:
+            self._seen_counterpart_seq = seq
+            self._seen_counterpart_hash = head_hash
 
     # -- verification ----------------------------------------------------------
 
@@ -202,11 +199,10 @@ class Ledger:
         self._load([(entry, entry.canonical_bytes()) for entry in entries])
 
     def _load(self, records: list[tuple[LogEntry, bytes]]) -> None:
-        with self._lock:
-            self.entries = [entry for entry, _ in records]
-            self._heads = [ZERO_HASH]
-            for _, data in records:
-                self._heads.append(crypto.chain_hash(self._heads[-1], data))
+        self.entries = [entry for entry, _ in records]
+        self._heads = [ZERO_HASH]
+        for _, data in records:
+            self._heads.append(crypto.chain_hash(self._heads[-1], data))
 
 
 def parse_ledger_lines(raw: str) -> tuple[list[LogEntry], int | None]:

@@ -36,29 +36,28 @@ class Notification:
 
 
 class Notifier:
-    def __init__(self):
+    def __init__(self, lock: threading.RLock | None = None):
         self._by_subject: dict[str, list[Notification]] = {}
         self._seen: set[tuple[str, str]] = set()
         self._counter = 0
-        self._lock = threading.Lock()
+        self._lock = lock or threading.RLock()
 
     def enqueue(self, subject_vid: str, request_id: str, outcome: Outcome, summary: str, now: int) -> Notification:
-        with self._lock:
-            key = (subject_vid, request_id)
-            if key in self._seen:
-                raise DuplicateNotification(f"already notified {subject_vid} about {request_id}")
-            self._counter += 1
-            notif = Notification(
-                notif_id=f"N{self._counter:06d}",
-                subject_vid=subject_vid,
-                request_id=request_id,
-                outcome=outcome,
-                summary=summary,
-                created_at=now,
-            )
-            self._seen.add(key)
-            self._by_subject.setdefault(subject_vid, []).append(notif)
-            return notif
+        key = (subject_vid, request_id)
+        if key in self._seen:
+            raise DuplicateNotification(f"already notified {subject_vid} about {request_id}")
+        self._counter += 1
+        notif = Notification(
+            notif_id=f"N{self._counter:06d}",
+            subject_vid=subject_vid,
+            request_id=request_id,
+            outcome=outcome,
+            summary=summary,
+            created_at=now,
+        )
+        self._seen.add(key)
+        self._by_subject.setdefault(subject_vid, []).append(notif)
+        return notif
 
     def fetch(self, subject_vid: str) -> list[Notification]:
         """Return undelivered notifications in enqueue order and mark them delivered."""
@@ -88,13 +87,9 @@ class Notifier:
         store.write_json(path, [{**vars(n), "outcome": n.outcome.value}
                                 for n in self.all_notifications()])
 
-    @classmethod
-    def load(cls, path: Path) -> "Notifier":
-        notifier = cls()
+    def load(self, path: Path) -> None:
         for r in store.read_json(path) or []:
             notif = Notification(**{**r, "outcome": Outcome(r["outcome"])})
-            notifier._by_subject.setdefault(notif.subject_vid, []).append(notif)
-            notifier._seen.add((notif.subject_vid, notif.request_id))
-            n = int(notif.notif_id[1:])
-            notifier._counter = max(notifier._counter, n)
-        return notifier
+            self._by_subject.setdefault(notif.subject_vid, []).append(notif)
+            self._seen.add((notif.subject_vid, notif.request_id))
+            self._counter = max(self._counter, int(notif.notif_id[1:]))

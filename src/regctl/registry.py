@@ -218,7 +218,8 @@ class DeletionProof:
 class Registry:
     def __init__(self, regulator: SigningIdentity, clock: Clock,
                  event_log: EventLog | None = None,
-                 subjects_in_scope: Callable[[Scope], list[str]] | None = None):
+                 subjects_in_scope: Callable[[Scope], list[str]] | None = None,
+                 lock: threading.RLock | None = None):
         self.regulator = regulator
         self.clock = clock
         self.event_log = event_log
@@ -238,7 +239,7 @@ class Registry:
         self._verified_manifests: set[tuple[bytes, bytes]] = set()
         self._auth_counter = 0
         self._obligation_counter = 0
-        self._lock = threading.Lock()
+        self._lock = lock or threading.RLock()
 
     # -- journal ---------------------------------------------------------------
     #
@@ -442,13 +443,13 @@ class Registry:
             status = AuthStatus.ACTIVE if original.basis == Basis.LEGAL else AuthStatus.PENDING_CONSENT
             auth = self._store_auth(original.grantee_key_id, original.scope, new_purpose_code,
                                     original.basis, original.valid_from, original.valid_until, status)
-        affected = self.subjects_in_scope(original.scope) if self.subjects_in_scope else []
-        if self.event_log is not None:
-            summary = (f"purpose extension {original.purpose_code}->{new_purpose_code} "
-                       f"scope={original.scope.render()} grantee={original.grantee_key_id} "
-                       f"basis={original.basis.value}")
-            self.event_log.record(EventKind.EXTENSION, auth.auth_id, sorted(affected), summary)
-        return auth
+            affected = self.subjects_in_scope(original.scope) if self.subjects_in_scope else []
+            if self.event_log is not None:
+                summary = (f"purpose extension {original.purpose_code}->{new_purpose_code} "
+                           f"scope={original.scope.render()} grantee={original.grantee_key_id} "
+                           f"basis={original.basis.value}")
+                self.event_log.record(EventKind.EXTENSION, auth.auth_id, sorted(affected), summary)
+            return auth
 
     # -- consent ---------------------------------------------------------------
 

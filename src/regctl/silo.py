@@ -109,27 +109,22 @@ class RegulatorShareStore:
 
     def __init__(self):
         self._shares: dict[str, KeyShare] = {}
-        self._lock = threading.Lock()
 
     def deposit(self, record_id: str, share: KeyShare) -> None:
         if share.holder is not Holder.REGULATOR:
             raise SchemaError("only regulator shares can be deposited")
-        with self._lock:
-            self._shares[record_id] = share
+        self._shares[record_id] = share
 
     def get(self, record_id: str) -> KeyShare | None:
-        with self._lock:
-            return self._shares.get(record_id)
+        return self._shares.get(record_id)
 
     def destroy(self, record_id: str) -> bool:
         """Erase a share; True confirms it is gone."""
-        with self._lock:
-            self._shares.pop(record_id, None)
-            return record_id not in self._shares
+        self._shares.pop(record_id, None)
+        return record_id not in self._shares
 
     def save(self, path: Path) -> None:
-        with self._lock:
-            data = {rid: s.share.hex() for rid, s in self._shares.items()}
+        data = {rid: s.share.hex() for rid, s in self._shares.items()}
         store.write_json(path, data)
 
     def load(self, path: Path) -> None:
@@ -141,7 +136,8 @@ class Silo:
     def __init__(self, schema: SiloSchema, share_store: RegulatorShareStore,
                  vid_exists: Callable[[str, str], bool] | None = None,
                  clock=None, event_log: EventLog | None = None,
-                 rand_bytes: Callable[[int], bytes] | None = None):
+                 rand_bytes: Callable[[int], bytes] | None = None,
+                 lock: threading.RLock | None = None):
         schema.validate()
         self.schema = schema
         self.share_store = share_store
@@ -150,7 +146,7 @@ class Silo:
         self.event_log = event_log
         self._rand = rand_bytes or secrets.token_bytes
         self.records: dict[str, SiloRecord] = {}
-        self._lock = threading.Lock()
+        self._lock = lock or threading.RLock()
 
     @property
     def domain(self) -> str:
@@ -197,22 +193,19 @@ class Silo:
             return [r.record_id for r in self.records.values() if r.vid == vid]
 
     def fetch_ciphertext(self, record_id: str) -> bytes:
-        with self._lock:
-            record = self.records.get(record_id)
+        record = self.records.get(record_id)
         if record is None:
             raise NotFound(f"record {record_id} not found")
         return record.ciphertext
 
     def controller_share(self, record_id: str) -> KeyShare:
-        with self._lock:
-            record = self.records.get(record_id)
+        record = self.records.get(record_id)
         if record is None:
             raise NotFound(f"record {record_id} not found")
         return record.controller_share
 
     def vid_of(self, record_id: str) -> str:
-        with self._lock:
-            record = self.records.get(record_id)
+        record = self.records.get(record_id)
         if record is None:
             raise NotFound(f"record {record_id} not found")
         return record.vid
@@ -235,34 +228,33 @@ class Silo:
             doomed = [rid for rid, record in self.records.items() if record.vid == vid]
             for rid in doomed:
                 del self.records[rid]
-        for rid in doomed:
-            if not self.share_store.destroy(rid):
-                raise SchemaError(f"regulator share for {rid} not confirmed destroyed")
-        proof_hash = DeletionProof.hash_record_ids(doomed)
-        payload = crypto.canon_encode("DELv1", [obligation.obligation_id, self.domain, proof_hash])
-        proof = DeletionProof(
-            obligation_id=obligation.obligation_id,
-            domain=self.domain,
-            record_ids=tuple(sorted(doomed)),
-            proof_hash=proof_hash,
-            regulator_signature=crypto.sign(regulator, payload),
-            controller_signature=crypto.sign(controller, payload),
-        )
-        if self.event_log is not None:
-            self.event_log.record(
-                EventKind.DELETION, obligation.obligation_id, [vid],
-                f"deleted {len(doomed)} record(s) in {self.domain} "
-                f"purpose={obligation.purpose_code}",
+            for rid in doomed:
+                if not self.share_store.destroy(rid):
+                    raise SchemaError(f"regulator share for {rid} not confirmed destroyed")
+            proof_hash = DeletionProof.hash_record_ids(doomed)
+            payload = crypto.canon_encode("DELv1", [obligation.obligation_id, self.domain, proof_hash])
+            proof = DeletionProof(
+                obligation_id=obligation.obligation_id,
+                domain=self.domain,
+                record_ids=tuple(sorted(doomed)),
+                proof_hash=proof_hash,
+                regulator_signature=crypto.sign(regulator, payload),
+                controller_signature=crypto.sign(controller, payload),
             )
-        return proof
+            if self.event_log is not None:
+                self.event_log.record(
+                    EventKind.DELETION, obligation.obligation_id, [vid],
+                    f"deleted {len(doomed)} record(s) in {self.domain} "
+                    f"purpose={obligation.purpose_code}",
+                )
+            return proof
 
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: Path) -> None:
         store.write_json(directory / "schema.json", vars(self.schema))
-        with self._lock:
-            # by record id, so the file does not give away creation order
-            records = [self.records[rid].canonical_bytes() for rid in sorted(self.records)]
+        # by record id, so the file does not give away creation order
+        records = [self.records[rid].canonical_bytes() for rid in sorted(self.records)]
         store.write_records(directory / "records.log", records)
 
     def load_records(self, directory: Path) -> None:

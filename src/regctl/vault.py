@@ -76,7 +76,8 @@ class AliasGrant:
 class Vault:
     def __init__(self, secret: bytes, clock: Clock, event_log: EventLog | None = None,
                  regulator: SigningIdentity | None = None,
-                 rand_bytes: Callable[[int], bytes] | None = None):
+                 rand_bytes: Callable[[int], bytes] | None = None,
+                 lock: threading.RLock | None = None):
         if len(secret) != 32:
             raise SignatureError("vault secret must be 32 bytes")
         self._secret = secret
@@ -90,7 +91,7 @@ class Vault:
         self._vids: dict[tuple[str, str], VirtualId] = {}      # (master_id, domain)
         self._vid_index: dict[tuple[str, str], str] = {}       # (domain, vid) -> master_id
         self._aliases: dict[str, list[AliasGrant]] = {}
-        self._lock = threading.Lock()
+        self._lock = lock or threading.RLock()
 
     # -- registration ----------------------------------------------------------
 
@@ -170,36 +171,36 @@ class Vault:
 
     def resolve(self, vid: str, domain: str, ticket) -> str:
         """Map a domain vid back to its master id, under a covering ticket."""
-        denial = self._check_ticket(ticket, "resolve", domain)
-        if denial is not None:
-            self._log_vault_event(EventKind.VAULT_DENIED, [vid],
-                                  f"resolve denied in {domain}: {denial}")
-            raise Unauthorized(f"resolve denied: {denial}")
         with self._lock:
+            denial = self._check_ticket(ticket, "resolve", domain)
+            if denial is not None:
+                self._log_vault_event(EventKind.VAULT_DENIED, [vid],
+                                      f"resolve denied in {domain}: {denial}")
+                raise Unauthorized(f"resolve denied: {denial}")
             master_id = self._vid_index.get((domain, vid))
-        if master_id is None:
-            self._log_vault_event(EventKind.VAULT_DENIED, [vid],
-                                  f"resolve denied in {domain}: vid unknown")
-            raise NotFound(f"vid {vid} unknown in domain {domain}")
-        self._log_vault_event(EventKind.VAULT_RESOLVE, [vid], f"resolve in {domain}")
-        return master_id
+            if master_id is None:
+                self._log_vault_event(EventKind.VAULT_DENIED, [vid],
+                                      f"resolve denied in {domain}: vid unknown")
+                raise NotFound(f"vid {vid} unknown in domain {domain}")
+            self._log_vault_event(EventKind.VAULT_RESOLVE, [vid], f"resolve in {domain}")
+            return master_id
 
     def link(self, vid_a: str, domain_a: str, domain_b: str, ticket) -> VirtualId:
         """Reveal the counterpart vid of a subject in another domain."""
-        denial = self._check_ticket(ticket, "link", domain_b)
-        if denial is not None:
-            self._log_vault_event(EventKind.VAULT_DENIED, [vid_a],
-                                  f"link {domain_a}->{domain_b} denied: {denial}")
-            raise Unauthorized(f"link denied: {denial}")
         with self._lock:
+            denial = self._check_ticket(ticket, "link", domain_b)
+            if denial is not None:
+                self._log_vault_event(EventKind.VAULT_DENIED, [vid_a],
+                                      f"link {domain_a}->{domain_b} denied: {denial}")
+                raise Unauthorized(f"link denied: {denial}")
             master_id = self._vid_index.get((domain_a, vid_a))
-        if master_id is None:
-            self._log_vault_event(EventKind.VAULT_DENIED, [vid_a],
-                                  f"link {domain_a}->{domain_b} denied: vid unknown")
-            raise NotFound(f"vid {vid_a} unknown in domain {domain_a}")
-        linked = self.derive_vid(master_id, domain_b)
-        self._log_vault_event(EventKind.VAULT_LINK, [vid_a], f"link {domain_a}->{domain_b}")
-        return linked
+            if master_id is None:
+                self._log_vault_event(EventKind.VAULT_DENIED, [vid_a],
+                                      f"link {domain_a}->{domain_b} denied: vid unknown")
+                raise NotFound(f"vid {vid_a} unknown in domain {domain_a}")
+            linked = self.derive_vid(master_id, domain_b)
+            self._log_vault_event(EventKind.VAULT_LINK, [vid_a], f"link {domain_a}->{domain_b}")
+            return linked
 
     # -- trusted plumbing (regulator-side wiring, not part of the public surface) --
 
@@ -212,18 +213,16 @@ class Vault:
         """
         with self._lock:
             master_id = self._vid_index.get((domain, vid))
-        if master_id is None:
-            return None
-        return self.derive_vid(master_id, registry_domain).vid
+            if master_id is None:
+                return None
+            return self.derive_vid(master_id, registry_domain).vid
 
     def master_for_vid(self, domain: str, vid: str) -> str | None:
-        with self._lock:
-            return self._vid_index.get((domain, vid))
+        return self._vid_index.get((domain, vid))
 
     def vid_if_derived(self, master_id: str, domain: str) -> str | None:
-        with self._lock:
-            virtual = self._vids.get((master_id, domain))
-            return virtual.vid if virtual else None
+        virtual = self._vids.get((master_id, domain))
+        return virtual.vid if virtual else None
 
     # -- alias numbers -----------------------------------------------------------
 
@@ -247,8 +246,8 @@ class Vault:
             grant = AliasGrant(alias_number=alias, real_number=real,
                                issued_at=now, expires_at=now + ttl_seconds)
             self._aliases.setdefault(alias, []).append(grant)
-        self._log_vault_event(EventKind.VAULT_ROUTE, [], f"alias issued ttl={ttl_seconds}")
-        return grant
+            self._log_vault_event(EventKind.VAULT_ROUTE, [], f"alias issued ttl={ttl_seconds}")
+            return grant
 
     def route(self, alias_number: str, at_time: int) -> str:
         with self._lock:
@@ -260,11 +259,11 @@ class Vault:
                 if grant.issued_at <= at_time < grant.expires_at:
                     hit = grant
                     break
-        if hit is None:
-            self._log_vault_event(EventKind.VAULT_ROUTE, [], f"route refused alias={alias_number}")
-            raise Expired(f"alias {alias_number} not active at {at_time}")
-        self._log_vault_event(EventKind.VAULT_ROUTE, [], f"route ok alias={alias_number}")
-        return hit.real_number
+            if hit is None:
+                self._log_vault_event(EventKind.VAULT_ROUTE, [], f"route refused alias={alias_number}")
+                raise Expired(f"alias {alias_number} not active at {at_time}")
+            self._log_vault_event(EventKind.VAULT_ROUTE, [], f"route ok alias={alias_number}")
+            return hit.real_number
 
     # -- persistence ---------------------------------------------------------------
 

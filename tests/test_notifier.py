@@ -55,7 +55,8 @@ def test_persistence_round_trip(notifier, tmp_path):
     notifier.enqueue("v1", "q2", Outcome.DELETED, "t", now=2)
     path = tmp_path / "notifications.json"
     notifier.save(path)
-    reloaded = Notifier.load(path)
+    reloaded = Notifier()
+    reloaded.load(path)
     assert reloaded.pairs() == notifier.pairs()
     assert [n.request_id for n in reloaded.fetch("v1")] == ["q2"]  # delivered state kept
     with pytest.raises(DuplicateNotification):
