@@ -25,6 +25,7 @@ import enum
 import hashlib
 import hmac
 import secrets
+import struct
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -53,6 +54,9 @@ _INT_MAX = 2**63 - 1
 
 ZERO_HASH = b"\x00" * HASH_BYTES
 
+_LEN = struct.Struct(">I")         # a field's length prefix
+_INT_FIELD = struct.Struct(">Iq")  # an integer field: length 8, then the value
+
 FieldValue = int | bytes | str
 
 
@@ -64,17 +68,23 @@ def canon_encode(type_tag: str, fields: list[FieldValue] | tuple[FieldValue, ...
     """Render a tagged field list into its canonical byte form."""
     if not (1 <= len(type_tag) <= 16) or not type_tag.isascii():
         raise EncodingError(f"type tag must be 1-16 ASCII chars, got {type_tag!r}")
-    out = bytearray()
     tag = type_tag.encode("ascii")
-    out += len(tag).to_bytes(4, "big")
-    out += tag
+    parts = [_LEN.pack(len(tag)), tag]
     for value in fields:
-        if isinstance(value, bool):
+        kind = type(value)
+        # exact bytes and str skip the isinstance chain, which keeps the type
+        # rules: bool is rejected, subclasses of int, bytes and str accepted
+        if kind is bytes:
+            payload = value
+        elif kind is str:
+            payload = value.encode("utf-8")
+        elif isinstance(value, bool):
             raise EncodingError("bool is not a canonical field type")
-        if isinstance(value, int):
+        elif isinstance(value, int):
             if not (_INT_MIN <= value <= _INT_MAX):
                 raise EncodingError(f"integer out of 64-bit range: {value}")
-            payload = value.to_bytes(8, "big", signed=True)
+            parts.append(_INT_FIELD.pack(8, value))
+            continue
         elif isinstance(value, bytes):
             payload = value
         elif isinstance(value, str):
@@ -83,9 +93,9 @@ def canon_encode(type_tag: str, fields: list[FieldValue] | tuple[FieldValue, ...
             raise EncodingError(f"unsupported field type: {type(value).__name__}")
         if len(payload) > _MAX_FIELD:
             raise EncodingError("field exceeds 2^32-1 bytes")
-        out += len(payload).to_bytes(4, "big")
-        out += payload
-    return bytes(out)
+        parts.append(_LEN.pack(len(payload)))
+        parts.append(payload)
+    return b"".join(parts)
 
 
 def canon_decode(data: bytes) -> tuple[str, list[bytes]]:
@@ -94,16 +104,13 @@ def canon_decode(data: bytes) -> tuple[str, list[bytes]]:
     Callers re-type payloads per their schema (``decode_int`` /
     ``decode_str``). Trailing garbage or truncation raises EncodingError.
     """
-    def take(buf: bytes, pos: int) -> tuple[bytes, int]:
-        if pos + 4 > len(buf):
-            raise EncodingError("truncated length prefix")
-        n = int.from_bytes(buf[pos : pos + 4], "big")
-        pos += 4
-        if pos + n > len(buf):
-            raise EncodingError("truncated payload")
-        return buf[pos : pos + n], pos + n
-
-    tag_bytes, pos = take(data, 0)
+    end = len(data)
+    if end < 4:
+        raise EncodingError("truncated length prefix")
+    pos = 4 + _LEN.unpack_from(data)[0]
+    if pos > end:
+        raise EncodingError("truncated payload")
+    tag_bytes = data[4:pos]
     if not (1 <= len(tag_bytes) <= 16):
         raise EncodingError("type tag length out of range")
     try:
@@ -111,9 +118,14 @@ def canon_decode(data: bytes) -> tuple[str, list[bytes]]:
     except UnicodeDecodeError as exc:
         raise EncodingError("type tag is not ASCII") from exc
     fields = []
-    while pos < len(data):
-        payload, pos = take(data, pos)
-        fields.append(payload)
+    while pos < end:
+        start = pos + 4
+        if start > end:
+            raise EncodingError("truncated length prefix")
+        pos = start + _LEN.unpack_from(data, pos)[0]
+        if pos > end:
+            raise EncodingError("truncated payload")
+        fields.append(data[start:pos])
     return tag, fields
 
 
@@ -151,11 +163,21 @@ def prf_derive(key: bytes, domain_tag: str, message: bytes) -> bytes:
     return hmac_sha256(key, canon_encode(domain_tag, [message]))
 
 
+_CHAIN_PREFIX = canon_encode("LOGv1", []) + _LEN.pack(HASH_BYTES)
+
+
 def chain_hash(prev: bytes, entry: bytes) -> bytes:
-    """Link one log entry onto the running chain; prev is all-zero at genesis."""
+    """Link one log entry onto the running chain; prev is all-zero at genesis.
+
+    Both are bytes. The hash input is ``canon_encode("LOGv1", [prev, entry])``,
+    built here from its fixed prefix because every ledger load hashes every
+    entry.
+    """
     if len(prev) != HASH_BYTES:
         raise EncodingError(f"prev hash must be {HASH_BYTES} bytes")
-    return sha256(canon_encode("LOGv1", [prev, entry]))
+    if len(entry) > _MAX_FIELD:
+        raise EncodingError("field exceeds 2^32-1 bytes")
+    return sha256(b"".join((_CHAIN_PREFIX, prev, _LEN.pack(len(entry)), entry)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ history without the other's copy exposing the divergence. The last entry
 is the only commitment a ledger hands its counterpart: its signature
 covers ``prev_hash``, and the head hash follows from its bytes.
 
+An entry is held as its canonical bytes and nothing else. Its signature
+covers a prefix of them, and the chain hashes and the file stores them
+whole, so an entry is checked once, when it is read, and never
+re-encoded.
+
 File format: a ``store`` record stream of canonical entry bytes. Loading
 is strict, so any byte-level tampering of a ledger file is reported even
 when the change only touches encoding slack.
@@ -23,55 +28,86 @@ from .crypto import HASH_BYTES, SIGNATURE_BYTES, ZERO_HASH, SigningIdentity
 from .errors import EncodingError, SignatureError, StaleCrossHead
 
 
-@dataclass(frozen=True)
+# LOGv1 byte layout: the 9-byte tag header, then each field as a 4-byte
+# length and its payload. Only the signer key id varies in size, so every
+# other field sits at a fixed offset from the start, or (the signature)
+# from the end.
+_SEQ = slice(13, 21)
+_PREV_HASH = slice(25, 57)
+_PAYLOAD_DIGEST = slice(61, 93)
+_CROSS_HEAD = slice(97, 129)
+_TIMESTAMP = slice(133, 141)
+_SIGNED = slice(0, 141)
+_SIGNER_KEY_ID = slice(145, -4 - SIGNATURE_BYTES)
+_SIGNATURE = slice(-SIGNATURE_BYTES, None)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LogEntry:
-    seq: int
-    prev_hash: bytes
-    payload_digest: bytes
-    cross_head: bytes
-    timestamp: int
-    signer_key_id: str
-    signature: bytes
+    """One signed ledger entry, held only as its canonical LOGv1 bytes; each
+    field is read at its offset."""
 
-    def signing_payload(self) -> bytes:
-        return crypto.canon_encode(
-            "LOGv1",
-            [self.seq, self.prev_hash, self.payload_digest, self.cross_head, self.timestamp],
-        )
+    canonical: bytes
 
-    def canonical_bytes(self) -> bytes:
-        return crypto.canon_encode(
+    def __init__(self, seq: int, prev_hash: bytes, payload_digest: bytes, cross_head: bytes,
+                 timestamp: int, signer_key_id: str, signature: bytes):
+        if len(prev_hash) != HASH_BYTES or len(payload_digest) != HASH_BYTES:
+            raise EncodingError("hash field has wrong length")
+        if len(cross_head) != HASH_BYTES or len(signature) != SIGNATURE_BYTES:
+            raise EncodingError("cross head or signature has wrong length")
+        object.__setattr__(self, "canonical", crypto.canon_encode(
             "LOGv1",
-            [
-                self.seq,
-                self.prev_hash,
-                self.payload_digest,
-                self.cross_head,
-                self.timestamp,
-                self.signer_key_id,
-                self.signature,
-            ],
-        )
+            [seq, prev_hash, payload_digest, cross_head, timestamp, signer_key_id, signature],
+        ))
 
     @classmethod
     def from_canonical(cls, data: bytes) -> "LogEntry":
         tag, fields = crypto.canon_decode(data)
         if tag != "LOGv1" or len(fields) != 7:
             raise EncodingError(f"not a ledger entry: tag={tag} fields={len(fields)}")
-        entry = cls(
-            seq=crypto.decode_int(fields[0]),
-            prev_hash=fields[1],
-            payload_digest=fields[2],
-            cross_head=fields[3],
-            timestamp=crypto.decode_int(fields[4]),
-            signer_key_id=crypto.decode_str(fields[5]),
-            signature=fields[6],
-        )
-        if len(entry.prev_hash) != HASH_BYTES or len(entry.payload_digest) != HASH_BYTES:
+        # the fields are read at their offsets: decoding them only validates
+        crypto.decode_int(fields[0])
+        crypto.decode_int(fields[4])
+        crypto.decode_str(fields[5])
+        if len(fields[1]) != HASH_BYTES or len(fields[2]) != HASH_BYTES:
             raise EncodingError("hash field has wrong length")
-        if len(entry.cross_head) != HASH_BYTES or len(entry.signature) != SIGNATURE_BYTES:
+        if len(fields[3]) != HASH_BYTES or len(fields[6]) != SIGNATURE_BYTES:
             raise EncodingError("cross head or signature has wrong length")
+        entry = object.__new__(cls)
+        object.__setattr__(entry, "canonical", bytes(data))
         return entry
+
+    @property
+    def seq(self) -> int:
+        return int.from_bytes(self.canonical[_SEQ], "big", signed=True)
+
+    @property
+    def prev_hash(self) -> bytes:
+        return self.canonical[_PREV_HASH]
+
+    @property
+    def payload_digest(self) -> bytes:
+        return self.canonical[_PAYLOAD_DIGEST]
+
+    @property
+    def cross_head(self) -> bytes:
+        return self.canonical[_CROSS_HEAD]
+
+    @property
+    def timestamp(self) -> int:
+        return int.from_bytes(self.canonical[_TIMESTAMP], "big", signed=True)
+
+    @property
+    def signer_key_id(self) -> str:
+        return self.canonical[_SIGNER_KEY_ID].decode("utf-8")
+
+    @property
+    def signature(self) -> bytes:
+        return self.canonical[_SIGNATURE]
+
+    def signing_payload(self) -> bytes:
+        """``canon_encode("LOGv1", [seq, prev_hash, payload_digest, cross_head, timestamp])``."""
+        return self.canonical[_SIGNED]
 
 
 @dataclass(frozen=True)
@@ -126,7 +162,7 @@ class Ledger:
                 ok = False
             if not ok:
                 raise StaleCrossHead("counterpart head signature does not verify")
-            seq, head_hash = head.seq, crypto.chain_hash(head.prev_hash, head.canonical_bytes())
+            seq, head_hash = head.seq, crypto.chain_hash(head.prev_hash, head.canonical)
         if seq < self._seen_counterpart_seq:
             raise StaleCrossHead(
                 f"counterpart head seq {seq} older than last exchanged {self._seen_counterpart_seq}"
@@ -153,7 +189,7 @@ class Ledger:
             signature=crypto.sign(self.owner, payload),
         )
         self.entries.append(entry)
-        self._heads.append(crypto.chain_hash(prev, entry.canonical_bytes()))
+        self._heads.append(crypto.chain_hash(prev, entry.canonical))
         self._seen_counterpart_seq = cross_seq
         self._seen_counterpart_hash = cross_head
         return entry
@@ -179,30 +215,23 @@ class Ledger:
                     return i
             except SignatureError:
                 return i
-            running = crypto.chain_hash(running, entry.canonical_bytes())
+            running = crypto.chain_hash(running, entry.canonical)
         return None
 
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Path) -> None:
-        store.write_records(path, (e.canonical_bytes() for e in self.entries))
+        store.write_records(path, (entry.canonical for entry in self.entries))
 
     def load(self, path: Path) -> None:
-        """Replace the chain with a saved ledger file (strictly read).
-
-        The strict reader's bytes re-encode to themselves, so the chain is
-        hashed over them as read.
-        """
-        self._load(store.read_records(path, lambda data: (LogEntry.from_canonical(data), data)))
+        """Replace the chain with a saved ledger file (strictly read)."""
+        self.load_entries(store.read_records(path, LogEntry.from_canonical))
 
     def load_entries(self, entries: list[LogEntry]) -> None:
-        self._load([(entry, entry.canonical_bytes()) for entry in entries])
-
-    def _load(self, records: list[tuple[LogEntry, bytes]]) -> None:
-        self.entries = [entry for entry, _ in records]
+        self.entries = list(entries)
         self._heads = [ZERO_HASH]
-        for _, data in records:
-            self._heads.append(crypto.chain_hash(self._heads[-1], data))
+        for entry in self.entries:
+            self._heads.append(crypto.chain_hash(self._heads[-1], entry.canonical))
 
 
 def parse_ledger_lines(raw: str) -> tuple[list[LogEntry], int | None]:
@@ -232,7 +261,8 @@ def verify_ledger_files(regulator_path: Path, controller_path: Path,
         ("regulator", regulator_path, regulator, controller),
         ("controller", controller_path, controller, regulator),
     ):
-        entries, bad = parse_ledger_lines(Path(path).read_text())
+        # latin-1, as store.read_records does: a non-ASCII byte fails its line
+        entries, bad = parse_ledger_lines(Path(path).read_bytes().decode("latin-1"))
         if bad is not None:
             lines.append(f"{label}_chain=parse_error_at:{bad}")
             ok = False

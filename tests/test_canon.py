@@ -65,6 +65,18 @@ def test_rejects_unsupported_types():
         canon_encode("T", [True])
     with pytest.raises(EncodingError):
         canon_encode("T", [None])
+    with pytest.raises(EncodingError):
+        canon_encode("T", [bytearray(b"ab")])
+
+
+def test_subclasses_encode_as_their_base_type():
+    class Int(int): pass
+    class Bytes(bytes): pass
+    class Str(str): pass
+    assert (canon_encode("T", [Int(7), Bytes(b"ab"), Str("cd")])
+            == canon_encode("T", [7, b"ab", "cd"]))
+    with pytest.raises(EncodingError):
+        canon_encode("T", [Int(2**63)])
 
 
 def test_rejects_out_of_range_integers():

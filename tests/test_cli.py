@@ -167,11 +167,17 @@ def test_verify_logs_ok_and_detects_tamper(capsys, state, tmp_path):
     assert "cross=ok" in stdout
 
     tampered = tmp_path / "tampered.log"
-    raw = bytearray(reg.read_bytes())
-    raw[len(raw) // 2] ^= 0x01
-    tampered.write_bytes(bytes(raw))
-    code, stdout, _ = invoke(capsys, *seeded(state, "verify-logs", str(tampered), str(ctrl)))
-    assert code == 1
+    original = reg.read_bytes()
+    middle = len(original) // 2
+    for flip in (0x01, 0x80):
+        raw = bytearray(original)
+        raw[middle] ^= flip
+        tampered.write_bytes(bytes(raw))
+        code, stdout, _ = invoke(capsys, *seeded(state, "verify-logs", str(tampered), str(ctrl)))
+        assert code == 1
+    # the high-bit flip leaves a byte that is not UTF-8: only its line fails
+    line = original[:middle].count(b"\n")
+    assert stdout.splitlines()[0] == f"regulator_chain=parse_error_at:{line}"
 
 
 def test_alias_and_route(capsys, state):

@@ -170,6 +170,12 @@ def test_genesis_chain_hash_is_well_defined():
     assert chain_hash(ZERO_HASH, entry) == sha256(canon_encode("LOGv1", [ZERO_HASH, entry]))
 
 
+@given(st.binary(min_size=32, max_size=32), st.binary(max_size=300))
+@settings(max_examples=100)
+def test_chain_hash_hashes_the_canonical_pair(prev, entry):
+    assert chain_hash(prev, entry) == sha256(canon_encode("LOGv1", [prev, entry]))
+
+
 def test_chain_hash_requires_32_byte_prev():
     from regctl.errors import EncodingError
     with pytest.raises(EncodingError):

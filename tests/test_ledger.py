@@ -3,25 +3,37 @@
 from __future__ import annotations
 
 import base64
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regctl import Deployment, cross_verify
-from regctl.crypto import ZERO_HASH, sha256
+from regctl.crypto import ZERO_HASH, canon_encode, sha256
 from regctl.errors import EncodingError, StaleCrossHead
 from regctl.events import EventKind, EventLog
 from regctl.ledger import (
     Ledger,
+    LogEntry,
     parse_ledger_lines,
     verify_ledger_files,
 )
 from regctl.notify import Notifier
 
+from conftest import count_calls
+
+FIELDS = ("seq", "prev_hash", "payload_digest", "cross_head", "timestamp",
+          "signer_key_id", "signature")
+
 
 def fill(dep: Deployment, n: int) -> None:
     for i in range(n):
         dep.event_log.record(EventKind.VAULT_ROUTE, f"E{i:04d}", [], f"event {i}")
+
+
+def forge(entry: LogEntry, **changes) -> LogEntry:
+    """The entry rebuilt through the field constructor, with ``changes`` applied."""
+    return LogEntry(**{name: changes.get(name, getattr(entry, name)) for name in FIELDS})
 
 
 @pytest.fixture
@@ -49,14 +61,14 @@ def test_appends_chain(pair):
 
 def test_fabricated_counterpart_head_rejected(pair):
     fill(pair, 2)
-    fake = replace(pair.event_log.controller_ledger.head(), signature=b"\x00" * 64)
+    fake = forge(pair.event_log.controller_ledger.head(), signature=b"\x00" * 64)
     with pytest.raises(StaleCrossHead):
         pair.event_log.regulator_ledger.append(sha256(b"x"), fake, timestamp=1)
 
 
 def test_altered_counterpart_entry_rejected(pair):
     fill(pair, 2)
-    altered = replace(pair.event_log.controller_ledger.head(), payload_digest=sha256(b"other"))
+    altered = forge(pair.event_log.controller_ledger.head(), payload_digest=sha256(b"other"))
     with pytest.raises(StaleCrossHead):
         pair.event_log.regulator_ledger.append(sha256(b"x"), altered, timestamp=1)
 
@@ -67,7 +79,7 @@ def test_own_entry_as_counterpart_head_rejected(pair):
     with pytest.raises(StaleCrossHead):
         ledger.append(sha256(b"x"), ledger.head(), timestamp=1)
     # the signature leaves the signer's key id out, so that is checked apart
-    relabelled = replace(pair.event_log.controller_ledger.head(), signer_key_id=ledger.owner.key_id)
+    relabelled = forge(pair.event_log.controller_ledger.head(), signer_key_id=ledger.owner.key_id)
     with pytest.raises(StaleCrossHead):
         ledger.append(sha256(b"x"), relabelled, timestamp=1)
 
@@ -100,9 +112,53 @@ def test_in_memory_entry_tamper_detected(pair):
     ledger = pair.event_log.regulator_ledger
     tampered = Ledger(owner=ledger.owner, counterpart=ledger.counterpart)
     entries = list(ledger.entries)
-    entries[2] = replace(entries[2], payload_digest=sha256(b"swapped"))
+    entries[2] = forge(entries[2], payload_digest=sha256(b"swapped"))
     tampered.load_entries(entries)
     assert tampered.verify_chain() == 2
+
+
+# -- entry layout -----------------------------------------------------------------
+
+_int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_hash = st.binary(min_size=32, max_size=32)
+
+
+@given(st.tuples(_int64, _hash, _hash, _hash, _int64, st.text(max_size=40),
+                 st.binary(min_size=64, max_size=64)))
+@settings(max_examples=200)
+def test_entry_is_its_canonical_bytes(values):
+    fields = dict(zip(FIELDS, values))
+    entry = LogEntry(**fields)
+    assert entry.canonical == canon_encode("LOGv1", list(values))
+    assert entry.signing_payload() == canon_encode("LOGv1", list(values[:5]))
+    assert {name: getattr(entry, name) for name in FIELDS} == fields
+    assert LogEntry.from_canonical(entry.canonical) == entry
+
+
+_VALID = [7, b"p" * 32, b"d" * 32, b"c" * 32, 1234, "controller-1", b"s" * 64]
+
+
+@pytest.mark.parametrize("tag, fields", [
+    ("LOGv2", _VALID),
+    ("LOGv1", _VALID[:6]),
+    ("LOGv1", _VALID + [b""]),
+    ("LOGv1", _VALID[:1] + [b"p" * 31] + _VALID[2:]),
+    ("LOGv1", _VALID[:6] + [b"s" * 63]),
+    ("LOGv1", [b"\x00" * 7] + _VALID[1:]),
+    ("LOGv1", _VALID[:5] + [b"\xff\xfe"] + _VALID[6:]),
+], ids=["wrong tag", "6 fields", "8 fields", "31-byte hash", "63-byte signature",
+        "7-byte int", "key id not UTF-8"])
+def test_from_canonical_rejects_malformed_entries(tag, fields):
+    LogEntry.from_canonical(canon_encode("LOGv1", _VALID))  # each case changes one thing
+    with pytest.raises(EncodingError):
+        LogEntry.from_canonical(canon_encode(tag, fields))
+
+
+@pytest.mark.parametrize("changes", [{"cross_head": b"c" * 31}, {"signature": b"s" * 65}])
+def test_field_constructor_rejects_a_wrong_sized_field(changes):
+    # the fields are read at fixed offsets, so a wrong size must not encode
+    with pytest.raises(EncodingError):
+        LogEntry(**{**dict(zip(FIELDS, _VALID)), **changes})
 
 
 # -- file format ------------------------------------------------------------------
@@ -117,6 +173,18 @@ def test_persisted_ledger_reloads_and_verifies(pair, tmp_path):
     reloaded.load_entries(entries)
     assert reloaded.verify_chain() is None
     assert reloaded.entries == pair.event_log.regulator_ledger.entries
+
+
+def test_reload_and_save_never_re_encode_an_entry(pair, tmp_path, monkeypatch):
+    fill(pair, 6)
+    path = tmp_path / "reg.log"
+    pair.event_log.regulator_ledger.save(path)
+    calls = count_calls(monkeypatch, "canon_encode")
+    reloaded = Ledger(owner=pair.regulator, counterpart=pair.controller)
+    reloaded.load(path)
+    reloaded.save(tmp_path / "again.log")
+    assert calls["canon_encode"] == 0
+    assert (tmp_path / "again.log").read_bytes() == path.read_bytes()
 
 
 def test_non_canonical_base64_line_is_flagged(pair, tmp_path):
