@@ -71,12 +71,11 @@ def canon_encode(type_tag: str, fields: list[FieldValue] | tuple[FieldValue, ...
     tag = type_tag.encode("ascii")
     parts = [_LEN.pack(len(tag)), tag]
     for value in fields:
-        kind = type(value)
-        # exact bytes and str skip the isinstance chain, which keeps the type
-        # rules: bool is rejected, subclasses of int, bytes and str accepted
-        if kind is bytes:
+        # bytes and str first: neither can be a bool, so the order keeps the
+        # type rules (bool rejected, subclasses of int, bytes and str accepted)
+        if isinstance(value, bytes):
             payload = value
-        elif kind is str:
+        elif isinstance(value, str):
             payload = value.encode("utf-8")
         elif isinstance(value, bool):
             raise EncodingError("bool is not a canonical field type")
@@ -85,10 +84,6 @@ def canon_encode(type_tag: str, fields: list[FieldValue] | tuple[FieldValue, ...
                 raise EncodingError(f"integer out of 64-bit range: {value}")
             parts.append(_INT_FIELD.pack(8, value))
             continue
-        elif isinstance(value, bytes):
-            payload = value
-        elif isinstance(value, str):
-            payload = value.encode("utf-8")
         else:
             raise EncodingError(f"unsupported field type: {type(value).__name__}")
         if len(payload) > _MAX_FIELD:

@@ -42,6 +42,15 @@ _SIGNER_KEY_ID = slice(145, -4 - SIGNATURE_BYTES)
 _SIGNATURE = slice(-SIGNATURE_BYTES, None)
 
 
+def _check_sizes(prev_hash: bytes, payload_digest: bytes, cross_head: bytes,
+                 signature: bytes) -> None:
+    """The fixed-offset layout needs these fields at their fixed sizes."""
+    if len(prev_hash) != HASH_BYTES or len(payload_digest) != HASH_BYTES:
+        raise EncodingError("hash field has wrong length")
+    if len(cross_head) != HASH_BYTES or len(signature) != SIGNATURE_BYTES:
+        raise EncodingError("cross head or signature has wrong length")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class LogEntry:
     """One signed ledger entry, held only as its canonical LOGv1 bytes; each
@@ -51,10 +60,7 @@ class LogEntry:
 
     def __init__(self, seq: int, prev_hash: bytes, payload_digest: bytes, cross_head: bytes,
                  timestamp: int, signer_key_id: str, signature: bytes):
-        if len(prev_hash) != HASH_BYTES or len(payload_digest) != HASH_BYTES:
-            raise EncodingError("hash field has wrong length")
-        if len(cross_head) != HASH_BYTES or len(signature) != SIGNATURE_BYTES:
-            raise EncodingError("cross head or signature has wrong length")
+        _check_sizes(prev_hash, payload_digest, cross_head, signature)
         object.__setattr__(self, "canonical", crypto.canon_encode(
             "LOGv1",
             [seq, prev_hash, payload_digest, cross_head, timestamp, signer_key_id, signature],
@@ -69,10 +75,7 @@ class LogEntry:
         crypto.decode_int(fields[0])
         crypto.decode_int(fields[4])
         crypto.decode_str(fields[5])
-        if len(fields[1]) != HASH_BYTES or len(fields[2]) != HASH_BYTES:
-            raise EncodingError("hash field has wrong length")
-        if len(fields[3]) != HASH_BYTES or len(fields[6]) != SIGNATURE_BYTES:
-            raise EncodingError("cross head or signature has wrong length")
+        _check_sizes(fields[1], fields[2], fields[3], fields[6])
         entry = object.__new__(cls)
         object.__setattr__(entry, "canonical", bytes(data))
         return entry
@@ -261,8 +264,7 @@ def verify_ledger_files(regulator_path: Path, controller_path: Path,
         ("regulator", regulator_path, regulator, controller),
         ("controller", controller_path, controller, regulator),
     ):
-        # latin-1, as store.read_records does: a non-ASCII byte fails its line
-        entries, bad = parse_ledger_lines(Path(path).read_bytes().decode("latin-1"))
+        entries, bad = parse_ledger_lines(store.read_stream_text(Path(path)))
         if bad is not None:
             lines.append(f"{label}_chain=parse_error_at:{bad}")
             ok = False

@@ -74,13 +74,20 @@ def parse_records(raw: str, decode: Callable[[bytes], T]) -> tuple[list[T], int 
     return records, None
 
 
+def read_stream_text(path: Path) -> str:
+    """A record-stream file as text for ``parse_records``.
+
+    latin-1 maps every byte to one character, so a non-ASCII byte fails
+    its line's base64 check instead of the whole file's text decoding.
+    """
+    return path.read_bytes().decode("latin-1")
+
+
 def read_records(path: Path, decode: Callable[[bytes], T]) -> list[T]:
     """Read a record stream; a missing file is empty, a bad line raises EncodingError."""
     if not path.exists():
         return []
-    # latin-1 maps every byte to one character, so a non-ASCII byte fails
-    # its line's base64 check instead of the whole file's text decoding
-    records, bad = parse_records(path.read_bytes().decode("latin-1"), decode)
+    records, bad = parse_records(read_stream_text(path), decode)
     if bad is not None:
         raise EncodingError(f"{path}: undecodable record at line {bad}")
     return records
