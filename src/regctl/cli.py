@@ -20,7 +20,7 @@ from .errors import RegctlError
 from .gate import AccessRequest
 from .ledger import verify_ledger_files
 from .registry import Basis, Scope
-from .silo import SiloSchema
+from .silo import SiloSchema, field_spec
 
 
 def _parse_attrs(pairs: list[str]) -> dict[str, str]:
@@ -93,14 +93,12 @@ class _Cli:
 
     def cmd_silo_create(self) -> None:
         dep = self.deployment()
-        fields = []
-        for pair in self.args.field:
-            name, sep, cls = pair.partition(":")
-            if not sep:
-                raise RegctlError(f"field spec needs name:class, got {pair!r}")
-            fields.append((name, cls))
+        try:
+            fields = field_spec(",".join(self.args.field))
+        except ValueError as exc:
+            raise RegctlError(f"field spec {exc}")
         dep.vault.register_domain(self.args.domain)
-        dep.create_silo(SiloSchema(domain=self.args.domain, field_classes=tuple(fields),
+        dep.create_silo(SiloSchema(domain=self.args.domain, field_classes=fields,
                                    contact_approved=self.args.contact_approved))
         print(f"domain={self.args.domain}")
 

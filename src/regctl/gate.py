@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from . import crypto
+from . import crypto, store
 from .clock import Clock
 from .crypto import KeyShare, Holder, SigningIdentity
 from .errors import (
@@ -119,7 +119,7 @@ class Gate:
     def __init__(self, regulator: SigningIdentity, controller: SigningIdentity,
                  registry: Registry, share_store: RegulatorShareStore,
                  silos: Mapping[str, Silo], event_log: EventLog, clock: Clock,
-                 registry_vid_of: Callable[[str, str], str | None] | None = None,
+                 registry_vid_of: Callable[[str, str], str | None],
                  rand_bytes: Callable[[int], bytes] | None = None,
                  lock: threading.RLock | None = None):
         self.regulator = regulator
@@ -190,9 +190,7 @@ class Gate:
                 return self._deny(request, payload, scope, DenyReason.STALE)
 
             for vid in request.subject_vids:
-                registry_vid = vid
-                if self.registry_vid_of is not None:
-                    registry_vid = self.registry_vid_of(request.domain, vid) or ""
+                registry_vid = self.registry_vid_of(request.domain, vid) or ""
                 decision = self.registry.check(request.auth_id, request.content_digest, scope,
                                                request.purpose_code, registry_vid, now)
                 if not decision.allowed:
@@ -342,9 +340,8 @@ class Gate:
             "consumed": sorted([t, r, exp] for (t, r), exp in self._consumed.items()
                                if exp > now),
             "tickets": [
-                {**vars(t), "granted_scope": vars(t.granted_scope),
-                 "regulator_shares": {rid: s.share.hex() for rid, s in t.regulator_shares.items()},
-                 "signature": t.signature.hex()}
+                {**store.to_doc(t),
+                 "regulator_shares": {rid: s.share.hex() for rid, s in t.regulator_shares.items()}}
                 for t in live.values()
             ],
         }
@@ -354,11 +351,9 @@ class Gate:
         self._request_uses = dict(state.get("request_uses", {}))
         self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
         for t in state.get("tickets", []):
-            ticket = AccessTicket(**{
-                **t, "granted_scope": Scope(**t["granted_scope"]),
-                "regulator_shares": {rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
-                                     for rid, h in t["regulator_shares"].items()},
-                "signature": bytes.fromhex(t["signature"])})
+            ticket = store.from_doc(AccessTicket, t, regulator_shares={
+                rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
+                for rid, h in t["regulator_shares"].items()})
             self.tickets[ticket.ticket_id] = ticket
 
     def drop_records_from_tickets(self, record_ids: set[str]) -> None:

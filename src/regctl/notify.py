@@ -84,12 +84,11 @@ class Notifier:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Path) -> None:
-        store.write_json(path, [{**vars(n), "outcome": n.outcome.value}
-                                for n in self.all_notifications()])
+        store.write_json(path, [store.to_doc(n) for n in self.all_notifications()])
 
     def load(self, path: Path) -> None:
         for r in store.read_json(path) or []:
-            notif = Notification(**{**r, "outcome": Outcome(r["outcome"])})
+            notif = store.from_doc(Notification, r)
             self._by_subject.setdefault(notif.subject_vid, []).append(notif)
             self._seen.add((notif.subject_vid, notif.request_id))
             self._counter = max(self._counter, int(notif.notif_id[1:]))

@@ -18,6 +18,7 @@ earlier record's bytes, so a load verifies only the last signature.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import threading
@@ -216,9 +217,8 @@ class DeletionProof:
 # ---------------------------------------------------------------------------
 
 class Registry:
-    def __init__(self, regulator: SigningIdentity, clock: Clock,
-                 event_log: EventLog | None = None,
-                 subjects_in_scope: Callable[[Scope], list[str]] | None = None,
+    def __init__(self, regulator: SigningIdentity, clock: Clock, event_log: EventLog,
+                 subjects_in_scope: Callable[[Scope], list[str]],
                  lock: threading.RLock | None = None):
         self.regulator = regulator
         self.clock = clock
@@ -258,6 +258,11 @@ class Registry:
         self._journal_head = crypto.chain_hash(self._journal_head, record)
         return stored
 
+    def _signed(self, unsigned):
+        """``unsigned`` with the regulator's signature over its signing payload."""
+        signature = crypto.sign(self.regulator, unsigned.signing_payload())
+        return dataclasses.replace(unsigned, signature=signature)
+
     def save(self, path: Path) -> None:
         store.write_records(path, self.journal)
 
@@ -287,28 +292,12 @@ class Registry:
         if kind == "purpose":
             self.purposes[p["code"]] = p["description"]
         elif kind == "manifest":
-            manifest = ProgramManifest(
-                program_id=p["program_id"],
-                content_digest=bytes.fromhex(p["content_digest"]),
-                declared_purpose=p["declared_purpose"],
-                allowed_scope=_scope_from_dict(p["allowed_scope"]),
-                signature=bytes.fromhex(p["signature"]),
-            )
+            manifest = store.from_doc(ProgramManifest, p)
             self.manifests[manifest.program_id] = manifest
             self.manifests_by_digest[manifest.content_digest] = manifest
             return manifest
         elif kind == "auth":
-            auth = Authorization(
-                auth_id=p["auth_id"],
-                grantee_key_id=p["grantee_key_id"],
-                scope=_scope_from_dict(p["scope"]),
-                purpose_code=p["purpose_code"],
-                basis=Basis(p["basis"]),
-                valid_from=p["valid_from"],
-                valid_until=p["valid_until"],
-                status=AuthStatus(p["status"]),
-                signature=bytes.fromhex(p["signature"]),
-            )
+            auth = store.from_doc(Authorization, p)
             self.authorizations[auth.auth_id] = auth
             self._auth_counter = max(self._auth_counter, int(auth.auth_id[1:]))
             return auth
@@ -335,26 +324,13 @@ class Registry:
             record.opted_out_at = p["opted_out_at"]
             return record
         elif kind == "obligation":
-            obligation = DeletionObligation(
-                obligation_id=p["obligation_id"],
-                subject_vid=p["subject_vid"],
-                purpose_code=p["purpose_code"],
-                domain=p["domain"],
-                created_at=p["created_at"],
-                signature=bytes.fromhex(p["signature"]),
-            )
+            obligation = store.from_doc(DeletionObligation, p)
             self.obligations[obligation.obligation_id] = obligation
             self._obligation_counter = max(self._obligation_counter, int(obligation.obligation_id[1:]))
             return obligation
         elif kind == "proof":
-            proof = DeletionProof(
-                obligation_id=p["obligation_id"],
-                domain=p["domain"],
-                record_ids=tuple(p["record_ids"]),
-                proof_hash=bytes.fromhex(p["proof_hash"]),
-                regulator_signature=bytes.fromhex(p["regulator_signature"]),
-                controller_signature=bytes.fromhex(p["controller_signature"]),
-            )
+            # the record also names the consent it closes; from_doc skips those keys
+            proof = store.from_doc(DeletionProof, p)
             self.deletion_proofs.append(proof)
             records = self._consent_list(p["subject_vid"], p["purpose_code"])
             if records:
@@ -383,13 +359,7 @@ class Registry:
                 raise RegctlError(f"program {program_id} already has a manifest")
             unsigned = ProgramManifest(program_id, crypto.sha256(artifact), declared_purpose,
                                        allowed_scope, signature=b"")
-            return self._commit("manifest", {
-                "program_id": program_id,
-                "content_digest": unsigned.content_digest.hex(),
-                "declared_purpose": declared_purpose,
-                "allowed_scope": _scope_to_dict(allowed_scope),
-                "signature": crypto.sign(self.regulator, unsigned.signing_payload()).hex(),
-            })
+            return self._commit("manifest", store.to_doc(self._signed(unsigned)))
 
     # -- grants ----------------------------------------------------------------
 
@@ -408,17 +378,7 @@ class Registry:
         unsigned = Authorization(f"A{self._auth_counter + 1:05d}", grantee_key_id, scope,
                                  purpose_code, basis, valid_from, valid_until, status,
                                  signature=b"")
-        return self._commit("auth", {
-            "auth_id": unsigned.auth_id,
-            "grantee_key_id": grantee_key_id,
-            "scope": _scope_to_dict(scope),
-            "purpose_code": purpose_code,
-            "basis": basis.value,
-            "valid_from": valid_from,
-            "valid_until": valid_until,
-            "status": status.value,
-            "signature": crypto.sign(self.regulator, unsigned.signing_payload()).hex(),
-        })
+        return self._commit("auth", store.to_doc(self._signed(unsigned)))
 
     def revoke(self, auth_id: str) -> Authorization:
         with self._lock:
@@ -443,12 +403,11 @@ class Registry:
             status = AuthStatus.ACTIVE if original.basis == Basis.LEGAL else AuthStatus.PENDING_CONSENT
             auth = self._store_auth(original.grantee_key_id, original.scope, new_purpose_code,
                                     original.basis, original.valid_from, original.valid_until, status)
-            affected = self.subjects_in_scope(original.scope) if self.subjects_in_scope else []
-            if self.event_log is not None:
-                summary = (f"purpose extension {original.purpose_code}->{new_purpose_code} "
-                           f"scope={original.scope.render()} grantee={original.grantee_key_id} "
-                           f"basis={original.basis.value}")
-                self.event_log.record(EventKind.EXTENSION, auth.auth_id, sorted(affected), summary)
+            summary = (f"purpose extension {original.purpose_code}->{new_purpose_code} "
+                       f"scope={original.scope.render()} grantee={original.grantee_key_id} "
+                       f"basis={original.basis.value}")
+            self.event_log.record(EventKind.EXTENSION, auth.auth_id,
+                                  sorted(self.subjects_in_scope(original.scope)), summary)
             return auth
 
     # -- consent ---------------------------------------------------------------
@@ -489,27 +448,12 @@ class Registry:
         with self._lock:
             unsigned = DeletionObligation(f"D{self._obligation_counter + 1:05d}", subject_vid,
                                           purpose_code, domain, self.clock.now(), signature=b"")
-            return self._commit("obligation", {
-                "obligation_id": unsigned.obligation_id,
-                "subject_vid": subject_vid,
-                "purpose_code": purpose_code,
-                "domain": domain,
-                "created_at": unsigned.created_at,
-                "signature": crypto.sign(self.regulator, unsigned.signing_payload()).hex(),
-            })
+            return self._commit("obligation", store.to_doc(self._signed(unsigned)))
 
     def attach_deletion_proof(self, subject_vid: str, purpose_code: str, proof: DeletionProof) -> DeletionProof:
         with self._lock:
-            return self._commit("proof", {
-                "obligation_id": proof.obligation_id,
-                "domain": proof.domain,
-                "record_ids": list(proof.record_ids),
-                "proof_hash": proof.proof_hash.hex(),
-                "regulator_signature": proof.regulator_signature.hex(),
-                "controller_signature": proof.controller_signature.hex(),
-                "subject_vid": subject_vid,
-                "purpose_code": purpose_code,
-            })
+            return self._commit("proof", {**store.to_doc(proof), "subject_vid": subject_vid,
+                                          "purpose_code": purpose_code})
 
     # -- the decision ------------------------------------------------------------
 
@@ -563,16 +507,6 @@ class Registry:
             if not crypto.verify(self.regulator, manifest.signing_payload(), manifest.signature):
                 return False
         return True
-
-
-def _scope_to_dict(scope: Scope) -> dict:
-    return {"domain": scope.domain, "field_classes": list(scope.field_classes),
-            "operation": scope.operation}
-
-
-def _scope_from_dict(d: dict) -> Scope:
-    return Scope(domain=d["domain"], field_classes=tuple(d["field_classes"]),
-                 operation=d["operation"])
 
 
 def _signed_payload(seq: int, prev_head: bytes, kind: str, body: bytes) -> bytes:

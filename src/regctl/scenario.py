@@ -38,24 +38,13 @@ from .errors import (
 from .gate import AccessRequest, AccessTicket
 from .ledger import Ledger, cross_verify
 from .registry import Basis, DenyReason, Scope
-from .silo import SiloSchema, record_aad
+from .silo import SiloSchema, field_spec, record_aad
 from .vault import derive_vid_value
 
 # argument types that are a comma list of handles, and the handle kind listed
 MASTERS = "masters"
 DOMAINS = "domains"
 HANDLE_LISTS = {MASTERS: "master", DOMAINS: "domain"}
-
-
-def field_spec(value: str) -> tuple[tuple[str, str], ...]:
-    """The (name, class) pairs of a SILO ``fields=name:class,...`` argument."""
-    pairs = []
-    for pair in value.split(","):
-        name, sep, cls = pair.partition(":")
-        if not sep:
-            raise ValueError(f"needs name:class, got {pair!r}")
-        pairs.append((name, cls))
-    return tuple(pairs)
 
 
 @dataclass(frozen=True)

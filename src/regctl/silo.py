@@ -12,6 +12,7 @@ dual-signed proof over the destroyed record ids.
 
 from __future__ import annotations
 
+import dataclasses
 import secrets
 import threading
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from . import crypto, store
+from .clock import Clock
 from .crypto import Holder, KeyShare, SigningIdentity
 from .errors import EncodingError, NotFound, SchemaError, WeakIdentifierRejected
 from .events import EventKind, EventLog
@@ -49,6 +51,17 @@ class SiloSchema:
             if name == field_name:
                 return field_class
         return None
+
+
+def field_spec(value: str) -> tuple[tuple[str, str], ...]:
+    """The (name, class) pairs of a ``name:class,...`` schema spec."""
+    pairs = []
+    for pair in value.split(","):
+        name, sep, cls = pair.partition(":")
+        if not sep:
+            raise ValueError(f"needs name:class, got {pair!r}")
+        pairs.append((name, cls))
+    return tuple(pairs)
 
 
 @dataclass
@@ -134,8 +147,7 @@ class RegulatorShareStore:
 
 class Silo:
     def __init__(self, schema: SiloSchema, share_store: RegulatorShareStore,
-                 vid_exists: Callable[[str, str], bool] | None = None,
-                 clock=None, event_log: EventLog | None = None,
+                 vid_exists: Callable[[str, str], bool], clock: Clock, event_log: EventLog,
                  rand_bytes: Callable[[int], bytes] | None = None,
                  lock: threading.RLock | None = None):
         schema.validate()
@@ -162,7 +174,7 @@ class Silo:
                 raise SchemaError(f"field {field_name!r} value must be a string")
         if not fields:
             raise SchemaError("record must have at least one field")
-        if self.vid_exists is not None and not self.vid_exists(self.domain, vid):
+        if not self.vid_exists(self.domain, vid):
             raise NotFound(f"vid {vid} unknown in domain {self.domain}")
         with self._lock:
             while True:
@@ -177,8 +189,8 @@ class Silo:
                 key, crypto.record_nonce(record_id), plaintext,
                 record_aad(record_id, vid, self.domain),
             )
-            now = self.clock.now() if self.clock else 0
-            self.records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share, now)
+            self.records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share,
+                                                 self.clock.now())
             self.share_store.deposit(record_id, regulator_share)
             return record_id
 
@@ -225,34 +237,28 @@ class Silo:
         if not crypto.verify(regulator, obligation.signing_payload(), obligation.signature):
             raise NotFound(f"obligation {obligation.obligation_id} signature invalid")
         with self._lock:
-            doomed = [rid for rid, record in self.records.items() if record.vid == vid]
+            doomed = self.records_for_vid(vid)
             for rid in doomed:
                 del self.records[rid]
             for rid in doomed:
                 if not self.share_store.destroy(rid):
                     raise SchemaError(f"regulator share for {rid} not confirmed destroyed")
-            proof_hash = DeletionProof.hash_record_ids(doomed)
-            payload = crypto.canon_encode("DELv1", [obligation.obligation_id, self.domain, proof_hash])
-            proof = DeletionProof(
-                obligation_id=obligation.obligation_id,
-                domain=self.domain,
-                record_ids=tuple(sorted(doomed)),
-                proof_hash=proof_hash,
-                regulator_signature=crypto.sign(regulator, payload),
-                controller_signature=crypto.sign(controller, payload),
+            unsigned = DeletionProof(obligation.obligation_id, self.domain, tuple(sorted(doomed)),
+                                     DeletionProof.hash_record_ids(doomed), b"", b"")
+            payload = unsigned.signing_payload()
+            proof = dataclasses.replace(unsigned, regulator_signature=crypto.sign(regulator, payload),
+                                        controller_signature=crypto.sign(controller, payload))
+            self.event_log.record(
+                EventKind.DELETION, obligation.obligation_id, [vid],
+                f"deleted {len(doomed)} record(s) in {self.domain} "
+                f"purpose={obligation.purpose_code}",
             )
-            if self.event_log is not None:
-                self.event_log.record(
-                    EventKind.DELETION, obligation.obligation_id, [vid],
-                    f"deleted {len(doomed)} record(s) in {self.domain} "
-                    f"purpose={obligation.purpose_code}",
-                )
             return proof
 
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        store.write_json(directory / "schema.json", vars(self.schema))
+        store.write_json(directory / "schema.json", store.to_doc(self.schema))
         # by record id, so the file does not give away creation order
         records = [self.records[rid].canonical_bytes() for rid in sorted(self.records)]
         store.write_records(directory / "records.log", records)
@@ -263,5 +269,4 @@ class Silo:
 
     @staticmethod
     def load_schema(directory: Path) -> SiloSchema:
-        raw = store.read_json(directory / "schema.json")
-        return SiloSchema(**{**raw, "field_classes": tuple(map(tuple, raw["field_classes"]))})
+        return store.from_doc(SiloSchema, store.read_json(directory / "schema.json"))

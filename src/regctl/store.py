@@ -6,6 +6,10 @@
   re-encodes to the identical text, and its bytes must decode; the first
   line that breaks a rule is reported.
 * JSON documents are written with sorted keys and compact separators.
+  A dataclass's document holds its fields by name: ``bytes`` as hex, an
+  enum as its value, a nested dataclass as its own document, a tuple as a
+  list of items of one type, and any other value as itself. ``to_doc``
+  and ``from_doc`` apply the rule each way, by each field's annotation.
 
 Every file is written whole by ``write_atomic``: a temp file in the same
 directory, fsynced, then renamed over the target, so a crash leaves each
@@ -16,9 +20,14 @@ from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
+import enum
+import functools
 import json
+import operator
 import os
 import tempfile
+import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -104,3 +113,56 @@ def read_json(path: Path) -> Any:
     if not path.exists():
         return None
     return json.loads(path.read_bytes())
+
+
+def to_doc(value: Any) -> dict:
+    """The JSON document of the dataclass instance ``value``."""
+    doc = dict(vars(value))  # a dataclass instance's attributes are its fields
+    for name, encode, _ in _field_codecs(type(value))[1]:
+        doc[name] = encode(doc[name])
+    return doc
+
+
+def from_doc(cls: type[T], doc: dict, **given: Any) -> T:
+    """The ``cls`` instance whose ``to_doc`` is ``doc``.
+
+    ``given`` supplies fields the caller has already built, in place of the
+    document's entries. A document with as many keys as ``cls`` has fields
+    is copied whole; one with more is read for the fields alone.
+    """
+    names, converted = _field_codecs(cls)
+    fields = (dict(doc) if len(doc) == len(names)
+              else {name: doc[name] for name in names if name not in given})
+    for name, _, decode in converted:
+        if name not in given:
+            fields[name] = decode(fields[name])
+    fields.update(given)
+    return cls(**fields)
+
+
+@functools.cache
+def _field_codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[str, Callable, Callable], ...]]:
+    """The field names of dataclass ``cls``, and (name, encode, decode) per field to convert."""
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    codecs = ((name, *_codec(hints[name])) for name in names)
+    return names, tuple(codec for codec in codecs if codec[1] is not None)
+
+
+def _codec(hint: Any) -> tuple[Callable | None, Callable | None]:
+    """(encode, decode) for a value of type ``hint``; None, None when JSON holds it as is."""
+    if hint is bytes:
+        return bytes.hex, bytes.fromhex
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return operator.attrgetter("value"), hint
+    if dataclasses.is_dataclass(hint):
+        return to_doc, functools.partial(from_doc, hint)
+    if typing.get_origin(hint) is tuple:
+        item, *rest = typing.get_args(hint)
+        if any(arg not in (item, Ellipsis) for arg in rest):
+            raise TypeError(f"no document rule for {hint}: its items differ in type")
+        encode, decode = _codec(item)
+        if encode is None:
+            return list, tuple
+        return (lambda items: [encode(i) for i in items]), (lambda items: tuple(map(decode, items)))
+    return None, None

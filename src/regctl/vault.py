@@ -74,8 +74,8 @@ class AliasGrant:
 
 
 class Vault:
-    def __init__(self, secret: bytes, clock: Clock, event_log: EventLog | None = None,
-                 regulator: SigningIdentity | None = None,
+    def __init__(self, secret: bytes, clock: Clock, event_log: EventLog,
+                 regulator: SigningIdentity,
                  rand_bytes: Callable[[int], bytes] | None = None,
                  lock: threading.RLock | None = None):
         if len(secret) != 32:
@@ -150,8 +150,6 @@ class Vault:
         """Return a denial explanation, or None when the ticket covers the op."""
         if ticket is None:
             return "no ticket presented"
-        if self.regulator is None:
-            return "vault has no regulator key configured"
         try:
             if not crypto.verify(self.regulator, ticket.signing_payload(), ticket.signature):
                 return "ticket signature invalid"
@@ -165,9 +163,7 @@ class Vault:
         return None
 
     def _log_vault_event(self, kind: EventKind, subjects: list[str], summary: str) -> None:
-        if self.event_log is not None:
-            event_id = self.event_log.next_event_id("V")
-            self.event_log.record(kind, event_id, subjects, summary)
+        self.event_log.record(kind, self.event_log.next_event_id("V"), subjects, summary)
 
     def resolve(self, vid: str, domain: str, ticket) -> str:
         """Map a domain vid back to its master id, under a covering ticket."""

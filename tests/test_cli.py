@@ -210,6 +210,13 @@ def test_route_matches_library(capsys, state):
     assert kv(stdout.strip())["real_number"] == dep.vault.route(alias, dep.clock.now())
 
 
+def test_silo_create_rejects_a_field_without_a_class(capsys, state):
+    code, _, stderr = invoke(capsys, "--state-dir", state, "silo", "create", "--domain", "health",
+                             "--field", "bp:health", "--field", "x")
+    assert code == 1
+    assert stderr == "error=field spec needs name:class, got 'x'\n"
+
+
 def test_missing_state_dir_is_domain_error(capsys, monkeypatch):
     monkeypatch.delenv("REGCTL_STATE_DIR", raising=False)
     code, _, stderr = invoke(capsys, "purpose", "add", "X")

@@ -6,14 +6,27 @@ import base64
 import json
 import re
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
+from regctl.crypto import SHARE_BYTES, Holder, KeyShare
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import TicketConsumed, TicketExpired
-from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest
+from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest, AccessTicket
+from regctl.notify import Notification
+from regctl.registry import (
+    FIELD_CLASSES,
+    OPERATIONS,
+    Authorization,
+    DeletionObligation,
+    DeletionProof,
+    ProgramManifest,
+)
 from regctl.scenario import load_scenario, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -323,3 +336,43 @@ def test_state_directory_layout_matches_readme(tmp_path):
         assert dirs, name
         for directory in dirs:
             assert {p.name for p in directory.iterdir()} == listed, directory
+
+
+_scopes = st.builds(Scope, field_classes=st.lists(st.sampled_from(FIELD_CLASSES)).map(tuple),
+                    operation=st.sampled_from(OPERATIONS))
+_shares = st.binary(min_size=SHARE_BYTES, max_size=SHARE_BYTES).map(
+    lambda share: KeyShare(share, Holder.REGULATOR))
+
+
+_CODEC_CASES = {
+    Scope: _scopes,
+    ProgramManifest: st.builds(ProgramManifest, allowed_scope=_scopes),
+    Authorization: st.builds(Authorization, scope=_scopes),
+    DeletionObligation: st.builds(DeletionObligation),
+    DeletionProof: st.builds(DeletionProof),
+    Notification: st.builds(Notification, delivered=st.booleans()),
+    SiloSchema: st.builds(SiloSchema, contact_approved=st.booleans()),
+    AccessTicket: st.builds(AccessTicket, granted_scope=_scopes,
+                            regulator_shares=st.dictionaries(st.text(), _shares)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_CODEC_CASES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_document_codec_round_trips_through_json(cls, data):
+    value = data.draw(_CODEC_CASES[cls])
+    doc = store.to_doc(value)
+    built = {}
+    if cls is AccessTicket:  # the gate writes and reads ticket shares itself
+        built["regulator_shares"] = value.regulator_shares
+        doc["regulator_shares"] = {rid: s.share.hex() for rid, s in value.regulator_shares.items()}
+    assert store.from_doc(cls, json.loads(json.dumps(doc)), **built) == value
+
+
+def test_document_codec_refuses_a_tuple_of_mixed_item_types():
+    @dataclass
+    class Mixed:
+        pair: tuple[str, bytes]
+
+    with pytest.raises(TypeError, match="items differ in type"):
+        store.to_doc(Mixed(("a", b"b")))

@@ -269,7 +269,7 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
     dep.registry.save(path)
 
     from regctl.registry import Registry
-    replayed = Registry(dep.regulator, dep.clock)
+    replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     replayed.load(path)
     kinds = {crypto.decode_str(crypto.canon_decode(base64.b64decode(line))[1][1])
              for line in path.read_text().splitlines()}
@@ -298,7 +298,7 @@ def test_journal_rejects_out_of_sequence_record(dep, tmp_path):
     path.write_text("".join(l + "\n" for l in lines))
 
     from regctl.registry import Registry
-    replayed = Registry(dep.regulator, dep.clock)
+    replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError):
         replayed.load(path)
 
@@ -314,7 +314,7 @@ def test_journal_rejects_tampered_record(dep, tmp_path):
     path.write_text("".join(l + "\n" for l in lines))
 
     from regctl.registry import Registry
-    replayed = Registry(dep.regulator, dep.clock)
+    replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError):
         replayed.load(path)
 
@@ -335,7 +335,7 @@ def test_journal_reload_is_strict(dep, tmp_path, damage):
     path.write_text("\n".join(lines))
 
     from regctl.registry import Registry
-    replayed = Registry(dep.regulator, dep.clock)
+    replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError, match=f"at line {bad}$"):
         replayed.load(path)
 
@@ -350,7 +350,7 @@ def _saved_journal(dep, tmp_path) -> tuple[Path, list[bytes]]:
 
 def _assert_rejected_before_apply(dep, path):
     from regctl.registry import Registry
-    replayed = Registry(dep.regulator, dep.clock)
+    replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError):
         replayed.load(path)
     assert replayed.journal == []
@@ -387,7 +387,7 @@ def test_journal_rejects_record_spliced_from_another_journal(dep, tmp_path, sour
     if source == "another seed":
         other = Deployment(seed=58).registry
     else:
-        other = Registry(dep.regulator, dep.clock)
+        other = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     other.register_purpose("TAX_AUDIT", "income assessment")
     for i in range(4):
         other.record_consent(f"someone-{i}", "TAX_AUDIT")

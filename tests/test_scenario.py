@@ -206,10 +206,14 @@ def test_run_scenario_report_matches_golden(name, tmp_path, capsys):
                      str(SCENARIO_DIR / f"{name}.scn"), "--report", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (REPORTS / f"{name}.txt").read_bytes()
-    # the signed state is pinned too: "<sha256>  <path in the state dir>" lines
-    for line in (REPORTS / f"{name}.sha256").read_text().splitlines():
-        digest, relpath = line.split("  ")
-        assert sha256((tmp_path / "state" / relpath).read_bytes()).hexdigest() == digest, relpath
+    # every state file is pinned too: "<sha256>  <path in the state dir>" lines
+    state = tmp_path / "state"
+    pinned = dict(reversed(line.split("  "))
+                  for line in (REPORTS / f"{name}.sha256").read_text().splitlines())
+    present = {p.relative_to(state).as_posix() for p in state.rglob("*") if p.is_file()}
+    assert present == set(pinned)
+    for relpath, digest in pinned.items():
+        assert sha256((state / relpath).read_bytes()).hexdigest() == digest, relpath
 
 
 def test_seed_override_changes_ids_but_report_stays_well_formed():

@@ -118,7 +118,7 @@ def test_record_file_round_trip(dep, tmp_path):
     silo.save(tmp_path / "health")
     from regctl.silo import Silo
     schema = Silo.load_schema(tmp_path / "health")
-    reloaded = Silo(schema, dep.share_store)
+    reloaded = Silo(schema, dep.share_store, dep.vault.vid_exists, dep.clock, dep.event_log)
     reloaded.load_records(tmp_path / "health")
     assert reloaded.list_records() == silo.list_records()
     record_id = silo.list_records()[0][0]
