@@ -3,6 +3,8 @@
 Every subcommand is a thin adapter over the library services, operating
 statefully against a shared state directory (``--state-dir`` or
 ``REGCTL_STATE_DIR``). Output is one result per line as ``key=value``.
+A subcommand checks its own arguments before it loads the deployment, so
+a malformed argument leaves the state directory untouched.
 Exit codes: 0 success, 1 domain error (reason on stderr), 2 usage error.
 """
 
@@ -73,7 +75,8 @@ class _Cli:
     # -- subcommands ------------------------------------------------------------
 
     def cmd_vault_register(self) -> None:
-        master_id = self.deployment().vault.register_master(_parse_attrs(self.args.attr))
+        attrs = _parse_attrs(self.args.attr)
+        master_id = self.deployment().vault.register_master(attrs)
         print(f"master_id={master_id}")
 
     def cmd_vault_derive(self) -> None:
@@ -92,22 +95,23 @@ class _Cli:
         print(f"real_number={real}")
 
     def cmd_silo_create(self) -> None:
-        dep = self.deployment()
         try:
             fields = field_spec(",".join(self.args.field))
         except ValueError as exc:
             raise RegctlError(f"field spec {exc}")
+        dep = self.deployment()
         dep.vault.register_domain(self.args.domain)
         dep.create_silo(SiloSchema(domain=self.args.domain, field_classes=fields,
                                    contact_approved=self.args.contact_approved))
         print(f"domain={self.args.domain}")
 
     def cmd_silo_put(self) -> None:
+        fields = _parse_attrs(self.args.fields)
         dep = self.deployment()
         silo = dep.silos.get(self.args.domain)
         if silo is None:
             raise RegctlError(f"no silo for domain {self.args.domain}")
-        record_id = silo.put_record(self.args.vid, _parse_attrs(self.args.fields))
+        record_id = silo.put_record(self.args.vid, fields)
         print(f"record_id={record_id}")
 
     def cmd_silo_list(self) -> None:
@@ -123,21 +127,21 @@ class _Cli:
         print(f"purpose={self.args.code}")
 
     def cmd_program_sign(self) -> None:
-        dep = self.deployment()
         if self.args.artifact is not None:
             artifact = Path(self.args.artifact).read_bytes()
         else:
             artifact = self.args.artifact_text.encode("utf-8")
         scope = Scope(self.args.domain, tuple(_split_csv(self.args.classes)), self.args.op)
+        dep = self.deployment()
         manifest = dep.registry.sign_program(self.args.program_id, artifact,
                                              self.args.purpose, scope)
         print(f"program_id={manifest.program_id}")
         print(f"digest={manifest.content_digest.hex()}")
 
     def cmd_grant(self) -> None:
+        scope = Scope(self.args.domain, tuple(_split_csv(self.args.classes)), self.args.op)
         dep = self.deployment()
         grantee = dep.controller.key_id if self.args.grantee == "controller" else self.args.grantee
-        scope = Scope(self.args.domain, tuple(_split_csv(self.args.classes)), self.args.op)
         auth = dep.registry.grant(grantee, scope, self.args.purpose, Basis(self.args.basis),
                                   self.args.valid_from, self.args.valid_until)
         print(f"auth_id={auth.auth_id}")

@@ -158,6 +158,14 @@ def prf_derive(key: bytes, domain_tag: str, message: bytes) -> bytes:
     return hmac_sha256(key, canon_encode(domain_tag, [message]))
 
 
+def seed_key(identity: "SigningIdentity", domain_tag: str) -> bytes:
+    """A key only the holder of the identity's private seed can derive,
+    separated from every other use of that seed by ``domain_tag``."""
+    if identity._private is None:
+        raise SignatureError(f"identity {identity.key_id} holds no private key")
+    return prf_derive(identity._private, domain_tag, b"")
+
+
 _CHAIN_PREFIX = canon_encode("LOGv1", []) + _LEN.pack(HASH_BYTES)
 
 

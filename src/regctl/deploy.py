@@ -155,7 +155,8 @@ class Deployment:
                     continue
                 obligation = self.registry.issue_deletion_obligation(
                     subject_registry_vid, purpose_code, domain)
-                proof = silo.process_deletion(obligation, vid, self.regulator, self.controller)
+                proof = silo.process_deletion(obligation, vid, doomed, self.regulator,
+                                              self.controller)
                 self.registry.attach_deletion_proof(subject_registry_vid, purpose_code, proof)
                 proofs.append(proof)
                 deleted_records.update(doomed)

@@ -6,11 +6,23 @@ person must learn about.
 The ledgers themselves store only payload digests; the payload bytes live
 in a digest-keyed store so the notification bijection can be re-derived
 from a ledger alone.
+
+A save writes ``regulator.log``, ``controller.log``, ``events.log`` and
+``counters.json``, then, last, ``checkpoint.json``: for each of the three
+record streams the SHA-256 of the bytes just written, the record count
+and, for a ledger, its head hash, under an HMAC keyed from the controller's
+seed. A load holds each stream whose bytes match a checkpoint that
+verifies as those bytes, undecoded, and takes its tip from the checkpoint;
+any other file (no checkpoint, a wrong MAC or digest, a crash before the
+checkpoint was written) is read strictly, as it always was. Only
+``entries``, ``historical_heads`` and ``payloads`` decode held bytes, on
+first use, so a load and save cost O(change) and not O(history).
 """
 
 from __future__ import annotations
 
 import enum
+import hmac
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,6 +98,32 @@ class Event:
         )
 
 
+CHECKPOINT = "checkpoint.json"
+_CHECKPOINT_KEY_TAG = "CKPTKEYv1"
+_CHECKPOINT_TAG = "CKPTv1"
+
+
+@dataclass(frozen=True)
+class FileMark:
+    """What the checkpoint records of one record stream the last save wrote."""
+
+    sha256: bytes
+    count: int
+    head: bytes  # a ledger's head hash; empty for events.log
+
+
+def _hold(path: Path, mark: FileMark | None) -> store.Held | None:
+    """The file at ``path`` as held bytes, if they are the records ``mark`` vouches for.
+
+    An empty stream is read strictly instead: there is nothing to skip, and
+    a held ledger must have a last entry for ``Ledger.head``.
+    """
+    if mark is None or mark.count == 0 or not path.exists():
+        return None
+    data = path.read_bytes()
+    return store.Held(path, data, mark.count) if crypto.sha256(data) == mark.sha256 else None
+
+
 class EventLog:
     """Paired ledgers + payload store + notifier, behind one record() call."""
 
@@ -95,8 +133,23 @@ class EventLog:
         self.controller_ledger = Ledger(owner=controller, counterpart=regulator)
         self.notifier = notifier
         self.clock = clock
-        self.payloads: dict[bytes, bytes] = {}
+        self._held_payloads: store.Held | None = None  # the first payloads, not yet decoded
+        self._payloads: dict[bytes, bytes] = {}  # every payload recorded after the held ones
         self._counters: dict[str, int] = {}
+        self._checkpoint_key = crypto.seed_key(controller, _CHECKPOINT_KEY_TAG)
+
+    @property
+    def payloads(self) -> dict[bytes, bytes]:
+        """Payload bytes by digest; held payloads are decoded strictly on first use."""
+        if self._held_payloads is not None:
+            payloads = {crypto.sha256(p): p for p in self._held_payloads.records(bytes)}
+            payloads.update(self._payloads)
+            self._held_payloads, self._payloads = None, payloads
+        return self._payloads
+
+    def _ledgers(self) -> tuple[tuple[str, Ledger], ...]:
+        return (("regulator.log", self.regulator_ledger),
+                ("controller.log", self.controller_ledger))
 
     def next_event_id(self, prefix: str) -> str:
         self._counters[prefix] = self._counters.get(prefix, 0) + 1
@@ -114,7 +167,7 @@ class EventLog:
                       subjects=tuple(subjects), summary=summary)
         payload = event.canonical_bytes()
         digest = crypto.sha256(payload)
-        self.payloads[digest] = payload
+        self._payloads[digest] = payload
         self.regulator_ledger.append(digest, self.controller_ledger.head(), now)
         self.controller_ledger.append(digest, self.regulator_ledger.head(), now)
         outcome = NOTIFY_OUTCOME[kind]
@@ -150,16 +203,52 @@ class EventLog:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        self.regulator_ledger.save(directory / "regulator.log")
-        self.controller_ledger.save(directory / "controller.log")
-        store.write_records(directory / "events.log", self.payloads.values())
+        """Write the ledger pair, events.log and counters.json, then the
+        checkpoint: last, so it never vouches for a file not yet written."""
+        marks = {}
+        for name, ledger in self._ledgers():
+            data = ledger.file_bytes()
+            store.write_atomic(directory / name, data)
+            last_seq, head = ledger.tip()
+            marks[name] = FileMark(crypto.sha256(data), last_seq + 1, head)
+        held = self._held_payloads
+        data = store.encode_records(self._payloads.values())
+        count = len(self._payloads)
+        if held is not None:
+            data, count = held.data + data, held.count + count
+        store.write_atomic(directory / "events.log", data)
+        marks["events.log"] = FileMark(crypto.sha256(data), count, b"")
         store.write_json(directory / "counters.json", self._counters)
+        files = {name: store.to_doc(mark) for name, mark in marks.items()}
+        store.write_json(directory / CHECKPOINT, {"files": files, "mac": self._mac(files).hex()})
 
     def load(self, directory: Path) -> None:
-        self.regulator_ledger.load(directory / "regulator.log")
-        self.controller_ledger.load(directory / "controller.log")
+        """Hold each file the checkpoint vouches for; read any other strictly."""
+        marks = self._read_checkpoint(directory / CHECKPOINT)
+        for name, ledger in self._ledgers():
+            held = _hold(directory / name, marks.get(name))
+            if held is None:
+                ledger.load(directory / name)
+            else:
+                ledger.hold(held, marks[name].head)
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
-        for payload in store.read_records(directory / "events.log", bytes):
-            self.payloads[crypto.sha256(payload)] = payload
+        self._held_payloads = _hold(directory / "events.log", marks.get("events.log"))
+        if self._held_payloads is None:
+            for payload in store.read_records(directory / "events.log", bytes):
+                self._payloads[crypto.sha256(payload)] = payload
         self._counters.update(store.read_json(directory / "counters.json") or {})
+
+    def _mac(self, files: dict) -> bytes:
+        return crypto.prf_derive(self._checkpoint_key, _CHECKPOINT_TAG, store.json_bytes(files))
+
+    def _read_checkpoint(self, path: Path) -> dict[str, FileMark]:
+        """The file marks of the checkpoint at ``path``; none unless its MAC verifies."""
+        try:
+            doc = store.read_json(path)
+            files, mac = doc["files"], bytes.fromhex(doc["mac"])
+        except (ValueError, TypeError, KeyError):  # no file reads as None
+            return {}
+        if not hmac.compare_digest(mac, self._mac(files)):
+            return {}
+        return {name: store.from_doc(FileMark, mark) for name, mark in files.items()}

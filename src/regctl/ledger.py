@@ -15,7 +15,10 @@ re-encoded.
 
 File format: a ``store`` record stream of canonical entry bytes. Loading
 is strict, so any byte-level tampering of a ledger file is reported even
-when the change only touches encoding slack.
+when the change only touches encoding slack. The one exception is a file
+whose bytes a MAC'd checkpoint records (see ``events``): those are exactly
+what this deployment saved, so the ledger holds them undecoded and decodes
+them strictly on first use.
 """
 
 from __future__ import annotations
@@ -127,29 +130,63 @@ class Divergence:
 
 class Ledger:
     """Single-writer hash chain. It takes no lock: callers serialise appends
-    (``EventLog.record`` runs under its deployment's lock)."""
+    (``EventLog.record`` runs under its deployment's lock).
+
+    A ledger loaded from a file the checkpoint vouches for (``hold``) keeps
+    that file's bytes and its head hash, and decodes them only when
+    ``entries`` or ``historical_heads`` is first asked for; ``head`` decodes
+    the last line alone, and a save writes the held bytes back unchanged.
+    """
 
     def __init__(self, owner: SigningIdentity, counterpart: SigningIdentity):
         self.owner = owner
         self.counterpart = counterpart
-        self.entries: list[LogEntry] = []
-        self._heads: list[bytes] = [ZERO_HASH]  # head hash after i entries
+        self._held: store.Held | None = None  # the first entries, not yet decoded
+        self._entries: list[LogEntry] = []  # every entry after the held ones
+        self._head: bytes | None = ZERO_HASH  # None until derived from the entries
+        self._verified_heads: list[bytes] | None = None  # from an intact verify_chain
         self._seen_counterpart_seq = -1
         self._seen_counterpart_hash = ZERO_HASH
+
+    @property
+    def entries(self) -> list[LogEntry]:
+        """Every entry, in order; held entries are decoded strictly on first use."""
+        if self._held is not None:
+            self._entries[:0] = self._held.records(LogEntry.from_canonical)
+            self._held = None
+        return self._entries
+
+    def _count(self) -> int:
+        return len(self._entries) + (self._held.count if self._held is not None else 0)
 
     # -- heads ---------------------------------------------------------------
 
     def head(self) -> LogEntry | None:
         """The last signed entry, the commitment handed to the counterpart."""
-        return self.entries[-1] if self.entries else None
+        if self._entries:
+            return self._entries[-1]
+        if self._held is not None:
+            return LogEntry.from_canonical(self._held.last())
+        return None
 
     def tip(self) -> tuple[int, bytes]:
         """The last sequence number and head hash, unsigned."""
-        return len(self.entries) - 1, self._heads[-1]
+        if self._head is None:
+            self._head = self.historical_heads()[-1]
+        return self._count() - 1, self._head
 
     def historical_heads(self) -> list[bytes]:
-        """Every head hash this chain has ever presented, genesis included."""
-        return list(self._heads)
+        """Every head hash this chain has ever presented, genesis included.
+
+        Derived from the entries, unless an intact ``verify_chain`` since the
+        last append already derived them.
+        """
+        if self._verified_heads is not None:
+            return list(self._verified_heads)
+        heads = [ZERO_HASH]
+        for entry in self.entries:
+            heads.append(crypto.chain_hash(heads[-1], entry.canonical))
+        return heads
 
     # -- appends -------------------------------------------------------------
 
@@ -179,8 +216,8 @@ class Ledger:
         if len(payload_digest) != HASH_BYTES:
             raise EncodingError("payload digest must be 32 bytes")
         cross_seq, cross_head = self._check_counterpart_head(counterpart_head)
-        seq = len(self.entries)
-        prev = self._heads[-1]
+        last_seq, prev = self.tip()
+        seq = last_seq + 1
         payload = crypto.canon_encode("LOGv1", [seq, prev, payload_digest, cross_head, timestamp])
         entry = LogEntry(
             seq=seq,
@@ -191,8 +228,9 @@ class Ledger:
             signer_key_id=self.owner.key_id,
             signature=crypto.sign(self.owner, payload),
         )
-        self.entries.append(entry)
-        self._heads.append(crypto.chain_hash(prev, entry.canonical))
+        self._entries.append(entry)
+        self._head = crypto.chain_hash(prev, entry.canonical)
+        self._verified_heads = None
         self._seen_counterpart_seq = cross_seq
         self._seen_counterpart_hash = cross_head
         return entry
@@ -206,10 +244,14 @@ class Ledger:
     # -- verification ----------------------------------------------------------
 
     def verify_chain(self) -> int | None:
-        """Recompute the whole chain; return the first bad seq, None if intact."""
-        running = ZERO_HASH
+        """Recompute the whole chain; return the first bad seq, None if intact.
+
+        An intact chain keeps the head hashes it derived, so a following
+        ``cross_verify`` hashes no entry again.
+        """
+        heads = [ZERO_HASH]
         for i, entry in enumerate(self.entries):
-            if entry.seq != i or entry.prev_hash != running:
+            if entry.seq != i or entry.prev_hash != heads[-1]:
                 return i
             if entry.signer_key_id != self.owner.key_id:
                 return i
@@ -218,23 +260,34 @@ class Ledger:
                     return i
             except SignatureError:
                 return i
-            running = crypto.chain_hash(running, entry.canonical)
+            heads.append(crypto.chain_hash(heads[-1], entry.canonical))
+        self._verified_heads = heads
         return None
 
     # -- persistence -----------------------------------------------------------
 
+    def file_bytes(self) -> bytes:
+        """The ledger file: the held bytes as they were read, then each later entry."""
+        new = store.encode_records(entry.canonical for entry in self._entries)
+        return new if self._held is None else self._held.data + new
+
     def save(self, path: Path) -> None:
-        store.write_records(path, (entry.canonical for entry in self.entries))
+        store.write_atomic(path, self.file_bytes())
 
     def load(self, path: Path) -> None:
         """Replace the chain with a saved ledger file (strictly read)."""
         self.load_entries(store.read_records(path, LogEntry.from_canonical))
 
     def load_entries(self, entries: list[LogEntry]) -> None:
-        self.entries = list(entries)
-        self._heads = [ZERO_HASH]
-        for entry in self.entries:
-            self._heads.append(crypto.chain_hash(self._heads[-1], entry.canonical))
+        """Replace the chain; its head hash is derived when first needed."""
+        self._held, self._entries = None, list(entries)
+        self._head = self._verified_heads = None
+
+    def hold(self, held: store.Held, head_hash: bytes) -> None:
+        """Replace the chain with a saved ledger file of at least one entry
+        whose head hash the checkpoint vouches for; nothing is decoded."""
+        self._held, self._entries = held, []
+        self._head, self._verified_heads = head_hash, None
 
 
 def parse_ledger_lines(raw: str) -> tuple[list[LogEntry], int | None]:
@@ -264,7 +317,7 @@ def verify_ledger_files(regulator_path: Path, controller_path: Path,
         ("regulator", regulator_path, regulator, controller),
         ("controller", controller_path, controller, regulator),
     ):
-        entries, bad = parse_ledger_lines(store.read_stream_text(Path(path)))
+        entries, bad = parse_ledger_lines(store.stream_text(Path(path).read_bytes()))
         if bad is not None:
             lines.append(f"{label}_chain=parse_error_at:{bad}")
             ok = False

@@ -224,10 +224,12 @@ class Silo:
 
     # -- deletion --------------------------------------------------------------
 
-    def process_deletion(self, obligation: DeletionObligation, vid: str,
+    def process_deletion(self, obligation: DeletionObligation, vid: str, doomed: list[str],
                          regulator: SigningIdentity, controller: SigningIdentity) -> DeletionProof:
         """Erase every record held for this vid and prove it.
 
+        ``doomed`` is ``records_for_vid(vid)``, scanned by the caller under
+        the lock it still holds, so the silo is not scanned twice.
         Ciphertext and controller shares are dropped here; the regulator
         share store confirms destruction of its half. The proof hash covers
         the destroyed record ids and both parties sign it.
@@ -237,7 +239,6 @@ class Silo:
         if not crypto.verify(regulator, obligation.signing_payload(), obligation.signature):
             raise NotFound(f"obligation {obligation.obligation_id} signature invalid")
         with self._lock:
-            doomed = self.records_for_vid(vid)
             for rid in doomed:
                 del self.records[rid]
             for rid in doomed:

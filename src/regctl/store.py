@@ -14,6 +14,11 @@
 Every file is written whole by ``write_atomic``: a temp file in the same
 directory, fsynced, then renamed over the target, so a crash leaves each
 file either as it was or as it was to become.
+
+A record stream whose bytes something else vouches for (the ledger
+checkpoint) can be ``Held``: kept as its file bytes, decoded strictly only
+when its records are first needed, and written back as those bytes
+followed by any new records.
 """
 
 from __future__ import annotations
@@ -53,8 +58,12 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 # -- record streams --------------------------------------------------------------
 
+def encode_records(records: Iterable[bytes]) -> bytes:
+    return b"".join(map(binascii.b2a_base64, records))  # each ends in "\n"
+
+
 def write_records(path: Path, records: Iterable[bytes]) -> None:
-    write_atomic(path, b"".join(map(binascii.b2a_base64, records)))  # each ends in "\n"
+    write_atomic(path, encode_records(records))
 
 
 def parse_records(raw: str, decode: Callable[[bytes], T]) -> tuple[list[T], int | None]:
@@ -83,29 +92,55 @@ def parse_records(raw: str, decode: Callable[[bytes], T]) -> tuple[list[T], int 
     return records, None
 
 
-def read_stream_text(path: Path) -> str:
-    """A record-stream file as text for ``parse_records``.
+def stream_text(data: bytes) -> str:
+    """A record stream's bytes as text for ``parse_records``.
 
     latin-1 maps every byte to one character, so a non-ASCII byte fails
     its line's base64 check instead of the whole file's text decoding.
     """
-    return path.read_bytes().decode("latin-1")
+    return data.decode("latin-1")
 
 
 def read_records(path: Path, decode: Callable[[bytes], T]) -> list[T]:
     """Read a record stream; a missing file is empty, a bad line raises EncodingError."""
     if not path.exists():
         return []
-    records, bad = parse_records(read_stream_text(path), decode)
+    return decode_records(path, path.read_bytes(), decode)
+
+
+def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> list[T]:
+    """Decode the bytes of the record stream at ``path``; a bad line raises EncodingError."""
+    records, bad = parse_records(stream_text(data), decode)
     if bad is not None:
         raise EncodingError(f"{path}: undecodable record at line {bad}")
     return records
 
 
+@dataclasses.dataclass(frozen=True)
+class Held:
+    """The bytes of the record stream at ``path``, holding ``count`` records,
+    kept undecoded because a checkpoint vouches that a save wrote them."""
+
+    path: Path
+    data: bytes
+    count: int
+
+    def records(self, decode: Callable[[bytes], T]) -> list[T]:
+        return decode_records(self.path, self.data, decode)
+
+    def last(self) -> bytes:
+        """The last record's bytes; the stream holds at least one."""
+        return binascii.a2b_base64(self.data[self.data.rfind(b"\n", 0, -1) + 1:])
+
+
 # -- JSON documents ------------------------------------------------------------------
 
+def json_bytes(doc: Any) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
 def write_json(path: Path, doc: Any) -> None:
-    write_atomic(path, json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii"))
+    write_atomic(path, json_bytes(doc))
 
 
 def read_json(path: Path) -> Any:

@@ -57,12 +57,13 @@ def make_request(dep: Deployment, populated: dict, request_id: str = "q1",
     )
 
 
-def count_calls(monkeypatch, *names: str) -> dict[str, int]:
-    """Count calls to the named ``crypto`` functions from here on."""
+def count_calls(monkeypatch, *names: str, owner=crypto) -> dict[str, int]:
+    """Count calls to the named functions of ``owner``, a module or a class
+    (the ``crypto`` module unless given), from here on."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _name=name, _original=getattr(crypto, name)):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(crypto, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls

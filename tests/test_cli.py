@@ -245,3 +245,23 @@ def test_report_flag_writes_file(capsys, tmp_path):
                              str(scenario_dir / "optout.scn"), "--report", str(out))
     assert code == 0
     assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("silo", "create", "--domain", "tax", "--field", "x"),
+    ("silo", "put", "--domain", "health", "--vid", "v", "bp"),
+    ("vault", "register", "name"),
+    ("program", "sign", "--program-id", "p2", "--artifact-text", "v2", "--purpose", "CARE_AUDIT",
+     "--domain", "health", "--classes", "nonsense"),
+    ("grant", "--grantee", "controller", "--domain", "health", "--classes", "health",
+     "--op", "erase", "--purpose", "CARE_AUDIT", "--basis", "Legal", "--from", "0",
+     "--until", "10"),
+], ids=["silo create", "silo put", "vault register", "program sign", "grant"])
+def test_refused_argument_leaves_state_untouched(capsys, state, argv):
+    bootstrap(capsys, state)
+    root = Path(state)
+    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    assert {"clock.json", "invocations.json"} <= {p.name for p in before}
+    code, _, stderr = invoke(capsys, *seeded(state, *argv))
+    assert (code, stderr.startswith("error=")) == (1, True)
+    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before

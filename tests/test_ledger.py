@@ -250,6 +250,19 @@ def test_every_byte_mutation_of_small_ledger_file_detected(tmp_path):
     reg_path.write_bytes(original)
 
 
+def test_verify_logs_hashes_each_entry_once(tmp_path, monkeypatch):
+    dep = Deployment(seed=64, state_dir=tmp_path / "state")
+    fill(dep, 10)
+    dep.save()
+    calls = count_calls(monkeypatch, "chain_hash")
+    check = verify_ledger_files(tmp_path / "state" / "ledgers" / "regulator.log",
+                                tmp_path / "state" / "ledgers" / "controller.log",
+                                dep.regulator, dep.controller)
+    assert check.lines == ["regulator_chain=ok", "controller_chain=ok", "cross=ok"]
+    # verify_chain's heads serve cross_verify: one hash per entry of each ledger
+    assert calls["chain_hash"] == 2 * 10
+
+
 def test_entry_reordering_detected(pair):
     fill(pair, 6)
     ledger = pair.event_log.regulator_ledger

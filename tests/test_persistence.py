@@ -14,10 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
-from regctl.crypto import SHARE_BYTES, Holder, KeyShare
+from regctl.cli import main as cli_main
+from regctl.crypto import SHARE_BYTES, Holder, KeyShare, sha256
 from regctl.deploy import REGISTRY_DOMAIN
-from regctl.errors import TicketConsumed, TicketExpired
+from regctl.errors import EncodingError, TicketConsumed, TicketExpired
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest, AccessTicket
+from regctl.ledger import LogEntry
 from regctl.notify import Notification
 from regctl.registry import (
     FIELD_CLASSES,
@@ -29,7 +31,10 @@ from regctl.registry import (
 )
 from regctl.scenario import load_scenario, run
 
+from conftest import count_calls
+
 ROOT = Path(__file__).resolve().parents[1]
+STREAMS = ("regulator.log", "controller.log", "events.log")
 
 
 def _working_world(dep: Deployment) -> dict:
@@ -268,6 +273,7 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
     state = tmp_path / "state"
     dep = Deployment(seed=94, state_dir=state)
     world = _working_world(dep)
+    assert _submit(dep, world, "q0").decision.allowed  # so the checkpoint vouches for entries
     dep.save()
     before = _snapshot(state)
     assert _submit(dep, world, "q1").decision.allowed
@@ -308,11 +314,102 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
         assert not leftovers, f"write {k} left {leftovers}"
         for name, data in now.items():
             assert data in (before.get(name), after.get(name)), f"write {k} tore {name}"
+        assert _loaded_events(state) == _loaded_events(_without_checkpoint(state, tmp_path)), k
         if not crashed:
             assert now == before | after
             break
     assert k == len(calls) + 1  # every write was interrupted once
     assert len(calls) >= len(changed)
+
+
+def _cli_state(tmp_path) -> tuple[Path, list[list[str]]]:
+    """A state directory after a few CLI commands, and two more commands to run."""
+    state = tmp_path / "state"
+    dep = Deployment(seed=97, state_dir=state)
+    world = _working_world(dep)
+    dep.save()
+
+    def submit(request_id: str) -> list[str]:
+        return ["--state-dir", str(state), "--seed", "97", "submit", "--request-id", request_id,
+                "--program", "p1", "--auth", world["auth"].auth_id, "--domain", "health",
+                "--subjects", world["vid"], "--classes", "health", "--purpose", "CARE_AUDIT"]
+
+    for argv in (submit("q1"), submit("q2")):
+        assert cli_main(argv) == 0
+    return state, [submit("q3"), submit("q4")]
+
+
+def _without_checkpoint(state: Path, tmp_path: Path) -> Path:
+    """A copy of ``state`` with no checkpoint, so every stream loads strictly."""
+    strict = tmp_path / "strict"
+    shutil.rmtree(strict, ignore_errors=True)
+    shutil.copytree(state, strict)
+    (strict / "ledgers" / "checkpoint.json").unlink(missing_ok=True)
+    return strict
+
+
+def _loaded_events(state: Path):
+    """What an event log loaded from ``state`` holds, tips and heads read
+    before anything decodes every entry; or the error the load raised."""
+    try:
+        log = Deployment(state_dir=state).event_log
+    except EncodingError as exc:
+        return repr(exc).replace(str(state), "<state>")
+    ledgers = (log.regulator_ledger, log.controller_ledger)
+    tips = [ledger.tip() for ledger in ledgers]
+    heads = [ledger.head() for ledger in ledgers]
+    return tips, heads, [ledger.entries for ledger in ledgers], log.payloads
+
+
+def test_held_load_equals_strict_load(tmp_path):
+    state, _ = _cli_state(tmp_path)
+    held = _loaded_events(state)
+    assert held == _loaded_events(_without_checkpoint(state, tmp_path))
+    tips, _, entries, payloads = held
+    assert [seq for seq, _ in tips] == [len(e) - 1 for e in entries] == [len(payloads) - 1] * 2
+
+
+def test_commands_write_the_same_bytes_with_or_without_checkpoint(tmp_path):
+    state, commands = _cli_state(tmp_path)
+    strict = _without_checkpoint(state, tmp_path)
+    for argv in commands:
+        assert cli_main(argv) == 0
+        (strict / "ledgers" / "checkpoint.json").unlink(missing_ok=True)
+        assert cli_main([str(strict) if arg == str(state) else arg for arg in argv]) == 0
+    assert _snapshot(strict) == _snapshot(state)
+
+
+def test_held_submit_decodes_one_last_entry_per_ledger_at_most(tmp_path, monkeypatch):
+    state, commands = _cli_state(tmp_path)
+    decoded = count_calls(monkeypatch, "from_canonical", owner=LogEntry)
+    streams = []
+    real_decode = store.decode_records
+
+    def decode_records(path, data, decode):
+        streams.append(path.name)
+        return real_decode(path, data, decode)
+
+    monkeypatch.setattr(store, "decode_records", decode_records)
+    assert cli_main(commands[0]) == 0
+    assert decoded["from_canonical"] <= 2
+    assert not set(streams) & set(STREAMS)
+
+
+@pytest.mark.parametrize("checkpoint", ["stale", "digests without a MAC"])
+@pytest.mark.parametrize("name", STREAMS)
+def test_malformed_line_after_a_save_is_refused_at_that_line(tmp_path, name, checkpoint):
+    state, _ = _cli_state(tmp_path)
+    path = state / "ledgers" / name
+    lines = path.read_text().split("\n")
+    lines[1] = lines[1][:8] + "!*" + lines[1][8:]
+    path.write_text("\n".join(lines))
+    if checkpoint != "stale":
+        doc_path = state / "ledgers" / "checkpoint.json"
+        doc = json.loads(doc_path.read_text())
+        doc["files"][name]["sha256"] = sha256(path.read_bytes()).hex()
+        doc_path.write_text(json.dumps(doc))
+    with pytest.raises(EncodingError, match=f"{re.escape(str(path))}: undecodable record at line 1$"):
+        Deployment(state_dir=state)
 
 
 def test_state_directory_layout_matches_readme(tmp_path):

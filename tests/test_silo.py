@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from regctl import Deployment, SiloSchema
@@ -9,7 +11,12 @@ from regctl import crypto
 from regctl.crypto import Holder, KeyShare
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import DecryptFailure, NotFound, SchemaError, WeakIdentifierRejected
-from regctl.silo import decode_fields, encode_fields, record_aad
+from regctl.scenario import load_scenario, run
+from regctl.silo import Silo, decode_fields, encode_fields, record_aad
+
+from conftest import count_calls
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture
@@ -222,6 +229,25 @@ def test_one_obligation_per_silo_holding_data(dep):
     assert len(dep.registry.obligations) == 2
     for proof in proofs:
         assert proof.verify(dep.regulator, dep.controller)
+
+
+def test_optout_scans_each_silo_holding_data_once(monkeypatch):
+    scans = count_calls(monkeypatch, "records_for_vid", owner=Silo)
+    during = []
+    real_opt_out = Deployment.process_opt_out
+
+    def opt_out(self, *args):
+        before = scans["records_for_vid"]
+        try:
+            return real_opt_out(self, *args)
+        finally:
+            during.append(scans["records_for_vid"] - before)
+
+    monkeypatch.setattr(Deployment, "process_opt_out", opt_out)
+    assert run(load_scenario(SCENARIOS / "optout.scn")).passed
+    # one opt-out of a subject with records in both silos: the scan that
+    # finds them is the list the deletion erases
+    assert during == [2]
 
 
 def test_deletion_emits_ledger_entry_and_notification(dep):
