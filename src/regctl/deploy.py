@@ -56,8 +56,8 @@ class Deployment:
         self.controller = SigningIdentity.generate("controller-1", Role.CONTROLLER, ctrl_seed)
 
         self._lock = threading.RLock()
-        self.notifier = Notifier(lock=self._lock)
-        self.event_log = EventLog(self.regulator, self.controller, self.notifier, self.clock)
+        self.event_log = EventLog(self.regulator, self.controller, self.clock)
+        self.notifier = Notifier(self.event_log, lock=self._lock)
         self.registry = Registry(self.regulator, self.clock, self.event_log,
                                  subjects_in_scope=self._subjects_in_scope, lock=self._lock)
         self.share_store = RegulatorShareStore()

@@ -115,12 +115,6 @@ class StaleCrossHead(RegctlError):
     """Counterpart head is older than the last exchanged head or not genuine."""
 
 
-# notifier
-
-class DuplicateNotification(RegctlError):
-    """A notification for this (subject, event) pair already exists."""
-
-
 # scenario harness
 
 class ScenarioSyntaxError(RegctlError):

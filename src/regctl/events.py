@@ -1,11 +1,11 @@
 """Event spine: every auditable action is rendered to canonical bytes,
 hash-committed to BOTH ledgers (regulator and controller) in one paired
-append, and fanned out to subject mailboxes when the event kind is one a
-person must learn about.
+append. The subject mailboxes (``notify.Notifier``) are a view of the
+events a person must learn about.
 
 The ledgers themselves store only payload digests; the payload bytes live
-in a digest-keyed store so the notification bijection can be re-derived
-from a ledger alone.
+in a digest-keyed store, ``events.log``, from which the mailboxes are
+derived: the notification bijection checks ledger entries against it.
 
 A save writes ``regulator.log``, ``controller.log``, ``events.log`` and
 ``counters.json``, then, last, ``checkpoint.json``: for each of the three
@@ -31,7 +31,6 @@ from .clock import Clock
 from .crypto import SigningIdentity
 from .errors import EncodingError
 from .ledger import Ledger
-from .notify import Notifier, Outcome
 
 
 class EventKind(enum.Enum):
@@ -46,6 +45,13 @@ class EventKind(enum.Enum):
     VAULT_ROUTE = "vault-route"
     DELETION = "deletion"
     EXTENSION = "extension"
+
+
+class Outcome(enum.Enum):
+    ALLOWED = "Allowed"
+    DENIED = "Denied"
+    DELETED = "Deleted"
+    CONSENT_RENEWAL_REQUESTED = "ConsentRenewalRequested"
 
 
 # Outcome communicated to each named subject; None means the event is
@@ -125,13 +131,11 @@ def _hold(path: Path, mark: FileMark | None) -> store.Held | None:
 
 
 class EventLog:
-    """Paired ledgers + payload store + notifier, behind one record() call."""
+    """Paired ledgers + payload store, behind one record() call."""
 
-    def __init__(self, regulator: SigningIdentity, controller: SigningIdentity,
-                 notifier: Notifier, clock: Clock):
+    def __init__(self, regulator: SigningIdentity, controller: SigningIdentity, clock: Clock):
         self.regulator_ledger = Ledger(owner=regulator, counterpart=controller)
         self.controller_ledger = Ledger(owner=controller, counterpart=regulator)
-        self.notifier = notifier
         self.clock = clock
         self._held_payloads: store.Held | None = None  # the first payloads, not yet decoded
         self._payloads: dict[bytes, bytes] = {}  # every payload recorded after the held ones
@@ -140,7 +144,7 @@ class EventLog:
 
     @property
     def payloads(self) -> dict[bytes, bytes]:
-        """Payload bytes by digest; held payloads are decoded strictly on first use."""
+        """Payload bytes by digest, in record order; held ones decode strictly on first use."""
         if self._held_payloads is not None:
             payloads = {crypto.sha256(p): p for p in self._held_payloads.records(bytes)}
             payloads.update(self._payloads)
@@ -156,7 +160,7 @@ class EventLog:
         return f"{prefix}{self._counters[prefix]:05d}"
 
     def record(self, kind: EventKind, event_id: str, subjects: list[str], summary: str) -> bytes:
-        """Commit one event to both ledgers and notify its subjects.
+        """Commit one event to both ledgers.
 
         Returns the payload digest. The paired append hands each side the
         other's last signed entry, whose head hash becomes the
@@ -167,13 +171,9 @@ class EventLog:
                       subjects=tuple(subjects), summary=summary)
         payload = event.canonical_bytes()
         digest = crypto.sha256(payload)
-        self._payloads[digest] = payload
         self.regulator_ledger.append(digest, self.controller_ledger.head(), now)
         self.controller_ledger.append(digest, self.regulator_ledger.head(), now)
-        outcome = NOTIFY_OUTCOME[kind]
-        if outcome is not None:
-            for vid in subjects:
-                self.notifier.enqueue(vid, event_id, outcome, summary, now)
+        self._payloads[digest] = payload  # last: the mailboxes show only committed events
         return digest
 
     # -- derived views ---------------------------------------------------------

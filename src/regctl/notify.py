@@ -1,30 +1,25 @@
-"""Subject notification mailboxes.
+"""Subject notification mailboxes, a view of the event log.
 
-Every outcome that touches a person's data is queued to that person's
-virtual-id mailbox; delivery is pull-based (the subject fetches) so tests
-can observe exactly what was communicated and when. Mailboxes are keyed by
-vid, never by any real-world identifier.
-"""
+A vid's mailbox shows, in record order, each logged event naming it that
+``NOTIFY_OUTCOME`` says a person must learn about; notification ``N%06d``
+is the n-th (event, subject) pair of the log. Delivery is pull-based, and
+a fetch delivers every fresh notification, so only a delivered count per
+vid is stored. Mailboxes are keyed by vid, never by any real-world
+identifier."""
 
 from __future__ import annotations
 
-import enum
+import itertools
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import store
-from .errors import DuplicateNotification
+from .errors import EncodingError
+from .events import NOTIFY_OUTCOME, Event, EventLog, Outcome
 
 
-class Outcome(enum.Enum):
-    ALLOWED = "Allowed"
-    DENIED = "Denied"
-    DELETED = "Deleted"
-    CONSENT_RENEWAL_REQUESTED = "ConsentRenewalRequested"
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Notification:
     notif_id: str
     subject_vid: str
@@ -32,63 +27,71 @@ class Notification:
     outcome: Outcome
     summary: str
     created_at: int
-    delivered: bool = False
 
 
 class Notifier:
-    def __init__(self, lock: threading.RLock | None = None):
-        self._by_subject: dict[str, list[Notification]] = {}
-        self._seen: set[tuple[str, str]] = set()
-        self._counter = 0
+    def __init__(self, event_log: EventLog, lock: threading.RLock | None = None):
+        self._event_log = event_log
+        self._boxes: dict[str, list[Notification]] = {}
+        self._shown = 0  # payloads of the log already shown in the mailboxes
+        self._total = 0  # notifications in the mailboxes
+        self._delivered: dict[str, int] = {}
+        self._unchecked: Path | None = None  # the file of delivered counts not yet checked
         self._lock = lock or threading.RLock()
 
-    def enqueue(self, subject_vid: str, request_id: str, outcome: Outcome, summary: str, now: int) -> Notification:
-        key = (subject_vid, request_id)
-        if key in self._seen:
-            raise DuplicateNotification(f"already notified {subject_vid} about {request_id}")
-        self._counter += 1
-        notif = Notification(
-            notif_id=f"N{self._counter:06d}",
-            subject_vid=subject_vid,
-            request_id=request_id,
-            outcome=outcome,
-            summary=summary,
-            created_at=now,
-        )
-        self._seen.add(key)
-        self._by_subject.setdefault(subject_vid, []).append(notif)
-        return notif
+    def enqueue(self, event: Event) -> None:
+        """Show ``event`` in its subjects' mailboxes, if it is one they must learn about."""
+        outcome = NOTIFY_OUTCOME[event.kind]
+        if outcome is not None:
+            for vid in event.subjects:
+                self._total += 1
+                self._boxes.setdefault(vid, []).append(Notification(
+                    f"N{self._total:06d}", vid, event.event_id, outcome, event.summary,
+                    event.timestamp))
+
+    def _view(self) -> dict[str, list[Notification]]:
+        """Every mailbox, once the events recorded since the last read are shown
+        (after a load, every event of the log)."""
+        payloads = self._event_log.payloads
+        new = itertools.islice(payloads.values(), self._shown, None)
+        for event in [Event.from_canonical(payload) for payload in new]:  # all decode, or none show
+            self.enqueue(event)
+        self._shown = len(payloads)
+        if self._unchecked is not None:
+            for vid, count in self._delivered.items():
+                if count > len(self._boxes.get(vid, ())):
+                    raise EncodingError(f"{self._unchecked}: {count} delivered to {vid}, "
+                                        "more than its mailbox holds")
+            self._unchecked = None
+        return self._boxes
 
     def fetch(self, subject_vid: str) -> list[Notification]:
-        """Return undelivered notifications in enqueue order and mark them delivered."""
+        """Return undelivered notifications in record order and mark them delivered."""
         with self._lock:
-            box = self._by_subject.get(subject_vid, [])
-            fresh = [n for n in box if not n.delivered]
-            for n in fresh:
-                n.delivered = True
+            box = self._view().get(subject_vid, [])
+            fresh = box[self._delivered.get(subject_vid, 0):]
+            if fresh:
+                self._delivered[subject_vid] = len(box)
             return fresh
 
     def all_notifications(self) -> list[Notification]:
         with self._lock:
-            out = []
-            for box in self._by_subject.values():
-                out.extend(box)
-            out.sort(key=lambda n: n.notif_id)
-            return out
+            return sorted((n for box in self._view().values() for n in box),
+                          key=lambda n: n.notif_id)
 
     def pairs(self) -> set[tuple[str, str]]:
-        """Every (subject_vid, request_id) pair ever enqueued."""
+        """Every (subject_vid, request_id) pair in a mailbox."""
         with self._lock:
-            return set(self._seen)
+            return {(n.subject_vid, n.request_id) for box in self._view().values() for n in box}
 
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Path) -> None:
-        store.write_json(path, [store.to_doc(n) for n in self.all_notifications()])
+        store.write_json(path, self._delivered)
 
     def load(self, path: Path) -> None:
-        for r in store.read_json(path) or []:
-            notif = store.from_doc(Notification, r)
-            self._by_subject.setdefault(notif.subject_vid, []).append(notif)
-            self._seen.add((notif.subject_vid, notif.request_id))
-            self._counter = max(self._counter, int(notif.notif_id[1:]))
+        """Read the delivered counts into a notifier that has shown nothing yet."""
+        doc = store.read_json(path) if path.exists() else {}
+        if not isinstance(doc, dict) or not all(type(n) is int and n >= 0 for n in doc.values()):
+            raise EncodingError(f"{path}: not a non-negative integer delivered count by vid")
+        self._delivered, self._unchecked = doc, path

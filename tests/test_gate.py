@@ -17,6 +17,7 @@ from regctl.errors import (
     TicketConsumed,
     TicketExpired,
     TicketInvalid,
+    Unauthorized,
 )
 from regctl.events import EventKind
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS
@@ -76,6 +77,16 @@ def test_denial_is_notified_to_subjects(populated):
     notifications = dep.notifier.fetch(populated["vid"])
     assert [n.outcome.value for n in notifications] == ["Denied"]
     assert notifications[0].request_id == result.event_id
+
+
+def test_request_id_equal_to_a_vault_event_id_is_still_notified(populated):
+    dep, vid = populated["dep"], populated["vid"]
+    with pytest.raises(Unauthorized):
+        dep.vault.resolve(vid, "health", None)  # logs V00001, a denial, for the subject
+    result = dep.gate.submit(make_request(dep, populated, request_id="V00001"))
+    assert result.decision.allowed and result.event_id == "V00001"
+    assert [(n.request_id, n.outcome.value) for n in dep.notifier.fetch(vid)] == [
+        ("V00001", "Denied"), ("V00001", "Allowed")]
 
 
 def test_malformed_request_raises_protocol_error_without_notification(populated):

@@ -18,7 +18,6 @@ from regctl.ledger import (
     parse_ledger_lines,
     verify_ledger_files,
 )
-from regctl.notify import Notifier
 
 from conftest import count_calls
 
@@ -220,7 +219,7 @@ def test_events_log_reload_is_strict(pair, tmp_path, damage):
         bad = 2
     path.write_text("\n".join(lines))
 
-    reloaded = EventLog(pair.regulator, pair.controller, Notifier(), pair.clock)
+    reloaded = EventLog(pair.regulator, pair.controller, pair.clock)
     with pytest.raises(EncodingError, match=f"at line {bad}$"):
         reloaded.load(tmp_path)
 

@@ -20,7 +20,6 @@ from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError, TicketConsumed, TicketExpired
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest, AccessTicket
 from regctl.ledger import LogEntry
-from regctl.notify import Notification
 from regctl.registry import (
     FIELD_CLASSES,
     OPERATIONS,
@@ -447,7 +446,6 @@ _CODEC_CASES = {
     Authorization: st.builds(Authorization, scope=_scopes),
     DeletionObligation: st.builds(DeletionObligation),
     DeletionProof: st.builds(DeletionProof),
-    Notification: st.builds(Notification, delivered=st.booleans()),
     SiloSchema: st.builds(SiloSchema, contact_approved=st.booleans()),
     AccessTicket: st.builds(AccessTicket, granted_scope=_scopes,
                             regulator_shares=st.dictionaries(st.text(), _shares)),
