@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import hmac
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,14 +188,12 @@ class EventLog:
             out.append(Event.from_canonical(payload))
         return out
 
-    def expected_notification_pairs(self) -> set[tuple[str, str]]:
-        """(subject, event_id) pairs the regulator ledger says must be notified."""
-        pairs = set()
-        for event in self.events_from_ledger(self.regulator_ledger):
-            if NOTIFY_OUTCOME[event.kind] is not None:
-                for vid in event.subjects:
-                    pairs.add((vid, event.event_id))
-        return pairs
+    def expected_notification_pairs(self) -> Counter[tuple[str, str]]:
+        """How often the regulator ledger says each (subject, event_id) pair must be notified."""
+        return Counter((vid, event.event_id)
+                       for event in self.events_from_ledger(self.regulator_ledger)
+                       if NOTIFY_OUTCOME[event.kind] is not None
+                       for vid in event.subjects)
 
     def access_entry_count(self, ledger: Ledger) -> int:
         kinds = {EventKind.ACCESS_ALLOWED, EventKind.ACCESS_DENIED}

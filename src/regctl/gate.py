@@ -22,6 +22,7 @@ from .errors import (
     DecryptFailure,
     NotFound,
     ProtocolError,
+    RegctlError,
     ScopeViolation,
     SignatureError,
     TicketConsumed,
@@ -104,12 +105,27 @@ class AccessTicket:
             flat.append(self.regulator_shares[record_id].share)
         return crypto.canon_encode("TKTv1", flat)
 
+    def refusal(self, regulator: SigningIdentity, now: int) -> RegctlError | None:
+        """Why this ticket authorises nothing at ``now``, or None.
+
+        The one check of a ticket's regulator signature and expiry, made
+        first by every use of a ticket: an open, a resolve and a link.
+        """
+        try:
+            signed = crypto.verify(regulator, self.signing_payload(), self.signature)
+        except SignatureError:
+            signed = False
+        if not signed:
+            return TicketInvalid("ticket signature does not verify")
+        if now >= self.expires_at:
+            return TicketExpired(f"ticket {self.ticket_id} expired")
+        return None
+
 
 @dataclass
 class SubmitResult:
     decision: Decision
     ticket: AccessTicket | None
-    event_id: str
 
     def __str__(self) -> str:
         return str(self.decision)
@@ -132,23 +148,12 @@ class Gate:
         self.registry_vid_of = registry_vid_of
         self._rand = rand_bytes or secrets.token_bytes
         self._seen_nonces: dict[bytes, int] = {}  # nonce -> its request's timestamp
-        self._request_uses: dict[str, int] = {}
         self._consumed: dict[tuple[str, str], int] = {}  # (ticket, record) -> ticket expiry
         self.tickets: dict[str, AccessTicket] = {}
         self.plaintext_releases = 0
-        self.wire_capture: list[bytes] | None = None
         self._lock = lock or threading.RLock()
 
     # -- helpers ---------------------------------------------------------------
-
-    def _event_id_for(self, request_id: str) -> str:
-        uses = self._request_uses.get(request_id, 0) + 1
-        self._request_uses[request_id] = uses
-        return request_id if uses == 1 else f"{request_id}#{uses}"
-
-    def _capture(self, blob: bytes) -> None:
-        if self.wire_capture is not None:
-            self.wire_capture.append(blob)
 
     def _summary(self, request: AccessRequest, payload: bytes, scope: Scope | None,
                  decision: Decision) -> str:
@@ -174,7 +179,6 @@ class Gate:
             now = self.clock.now()
             scope = self._validate_structure(request)
             payload = request.signing_payload()
-            self._capture(payload)
 
             try:
                 signature_ok = crypto.verify(self.controller, payload, request.controller_signature)
@@ -205,6 +209,7 @@ class Gate:
                             share = self.share_store.get(record_id)
                             if share is not None:
                                 shares[record_id] = share
+            subjects = sorted(set(request.subject_vids))
             ticket = AccessTicket(
                 ticket_id="T" + self._rand(6).hex(),
                 request_id=request.request_id,
@@ -213,17 +218,13 @@ class Gate:
                 expires_at=now + TICKET_TTL_SECONDS,
                 signature=b"",
             )
-            ticket_payload = ticket.signing_payload()
-            ticket.signature = crypto.sign(self.regulator, ticket_payload)
+            ticket.signature = crypto.sign(self.regulator, ticket.signing_payload())
             self.tickets[ticket.ticket_id] = ticket
-            self._capture(ticket_payload)
 
             decision = Decision.allow()
-            event_id = self._event_id_for(request.request_id)
-            self.event_log.record(EventKind.ACCESS_ALLOWED, event_id,
-                                  sorted(set(request.subject_vids)),
+            self.event_log.record(EventKind.ACCESS_ALLOWED, request.request_id, subjects,
                                   self._summary(request, payload, scope, decision))
-            return SubmitResult(decision=decision, ticket=ticket, event_id=event_id)
+            return SubmitResult(decision=decision, ticket=ticket)
 
     def _validate_structure(self, request: AccessRequest) -> Scope:
         problems = []
@@ -243,7 +244,7 @@ class Gate:
                 problems.append(str(exc))
         if problems:
             reason = "; ".join(problems)
-            self.event_log.record(EventKind.PROTOCOL_ERROR, self._event_id_for(request.request_id or "R?"),
+            self.event_log.record(EventKind.PROTOCOL_ERROR, request.request_id or "R?",
                                   [], f"malformed request: {reason}")
             raise ProtocolError(reason)
         return scope
@@ -251,11 +252,10 @@ class Gate:
     def _deny(self, request: AccessRequest, payload: bytes, scope: Scope,
               reason: DenyReason) -> SubmitResult:
         decision = Decision.deny(reason)
-        event_id = self._event_id_for(request.request_id)
-        self.event_log.record(EventKind.ACCESS_DENIED, event_id,
+        self.event_log.record(EventKind.ACCESS_DENIED, request.request_id,
                               sorted(set(request.subject_vids)),
                               self._summary(request, payload, scope, decision))
-        return SubmitResult(decision=decision, ticket=None, event_id=event_id)
+        return SubmitResult(decision=decision, ticket=None)
 
     # -- open --------------------------------------------------------------------
 
@@ -267,32 +267,27 @@ class Gate:
         returned. Every failure mode is logged.
         """
         with self._lock:
-            def refuse(exc_type, message: str):
+            def refuse(error: RegctlError) -> RegctlError:
                 self.event_log.record(EventKind.OPEN_DENIED, self.event_log.next_event_id("O"),
-                                      [], f"open {record_id} refused: {message}")
-                return exc_type(message)
+                                      [], f"open {record_id} refused: {error}")
+                return error
 
-            try:
-                ticket_ok = crypto.verify(self.regulator, ticket.signing_payload(), ticket.signature)
-            except SignatureError:
-                ticket_ok = False
-            if not ticket_ok:
-                raise refuse(TicketInvalid, "ticket signature does not verify")
-            if self.clock.now() >= ticket.expires_at:
-                raise refuse(TicketExpired, f"ticket {ticket.ticket_id} expired")
+            problem = ticket.refusal(self.regulator, self.clock.now())
+            if problem is not None:
+                raise refuse(problem)
             if (ticket.ticket_id, record_id) in self._consumed:
-                raise refuse(TicketConsumed, f"ticket {ticket.ticket_id} already used for {record_id}")
+                raise refuse(TicketConsumed(f"ticket {ticket.ticket_id} already used for {record_id}"))
             if record_id not in ticket.regulator_shares:
-                raise refuse(ScopeViolation, f"record {record_id} outside ticket scope")
+                raise refuse(ScopeViolation(f"record {record_id} outside ticket scope"))
 
             silo = self.silos.get(ticket.granted_scope.domain)
             if silo is None:
-                raise refuse(NotFound, f"no silo for domain {ticket.granted_scope.domain}")
+                raise refuse(NotFound(f"no silo for domain {ticket.granted_scope.domain}"))
             try:
                 ciphertext = silo.fetch_ciphertext(record_id)
                 vid = silo.vid_of(record_id)
             except NotFound:
-                raise refuse(NotFound, f"record {record_id} no longer exists")
+                raise refuse(NotFound(f"record {record_id} no longer exists"))
 
             key = crypto.combine_shares(controller_share, ticket.regulator_shares[record_id])
             try:
@@ -301,7 +296,7 @@ class Gate:
                     record_aad(record_id, vid, silo.domain),
                 )
             except DecryptFailure:
-                raise refuse(DecryptFailure, f"record {record_id} failed to decrypt")
+                raise refuse(DecryptFailure(f"record {record_id} failed to decrypt"))
 
             fields = decode_fields(plaintext)
             granted = set(ticket.granted_scope.field_classes)
@@ -334,7 +329,6 @@ class Gate:
             # refused as stale on replay, so it need not be kept
             "nonces": {n.hex(): ts for n, ts in self._seen_nonces.items()
                        if ts + FRESHNESS_WINDOW_SECONDS >= now},
-            "request_uses": dict(self._request_uses),
             # open_record refuses an expired ticket before it looks at
             # the marks, so only a live ticket's marks are kept
             "consumed": sorted([t, r, exp] for (t, r), exp in self._consumed.items()
@@ -348,7 +342,6 @@ class Gate:
 
     def load_state(self, state: dict) -> None:
         self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
-        self._request_uses = dict(state.get("request_uses", {}))
         self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
         for t in state.get("tickets", []):
             ticket = store.from_doc(AccessTicket, t, regulator_shares={

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,10 +80,11 @@ class Notifier:
             return sorted((n for box in self._view().values() for n in box),
                           key=lambda n: n.notif_id)
 
-    def pairs(self) -> set[tuple[str, str]]:
-        """Every (subject_vid, request_id) pair in a mailbox."""
+    def pairs(self) -> Counter[tuple[str, str]]:
+        """How many notifications of each (subject_vid, request_id) pair the mailboxes hold."""
         with self._lock:
-            return {(n.subject_vid, n.request_id) for box in self._view().values() for n in box}
+            return Counter((n.subject_vid, n.request_id)
+                           for box in self._view().values() for n in box)
 
     # -- persistence -----------------------------------------------------------
 

@@ -444,7 +444,7 @@ def adversary_link_accuracy(report: Report) -> float:
 class _Runner:
     def __init__(self, seed: int):
         self.deployment = Deployment(seed=seed, clock_mode="logical")
-        self.deployment.gate.wire_capture = []
+        self.wire: list[bytes] = []  # the signed bytes of each request and ticket issued
         # handle kind (a RULES ``declares``) -> handle -> what its step created
         self.handles: dict[str, dict[str, object]] = defaultdict(dict)
         self.sentinels: list[str] = []
@@ -481,7 +481,11 @@ class _Runner:
 
     def _submit(self, request: AccessRequest):
         self.submit_count += 1
-        return self.deployment.gate.submit(request)
+        result = self.deployment.gate.submit(request)
+        self.wire.append(request.signing_payload())
+        if result.ticket is not None:
+            self.wire.append(result.ticket.signing_payload())
+        return result
 
     def request_for(self, step: Step, request_id: str, master_ids: list[str],
                     digest: bytes | None = None) -> AccessRequest:
@@ -679,7 +683,7 @@ class _Runner:
         result = self._submit(request)
         denied = (not result.decision.allowed and result.decision.reason == DenyReason.CONSENT)
         notified = any(
-            n.request_id == result.event_id and n.outcome.value == "Denied"
+            n.request_id == request.request_id and n.outcome.value == "Denied"
             for n in self.deployment.notifier.all_notifications()
         )
         self.attacks.append(AttackOutcome(
@@ -752,10 +756,9 @@ class _Runner:
         results.append(InvariantResult(
             "access-bijection", bijection_ok,
             f"submits={self.submit_count} regulator={reg_count} controller={ctrl_count} "
-            f"pairs={len(actual)}"))
+            f"pairs={actual.total()}"))
 
-        hits = scan_for_sentinels(state_dir, self.sentinels,
-                                  extra_blobs=dep.gate.wire_capture)
+        hits = scan_for_sentinels(state_dir, self.sentinels, extra_blobs=self.wire)
         results.append(InvariantResult("sentinel-scan", not hits,
                                        f"hits={len(hits)}" if hits else ""))
 

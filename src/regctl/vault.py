@@ -31,6 +31,7 @@ from .errors import (
     InvalidDomain,
     MissingAttribute,
     NotFound,
+    RegctlError,
     SignatureError,
     Unauthorized,
 )
@@ -146,56 +147,47 @@ class Vault:
 
     # -- authorized resolution --------------------------------------------------
 
-    def _check_ticket(self, ticket, operation: str, domain: str) -> str | None:
-        """Return a denial explanation, or None when the ticket covers the op."""
-        if ticket is None:
-            return "no ticket presented"
-        try:
-            if not crypto.verify(self.regulator, ticket.signing_payload(), ticket.signature):
-                return "ticket signature invalid"
-        except SignatureError:
-            return "ticket signature malformed"
-        if self.clock.now() >= ticket.expires_at:
-            return "ticket expired"
-        scope = ticket.granted_scope
-        if scope.operation != operation or scope.domain != domain:
-            return f"ticket scope {scope.render()} does not cover {operation} in {domain}"
-        return None
-
     def _log_vault_event(self, kind: EventKind, subjects: list[str], summary: str) -> None:
         self.event_log.record(kind, self.event_log.next_event_id("V"), subjects, summary)
+
+    def _authorize(self, action: str, ticket, operation: str, vid: str, domain: str,
+                   target: str) -> str:
+        """The master of ``vid`` in ``domain``.
+
+        ``ticket`` must be one the gate signed, live, for ``operation`` in
+        ``target``. Otherwise the denial of ``action`` is logged and raised.
+        """
+        master_id = None
+        error: type[RegctlError] = Unauthorized
+        if ticket is None:
+            reason = "no ticket presented"
+        elif (problem := ticket.refusal(self.regulator, self.clock.now())) is not None:
+            reason = str(problem)
+        elif (ticket.granted_scope.operation, ticket.granted_scope.domain) != (operation, target):
+            reason = (f"ticket scope {ticket.granted_scope.render()} does not cover "
+                      f"{operation} in {target}")
+        elif (master_id := self._vid_index.get((domain, vid))) is None:
+            reason, error = "vid unknown", NotFound
+        else:
+            return master_id
+        self._log_vault_event(EventKind.VAULT_DENIED, [vid], f"{action} denied: {reason}")
+        raise error(f"{action} denied: {reason}")
 
     def resolve(self, vid: str, domain: str, ticket) -> str:
         """Map a domain vid back to its master id, under a covering ticket."""
         with self._lock:
-            denial = self._check_ticket(ticket, "resolve", domain)
-            if denial is not None:
-                self._log_vault_event(EventKind.VAULT_DENIED, [vid],
-                                      f"resolve denied in {domain}: {denial}")
-                raise Unauthorized(f"resolve denied: {denial}")
-            master_id = self._vid_index.get((domain, vid))
-            if master_id is None:
-                self._log_vault_event(EventKind.VAULT_DENIED, [vid],
-                                      f"resolve denied in {domain}: vid unknown")
-                raise NotFound(f"vid {vid} unknown in domain {domain}")
+            master_id = self._authorize(f"resolve in {domain}", ticket, "resolve",
+                                        vid, domain, domain)
             self._log_vault_event(EventKind.VAULT_RESOLVE, [vid], f"resolve in {domain}")
             return master_id
 
     def link(self, vid_a: str, domain_a: str, domain_b: str, ticket) -> VirtualId:
         """Reveal the counterpart vid of a subject in another domain."""
         with self._lock:
-            denial = self._check_ticket(ticket, "link", domain_b)
-            if denial is not None:
-                self._log_vault_event(EventKind.VAULT_DENIED, [vid_a],
-                                      f"link {domain_a}->{domain_b} denied: {denial}")
-                raise Unauthorized(f"link denied: {denial}")
-            master_id = self._vid_index.get((domain_a, vid_a))
-            if master_id is None:
-                self._log_vault_event(EventKind.VAULT_DENIED, [vid_a],
-                                      f"link {domain_a}->{domain_b} denied: vid unknown")
-                raise NotFound(f"vid {vid_a} unknown in domain {domain_a}")
+            action = f"link {domain_a}->{domain_b}"
+            master_id = self._authorize(action, ticket, "link", vid_a, domain_a, domain_b)
             linked = self.derive_vid(master_id, domain_b)
-            self._log_vault_event(EventKind.VAULT_LINK, [vid_a], f"link {domain_a}->{domain_b}")
+            self._log_vault_event(EventKind.VAULT_LINK, [vid_a], action)
             return linked
 
     # -- trusted plumbing (regulator-side wiring, not part of the public surface) --

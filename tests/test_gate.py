@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -76,7 +77,7 @@ def test_denial_is_notified_to_subjects(populated):
     assert not result.decision.allowed
     notifications = dep.notifier.fetch(populated["vid"])
     assert [n.outcome.value for n in notifications] == ["Denied"]
-    assert notifications[0].request_id == result.event_id
+    assert notifications[0].request_id == request.request_id
 
 
 def test_request_id_equal_to_a_vault_event_id_is_still_notified(populated):
@@ -84,9 +85,25 @@ def test_request_id_equal_to_a_vault_event_id_is_still_notified(populated):
     with pytest.raises(Unauthorized):
         dep.vault.resolve(vid, "health", None)  # logs V00001, a denial, for the subject
     result = dep.gate.submit(make_request(dep, populated, request_id="V00001"))
-    assert result.decision.allowed and result.event_id == "V00001"
+    assert result.decision.allowed
+    expected = dep.event_log.expected_notification_pairs()
+    assert expected[(vid, "V00001")] == 2 and expected == dep.notifier.pairs()
     assert [(n.request_id, n.outcome.value) for n in dep.notifier.fetch(vid)] == [
         ("V00001", "Denied"), ("V00001", "Allowed")]
+
+
+def test_replayed_request_is_ledgered_and_notified_under_its_own_id(populated):
+    dep, vid = populated["dep"], populated["vid"]
+    request = make_request(dep, populated)
+    assert dep.gate.submit(request).decision.allowed
+    assert dep.gate.submit(request).decision.reason == DenyReason.REPLAY
+    events = dep.event_log.events_from_ledger(dep.event_log.regulator_ledger)
+    assert [(e.kind, e.event_id) for e in events] == [
+        (EventKind.ACCESS_ALLOWED, "q1"), (EventKind.ACCESS_DENIED, "q1")]
+    assert [(n.request_id, n.outcome.value) for n in dep.notifier.fetch(vid)] == [
+        ("q1", "Allowed"), ("q1", "Denied")]
+    assert dep.event_log.expected_notification_pairs() == dep.notifier.pairs() == Counter(
+        {(vid, "q1"): 2})
 
 
 def test_malformed_request_raises_protocol_error_without_notification(populated):
