@@ -3,8 +3,8 @@
 A controller cannot read a record by itself. It submits a signed access
 request naming the program, the authorization, the subjects and the scope;
 the gate authenticates the request, replays it through the registry per
-subject, and only then issues a short-lived single-use ticket carrying the
-regulator's key shares for the covered records. Every submit, allowed or
+subject, and only then issues a short-lived single-use ticket naming the
+subjects and carrying the regulator's key shares for the covered records. Every submit, allowed or
 denied, lands in both ledgers and in the subjects' mailboxes.
 """
 
@@ -91,6 +91,7 @@ class AccessTicket:
     ticket_id: str
     request_id: str
     granted_scope: Scope
+    subject_vids: tuple[str, ...]  # the request's subjects, in the scope's domain
     regulator_shares: dict[str, KeyShare]
     expires_at: int
     signature: bytes
@@ -98,6 +99,7 @@ class AccessTicket:
     def signing_payload(self) -> bytes:
         flat: list[str | bytes | int] = [
             self.ticket_id, self.request_id, *self.granted_scope.canonical_fields(),
+            len(self.subject_vids), *sorted(self.subject_vids),
             self.expires_at, len(self.regulator_shares),
         ]
         for record_id in sorted(self.regulator_shares):
@@ -214,6 +216,7 @@ class Gate:
                 ticket_id="T" + self._rand(6).hex(),
                 request_id=request.request_id,
                 granted_scope=scope,
+                subject_vids=tuple(subjects),
                 regulator_shares=shares,
                 expires_at=now + TICKET_TTL_SECONDS,
                 signature=b"",

@@ -663,6 +663,7 @@ class _Runner:
             ticket_id="T-forged",
             request_id="atk-forge",
             granted_scope=Scope(domain, ("financial", "health", "demographic", "other"), "read"),
+            subject_vids=(),
             regulator_shares={record_id: KeyShare(dep.rand_bytes(32), Holder.REGULATOR)},
             expires_at=dep.clock.now() + 10_000,
             signature=b"",

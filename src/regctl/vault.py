@@ -4,9 +4,9 @@ Master records (real attributes) stay inside this service. Everything a
 frontend ever stores is a per-domain virtual id derived from the vault
 secret with a keyed PRF, so holders of any number of silo databases learn
 nothing about which rows belong to the same person. Resolution and
-cross-domain linkage exist, but only under a gate-issued ticket, and every
-attempt, allowed or not, is committed to the audit ledgers and told to
-the subject.
+cross-domain linkage exist, but only under a gate-issued ticket that names
+the subject, and every attempt, allowed or not, is committed to the audit
+ledgers and told to the subject.
 
 The vault also issues short-lived alias phone numbers (prefix "99") that
 route to a master's real number while active.
@@ -155,9 +155,9 @@ class Vault:
         """The master of ``vid`` in ``domain``.
 
         ``ticket`` must be one the gate signed, live, for ``operation`` in
-        ``target``. Otherwise the denial of ``action`` is logged and raised.
+        ``target``, and must name the subject's vid there. Otherwise the
+        denial of ``action`` is logged and raised.
         """
-        master_id = None
         error: type[RegctlError] = Unauthorized
         if ticket is None:
             reason = "no ticket presented"
@@ -168,13 +168,15 @@ class Vault:
                       f"{operation} in {target}")
         elif (master_id := self._vid_index.get((domain, vid))) is None:
             reason, error = "vid unknown", NotFound
+        elif self.vid_if_derived(master_id, target) not in ticket.subject_vids:
+            reason = f"ticket does not name the subject in {target}"
         else:
             return master_id
         self._log_vault_event(EventKind.VAULT_DENIED, [vid], f"{action} denied: {reason}")
         raise error(f"{action} denied: {reason}")
 
     def resolve(self, vid: str, domain: str, ticket) -> str:
-        """Map a domain vid back to its master id, under a covering ticket."""
+        """Map a domain vid back to its master id, under a ticket naming it."""
         with self._lock:
             master_id = self._authorize(f"resolve in {domain}", ticket, "resolve",
                                         vid, domain, domain)
@@ -182,13 +184,13 @@ class Vault:
             return master_id
 
     def link(self, vid_a: str, domain_a: str, domain_b: str, ticket) -> VirtualId:
-        """Reveal the counterpart vid of a subject in another domain."""
+        """Reveal the counterpart vid of a subject in another domain, under a
+        ticket naming that counterpart; the vault never derives it here."""
         with self._lock:
             action = f"link {domain_a}->{domain_b}"
             master_id = self._authorize(action, ticket, "link", vid_a, domain_a, domain_b)
-            linked = self.derive_vid(master_id, domain_b)
             self._log_vault_event(EventKind.VAULT_LINK, [vid_a], action)
-            return linked
+            return self._vids[(master_id, domain_b)]
 
     # -- trusted plumbing (regulator-side wiring, not part of the public surface) --
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from regctl import Deployment, Scope
+from regctl import Basis, Deployment, DenyReason, Scope
 from regctl.crypto import sign
+from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import (
     DomainUnregistered,
     DuplicateMaster,
@@ -15,16 +16,21 @@ from regctl.errors import (
     NotFound,
     Unauthorized,
 )
+from regctl.events import EventKind
 from regctl.gate import AccessTicket
 from regctl.scenario import control_linkage_accuracy, linkage_accuracy
 from regctl.vault import derive_vid_value
 
+from conftest import make_request
 
-def make_ticket(dep: Deployment, operation: str, domain: str, ttl: int = 60) -> AccessTicket:
+
+def make_ticket(dep: Deployment, operation: str, domain: str, subjects: tuple[str, ...],
+                ttl: int = 60) -> AccessTicket:
     ticket = AccessTicket(
         ticket_id="T-test",
         request_id="q-test",
         granted_scope=Scope(domain, (), operation),
+        subject_vids=subjects,
         regulator_shares={},
         expires_at=dep.clock.now() + ttl,
         signature=b"",
@@ -144,7 +150,7 @@ def test_resolve_round_trip_with_ticket(deployment):
     deployment.vault.register_domain("health")
     master = deployment.vault.register_master({"name": "p"})
     vid = deployment.vault.derive_vid(master, "health").vid
-    ticket = make_ticket(deployment, "resolve", "health")
+    ticket = make_ticket(deployment, "resolve", "health", (vid,))
     assert deployment.vault.resolve(vid, "health", ticket) == master
 
 
@@ -153,9 +159,9 @@ def test_link_agrees_with_derivation(deployment):
     deployment.vault.register_domain("tax")
     master = deployment.vault.register_master({"name": "p"})
     vid_health = deployment.vault.derive_vid(master, "health").vid
-    ticket = make_ticket(deployment, "link", "tax")
-    linked = deployment.vault.link(vid_health, "health", "tax", ticket)
-    assert linked == deployment.vault.derive_vid(master, "tax")
+    vid_tax = deployment.vault.derive_vid(master, "tax")
+    ticket = make_ticket(deployment, "link", "tax", (vid_tax.vid,))
+    assert deployment.vault.link(vid_health, "health", "tax", ticket) == vid_tax
 
 
 def test_resolve_without_ticket_is_denied_and_logged(deployment):
@@ -174,16 +180,16 @@ def test_resolve_with_wrong_scope_denied(deployment):
     master = deployment.vault.register_master({"name": "p"})
     vid = deployment.vault.derive_vid(master, "health").vid
     with pytest.raises(Unauthorized):
-        deployment.vault.resolve(vid, "health", make_ticket(deployment, "resolve", "tax"))
+        deployment.vault.resolve(vid, "health", make_ticket(deployment, "resolve", "tax", (vid,)))
     with pytest.raises(Unauthorized):
-        deployment.vault.resolve(vid, "health", make_ticket(deployment, "read", "health"))
+        deployment.vault.resolve(vid, "health", make_ticket(deployment, "read", "health", (vid,)))
 
 
 def test_resolve_with_expired_ticket_denied(deployment):
     deployment.vault.register_domain("health")
     master = deployment.vault.register_master({"name": "p"})
     vid = deployment.vault.derive_vid(master, "health").vid
-    ticket = make_ticket(deployment, "resolve", "health", ttl=5)
+    ticket = make_ticket(deployment, "resolve", "health", (vid,), ttl=5)
     deployment.clock.advance(10)
     with pytest.raises(Unauthorized):
         deployment.vault.resolve(vid, "health", ticket)
@@ -193,9 +199,56 @@ def test_successful_resolve_notifies_subject(deployment):
     deployment.vault.register_domain("health")
     master = deployment.vault.register_master({"name": "p"})
     vid = deployment.vault.derive_vid(master, "health").vid
-    deployment.vault.resolve(vid, "health", make_ticket(deployment, "resolve", "health"))
+    deployment.vault.resolve(vid, "health", make_ticket(deployment, "resolve", "health", (vid,)))
     notifications = deployment.notifier.fetch(vid)
     assert len(notifications) == 1 and notifications[0].outcome.value == "Allowed"
+
+
+def test_a_ticket_resolves_and_links_only_the_subjects_it_names(populated):
+    # Alice has consented to CARE_AUDIT and Bob has not
+    dep, alice, alice_master = populated["dep"], populated["vid"], populated["master"]
+    bob_master = dep.vault.register_master({"name": "bob"})
+    bob = dep.vault.derive_vid(bob_master, "health").vid
+    dep.vault.derive_vid(bob_master, REGISTRY_DOMAIN)
+    dep.vault.register_domain("tax")
+    alice_tax, bob_tax = (dep.vault.derive_vid(m, "tax").vid for m in (alice_master, bob_master))
+    tickets = {}
+    for operation in ("resolve", "link"):
+        scope = Scope("health", (), operation)
+        manifest = dep.registry.sign_program(f"p-{operation}", operation.encode(), "CARE_AUDIT",
+                                             scope)
+        auth = dep.registry.grant(dep.controller.key_id, scope, "CARE_AUDIT", Basis.CONSENT,
+                                  0, 10_000)
+
+        def submit(vid):
+            return dep.gate.submit(make_request(
+                dep, populated, request_id=f"q-{operation}", subjects=[vid], classes=(),
+                operation=operation, digest=manifest.content_digest, auth_id=auth.auth_id))
+
+        assert submit(bob).decision.reason == DenyReason.CONSENT
+        tickets[operation] = submit(alice).ticket
+
+    for _ in range(2):  # a refusal uses nothing up
+        with pytest.raises(Unauthorized):
+            dep.vault.resolve(bob, "health", tickets["resolve"])
+        with pytest.raises(Unauthorized):
+            dep.vault.link(bob_tax, "tax", "health", tickets["link"])
+    denials = [e for e in dep.event_log.events_from_ledger(dep.event_log.regulator_ledger)
+               if e.kind is EventKind.VAULT_DENIED]
+    assert [e.subjects for e in denials] == [(bob,), (bob_tax,)] * 2
+    assert dep.vault.resolve(alice, "health", tickets["resolve"]) == alice_master
+    assert dep.vault.link(alice_tax, "tax", "health", tickets["link"]).vid == alice
+
+
+def test_a_link_names_no_vid_the_vault_has_not_derived(deployment):
+    deployment.vault.register_domain("health")
+    deployment.vault.register_domain("tax")
+    master = deployment.vault.register_master({"name": "p"})
+    vid = deployment.vault.derive_vid(master, "health").vid
+    unseen = derive_vid_value(deployment.vault._secret, master, "tax", 0)
+    with pytest.raises(Unauthorized):
+        deployment.vault.link(vid, "health", "tax", make_ticket(deployment, "link", "tax", (unseen,)))
+    assert deployment.vault.vid_if_derived(master, "tax") is None
 
 
 # -- unlinkability ---------------------------------------------------------------------
