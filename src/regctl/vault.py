@@ -8,6 +8,9 @@ cross-domain linkage exist, but only under a gate-issued ticket that names
 the subject, and every attempt, allowed or not, is committed to the audit
 ledgers and told to the subject.
 
+``state.json`` is not signed, so a stored vid mapping is trusted only once
+the vault secret re-derives it; one that does not re-derive counts as absent.
+
 The vault also issues short-lived alias phone numbers (prefix "99") that
 route to a master's real number while active.
 """
@@ -145,6 +148,13 @@ class Vault:
     def vid_exists(self, domain: str, vid: str) -> bool:
         return (domain, vid) in self._vid_index
 
+    def _rederived(self, virtual: VirtualId | None) -> VirtualId | None:
+        """``virtual``, if the vault secret derives its vid; None otherwise."""
+        if virtual is None or virtual.vid != derive_vid_value(
+                self._secret, virtual.master_id, virtual.domain, virtual.derivation_counter):
+            return None
+        return virtual
+
     # -- authorized resolution --------------------------------------------------
 
     def _log_vault_event(self, kind: EventKind, subjects: list[str], summary: str) -> None:
@@ -166,7 +176,7 @@ class Vault:
         elif (ticket.granted_scope.operation, ticket.granted_scope.domain) != (operation, target):
             reason = (f"ticket scope {ticket.granted_scope.render()} does not cover "
                       f"{operation} in {target}")
-        elif (master_id := self._vid_index.get((domain, vid))) is None:
+        elif (master_id := self.master_for_vid(domain, vid)) is None:
             reason, error = "vid unknown", NotFound
         elif self.vid_if_derived(master_id, target) not in ticket.subject_vids:
             reason = f"ticket does not name the subject in {target}"
@@ -202,16 +212,19 @@ class Vault:
         enclosing submit is itself ledgered.
         """
         with self._lock:
-            master_id = self._vid_index.get((domain, vid))
+            master_id = self.master_for_vid(domain, vid)
             if master_id is None:
                 return None
-            return self.derive_vid(master_id, registry_domain).vid
+            virtual = self._rederived(self.derive_vid(master_id, registry_domain))
+            return virtual.vid if virtual else None
 
     def master_for_vid(self, domain: str, vid: str) -> str | None:
-        return self._vid_index.get((domain, vid))
+        master_id = self._vid_index.get((domain, vid))
+        virtual = self._rederived(self._vids.get((master_id, domain)))
+        return master_id if virtual is not None and virtual.vid == vid else None
 
     def vid_if_derived(self, master_id: str, domain: str) -> str | None:
-        virtual = self._vids.get((master_id, domain))
+        virtual = self._rederived(self._vids.get((master_id, domain)))
         return virtual.vid if virtual else None
 
     # -- alias numbers -----------------------------------------------------------

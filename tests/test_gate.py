@@ -270,7 +270,9 @@ def test_crypto_calls_per_event_submit_and_open(populated, monkeypatch):
     """Pins the signatures and encodings each step makes: the paired ledger
     append signs two entries and verifies the counterpart's, each append
     encodes its signing payload and its entry once and re-encodes neither
-    entry, and a submit builds its request and ticket payloads once."""
+    entry, and a submit builds its request and ticket payloads once; the
+    vault's re-derivation of the subject's domain and registry vids encodes
+    one PRF input each."""
     dep = populated["dep"]
     record_id = populated["record_id"]
     names = ("sign", "verify", "canon_encode")
@@ -286,7 +288,7 @@ def test_crypto_calls_per_event_submit_and_open(populated, monkeypatch):
     calls = count_calls(monkeypatch, *names)
     result = dep.gate.submit(request)
     assert result.decision.allowed
-    assert (calls["sign"], calls["verify"], calls["canon_encode"]) == (3, 3, 8)
+    assert (calls["sign"], calls["verify"], calls["canon_encode"]) == (3, 3, 10)
 
     calls = count_calls(monkeypatch, *names)
     dep.gate.open_record(result.ticket, record_id, dep.silos["health"].controller_share(record_id))

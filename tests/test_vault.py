@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from regctl import Basis, Deployment, DenyReason, Scope
@@ -249,6 +251,30 @@ def test_a_link_names_no_vid_the_vault_has_not_derived(deployment):
     with pytest.raises(Unauthorized):
         deployment.vault.link(vid, "health", "tax", make_ticket(deployment, "link", "tax", (unseen,)))
     assert deployment.vault.vid_if_derived(master, "tax") is None
+
+
+def test_a_remapped_vid_counts_as_absent(populated, tmp_path):
+    # vault/state.json is not signed: give Bob's health vid Alice's master
+    dep, alice_master = populated["dep"], populated["master"]
+    bob_master = dep.vault.register_master({"name": "bob"})
+    bob = dep.vault.derive_vid(bob_master, "health").vid
+    dep.vault.derive_vid(bob_master, REGISTRY_DOMAIN)
+    dep.silos["health"].put_record(bob, {"bp": "135/90", "visits": "1"})
+    dep.state_dir = tmp_path / "state"
+    dep.save()
+    path = dep.state_dir / "vault" / "state.json"
+    state = json.loads(path.read_text())
+    for virtual in state["vids"]:
+        if virtual["vid"] == bob:
+            virtual["master_id"] = alice_master
+    path.write_text(json.dumps(state))
+
+    reloaded = Deployment(state_dir=dep.state_dir)
+    result = reloaded.gate.submit(make_request(reloaded, populated, subjects=[bob]))
+    assert result.decision.reason == DenyReason.CONSENT and result.ticket is None
+    assert reloaded.vault.master_for_vid("health", bob) is None
+    assert reloaded.vault.registry_vid_of("health", bob, REGISTRY_DOMAIN) is None
+    assert reloaded.vault.vid_if_derived(alice_master, "health") is None
 
 
 # -- unlinkability ---------------------------------------------------------------------
