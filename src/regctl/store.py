@@ -13,7 +13,8 @@
 
 Every file is written whole by ``write_atomic``: a temp file in the same
 directory, fsynced, then renamed over the target, so a crash leaves each
-file either as it was or as it was to become.
+file either as it was or as it was to become. A file that already holds
+exactly the bytes to write is left alone.
 
 A record stream whose bytes something else vouches for (the ledger
 checkpoint) can be ``Held``: kept as its file bytes, decoded strictly only
@@ -42,7 +43,13 @@ T = TypeVar("T")
 
 
 def write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data``; a failed write removes its temp file."""
+    """Replace ``path`` with ``data``, unless it holds ``data`` already; a
+    failed write removes its temp file."""
+    try:
+        if path.stat().st_size == len(data) and path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:

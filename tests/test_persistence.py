@@ -268,6 +268,18 @@ def test_erasure_after_an_earlier_save_leaves_no_trace(tmp_path):
     assert holders() == []
 
 
+def test_a_save_with_no_change_replaces_no_file(tmp_path, monkeypatch):
+    dep = Deployment(seed=95, state_dir=tmp_path / "state")
+    world = _working_world(dep)
+    assert _submit(dep, world, "q1").decision.allowed
+    dep.save()
+    before = _snapshot(dep.state_dir)
+    calls = count_calls(monkeypatch, "replace", owner=store.os)
+    dep.save()
+    assert calls["replace"] == 0
+    assert _snapshot(dep.state_dir) == before
+
+
 def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
     state = tmp_path / "state"
     dep = Deployment(seed=94, state_dir=state)
