@@ -6,6 +6,9 @@ events a person must learn about.
 The ledgers themselves store only payload digests; the payload bytes live
 in a digest-keyed store, ``events.log``, from which the mailboxes are
 derived: the notification bijection checks ledger entries against it.
+Event ids need not be unique (a submit's event id is its request id, and a
+replay reuses it), so the bijection counts each (subject, event id) pair
+with its multiplicity.
 
 A save writes ``regulator.log``, ``controller.log``, ``events.log`` and
 ``counters.json``, then, last, ``checkpoint.json``: for each of the three

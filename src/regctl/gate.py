@@ -175,7 +175,8 @@ class Gate:
         Order: controller signature, nonce replay, timestamp freshness,
         then the registry decision per subject (first failure wins).
         Malformed requests raise ProtocolError after being logged; they
-        identify no subject, so nobody is notified.
+        identify no subject, so nobody is notified. The event is logged
+        under the request id, which a replay or a reuse shares.
         """
         with self._lock:
             now = self.clock.now()

@@ -2,7 +2,10 @@
 
 A vid's mailbox shows, in record order, each logged event naming it that
 ``NOTIFY_OUTCOME`` says a person must learn about; notification ``N%06d``
-is the n-th (event, subject) pair of the log. Delivery is pull-based, and
+is the n-th (event, subject) pair of the log. Two events may share an id
+(a replayed request's denial carries the request id of the original), so
+a mailbox can hold one (subject, event id) pair more than once, and
+``pairs`` counts it that often. Delivery is pull-based, and
 a fetch delivers every fresh notification, so only a delivered count per
 vid is stored. Mailboxes are keyed by vid, never by any real-world
 identifier."""
