@@ -348,12 +348,9 @@ class Gate:
         self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
         self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
         for t in state.get("tickets", []):
-            shares = {rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
-                      for rid, h in t["regulator_shares"].items()}
-            # a ticket saved before tickets named their subjects loads
-            # naming none, so its signature no longer verifies
-            ticket = store.from_doc(AccessTicket, t, regulator_shares=shares,
-                                    subject_vids=tuple(t.get("subject_vids", ())))
+            ticket = store.from_doc(AccessTicket, t, regulator_shares={
+                rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
+                for rid, h in t["regulator_shares"].items()})
             self.tickets[ticket.ticket_id] = ticket
 
     def drop_records_from_tickets(self, record_ids: set[str]) -> None:
