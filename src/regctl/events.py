@@ -4,11 +4,12 @@ append. The subject mailboxes (``notify.Notifier``) are a view of the
 events a person must learn about.
 
 The ledgers themselves store only payload digests; the payload bytes live
-in a digest-keyed store, ``events.log``, from which the mailboxes are
-derived: the notification bijection checks ledger entries against it.
-Event ids need not be unique (a submit's event id is its request id, and a
-replay reuses it), so the bijection counts each (subject, event id) pair
-with its multiplicity.
+in ``events.log``, one per ledger entry in record order, from which the
+mailboxes are derived: the notification bijection checks ledger entries
+against it. Event ids need not be unique (a submit's event id is its
+request id, and a replay reuses it), and neither need payloads (a request
+denied twice in one tick), so the log keeps every recorded payload and the
+bijection counts each (subject, event id) pair with its multiplicity.
 
 A save writes ``regulator.log``, ``controller.log``, ``events.log`` and
 ``counters.json``, then, last, ``checkpoint.json``: for each of the three
@@ -142,16 +143,15 @@ class EventLog:
         self.controller_ledger = Ledger(owner=controller, counterpart=regulator)
         self.clock = clock
         self._held_payloads: store.Held | None = None  # the first payloads, not yet decoded
-        self._payloads: dict[bytes, bytes] = {}  # every payload recorded after the held ones
+        self._payloads: list[bytes] = []  # every payload recorded after the held ones
         self._counters: dict[str, int] = {}
         self._checkpoint_key = crypto.seed_key(controller, _CHECKPOINT_KEY_TAG)
 
     @property
-    def payloads(self) -> dict[bytes, bytes]:
-        """Payload bytes by digest, in record order; held ones decode strictly on first use."""
+    def payloads(self) -> list[bytes]:
+        """Every recorded payload, in record order; held ones decode strictly on first use."""
         if self._held_payloads is not None:
-            payloads = {crypto.sha256(p): p for p in self._held_payloads.records(bytes)}
-            payloads.update(self._payloads)
+            payloads = list(self._held_payloads.records(bytes)) + self._payloads
             self._held_payloads, self._payloads = None, payloads
         return self._payloads
 
@@ -177,15 +177,16 @@ class EventLog:
         digest = crypto.sha256(payload)
         self.regulator_ledger.append(digest, self.controller_ledger.head(), now)
         self.controller_ledger.append(digest, self.regulator_ledger.head(), now)
-        self._payloads[digest] = payload  # last: the mailboxes show only committed events
+        self._payloads.append(payload)  # last: the mailboxes show only committed events
         return digest
 
     # -- derived views ---------------------------------------------------------
 
     def events_from_ledger(self, ledger: Ledger) -> list[Event]:
+        by_digest = {crypto.sha256(p): p for p in self.payloads}
         out = []
         for entry in ledger.entries:
-            payload = self.payloads.get(entry.payload_digest)
+            payload = by_digest.get(entry.payload_digest)
             if payload is None:
                 raise EncodingError(f"no payload stored for ledger entry {entry.seq}")
             out.append(Event.from_canonical(payload))
@@ -214,7 +215,7 @@ class EventLog:
             last_seq, head = ledger.tip()
             marks[name] = FileMark(crypto.sha256(data), last_seq + 1, head)
         held = self._held_payloads
-        data = store.encode_records(self._payloads.values())
+        data = store.encode_records(self._payloads)
         count = len(self._payloads)
         if held is not None:
             data, count = held.data + data, held.count + count
@@ -237,8 +238,7 @@ class EventLog:
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
         self._held_payloads = _hold(directory / "events.log", marks.get("events.log"))
         if self._held_payloads is None:
-            for payload in store.read_records(directory / "events.log", bytes):
-                self._payloads[crypto.sha256(payload)] = payload
+            self._payloads = store.read_records(directory / "events.log", bytes)
         self._counters.update(store.read_json(directory / "counters.json") or {})
 
     def _mac(self, files: dict) -> bytes:

@@ -3,16 +3,16 @@
 A vid's mailbox shows, in record order, each logged event naming it that
 ``NOTIFY_OUTCOME`` says a person must learn about; notification ``N%06d``
 is the n-th (event, subject) pair of the log. Two events may share an id
-(a replayed request's denial carries the request id of the original), so
-a mailbox can hold one (subject, event id) pair more than once, and
-``pairs`` counts it that often. Delivery is pull-based, and
+(a replayed request's denial carries the request id of the original), or
+even be the same bytes (two such denials in one tick), so a mailbox can
+hold one (subject, event id) pair more than once, and ``pairs`` counts it
+that often. Delivery is pull-based, and
 a fetch delivers every fresh notification, so only a delivered count per
 vid is stored. Mailboxes are keyed by vid, never by any real-world
 identifier."""
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -57,8 +57,7 @@ class Notifier:
         """Every mailbox, once the events recorded since the last read are shown
         (after a load, every event of the log)."""
         payloads = self._event_log.payloads
-        new = itertools.islice(payloads.values(), self._shown, None)
-        for event in [Event.from_canonical(payload) for payload in new]:  # all decode, or none show
+        for event in [Event.from_canonical(p) for p in payloads[self._shown:]]:  # all decode, or none show
             self.enqueue(event)
         self._shown = len(payloads)
         if self._unchecked is not None:
