@@ -8,8 +8,9 @@ cross-domain linkage exist, but only under a gate-issued ticket that names
 the subject, and every attempt, allowed or not, is committed to the audit
 ledgers and told to the subject.
 
-``state.json`` is not signed, so a stored vid mapping is trusted only once
-the vault secret re-derives it; one that does not re-derive counts as absent.
+``state.json`` is not signed, so its vid mappings must be one-to-one to
+load, and each is trusted only once the vault secret re-derives it, on its
+first use in a process; one that does not re-derive raises EncodingError.
 
 The vault also issues short-lived alias phone numbers (prefix "99") that
 route to a master's real number while active.
@@ -30,6 +31,7 @@ from .crypto import SigningIdentity
 from .errors import (
     DomainUnregistered,
     DuplicateMaster,
+    EncodingError,
     Expired,
     InvalidDomain,
     MissingAttribute,
@@ -94,6 +96,8 @@ class Vault:
         self.domains: list[str] = []
         self._vids: dict[tuple[str, str], VirtualId] = {}      # (master_id, domain)
         self._vid_index: dict[tuple[str, str], str] = {}       # (domain, vid) -> master_id
+        self._unchecked: set[tuple[str, str]] = set()  # loaded (master_id, domain) not yet re-derived
+        self._state_path: Path | None = None
         self._aliases: dict[str, list[AliasGrant]] = {}
         self._lock = lock or threading.RLock()
 
@@ -130,7 +134,7 @@ class Vault:
                 raise NotFound(f"master {master_id} not registered")
             if domain not in self.domains:
                 raise DomainUnregistered(f"domain {domain} not registered")
-            existing = self._vids.get((master_id, domain))
+            existing = self._stored(master_id, domain)
             if existing is not None:
                 return existing
             counter = 0
@@ -148,11 +152,19 @@ class Vault:
     def vid_exists(self, domain: str, vid: str) -> bool:
         return (domain, vid) in self._vid_index
 
-    def _rederived(self, virtual: VirtualId | None) -> VirtualId | None:
-        """``virtual``, if the vault secret derives its vid; None otherwise."""
-        if virtual is None or virtual.vid != derive_vid_value(
-                self._secret, virtual.master_id, virtual.domain, virtual.derivation_counter):
-            return None
+    def _stored(self, master_id: str, domain: str) -> VirtualId | None:
+        """The vid mapping of ``master_id`` in ``domain``, if there is one.
+
+        A mapping read from ``state.json`` is re-derived from the vault
+        secret on its first use, once per process.
+        """
+        virtual = self._vids.get((master_id, domain))
+        if virtual is not None and (master_id, domain) in self._unchecked:
+            if virtual.vid != derive_vid_value(self._secret, master_id, domain,
+                                               virtual.derivation_counter):
+                raise EncodingError(f"{self._state_path}: a stored {domain} vid does not "
+                                    "re-derive from its master")
+            self._unchecked.discard((master_id, domain))
         return virtual
 
     # -- authorized resolution --------------------------------------------------
@@ -215,16 +227,16 @@ class Vault:
             master_id = self.master_for_vid(domain, vid)
             if master_id is None:
                 return None
-            virtual = self._rederived(self.derive_vid(master_id, registry_domain))
-            return virtual.vid if virtual else None
+            return self.derive_vid(master_id, registry_domain).vid
 
     def master_for_vid(self, domain: str, vid: str) -> str | None:
         master_id = self._vid_index.get((domain, vid))
-        virtual = self._rederived(self._vids.get((master_id, domain)))
-        return master_id if virtual is not None and virtual.vid == vid else None
+        if master_id is not None:
+            self._stored(master_id, domain)  # vid's own mapping: the mappings are one-to-one
+        return master_id
 
     def vid_if_derived(self, master_id: str, domain: str) -> str | None:
-        virtual = self._rederived(self._vids.get((master_id, domain)))
+        virtual = self._stored(master_id, domain)
         return virtual.vid if virtual else None
 
     # -- alias numbers -----------------------------------------------------------
@@ -280,7 +292,9 @@ class Vault:
         store.write_json(directory / "state.json", state)
 
     def load_state(self, directory: Path) -> None:
-        state = store.read_json(directory / "state.json")
+        """Read ``state.json`` into a vault that holds no vid yet."""
+        self._state_path = directory / "state.json"
+        state = store.read_json(self._state_path)
         if state is None:
             return
         self.domains = list(state["domains"])
@@ -292,5 +306,8 @@ class Vault:
             virtual = VirtualId(**v)
             self._vids[(v["master_id"], v["domain"])] = virtual
             self._vid_index[(v["domain"], v["vid"])] = v["master_id"]
+        if not len(self._vids) == len(self._vid_index) == len(state["vids"]):
+            raise EncodingError(f"{self._state_path}: vid mappings are not one-to-one")
+        self._unchecked = set(self._vids)
         for a in state["aliases"]:
             self._aliases.setdefault(a["alias_number"], []).append(AliasGrant(**a))

@@ -7,11 +7,13 @@ import json
 import pytest
 
 from regctl import Basis, Deployment, DenyReason, Scope
+from regctl import vault as vault_module
 from regctl.crypto import sign
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import (
     DomainUnregistered,
     DuplicateMaster,
+    EncodingError,
     Expired,
     InvalidDomain,
     MissingAttribute,
@@ -253,28 +255,58 @@ def test_a_link_names_no_vid_the_vault_has_not_derived(deployment):
     assert deployment.vault.vid_if_derived(master, "tax") is None
 
 
-def test_a_remapped_vid_counts_as_absent(populated, tmp_path):
-    # vault/state.json is not signed: give Bob's health vid Alice's master
-    dep, alice_master = populated["dep"], populated["master"]
+def _saved_with_bob(populated, tmp_path) -> tuple[Deployment, str]:
+    """``populated`` saved with a second subject, Bob, who has a record and no consent."""
+    dep = populated["dep"]
     bob_master = dep.vault.register_master({"name": "bob"})
     bob = dep.vault.derive_vid(bob_master, "health").vid
     dep.vault.derive_vid(bob_master, REGISTRY_DOMAIN)
     dep.silos["health"].put_record(bob, {"bp": "135/90", "visits": "1"})
     dep.state_dir = tmp_path / "state"
     dep.save()
+    return dep, bob
+
+
+def _edit_vids(dep: Deployment, edit) -> None:
+    """Apply ``edit`` to each stored vid mapping of ``vault/state.json``, which is not signed."""
     path = dep.state_dir / "vault" / "state.json"
     state = json.loads(path.read_text())
     for virtual in state["vids"]:
-        if virtual["vid"] == bob:
-            virtual["master_id"] = alice_master
+        edit(virtual)
     path.write_text(json.dumps(state))
 
+
+def test_a_vid_remapped_to_another_master_fails_the_load(populated, tmp_path):
+    dep, bob = _saved_with_bob(populated, tmp_path)
+    _edit_vids(dep, lambda v: v.update(master_id=populated["master"]) if v["vid"] == bob else None)
+    with pytest.raises(EncodingError, match=r"state\.json: vid mappings are not one-to-one"):
+        Deployment(state_dir=dep.state_dir)
+
+
+def test_swapped_vids_fail_their_first_use_and_release_nothing(populated, tmp_path):
+    dep, bob = _saved_with_bob(populated, tmp_path)
+    alice, alice_master = populated["vid"], populated["master"]
+    bob_master = dep.vault.master_for_vid("health", bob)
+    swap = {alice: bob_master, bob: alice_master}
+    _edit_vids(dep, lambda v: v.update(master_id=swap[v["vid"]]) if v["vid"] in swap else None)
+
     reloaded = Deployment(state_dir=dep.state_dir)
-    result = reloaded.gate.submit(make_request(reloaded, populated, subjects=[bob]))
-    assert result.decision.reason == DenyReason.CONSENT and result.ticket is None
-    assert reloaded.vault.master_for_vid("health", bob) is None
-    assert reloaded.vault.registry_vid_of("health", bob, REGISTRY_DOMAIN) is None
-    assert reloaded.vault.vid_if_derived(alice_master, "health") is None
+    with pytest.raises(EncodingError, match=r"state\.json: a stored health vid does not re-derive"):
+        reloaded.gate.submit(make_request(reloaded, populated, subjects=[bob]))
+    assert reloaded.gate.tickets == {} and reloaded.gate.plaintext_releases == 0
+
+
+def test_a_loaded_vid_is_re_derived_once_per_process(populated, tmp_path, monkeypatch):
+    dep, _ = _saved_with_bob(populated, tmp_path)
+    reloaded = Deployment(state_dir=dep.state_dir)
+    derived = []
+    real = vault_module.derive_vid_value
+    monkeypatch.setattr(vault_module, "derive_vid_value",
+                        lambda *args: derived.append(args[2]) or real(*args))
+    for request_id in ("q1", "q2"):
+        result = reloaded.gate.submit(make_request(reloaded, populated, request_id=request_id))
+        assert result.decision.allowed
+    assert sorted(derived) == sorted(["health", REGISTRY_DOMAIN])
 
 
 # -- unlinkability ---------------------------------------------------------------------
