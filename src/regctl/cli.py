@@ -4,7 +4,8 @@ Every subcommand is a thin adapter over the library services, operating
 statefully against a shared state directory (``--state-dir`` or
 ``REGCTL_STATE_DIR``). Output is one result per line as ``key=value``.
 A subcommand checks its own arguments before it loads the deployment, so
-a malformed argument leaves the state directory untouched.
+a malformed argument leaves the state directory untouched. ``verify-logs``
+loads no deployment: it reads only ``keys/`` and the two ledger files.
 Exit codes: 0 success, 1 domain error (reason on stderr), 2 usage error.
 """
 
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import crypto, scenario as scenario_mod
-from .deploy import Deployment
+from .deploy import Deployment, identities, read_keys
 from .errors import RegctlError
 from .gate import AccessRequest
 from .ledger import verify_ledger_files
@@ -54,11 +55,16 @@ class _Cli:
         self._lock_file = None
         self._deployment: Deployment | None = None
 
-    def deployment(self) -> Deployment:
-        if self._deployment is None:
+    def lock(self) -> None:
+        """Hold the state directory's lock until ``finish``."""
+        if self._lock_file is None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
             self._lock_file = open(self.state_dir / ".lock", "w")
             fcntl.flock(self._lock_file, fcntl.LOCK_EX)
+
+    def deployment(self) -> Deployment:
+        if self._deployment is None:
+            self.lock()
             self._deployment = Deployment(seed=self.args.seed, clock_mode=self.args.clock,
                                           state_dir=self.state_dir)
             if self._deployment.clock.mode == "logical":
@@ -99,10 +105,8 @@ class _Cli:
             fields = field_spec(",".join(self.args.field))
         except ValueError as exc:
             raise RegctlError(f"field spec {exc}")
-        dep = self.deployment()
-        dep.vault.register_domain(self.args.domain)
-        dep.create_silo(SiloSchema(domain=self.args.domain, field_classes=fields,
-                                   contact_approved=self.args.contact_approved))
+        self.deployment().create_silo(SiloSchema(domain=self.args.domain, field_classes=fields,
+                                                 contact_approved=self.args.contact_approved))
         print(f"domain={self.args.domain}")
 
     def cmd_silo_put(self) -> None:
@@ -205,10 +209,15 @@ class _Cli:
             print(f"{key}={fields[key]}")
 
     def cmd_verify_logs(self) -> int:
-        dep = self.deployment()
+        """Check the two ledger files against the public identities of the
+        state directory's keys; no deployment is loaded, nothing is saved."""
+        seeds = read_keys(self.state_dir)
+        if seeds is None:
+            raise RegctlError(f"no keys in {self.state_dir}")
+        self.lock()  # so that no save replaces one ledger file between the two reads
         check = verify_ledger_files(Path(self.args.regulator_log),
                                     Path(self.args.controller_log),
-                                    dep.regulator, dep.controller)
+                                    *identities(*seeds[:2]))
         for line in check.lines:
             print(line)
         return 0 if check.ok else 1

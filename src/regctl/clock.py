@@ -10,11 +10,11 @@ import time
 
 
 class Clock:
-    def __init__(self, mode: str = "real", start: int = 0):
+    def __init__(self, mode: str):
         if mode not in ("real", "logical"):
             raise ValueError(f"unknown clock mode: {mode}")
         self.mode = mode
-        self._tick = start
+        self._tick = 0
 
     def now(self) -> int:
         """Current time in whole seconds (real) or ticks (logical)."""

@@ -40,6 +40,21 @@ REGISTRY_DOMAIN = "registry"
 KEY_FILES = ("regulator.seed", "controller.seed", "vault.secret")  # hex, one key each
 
 
+def read_keys(state_dir: Path) -> tuple[bytes, ...] | None:
+    """The key seeds saved under ``state_dir/keys``, in KEY_FILES order; None if there are none."""
+    keys_dir = state_dir / "keys"
+    if not (keys_dir / KEY_FILES[0]).exists():
+        return None
+    return tuple(bytes.fromhex((keys_dir / name).read_text()) for name in KEY_FILES)
+
+
+def identities(regulator_seed: bytes,
+               controller_seed: bytes) -> tuple[SigningIdentity, SigningIdentity]:
+    """The regulator's and the controller's signing identities."""
+    return (SigningIdentity.generate("regulator-1", Role.REGULATOR, regulator_seed),
+            SigningIdentity.generate("controller-1", Role.CONTROLLER, controller_seed))
+
+
 class Deployment:
     def __init__(self, seed: int | None = None, clock_mode: str = "logical",
                  state_dir: Path | None = None):
@@ -52,8 +67,7 @@ class Deployment:
         self.clock = Clock(mode=clock_mode)
 
         reg_seed, ctrl_seed, vault_secret = self._load_or_create_keys()
-        self.regulator = SigningIdentity.generate("regulator-1", Role.REGULATOR, reg_seed)
-        self.controller = SigningIdentity.generate("controller-1", Role.CONTROLLER, ctrl_seed)
+        self.regulator, self.controller = identities(reg_seed, ctrl_seed)
 
         self._lock = threading.RLock()
         self.event_log = EventLog(self.regulator, self.controller, self.clock)
@@ -86,10 +100,8 @@ class Deployment:
         return secrets.token_bytes(n)
 
     def _load_or_create_keys(self) -> tuple[bytes, ...]:
-        if self.state_dir is not None and (self.state_dir / "keys" / KEY_FILES[0]).exists():
-            self._key_seeds = tuple(bytes.fromhex((self.state_dir / "keys" / name).read_text())
-                                    for name in KEY_FILES)
-        else:
+        self._key_seeds = read_keys(self.state_dir) if self.state_dir is not None else None
+        if self._key_seeds is None:
             self._key_seeds = tuple(self.rand_bytes(32) for _ in KEY_FILES)
             if self.state_dir is not None:
                 self._write_keys()
@@ -186,12 +198,16 @@ class Deployment:
     def _load_state(self) -> None:
         root = self.state_dir
         with self._lock:
-            clock_state = store.read_json(root / "clock.json")
-            if clock_state is not None and self.clock.mode == "logical" and clock_state["mode"] == "logical":
-                self.clock.set_tick(clock_state["tick"])
+            self.event_log.load(root / "ledgers")
+            if self.clock.mode == "logical":
+                # never behind the ledger: a rolled-back clock.json would
+                # revive expired windows, tickets and aliases
+                clock_state = store.read_json(root / "clock.json") or {"mode": "logical", "tick": 0}
+                saved = clock_state["tick"] if clock_state["mode"] == "logical" else 0
+                last = self.event_log.regulator_ledger.head()
+                self.clock.set_tick(max(saved, last.timestamp if last is not None else 0))
             self.vault.load_state(root / "vault")
             self.registry.load(root / "registry.journal")
-            self.event_log.load(root / "ledgers")
             self.share_store.load(root / "regulator_shares.json")
             self.gate.load_state(store.read_json(root / "gate.json") or {})
             self.notifier.load(root / "notifications.json")

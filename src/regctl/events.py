@@ -11,22 +11,15 @@ request id, and a replay reuses it), and neither need payloads (a request
 denied twice in one tick), so the log keeps every recorded payload and the
 bijection counts each (subject, event id) pair with its multiplicity.
 
-A save writes ``regulator.log``, ``controller.log``, ``events.log`` and
-``counters.json``, then, last, ``checkpoint.json``: for each of the three
-record streams the SHA-256 of the bytes just written, the record count
-and, for a ledger, its head hash, under an HMAC keyed from the controller's
-seed. A load holds each stream whose bytes match a checkpoint that
-verifies as those bytes, undecoded, and takes its tip from the checkpoint;
-any other file (no checkpoint, a wrong MAC or digest, a crash before the
-checkpoint was written) is read strictly, as it always was. Only
-``entries``, ``historical_heads`` and ``payloads`` decode held bytes, on
-first use, so a load and save cost O(change) and not O(history).
+The two ledgers and ``events.log`` are ``store.Stream``s under one
+checkpoint. Only ``entries``, ``historical_heads`` and ``payloads`` decode
+the bytes a load kept, on first use, so a load and save cost O(change) and
+not O(history).
 """
 
 from __future__ import annotations
 
 import enum
-import hmac
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,32 +102,6 @@ class Event:
         )
 
 
-CHECKPOINT = "checkpoint.json"
-_CHECKPOINT_KEY_TAG = "CKPTKEYv1"
-_CHECKPOINT_TAG = "CKPTv1"
-
-
-@dataclass(frozen=True)
-class FileMark:
-    """What the checkpoint records of one record stream the last save wrote."""
-
-    sha256: bytes
-    count: int
-    head: bytes  # a ledger's head hash; empty for events.log
-
-
-def _hold(path: Path, mark: FileMark | None) -> store.Held | None:
-    """The file at ``path`` as held bytes, if they are the records ``mark`` vouches for.
-
-    An empty stream is read strictly instead: there is nothing to skip, and
-    a held ledger must have a last entry for ``Ledger.head``.
-    """
-    if mark is None or mark.count == 0 or not path.exists():
-        return None
-    data = path.read_bytes()
-    return store.Held(path, data, mark.count) if crypto.sha256(data) == mark.sha256 else None
-
-
 class EventLog:
     """Paired ledgers + payload store, behind one record() call."""
 
@@ -142,22 +109,19 @@ class EventLog:
         self.regulator_ledger = Ledger(owner=regulator, counterpart=controller)
         self.controller_ledger = Ledger(owner=controller, counterpart=regulator)
         self.clock = clock
-        self._held_payloads: store.Held | None = None  # the first payloads, not yet decoded
-        self._payloads: list[bytes] = []  # every payload recorded after the held ones
+        self._payloads = store.Stream(bytes, bytes)  # payload i belongs to ledger entry i
         self._counters: dict[str, int] = {}
-        self._checkpoint_key = crypto.seed_key(controller, _CHECKPOINT_KEY_TAG)
+        self._checkpoint_key = crypto.seed_key(controller, "CKPTKEYv1")
 
     @property
     def payloads(self) -> list[bytes]:
-        """Every recorded payload, in record order; held ones decode strictly on first use."""
-        if self._held_payloads is not None:
-            payloads = list(self._held_payloads.records(bytes)) + self._payloads
-            self._held_payloads, self._payloads = None, payloads
-        return self._payloads
+        """Every recorded payload, in record order; kept ones decode strictly on first use."""
+        return self._payloads.records
 
-    def _ledgers(self) -> tuple[tuple[str, Ledger], ...]:
-        return (("regulator.log", self.regulator_ledger),
-                ("controller.log", self.controller_ledger))
+    def _streams(self) -> dict[str, store.Stream]:
+        return {"regulator.log": self.regulator_ledger.stream,
+                "controller.log": self.controller_ledger.stream,
+                "events.log": self._payloads}
 
     def next_event_id(self, prefix: str) -> str:
         self._counters[prefix] = self._counters.get(prefix, 0) + 1
@@ -183,14 +147,14 @@ class EventLog:
     # -- derived views ---------------------------------------------------------
 
     def events_from_ledger(self, ledger: Ledger) -> list[Event]:
-        by_digest = {crypto.sha256(p): p for p in self.payloads}
-        out = []
-        for entry in ledger.entries:
-            payload = by_digest.get(entry.payload_digest)
-            if payload is None:
-                raise EncodingError(f"no payload stored for ledger entry {entry.seq}")
-            out.append(Event.from_canonical(payload))
-        return out
+        """The event of each ledger entry: payload i of events.log belongs to entry i."""
+        entries, payloads = ledger.entries, self.payloads
+        if len(entries) != len(payloads):
+            raise EncodingError(f"{len(payloads)} payloads for {len(entries)} ledger entries")
+        for entry, payload in zip(entries, payloads):
+            if crypto.sha256(payload) != entry.payload_digest:
+                raise EncodingError(f"payload {entry.seq} is not the one its ledger entry commits to")
+        return [Event.from_canonical(payload) for payload in payloads]
 
     def expected_notification_pairs(self) -> Counter[tuple[str, str]]:
         """How often the regulator ledger says each (subject, event_id) pair must be notified."""
@@ -206,51 +170,14 @@ class EventLog:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        """Write the ledger pair, events.log and counters.json, then the
-        checkpoint: last, so it never vouches for a file not yet written."""
-        marks = {}
-        for name, ledger in self._ledgers():
-            data = ledger.file_bytes()
-            store.write_atomic(directory / name, data)
-            last_seq, head = ledger.tip()
-            marks[name] = FileMark(crypto.sha256(data), last_seq + 1, head)
-        held = self._held_payloads
-        data = store.encode_records(self._payloads)
-        count = len(self._payloads)
-        if held is not None:
-            data, count = held.data + data, held.count + count
-        store.write_atomic(directory / "events.log", data)
-        marks["events.log"] = FileMark(crypto.sha256(data), count, b"")
+        """Write counters.json, then the ledger pair and events.log under the checkpoint."""
         store.write_json(directory / "counters.json", self._counters)
-        files = {name: store.to_doc(mark) for name, mark in marks.items()}
-        store.write_json(directory / CHECKPOINT, {"files": files, "mac": self._mac(files).hex()})
+        store.save_streams(directory, self._streams(), self._checkpoint_key)
 
     def load(self, directory: Path) -> None:
-        """Hold each file the checkpoint vouches for; read any other strictly."""
-        marks = self._read_checkpoint(directory / CHECKPOINT)
-        for name, ledger in self._ledgers():
-            held = _hold(directory / name, marks.get(name))
-            if held is None:
-                ledger.load(directory / name)
-            else:
-                ledger.hold(held, marks[name].head)
+        """Load into a log that holds no event yet: the streams the checkpoint
+        vouches for are kept undecoded, any other is read strictly."""
+        store.load_streams(directory, self._streams(), self._checkpoint_key)
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
-        self._held_payloads = _hold(directory / "events.log", marks.get("events.log"))
-        if self._held_payloads is None:
-            self._payloads = store.read_records(directory / "events.log", bytes)
         self._counters.update(store.read_json(directory / "counters.json") or {})
-
-    def _mac(self, files: dict) -> bytes:
-        return crypto.prf_derive(self._checkpoint_key, _CHECKPOINT_TAG, store.json_bytes(files))
-
-    def _read_checkpoint(self, path: Path) -> dict[str, FileMark]:
-        """The file marks of the checkpoint at ``path``; none unless its MAC verifies."""
-        try:
-            doc = store.read_json(path)
-            files, mac = doc["files"], bytes.fromhex(doc["mac"])
-        except (ValueError, TypeError, KeyError):  # no file reads as None
-            return {}
-        if not hmac.compare_digest(mac, self._mac(files)):
-            return {}
-        return {name: store.from_doc(FileMark, mark) for name, mark in files.items()}

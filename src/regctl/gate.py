@@ -138,8 +138,7 @@ class Gate:
                  registry: Registry, share_store: RegulatorShareStore,
                  silos: Mapping[str, Silo], event_log: EventLog, clock: Clock,
                  registry_vid_of: Callable[[str, str], str | None],
-                 rand_bytes: Callable[[int], bytes] | None = None,
-                 lock: threading.RLock | None = None):
+                 rand_bytes: Callable[[int], bytes], lock: threading.RLock):
         self.regulator = regulator
         self.controller = controller
         self.registry = registry
@@ -148,12 +147,12 @@ class Gate:
         self.event_log = event_log
         self.clock = clock
         self.registry_vid_of = registry_vid_of
-        self._rand = rand_bytes or secrets.token_bytes
+        self._rand = rand_bytes
         self._seen_nonces: dict[bytes, int] = {}  # nonce -> its request's timestamp
         self._consumed: dict[tuple[str, str], int] = {}  # (ticket, record) -> ticket expiry
         self.tickets: dict[str, AccessTicket] = {}
         self.plaintext_releases = 0
-        self._lock = lock or threading.RLock()
+        self._lock = lock
 
     # -- helpers ---------------------------------------------------------------
 

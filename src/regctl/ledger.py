@@ -13,16 +13,19 @@ covers a prefix of them, and the chain hashes and the file stores them
 whole, so an entry is checked once, when it is read, and never
 re-encoded.
 
-File format: a ``store`` record stream of canonical entry bytes. Loading
-is strict, so any byte-level tampering of a ledger file is reported even
-when the change only touches encoding slack. The one exception is a file
-whose bytes a MAC'd checkpoint records (see ``events``): those are exactly
-what this deployment saved, so the ledger holds them undecoded and decodes
-them strictly on first use.
+File format: a ``store`` record stream of canonical entry bytes, held as a
+``store.Stream``. Loading is strict, so any byte-level tampering of a
+ledger file is reported even when the change only touches encoding slack.
+The one exception is a file whose bytes the MAC'd checkpoint records (see
+``store``): those are exactly what this deployment saved, so the ledger
+keeps them undecoded until ``entries`` or ``historical_heads`` is first
+asked for. ``head`` and ``tip`` decode the last line alone: the head hash
+follows from the last entry (``head_hash``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,52 +131,37 @@ class Divergence:
         return f"Divergence(seq_a={self.seq_a}, seq_b={self.seq_b}, {self.reason})"
 
 
+def head_hash(entry: LogEntry | None) -> bytes:
+    """The head hash of a ledger whose last entry is ``entry``; ZERO_HASH when empty."""
+    return ZERO_HASH if entry is None else crypto.chain_hash(entry.prev_hash, entry.canonical)
+
+
 class Ledger:
     """Single-writer hash chain. It takes no lock: callers serialise appends
-    (``EventLog.record`` runs under its deployment's lock).
-
-    A ledger loaded from a file the checkpoint vouches for (``hold``) keeps
-    that file's bytes and its head hash, and decodes them only when
-    ``entries`` or ``historical_heads`` is first asked for; ``head`` decodes
-    the last line alone, and a save writes the held bytes back unchanged.
-    """
+    (``EventLog.record`` runs under its deployment's lock)."""
 
     def __init__(self, owner: SigningIdentity, counterpart: SigningIdentity):
         self.owner = owner
         self.counterpart = counterpart
-        self._held: store.Held | None = None  # the first entries, not yet decoded
-        self._entries: list[LogEntry] = []  # every entry after the held ones
-        self._head: bytes | None = ZERO_HASH  # None until derived from the entries
+        self.stream = store.Stream(LogEntry.from_canonical, operator.attrgetter("canonical"))
         self._verified_heads: list[bytes] | None = None  # from an intact verify_chain
         self._seen_counterpart_seq = -1
         self._seen_counterpart_hash = ZERO_HASH
 
     @property
     def entries(self) -> list[LogEntry]:
-        """Every entry, in order; held entries are decoded strictly on first use."""
-        if self._held is not None:
-            self._entries[:0] = self._held.records(LogEntry.from_canonical)
-            self._held = None
-        return self._entries
-
-    def _count(self) -> int:
-        return len(self._entries) + (self._held.count if self._held is not None else 0)
+        """Every entry, in order; kept entries are decoded strictly on first use."""
+        return self.stream.records
 
     # -- heads ---------------------------------------------------------------
 
     def head(self) -> LogEntry | None:
         """The last signed entry, the commitment handed to the counterpart."""
-        if self._entries:
-            return self._entries[-1]
-        if self._held is not None:
-            return LogEntry.from_canonical(self._held.last())
-        return None
+        return self.stream.last()
 
     def tip(self) -> tuple[int, bytes]:
         """The last sequence number and head hash, unsigned."""
-        if self._head is None:
-            self._head = self.historical_heads()[-1]
-        return self._count() - 1, self._head
+        return len(self.stream) - 1, head_hash(self.head())
 
     def historical_heads(self) -> list[bytes]:
         """Every head hash this chain has ever presented, genesis included.
@@ -192,9 +180,8 @@ class Ledger:
 
     def _check_counterpart_head(self, head: LogEntry | None) -> tuple[int, bytes]:
         """Verify the counterpart's last entry; return its (seq, head hash)."""
-        if head is None:
-            seq, head_hash = -1, ZERO_HASH
-        else:
+        seq = -1
+        if head is not None:
             try:
                 ok = (head.signer_key_id == self.counterpart.key_id
                       and crypto.verify(self.counterpart, head.signing_payload(), head.signature))
@@ -202,14 +189,15 @@ class Ledger:
                 ok = False
             if not ok:
                 raise StaleCrossHead("counterpart head signature does not verify")
-            seq, head_hash = head.seq, crypto.chain_hash(head.prev_hash, head.canonical)
+            seq = head.seq
+        cross_head = head_hash(head)
         if seq < self._seen_counterpart_seq:
             raise StaleCrossHead(
                 f"counterpart head seq {seq} older than last exchanged {self._seen_counterpart_seq}"
             )
-        if seq == self._seen_counterpart_seq and head_hash != self._seen_counterpart_hash:
+        if seq == self._seen_counterpart_seq and cross_head != self._seen_counterpart_hash:
             raise StaleCrossHead("counterpart head conflicts with last exchanged head")
-        return seq, head_hash
+        return seq, cross_head
 
     def append(self, payload_digest: bytes, counterpart_head: LogEntry | None,
                timestamp: int) -> LogEntry:
@@ -228,8 +216,7 @@ class Ledger:
             signer_key_id=self.owner.key_id,
             signature=crypto.sign(self.owner, payload),
         )
-        self._entries.append(entry)
-        self._head = crypto.chain_hash(prev, entry.canonical)
+        self.stream.append(entry)
         self._verified_heads = None
         self._seen_counterpart_seq = cross_seq
         self._seen_counterpart_hash = cross_head
@@ -266,13 +253,8 @@ class Ledger:
 
     # -- persistence -----------------------------------------------------------
 
-    def file_bytes(self) -> bytes:
-        """The ledger file: the held bytes as they were read, then each later entry."""
-        new = store.encode_records(entry.canonical for entry in self._entries)
-        return new if self._held is None else self._held.data + new
-
     def save(self, path: Path) -> None:
-        store.write_atomic(path, self.file_bytes())
+        store.write_atomic(path, self.stream.file_bytes())
 
     def load(self, path: Path) -> None:
         """Replace the chain with a saved ledger file (strictly read)."""
@@ -280,14 +262,8 @@ class Ledger:
 
     def load_entries(self, entries: list[LogEntry]) -> None:
         """Replace the chain; its head hash is derived when first needed."""
-        self._held, self._entries = None, list(entries)
-        self._head = self._verified_heads = None
-
-    def hold(self, held: store.Held, head_hash: bytes) -> None:
-        """Replace the chain with a saved ledger file of at least one entry
-        whose head hash the checkpoint vouches for; nothing is decoded."""
-        self._held, self._entries = held, []
-        self._head, self._verified_heads = head_hash, None
+        self.stream.replace(entries)
+        self._verified_heads = None
 
 
 def parse_ledger_lines(raw: str) -> tuple[list[LogEntry], int | None]:

@@ -34,14 +34,14 @@ class Notification:
 
 
 class Notifier:
-    def __init__(self, event_log: EventLog, lock: threading.RLock | None = None):
+    def __init__(self, event_log: EventLog, lock: threading.RLock):
         self._event_log = event_log
         self._boxes: dict[str, list[Notification]] = {}
         self._shown = 0  # payloads of the log already shown in the mailboxes
         self._total = 0  # notifications in the mailboxes
         self._delivered: dict[str, int] = {}
         self._unchecked: Path | None = None  # the file of delivered counts not yet checked
-        self._lock = lock or threading.RLock()
+        self._lock = lock
 
     def enqueue(self, event: Event) -> None:
         """Show ``event`` in its subjects' mailboxes, if it is one they must learn about."""

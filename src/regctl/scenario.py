@@ -18,17 +18,19 @@ from __future__ import annotations
 
 import base64
 import shlex
+import shutil
 import tempfile
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
-from . import crypto
+from . import crypto, store
 from .crypto import Holder, KeyShare
 from .deploy import REGISTRY_DOMAIN, Deployment
 from .errors import (
     DecryptFailure,
+    EncodingError,
     InsufficientPopulation,
     RegctlError,
     ScenarioReferenceError,
@@ -45,6 +47,8 @@ from .vault import derive_vid_value
 MASTERS = "masters"
 DOMAINS = "domains"
 HANDLE_LISTS = {MASTERS: "master", DOMAINS: "domain"}
+
+VAULT_STATE = Path("vault", "state.json")  # in a state directory
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,7 @@ RULES: dict[str, _Rule] = {
                                types={**_REQUEST, "master": "master"},
                                handler="_attack_access_after_optout"),
     "WeakIdSmuggle": _Rule(handler="_attack_weak_id"),
+    "RemapVid": _Rule(handler="_attack_remap_vid"),
 }
 
 ATTACK_KINDS = tuple(name for name, rule in RULES.items() if rule.handler)
@@ -449,7 +454,7 @@ class _Runner:
         self.handles: dict[str, dict[str, object]] = defaultdict(dict)
         self.sentinels: list[str] = []
         self.submit_count = 0
-        self.truncations: list[tuple[str, int]] = []
+        self.deferred: list[Callable[[Path], None]] = []  # attacks on the saved state
         self.outcomes: list[StepOutcome] = []
         self.attacks: list[AttackOutcome] = []
 
@@ -654,7 +659,10 @@ class _Runner:
         side = step.arg("side", "controller")
         count = int(step.arg("count", "1"))
         # applied against a copy at verification time; the live pair stays honest
-        self.truncations.append((side, count))
+        self.deferred.append(lambda state_dir: self._verify_truncation(side, count))
+
+    def _attack_remap_vid(self, step: Step) -> None:
+        self.deferred.append(self._verify_remap)
 
     def _attack_forge_ticket(self, step: Step) -> None:
         dep = self.deployment
@@ -777,8 +785,8 @@ class _Runner:
         results.append(InvariantResult(
             "registry-signatures", dep.registry.verify_stored_objects(), ""))
 
-        for side, count in self.truncations:
-            self._verify_truncation(side, count)
+        for attack in self.deferred:
+            attack(state_dir)
         results.append(InvariantResult(
             "attack-coverage", all(a.caught for a in self.attacks),
             f"attacks={len(self.attacks)}"))
@@ -849,6 +857,46 @@ class _Runner:
             "TruncateLedger", divergence is not None,
             str(divergence) if divergence else "truncation not detected",
             extra={"side": side, "count": str(count)}))
+
+    def _verify_remap(self, state_dir: Path) -> None:
+        """Remap a vid in copies of the saved vault state, which no signature
+        covers. Pointed at another subject's master, the load must refuse it;
+        swapped with that subject's, its first use must."""
+        doc = store.read_json(state_dir / VAULT_STATE)
+        a, b = next(((a, b) for i, a in enumerate(doc["vids"]) for b in doc["vids"][i + 1:]
+                     if a["domain"] == b["domain"]), (None, None))
+        if a is None:
+            self.attacks.append(AttackOutcome("RemapVid", False, "no two vids share a domain"))
+            return
+        masters = a["master_id"], b["master_id"]
+        outcomes = []
+        with tempfile.TemporaryDirectory(prefix="regctl-remap-") as tmp:
+            for stage, remapped in (("load", (masters[1], masters[1])), ("use", masters[::-1])):
+                a["master_id"], b["master_id"] = remapped
+                copy = Path(tmp) / stage
+                shutil.copytree(state_dir, copy)
+                store.write_json(copy / VAULT_STATE, doc)
+                outcomes.append((stage, *_remap_refusal(copy, a["domain"], a["vid"])))
+        self.attacks.append(AttackOutcome(
+            "RemapVid", all(stage == refused_at for stage, refused_at, _ in outcomes),
+            "; ".join(detail for _, _, detail in outcomes)))
+
+
+def _remap_refusal(state_dir: Path, domain: str, vid: str) -> tuple[str | None, str]:
+    """Where loading ``state_dir`` and then resolving ``vid`` in ``domain``
+    was refused with an EncodingError naming its vault/state.json ("load",
+    "use" or None), and what happened."""
+    stage = "load"
+    try:
+        dep = Deployment(state_dir=state_dir)
+        stage = "use"
+        dep.vault.master_for_vid(domain, vid)
+    except EncodingError as exc:
+        prefix = f"{state_dir / VAULT_STATE}: "
+        if str(exc).startswith(prefix):
+            return stage, f"{stage} refused: {str(exc).removeprefix(prefix)}"
+        return None, f"{stage} refused without naming {VAULT_STATE.as_posix()}"
+    return None, "accepted"
 
 
 def _split(value: str | None) -> list[str]:

@@ -16,10 +16,11 @@ directory, fsynced, then renamed over the target, so a crash leaves each
 file either as it was or as it was to become. A file that already holds
 exactly the bytes to write is left alone.
 
-A record stream whose bytes something else vouches for (the ledger
-checkpoint) can be ``Held``: kept as its file bytes, decoded strictly only
-when its records are first needed, and written back as those bytes
-followed by any new records.
+In memory a record stream is a ``Stream``: the bytes a load kept,
+undecoded, then the records appended since. A load keeps only bytes the
+checkpoint vouches for: each stream's SHA-256 and record count, which
+``save_streams`` writes last, under an HMAC. An older checkpoint that
+also records a ledger head verifies as stored and is read for the rest.
 """
 
 from __future__ import annotations
@@ -29,14 +30,16 @@ import binascii
 import dataclasses
 import enum
 import functools
+import hmac
 import json
 import operator
 import os
 import tempfile
 import typing
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Generic, Iterable, TypeVar
 
+from . import crypto
 from .errors import EncodingError, RegctlError
 
 T = TypeVar("T")
@@ -123,21 +126,103 @@ def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> lis
     return records
 
 
-@dataclasses.dataclass(frozen=True)
-class Held:
-    """The bytes of the record stream at ``path``, holding ``count`` records,
-    kept undecoded because a checkpoint vouches that a save wrote them."""
+class Stream(Generic[T]):
+    """A record stream: the bytes a load kept, undecoded, then the records
+    appended since. ``decode`` and ``encode`` turn a record's bytes into its
+    value and back."""
 
-    path: Path
-    data: bytes
+    def __init__(self, decode: Callable[[bytes], T], encode: Callable[[T], bytes]):
+        self._decode = decode
+        self._encode = encode
+        self.replace(())
+
+    def replace(self, records: Iterable[T]) -> None:
+        self._path = Path()
+        self._kept = b""  # the loaded file's bytes, until decoded
+        self._kept_count = 0
+        self._kept_last: T | None = None  # the last kept record, once decoded
+        self._records = list(records)  # every record after the kept ones
+
+    def load(self, path: Path, mark: FileMark | None) -> None:
+        """Replace the stream with the file at ``path``: kept undecoded if
+        ``mark`` vouches for its bytes, else read strictly; a missing file is empty."""
+        data = path.read_bytes() if path.exists() else b""
+        if mark is None or crypto.sha256(data) != mark.sha256:
+            self.replace(decode_records(path, data, self._decode))
+        else:
+            self.replace(())
+            self._path, self._kept, self._kept_count = path, data, mark.count
+
+    def __len__(self) -> int:
+        return self._kept_count + len(self._records)
+
+    @property
+    def records(self) -> list[T]:
+        """Every record, in order; kept bytes are decoded strictly on first use."""
+        if self._kept:
+            self._records[:0] = decode_records(self._path, self._kept, self._decode)
+            self._kept, self._kept_count = b"", 0
+        return self._records
+
+    def last(self) -> T | None:
+        """The last record, None if there is none; a kept one is decoded once."""
+        if self._records:
+            return self._records[-1]
+        if self._kept and self._kept_last is None:
+            line = self._kept[self._kept.rfind(b"\n", 0, -1) + 1:]
+            self._kept_last = self._decode(binascii.a2b_base64(line))
+        return self._kept_last
+
+    def append(self, record: T) -> None:
+        self._records.append(record)
+
+    def file_bytes(self) -> bytes:
+        """The stream's file: the kept bytes as they were read, then each later record."""
+        return self._kept + encode_records(map(self._encode, self._records))
+
+
+# -- the checkpoint ------------------------------------------------------------------
+
+CHECKPOINT = "checkpoint.json"
+_CHECKPOINT_TAG = "CKPTv1"
+
+
+@dataclasses.dataclass(frozen=True)
+class FileMark:
+    """What the checkpoint records of one record stream a save wrote."""
+
+    sha256: bytes
     count: int
 
-    def records(self, decode: Callable[[bytes], T]) -> list[T]:
-        return decode_records(self.path, self.data, decode)
 
-    def last(self) -> bytes:
-        """The last record's bytes; the stream holds at least one."""
-        return binascii.a2b_base64(self.data[self.data.rfind(b"\n", 0, -1) + 1:])
+def save_streams(directory: Path, streams: dict[str, Stream], key: bytes) -> None:
+    """Write each stream to its file in ``directory``, then the checkpoint
+    under an HMAC keyed by ``key``: last, so it never vouches for a file not
+    yet written."""
+    files = {}
+    for name, stream in streams.items():
+        data = stream.file_bytes()
+        write_atomic(directory / name, data)
+        files[name] = to_doc(FileMark(crypto.sha256(data), len(stream)))
+    write_json(directory / CHECKPOINT, {"files": files, "mac": _checkpoint_mac(key, files).hex()})
+
+
+def load_streams(directory: Path, streams: dict[str, Stream], key: bytes) -> None:
+    """Load each stream from its file in ``directory``, keeping the bytes of
+    those the checkpoint vouches for; none unless its MAC verifies."""
+    try:
+        doc = read_json(directory / CHECKPOINT)
+        files, mac = doc["files"], bytes.fromhex(doc["mac"])
+    except (ValueError, TypeError, KeyError):  # no file reads as None
+        files, mac = {}, b""
+    if not hmac.compare_digest(mac, _checkpoint_mac(key, files)):
+        files = {}
+    for name, stream in streams.items():
+        stream.load(directory / name, from_doc(FileMark, files[name]) if name in files else None)
+
+
+def _checkpoint_mac(key: bytes, files: dict) -> bytes:
+    return crypto.prf_derive(key, _CHECKPOINT_TAG, json_bytes(files))
 
 
 # -- JSON documents ------------------------------------------------------------------

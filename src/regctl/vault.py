@@ -19,7 +19,6 @@ route to a master's real number while active.
 from __future__ import annotations
 
 import re
-import secrets
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,15 +81,14 @@ class AliasGrant:
 class Vault:
     def __init__(self, secret: bytes, clock: Clock, event_log: EventLog,
                  regulator: SigningIdentity,
-                 rand_bytes: Callable[[int], bytes] | None = None,
-                 lock: threading.RLock | None = None):
+                 rand_bytes: Callable[[int], bytes], lock: threading.RLock):
         if len(secret) != 32:
             raise SignatureError("vault secret must be 32 bytes")
         self._secret = secret
         self.clock = clock
         self.event_log = event_log
         self.regulator = regulator
-        self._rand = rand_bytes or secrets.token_bytes
+        self._rand = rand_bytes
         self.masters: dict[str, MasterRecord] = {}
         self._attr_index: dict[tuple[tuple[str, str], ...], str] = {}
         self.domains: list[str] = []
@@ -99,7 +97,7 @@ class Vault:
         self._unchecked: set[tuple[str, str]] = set()  # loaded (master_id, domain) not yet re-derived
         self._state_path: Path | None = None
         self._aliases: dict[str, list[AliasGrant]] = {}
-        self._lock = lock or threading.RLock()
+        self._lock = lock
 
     # -- registration ----------------------------------------------------------
 

@@ -180,6 +180,24 @@ def test_verify_logs_ok_and_detects_tamper(capsys, state, tmp_path):
     assert stdout.splitlines()[0] == f"regulator_chain=parse_error_at:{line}"
 
 
+def test_verify_logs_reads_only_keys_and_writes_nothing(capsys, state, tmp_path):
+    world = bootstrap(capsys, state)
+    invoke(capsys, *seeded(state, "submit", "--request-id", "q1", "--program", "p1",
+                           "--auth", world["auth"], "--domain", "health",
+                           "--subjects", world["vid"], "--classes", "health,other",
+                           "--purpose", "CARE_AUDIT"))
+    ledgers = Path(state) / "ledgers"
+    argv = ["verify-logs", str(ledgers / "regulator.log"), str(ledgers / "controller.log")]
+    before = {p: p.read_bytes() for p in Path(state).rglob("*") if p.is_file()}
+    assert invoke(capsys, *seeded(state, *argv)) == (
+        0, "regulator_chain=ok\ncontroller_chain=ok\ncross=ok\n", "")
+    assert {p: p.read_bytes() for p in Path(state).rglob("*") if p.is_file()} == before
+
+    code, stdout, stderr = invoke(capsys, *seeded(str(tmp_path / "empty"), *argv))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error=no keys in ")
+
+
 def test_alias_and_route(capsys, state):
     world = bootstrap(capsys, state)
     code, stdout, _ = invoke(capsys, *seeded(state, "vault", "alias",

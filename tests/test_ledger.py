@@ -224,6 +224,26 @@ def test_events_log_reload_is_strict(pair, tmp_path, damage):
         reloaded.load(tmp_path)
 
 
+def test_events_log_payloads_pair_with_ledger_entries_by_position(pair, tmp_path):
+    fill(pair, 3)
+    pair.event_log.save(tmp_path)
+    (tmp_path / "checkpoint.json").unlink()
+    path = tmp_path / "events.log"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0], lines[1] = lines[1], lines[0]
+    path.write_text("".join(lines))
+
+    reloaded = EventLog(pair.regulator, pair.controller, pair.clock)
+    reloaded.load(tmp_path)
+    with pytest.raises(EncodingError, match="payload 0 is not the one its ledger entry"):
+        reloaded.events_from_ledger(reloaded.regulator_ledger)
+    path.write_text("".join(lines[1:]))
+    reloaded = EventLog(pair.regulator, pair.controller, pair.clock)
+    reloaded.load(tmp_path)
+    with pytest.raises(EncodingError, match="2 payloads for 3 ledger entries"):
+        reloaded.events_from_ledger(reloaded.regulator_ledger)
+
+
 def test_every_byte_mutation_of_small_ledger_file_detected(tmp_path):
     dep = Deployment(seed=62, state_dir=tmp_path / "state")
     fill(dep, 10)

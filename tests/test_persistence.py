@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
 from regctl.cli import main as cli_main
-from regctl.crypto import SHARE_BYTES, Holder, KeyShare, sha256
+from regctl.crypto import SHARE_BYTES, Holder, KeyShare, prf_derive, seed_key, sha256
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError, TicketConsumed, TicketExpired
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest, AccessTicket
@@ -26,6 +26,7 @@ from regctl.registry import (
     Authorization,
     DeletionObligation,
     DeletionProof,
+    DenyReason,
     ProgramManifest,
 )
 from regctl.scenario import load_scenario, run
@@ -404,6 +405,44 @@ def test_held_submit_decodes_one_last_entry_per_ledger_at_most(tmp_path, monkeyp
     assert cli_main(commands[0]) == 0
     assert decoded["from_canonical"] <= 2
     assert not set(streams) & set(STREAMS)
+
+
+def test_a_checkpoint_that_still_records_heads_loads_held(tmp_path, monkeypatch):
+    # checkpoints used to record each ledger's head hash (empty for events.log)
+    state, commands = _cli_state(tmp_path)
+    dep = Deployment(state_dir=state)
+    path = state / "ledgers" / "checkpoint.json"
+    files = json.loads(path.read_text())["files"]
+    files["regulator.log"]["head"] = dep.event_log.regulator_ledger.tip()[1].hex()
+    files["controller.log"]["head"] = dep.event_log.controller_ledger.tip()[1].hex()
+    files["events.log"]["head"] = ""
+    mac = prf_derive(seed_key(dep.controller, "CKPTKEYv1"), "CKPTv1", store.json_bytes(files))
+    path.write_bytes(store.json_bytes({"files": files, "mac": mac.hex()}))
+
+    decoded = count_calls(monkeypatch, "from_canonical", owner=LogEntry)
+    streams = []
+    real_decode = store.decode_records
+    monkeypatch.setattr(store, "decode_records",
+                        lambda path, *args: streams.append(path.name) or real_decode(path, *args))
+    assert cli_main(commands[0]) == 0
+    assert decoded["from_canonical"] <= 2
+    assert not set(streams) & set(STREAMS)
+    assert "head" not in json.loads(path.read_text())["files"]["regulator.log"]
+
+
+def test_a_rolled_back_clock_json_does_not_reopen_an_expired_window(tmp_path):
+    state = tmp_path / "state"
+    dep = Deployment(seed=98, state_dir=state)
+    world = _working_world(dep)
+    world["auth"] = dep.registry.grant(dep.controller.key_id, Scope("health", ("health",), "read"),
+                                       "CARE_AUDIT", Basis.LEGAL, 0, 5)
+    dep.clock.set_tick(6)
+    assert _submit(dep, world, "q1").decision.reason is DenyReason.WINDOW
+    dep.save()
+    store.write_json(state / "clock.json", {"mode": "logical", "tick": 2})
+    reloaded = Deployment(state_dir=state)
+    assert reloaded.clock.now() == 6
+    assert _submit(reloaded, world, "q2").decision.reason is DenyReason.WINDOW
 
 
 @pytest.mark.parametrize("checkpoint", ["stale", "digests without a MAC"])
