@@ -8,6 +8,10 @@ ciphertext and metadata, and decryption happens in the gate's open path.
 
 Opt-out deletion destroys the ciphertext and both shares and produces a
 dual-signed proof over the destroyed record ids.
+
+A silo's and the share store's save encode nothing while their files still
+carry the stat stamp of the last load or save and no change came since
+(``store.stamp``).
 """
 
 from __future__ import annotations
@@ -122,11 +126,13 @@ class RegulatorShareStore:
 
     def __init__(self):
         self._shares: dict[str, KeyShare] = {}
+        self._stamp: store.Stamp | None = None  # of the file that holds these shares
 
     def deposit(self, record_id: str, share: KeyShare) -> None:
         if share.holder is not Holder.REGULATOR:
             raise SchemaError("only regulator shares can be deposited")
         self._shares[record_id] = share
+        self._stamp = None
 
     def get(self, record_id: str) -> KeyShare | None:
         return self._shares.get(record_id)
@@ -134,15 +140,20 @@ class RegulatorShareStore:
     def destroy(self, record_id: str) -> bool:
         """Erase a share; True confirms it is gone."""
         self._shares.pop(record_id, None)
+        self._stamp = None
         return record_id not in self._shares
 
     def save(self, path: Path) -> None:
-        data = {rid: s.share.hex() for rid, s in self._shares.items()}
-        store.write_json(path, data)
+        if store.unchanged(self._stamp, path):
+            return
+        store.write_json(path, {rid: s.share.hex() for rid, s in self._shares.items()})
+        self._stamp = store.stamp(path)
 
     def load(self, path: Path) -> None:
-        for rid, hexshare in (store.read_json(path) or {}).items():
-            self._shares[rid] = KeyShare(bytes.fromhex(hexshare), Holder.REGULATOR)
+        """Replace the held shares with the file's."""
+        self._stamp = store.stamp(path)
+        self._shares = {rid: KeyShare(bytes.fromhex(hexshare), Holder.REGULATOR)
+                        for rid, hexshare in (store.read_json(path) or {}).items()}
 
 
 class Silo:
@@ -157,7 +168,8 @@ class Silo:
         self.clock = clock
         self.event_log = event_log
         self._rand = rand_bytes or secrets.token_bytes
-        self.records: dict[str, SiloRecord] = {}
+        self._records: dict[str, SiloRecord] = {}
+        self._stamp: store.Stamp | None = None  # of the schema.json and records.log of this silo
         self._lock = lock or threading.RLock()
 
     @property
@@ -179,7 +191,7 @@ class Silo:
         with self._lock:
             while True:
                 record_id = "R" + self._rand(6).hex()
-                if record_id not in self.records:
+                if record_id not in self._records:
                     break
             controller_share = KeyShare(self._rand(32), Holder.CONTROLLER)
             regulator_share = KeyShare(self._rand(32), Holder.REGULATOR)
@@ -189,8 +201,9 @@ class Silo:
                 key, crypto.record_nonce(record_id), plaintext,
                 record_aad(record_id, vid, self.domain),
             )
-            self.records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share,
-                                                 self.clock.now())
+            self._records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share,
+                                                  self.clock.now())
+            self._stamp = None
             self.share_store.deposit(record_id, regulator_share)
             return record_id
 
@@ -198,26 +211,26 @@ class Silo:
 
     def list_records(self) -> list[tuple[str, str]]:
         with self._lock:
-            return [(r.record_id, r.vid) for r in self.records.values()]
+            return [(r.record_id, r.vid) for r in self._records.values()]
 
     def records_for_vid(self, vid: str) -> list[str]:
         with self._lock:
-            return [r.record_id for r in self.records.values() if r.vid == vid]
+            return [r.record_id for r in self._records.values() if r.vid == vid]
 
     def fetch_ciphertext(self, record_id: str) -> bytes:
-        record = self.records.get(record_id)
+        record = self._records.get(record_id)
         if record is None:
             raise NotFound(f"record {record_id} not found")
         return record.ciphertext
 
     def controller_share(self, record_id: str) -> KeyShare:
-        record = self.records.get(record_id)
+        record = self._records.get(record_id)
         if record is None:
             raise NotFound(f"record {record_id} not found")
         return record.controller_share
 
     def vid_of(self, record_id: str) -> str:
-        record = self.records.get(record_id)
+        record = self._records.get(record_id)
         if record is None:
             raise NotFound(f"record {record_id} not found")
         return record.vid
@@ -239,8 +252,9 @@ class Silo:
         if not crypto.verify(regulator, obligation.signing_payload(), obligation.signature):
             raise NotFound(f"obligation {obligation.obligation_id} signature invalid")
         with self._lock:
+            self._stamp = None
             for rid in doomed:
-                del self.records[rid]
+                del self._records[rid]
             for rid in doomed:
                 if not self.share_store.destroy(rid):
                     raise SchemaError(f"regulator share for {rid} not confirmed destroyed")
@@ -259,14 +273,22 @@ class Silo:
     # -- persistence --------------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        store.write_json(directory / "schema.json", store.to_doc(self.schema))
+        paths = directory / "schema.json", directory / "records.log"
+        if store.unchanged(self._stamp, *paths):
+            return
+        store.write_json(paths[0], store.to_doc(self.schema))
         # by record id, so the file does not give away creation order
-        records = [self.records[rid].canonical_bytes() for rid in sorted(self.records)]
-        store.write_records(directory / "records.log", records)
+        records = [self._records[rid].canonical_bytes() for rid in sorted(self._records)]
+        store.write_records(paths[1], records)
+        self._stamp = store.stamp(*paths)
 
     def load_records(self, directory: Path) -> None:
-        for record in store.read_records(directory / "records.log", SiloRecord.from_canonical):
-            self.records[record.record_id] = record
+        """Replace the silo's records with those of ``records.log``; the
+        schema is the one the silo was built with, read by ``load_schema``."""
+        paths = directory / "schema.json", directory / "records.log"
+        self._stamp = store.stamp(*paths)
+        self._records = {record.record_id: record for record in
+                         store.read_records(paths[1], SiloRecord.from_canonical)}
 
     @staticmethod
     def load_schema(directory: Path) -> SiloSchema:

@@ -16,6 +16,15 @@ directory, fsynced, then renamed over the target, so a crash leaves each
 file either as it was or as it was to become. A file that already holds
 exactly the bytes to write is left alone.
 
+A service whose state changes rarely skips even encoding it: it keeps the
+``stamp`` of the files that hold exactly its state in memory, taken before
+a load reads them and after a save writes them, forgets it on every change,
+and saves nothing while the files still carry that stamp. A stamp is the
+files' device, inode, size and modification and change times, so a file
+replaced behind the process no longer matches and is rewritten from memory;
+only an edit in place that keeps the size, within the file system's
+timestamp granularity, would go unseen.
+
 In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes the
 checkpoint vouches for: each stream's SHA-256 and record count, which
@@ -64,6 +73,24 @@ def write_atomic(path: Path, data: bytes) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+Stamp = tuple[tuple[int, int, int, int, int], ...]
+
+
+def stamp(*paths: Path) -> Stamp | None:
+    """The stat stamp of ``paths``: each file's device, inode, size, mtime
+    and ctime in nanoseconds; None when one of them is missing."""
+    try:
+        return tuple((s.st_dev, s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns)
+                     for s in map(os.stat, paths))
+    except FileNotFoundError:
+        return None
+
+
+def unchanged(kept: Stamp | None, *paths: Path) -> bool:
+    """True when ``kept`` is a stamp and the files at ``paths`` still carry it."""
+    return kept is not None and stamp(*paths) == kept
 
 
 # -- record streams --------------------------------------------------------------

@@ -11,6 +11,8 @@ ledgers and told to the subject.
 ``state.json`` is not signed, so its vid mappings must be one-to-one to
 load, and each is trusted only once the vault secret re-derives it, on its
 first use in a process; one that does not re-derive raises EncodingError.
+A save encodes nothing while ``state.json`` still carries the stat stamp of
+the last load or save and no change came since (``store.stamp``).
 
 The vault also issues short-lived alias phone numbers (prefix "99") that
 route to a master's real number while active.
@@ -96,6 +98,7 @@ class Vault:
         self._vid_index: dict[tuple[str, str], str] = {}       # (domain, vid) -> master_id
         self._unchecked: set[tuple[str, str]] = set()  # loaded (master_id, domain) not yet re-derived
         self._state_path: Path | None = None
+        self._stamp: store.Stamp | None = None  # of the state.json that holds this state
         self._aliases: dict[str, list[AliasGrant]] = {}
         self._lock = lock
 
@@ -107,6 +110,7 @@ class Vault:
         with self._lock:
             if domain not in self.domains:
                 self.domains.append(domain)
+                self._stamp = None
 
     def register_master(self, attributes: dict[str, str]) -> str:
         if not attributes:
@@ -121,6 +125,7 @@ class Vault:
                     break
             self.masters[master_id] = MasterRecord(master_id, dict(attributes), self.clock.now())
             self._attr_index[frozen] = master_id
+            self._stamp = None
             return master_id
 
     # -- virtual ids ----------------------------------------------------------
@@ -145,6 +150,7 @@ class Vault:
                                 derivation_counter=counter)
             self._vids[(master_id, domain)] = virtual
             self._vid_index[(domain, vid)] = master_id
+            self._stamp = None
             return virtual
 
     def vid_exists(self, domain: str, vid: str) -> bool:
@@ -259,6 +265,7 @@ class Vault:
             grant = AliasGrant(alias_number=alias, real_number=real,
                                issued_at=now, expires_at=now + ttl_seconds)
             self._aliases.setdefault(alias, []).append(grant)
+            self._stamp = None
             self._log_vault_event(EventKind.VAULT_ROUTE, [], f"alias issued ttl={ttl_seconds}")
             return grant
 
@@ -281,17 +288,22 @@ class Vault:
     # -- persistence ---------------------------------------------------------------
 
     def save(self, directory: Path) -> None:
+        path = directory / "state.json"
+        if store.unchanged(self._stamp, path):
+            return
         state = {
             "domains": self.domains,
             "masters": [vars(m) for m in self.masters.values()],
             "vids": [vars(v) for v in self._vids.values()],
             "aliases": [vars(g) for grants in self._aliases.values() for g in grants],
         }
-        store.write_json(directory / "state.json", state)
+        store.write_json(path, state)
+        self._stamp = store.stamp(path)
 
     def load_state(self, directory: Path) -> None:
         """Read ``state.json`` into a vault that holds no vid yet."""
         self._state_path = directory / "state.json"
+        self._stamp = store.stamp(self._state_path)
         state = store.read_json(self._state_path)
         if state is None:
             return

@@ -30,6 +30,7 @@ from regctl.registry import (
     ProgramManifest,
 )
 from regctl.scenario import load_scenario, run
+from regctl.silo import SiloRecord
 
 from conftest import count_calls
 
@@ -332,6 +333,82 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
             break
     assert k == len(calls) + 1  # every write was interrupted once
     assert len(calls) >= len(changed)
+
+
+def _cli(capsys, state: Path, *argv: str) -> dict[str, str]:
+    """Run one seeded CLI command on ``state``; its key=value output."""
+    assert cli_main(["--state-dir", str(state), "--seed", "99", *argv]) == 0
+    return dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
+
+
+def _cli_world(run) -> dict[str, str]:
+    """Build a world by CLI commands, each run by ``run(*argv)``, which
+    returns the command's output. The commands change the vault in every
+    way (a domain, a master, a vid, an alias), a silo and the share store.
+    Returns the ticket of an allowed submit, the record it covers and the
+    subject's registry vid."""
+    run("purpose", "add", "CARE_AUDIT")
+    run("silo", "create", "--domain", "health", "--field", "bp:health")
+    master = run("vault", "register", "name=oracle", "real_phone=0012")["master_id"]
+    vid = run("vault", "derive", "--master", master, "--domain", "health")["vid"]
+    run("vault", "alias", "--master", master, "--ttl", "100")
+    record = run("silo", "put", "--domain", "health", "--vid", vid, "bp=120/80")["record_id"]
+    run("program", "sign", "--program-id", "p1", "--artifact-text", "v1",
+        "--purpose", "CARE_AUDIT", "--domain", "health", "--classes", "health")
+    auth = run("grant", "--grantee", "controller", "--domain", "health", "--classes", "health",
+               "--purpose", "CARE_AUDIT", "--basis", "Legal", "--from", "0",
+               "--until", "1000")["auth_id"]
+    # the submit derives the subject's registry vid to check consent
+    ticket = run("submit", "--request-id", "q1", "--program", "p1", "--auth", auth,
+                 "--domain", "health", "--subjects", vid, "--classes", "health",
+                 "--purpose", "CARE_AUDIT")["ticket_id"]
+    subject = run("vault", "derive", "--master", master, "--domain", REGISTRY_DOMAIN)["vid"]
+    return {"ticket": ticket, "record": record, "subject": subject}
+
+
+def test_skipped_saves_leave_the_bytes_every_save_encoding_leaves(tmp_path, capsys, monkeypatch):
+    stamped, encoded = tmp_path / "stamped", tmp_path / "encoded"
+
+    def run(*argv: str) -> dict[str, str]:
+        out = _cli(capsys, stamped, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "stamp", lambda *paths: None)  # no stamp ever matches
+            _cli(capsys, encoded, *argv)
+        assert _snapshot(encoded) == _snapshot(stamped), argv
+        return out
+
+    world = _cli_world(run)
+    run("open", "--ticket", world["ticket"], "--record", world["record"])
+    run("consent", "give", "--subject", world["subject"], "--purpose", "CARE_AUDIT")
+    run("consent", "optout", "--subject", world["subject"], "--purpose", "CARE_AUDIT")
+    assert (stamped / "silos" / "health" / "records.log").read_bytes() == b""
+
+
+def test_open_and_consent_give_encode_no_vault_silo_or_share_store(tmp_path, capsys, monkeypatch):
+    state = tmp_path / "state"
+    world = _cli_world(lambda *argv: _cli(capsys, state, *argv))
+    files = [state / name for name in
+             ("vault/state.json", "silos/health/records.log", "regulator_shares.json")]
+    stamp = store.stamp(*files)
+    encoded = count_calls(monkeypatch, "canonical_bytes", owner=SiloRecord)
+    _cli(capsys, state, "open", "--ticket", world["ticket"], "--record", world["record"])
+    _cli(capsys, state, "consent", "give", "--subject", world["subject"], "--purpose", "CARE_AUDIT")
+    assert encoded["canonical_bytes"] == 0
+    assert store.stamp(*files) == stamp
+
+
+@pytest.mark.parametrize("name", ["vault/state.json", "silos/health/records.log"])
+def test_a_file_replaced_behind_a_loaded_deployment_is_rewritten(tmp_path, name):
+    state = tmp_path / "state"
+    dep = Deployment(seed=96, state_dir=state)
+    _working_world(dep)
+    dep.save()
+    loaded = Deployment(state_dir=state)
+    path = state / name
+    own = path.read_bytes()
+    store.write_atomic(path, b"x" * len(own))
+    loaded.save()
+    assert path.read_bytes() == own
 
 
 def _cli_state(tmp_path) -> tuple[Path, list[list[str]]]:

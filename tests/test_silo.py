@@ -12,7 +12,7 @@ from regctl.crypto import Holder, KeyShare
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import DecryptFailure, NotFound, SchemaError, WeakIdentifierRejected
 from regctl.scenario import load_scenario, run
-from regctl.silo import Silo, decode_fields, encode_fields, record_aad
+from regctl.silo import RegulatorShareStore, Silo, decode_fields, encode_fields, record_aad
 
 from conftest import count_calls
 
@@ -130,6 +130,27 @@ def test_record_file_round_trip(dep, tmp_path):
     assert reloaded.list_records() == silo.list_records()
     record_id = silo.list_records()[0][0]
     assert reloaded.fetch_ciphertext(record_id) == silo.fetch_ciphertext(record_id)
+
+
+def test_a_second_load_holds_exactly_the_files_records_and_shares(dep, tmp_path):
+    _, vid = enroll(dep)
+    silo = dep.silos["health"]
+    first = silo.put_record(vid, {"bp": "120/80"})
+    silo.save(tmp_path / "one")
+    dep.share_store.save(tmp_path / "one.json")
+    second = silo.put_record(vid, {"bp": "110/70"})
+    silo.save(tmp_path / "two")
+    dep.share_store.save(tmp_path / "two.json")
+
+    shares = RegulatorShareStore()
+    shares.load(tmp_path / "two.json")
+    shares.load(tmp_path / "one.json")
+    assert shares.get(first) == dep.share_store.get(first)
+    assert shares.get(second) is None
+    reloaded = Silo(silo.schema, shares, dep.vault.vid_exists, dep.clock, dep.event_log)
+    reloaded.load_records(tmp_path / "two")
+    reloaded.load_records(tmp_path / "one")
+    assert reloaded.list_records() == [(first, vid)]
 
 
 # -- deletion ---------------------------------------------------------------------------
