@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import crypto, scenario as scenario_mod
 from .deploy import Deployment, identities, read_keys
-from .errors import RegctlError
+from .errors import EncodingError, RegctlError
 from .gate import AccessRequest
 from .ledger import verify_ledger_files
 from .registry import Basis, Scope
@@ -56,7 +56,7 @@ class _Cli:
         self._deployment: Deployment | None = None
 
     def lock(self) -> None:
-        """Hold the state directory's lock until ``finish``."""
+        """Hold the state directory's lock until ``release``."""
         if self._lock_file is None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
             self._lock_file = open(self.state_dir / ".lock", "w")
@@ -71,9 +71,11 @@ class _Cli:
                 self._deployment.clock.advance(1)
         return self._deployment
 
-    def finish(self) -> None:
+    def save(self) -> None:
         if self._deployment is not None:
             self._deployment.save()
+
+    def release(self) -> None:
         if self._lock_file is not None:
             fcntl.flock(self._lock_file, fcntl.LOCK_UN)
             self._lock_file.close()
@@ -352,16 +354,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cli = _Cli(args)
         result = getattr(cli, method_name)()
-        cli.finish()
+        cli.save()
         return int(result) if result is not None else 0
+    except EncodingError as exc:
+        # a state file failed its check: save nothing, so the files stay as
+        # they were found and no half-run command is written back
+        print(f"error={exc}", file=sys.stderr)
+        return 1
     except RegctlError as exc:
         if cli is not None:
             try:
-                cli.finish()
+                cli.save()
             except RegctlError:
                 pass
         print(f"error={exc}", file=sys.stderr)
         return 1
+    finally:
+        if cli is not None:
+            cli.release()
 
 
 if __name__ == "__main__":

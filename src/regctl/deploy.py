@@ -6,6 +6,18 @@ knows how to persist the lot under a state directory (and reload it), so
 the CLI can operate statefully across invocations and the scenario runner
 can snapshot a run for byte-level inspection.
 
+A command reaches few services, so a deployment loads only the services it
+reaches. Loading a state directory reads the keys, the event log (whose
+last entry restores the clock) and the notifier's counts at once. The
+registry, the vault, the regulator share store, the silos and the gate are
+each built and loaded when first reached, once, under the deployment lock,
+and a save writes only the services that were built: one never built still
+holds exactly what its files hold. Each file is still read strictly and in
+full before anything that depends on it runs. The gate prunes the state it
+loads at the clock reading of the last save, with the filter a save applies,
+so a ``gate.json`` left unwritten by commands that never reached the gate
+loads as those saves would have written it.
+
 It also hosts the one cross-service workflow: opt-out deletion, which
 walks every silo holding the subject's data, issues one regulator-signed
 obligation per silo, erases records and shares on both sides, and attaches
@@ -24,6 +36,7 @@ import random
 import secrets
 import threading
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
 from . import store
 from .clock import Clock
@@ -38,6 +51,8 @@ from .vault import Vault
 
 REGISTRY_DOMAIN = "registry"
 KEY_FILES = ("regulator.seed", "controller.seed", "vault.secret")  # hex, one key each
+
+T = TypeVar("T")
 
 
 def read_keys(state_dir: Path) -> tuple[bytes, ...] | None:
@@ -66,25 +81,86 @@ class Deployment:
         self._rng = random.Random(seed) if seed is not None else None
         self.clock = Clock(mode=clock_mode)
 
-        reg_seed, ctrl_seed, vault_secret = self._load_or_create_keys()
+        reg_seed, ctrl_seed, self._vault_secret = self._load_or_create_keys()
         self.regulator, self.controller = identities(reg_seed, ctrl_seed)
 
         self._lock = threading.RLock()
         self.event_log = EventLog(self.regulator, self.controller, self.clock)
         self.notifier = Notifier(self.event_log, lock=self._lock)
-        self.registry = Registry(self.regulator, self.clock, self.event_log,
-                                 subjects_in_scope=self._subjects_in_scope, lock=self._lock)
-        self.share_store = RegulatorShareStore()
-        self.vault = Vault(vault_secret, self.clock, self.event_log,
-                           regulator=self.regulator, rand_bytes=self.rand_bytes, lock=self._lock)
-        self.vault.register_domain(REGISTRY_DOMAIN)
-        self.silos: dict[str, Silo] = {}
-        self.gate = Gate(self.regulator, self.controller, self.registry, self.share_store,
-                         self.silos, self.event_log, self.clock,
-                         registry_vid_of=self._registry_vid_of, rand_bytes=self.rand_bytes,
-                         lock=self._lock)
+        self._built: dict[str, Any] = {}  # service name -> the service, once reached
+        # the clock's reading at the save this deployment loaded; None when it loaded none
+        self._loaded_at: int | None = None
         if self.state_dir is not None:
             self._load_state()
+
+    # -- services, each built and loaded when first reached ---------------------------
+
+    def _reach(self, name: str, build: Callable[[], T]) -> T:
+        """The service ``name``, built by ``build`` the first time it is reached."""
+        with self._lock:
+            if name not in self._built:
+                self._built[name] = build()
+            return self._built[name]
+
+    @property
+    def registry(self) -> Registry:
+        return self._reach("registry", self._build_registry)
+
+    @property
+    def vault(self) -> Vault:
+        return self._reach("vault", self._build_vault)
+
+    @property
+    def share_store(self) -> RegulatorShareStore:
+        return self._reach("share_store", self._build_share_store)
+
+    @property
+    def silos(self) -> dict[str, Silo]:
+        return self._reach("silos", self._build_silos)
+
+    @property
+    def gate(self) -> Gate:
+        return self._reach("gate", self._build_gate)
+
+    def _build_registry(self) -> Registry:
+        registry = Registry(self.regulator, self.clock, self.event_log,
+                            subjects_in_scope=self._subjects_in_scope, lock=self._lock)
+        if self._loaded_at is not None:
+            registry.load(self.state_dir / "registry.journal")
+        return registry
+
+    def _build_vault(self) -> Vault:
+        vault = Vault(self._vault_secret, self.clock, self.event_log,
+                      regulator=self.regulator, rand_bytes=self.rand_bytes, lock=self._lock)
+        vault.register_domain(REGISTRY_DOMAIN)
+        if self._loaded_at is not None:
+            vault.load_state(self.state_dir / "vault")
+        return vault
+
+    def _build_share_store(self) -> RegulatorShareStore:
+        share_store = RegulatorShareStore()
+        if self._loaded_at is not None:
+            share_store.load(self.state_dir / "regulator_shares.json")
+        return share_store
+
+    def _build_silos(self) -> dict[str, Silo]:
+        silos: dict[str, Silo] = {}
+        if self._loaded_at is not None and (self.state_dir / "silos").exists():
+            for silo_dir in sorted(p for p in (self.state_dir / "silos").iterdir() if p.is_dir()):
+                silo = self._new_silo(Silo.load_schema(silo_dir))
+                silo.load_records(silo_dir)
+                silos[silo.domain] = silo
+        return silos
+
+    def _build_gate(self) -> Gate:
+        gate = Gate(self.regulator, self.controller, self, self.event_log, self.clock,
+                    registry_vid_of=self._registry_vid_of, rand_bytes=self.rand_bytes,
+                    lock=self._lock)
+        if self._loaded_at is not None:
+            # kept as the save that wrote the clock would have kept it: a
+            # command that never reached the gate left gate.json as it was
+            gate.load_state(store.read_json(self.state_dir / "gate.json") or {}, self._loaded_at)
+        return gate
 
     # -- randomness and keys ------------------------------------------------------
 
@@ -118,6 +194,9 @@ class Deployment:
     def _registry_vid_of(self, domain: str, vid: str) -> str | None:
         return self.vault.registry_vid_of(domain, vid, REGISTRY_DOMAIN)
 
+    def _vid_exists(self, domain: str, vid: str) -> bool:
+        return self.vault.vid_exists(domain, vid)
+
     def _subjects_in_scope(self, scope: Scope) -> list[str]:
         silo = self.silos.get(scope.domain)
         if silo is None:
@@ -136,7 +215,7 @@ class Deployment:
             return silo
 
     def _new_silo(self, schema: SiloSchema) -> Silo:
-        return Silo(schema, self.share_store, vid_exists=self.vault.vid_exists,
+        return Silo(schema, self.share_store, vid_exists=self._vid_exists,
                     clock=self.clock, event_log=self.event_log, rand_bytes=self.rand_bytes,
                     lock=self._lock)
 
@@ -179,41 +258,41 @@ class Deployment:
     # -- persistence -------------------------------------------------------------------------
 
     def save(self) -> None:
+        """Write the state directory. A service never reached holds exactly
+        what its files hold, so only the services reached are saved."""
         if self.state_dir is None:
             raise RegctlError("deployment has no state directory")
         root = self.state_dir
         with self._lock:
+            built = self._built
             self._write_keys()
-            self.vault.save(root / "vault")
-            self.registry.save(root / "registry.journal")
+            if "vault" in built:
+                self.vault.save(root / "vault")
+            if "registry" in built:
+                self.registry.save(root / "registry.journal")
             self.event_log.save(root / "ledgers")
-            self.share_store.save(root / "regulator_shares.json")
-            store.write_json(root / "gate.json", self.gate.state_dict())
+            if "share_store" in built:
+                self.share_store.save(root / "regulator_shares.json")
+            if "gate" in built:
+                store.write_json(root / "gate.json", self.gate.state_dict())
             self.notifier.save(root / "notifications.json")
-            for domain in sorted(self.silos):
-                self.silos[domain].save(root / "silos" / domain)
-            clock_state = {"mode": self.clock.mode, "tick": self.clock.now() if self.clock.mode == "logical" else 0}
-            store.write_json(root / "clock.json", clock_state)
+            for domain, silo in sorted(built.get("silos", {}).items()):
+                silo.save(root / "silos" / domain)
+            store.write_json(root / "clock.json", {"mode": self.clock.mode, "tick": self.clock.now()})
 
     def _load_state(self) -> None:
+        """Load what every command needs: the event log, the clock and the
+        notifier. Each other service is loaded when first reached."""
         root = self.state_dir
         with self._lock:
             self.event_log.load(root / "ledgers")
+            clock_state = store.read_json(root / "clock.json") or {"mode": self.clock.mode, "tick": 0}
+            saved = clock_state["tick"] if clock_state["mode"] == self.clock.mode else 0
             if self.clock.mode == "logical":
                 # never behind the ledger: a rolled-back clock.json would
                 # revive expired windows, tickets and aliases
-                clock_state = store.read_json(root / "clock.json") or {"mode": "logical", "tick": 0}
-                saved = clock_state["tick"] if clock_state["mode"] == "logical" else 0
                 last = self.event_log.regulator_ledger.head()
-                self.clock.set_tick(max(saved, last.timestamp if last is not None else 0))
-            self.vault.load_state(root / "vault")
-            self.registry.load(root / "registry.journal")
-            self.share_store.load(root / "regulator_shares.json")
-            self.gate.load_state(store.read_json(root / "gate.json") or {})
+                saved = max(saved, last.timestamp if last is not None else 0)
+                self.clock.set_tick(saved)
+            self._loaded_at = saved
             self.notifier.load(root / "notifications.json")
-            silos_root = root / "silos"
-            if silos_root.exists():
-                for silo_dir in sorted(p for p in silos_root.iterdir() if p.is_dir()):
-                    silo = self._new_silo(Silo.load_schema(silo_dir))
-                    silo.load_records(silo_dir)
-                    self.silos[silo.domain] = silo

@@ -13,7 +13,7 @@ from __future__ import annotations
 import secrets
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Protocol
 
 from . import crypto, store
 from .clock import Clock
@@ -133,17 +133,28 @@ class SubmitResult:
         return str(self.decision)
 
 
+class Services(Protocol):
+    """The services the gate reaches, each only when a call needs it: an
+    open needs no registry and no share store."""
+
+    @property
+    def registry(self) -> Registry: ...
+
+    @property
+    def share_store(self) -> RegulatorShareStore: ...
+
+    @property
+    def silos(self) -> Mapping[str, Silo]: ...
+
+
 class Gate:
     def __init__(self, regulator: SigningIdentity, controller: SigningIdentity,
-                 registry: Registry, share_store: RegulatorShareStore,
-                 silos: Mapping[str, Silo], event_log: EventLog, clock: Clock,
+                 services: Services, event_log: EventLog, clock: Clock,
                  registry_vid_of: Callable[[str, str], str | None],
                  rand_bytes: Callable[[int], bytes], lock: threading.RLock):
         self.regulator = regulator
         self.controller = controller
-        self.registry = registry
-        self.share_store = share_store
-        self.silos = silos
+        self._services = services
         self.event_log = event_log
         self.clock = clock
         self.registry_vid_of = registry_vid_of
@@ -158,7 +169,7 @@ class Gate:
 
     def _summary(self, request: AccessRequest, payload: bytes, scope: Scope | None,
                  decision: Decision) -> str:
-        auth = self.registry.authorizations.get(request.auth_id)
+        auth = self._services.registry.authorizations.get(request.auth_id)
         grantee = auth.grantee_key_id if auth else "-"
         rendered = scope.render() if scope else "-"
         request_digest = crypto.sha256(payload).hex()
@@ -195,20 +206,22 @@ class Gate:
             if abs(request.timestamp - now) > FRESHNESS_WINDOW_SECONDS:
                 return self._deny(request, payload, scope, DenyReason.STALE)
 
+            registry = self._services.registry
             for vid in request.subject_vids:
                 registry_vid = self.registry_vid_of(request.domain, vid) or ""
-                decision = self.registry.check(request.auth_id, request.content_digest, scope,
-                                               request.purpose_code, registry_vid, now)
+                decision = registry.check(request.auth_id, request.content_digest, scope,
+                                          request.purpose_code, registry_vid, now)
                 if not decision.allowed:
                     return self._deny(request, payload, scope, decision.reason)
 
             shares: dict[str, KeyShare] = {}
             if request.operation == "read":
-                silo = self.silos.get(request.domain)
+                silo = self._services.silos.get(request.domain)
                 if silo is not None:
+                    share_store = self._services.share_store
                     for vid in request.subject_vids:
                         for record_id in silo.records_for_vid(vid):
-                            share = self.share_store.get(record_id)
+                            share = share_store.get(record_id)
                             if share is not None:
                                 shares[record_id] = share
             subjects = sorted(set(request.subject_vids))
@@ -283,7 +296,7 @@ class Gate:
             if record_id not in ticket.regulator_shares:
                 raise refuse(ScopeViolation(f"record {record_id} outside ticket scope"))
 
-            silo = self.silos.get(ticket.granted_scope.domain)
+            silo = self._services.silos.get(ticket.granted_scope.domain)
             if silo is None:
                 raise refuse(NotFound(f"no silo for domain {ticket.granted_scope.domain}"))
             try:
@@ -314,7 +327,7 @@ class Gate:
     # -- runtime attestation -------------------------------------------------------
 
     def verify_program_runtime(self, program_id: str, content_digest: bytes) -> bool:
-        manifest = self.registry.manifests.get(program_id)
+        manifest = self._services.registry.manifests.get(program_id)
         if manifest is None:
             raise NotFound(f"program {program_id} has no manifest")
         return manifest.content_digest == content_digest
@@ -324,26 +337,31 @@ class Gate:
 
     # -- persistence -----------------------------------------------------------------
 
+    def _kept(self, now: int) -> tuple[dict, dict, dict]:
+        """The nonces, consumption marks and tickets a save at ``now`` keeps."""
+        # a nonce whose request is past the freshness window is refused as
+        # stale on replay, and open_record refuses an expired ticket before
+        # it looks at the marks, so neither need be kept
+        return ({n: ts for n, ts in self._seen_nonces.items()
+                 if ts + FRESHNESS_WINDOW_SECONDS >= now},
+                {key: exp for key, exp in self._consumed.items() if exp > now},
+                {tid: t for tid, t in self.tickets.items() if t.expires_at > now})
+
     def state_dict(self) -> dict:
-        now = self.clock.now()
-        live = {tid: t for tid, t in self.tickets.items() if t.expires_at > now}
+        nonces, consumed, tickets = self._kept(self.clock.now())
         return {
-            # a nonce whose request is past the freshness window is
-            # refused as stale on replay, so it need not be kept
-            "nonces": {n.hex(): ts for n, ts in self._seen_nonces.items()
-                       if ts + FRESHNESS_WINDOW_SECONDS >= now},
-            # open_record refuses an expired ticket before it looks at
-            # the marks, so only a live ticket's marks are kept
-            "consumed": sorted([t, r, exp] for (t, r), exp in self._consumed.items()
-                               if exp > now),
+            "nonces": {n.hex(): ts for n, ts in nonces.items()},
+            "consumed": sorted([t, r, exp] for (t, r), exp in consumed.items()),
             "tickets": [
                 {**store.to_doc(t),
                  "regulator_shares": {rid: s.share.hex() for rid, s in t.regulator_shares.items()}}
-                for t in live.values()
+                for t in tickets.values()
             ],
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, saved_at: int) -> None:
+        """Read a ``state_dict`` into a fresh gate, keeping what a save at
+        ``saved_at``, the clock reading of the last save, would have kept."""
         self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
         self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
         for t in state.get("tickets", []):
@@ -351,6 +369,7 @@ class Gate:
                 rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
                 for rid, h in t["regulator_shares"].items()})
             self.tickets[ticket.ticket_id] = ticket
+        self._seen_nonces, self._consumed, self.tickets = self._kept(saved_at)
 
     def drop_records_from_tickets(self, record_ids: set[str]) -> None:
         """Purge stored tickets that referenced now-deleted records."""

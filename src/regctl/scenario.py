@@ -883,14 +883,14 @@ class _Runner:
 
 
 def _remap_refusal(state_dir: Path, domain: str, vid: str) -> tuple[str | None, str]:
-    """Where loading ``state_dir`` and then resolving ``vid`` in ``domain``
-    was refused with an EncodingError naming its vault/state.json ("load",
-    "use" or None), and what happened."""
+    """Where loading ``state_dir`` and its vault and then resolving ``vid``
+    in ``domain`` was refused with an EncodingError naming its
+    vault/state.json ("load", "use" or None), and what happened."""
     stage = "load"
     try:
-        dep = Deployment(state_dir=state_dir)
+        vault = Deployment(state_dir=state_dir).vault
         stage = "use"
-        dep.vault.master_for_vid(domain, vid)
+        vault.master_for_vid(domain, vid)
     except EncodingError as exc:
         prefix = f"{state_dir / VAULT_STATE}: "
         if str(exc).startswith(prefix):

@@ -240,7 +240,7 @@ def load_streams(directory: Path, streams: dict[str, Stream], key: bytes) -> Non
     try:
         doc = read_json(directory / CHECKPOINT)
         files, mac = doc["files"], bytes.fromhex(doc["mac"])
-    except (ValueError, TypeError, KeyError):  # no file reads as None
+    except (EncodingError, ValueError, TypeError, KeyError):  # no file reads as None
         files, mac = {}, b""
     if not hmac.compare_digest(mac, _checkpoint_mac(key, files)):
         files = {}
@@ -263,10 +263,14 @@ def write_json(path: Path, doc: Any) -> None:
 
 
 def read_json(path: Path) -> Any:
-    """The document at ``path``, or None when there is no file."""
+    """The document at ``path``, or None when there is no file; a file that
+    is not a JSON document raises EncodingError."""
     if not path.exists():
         return None
-    return json.loads(path.read_bytes())
+    try:
+        return json.loads(path.read_bytes())
+    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise EncodingError(f"{path}: not a JSON document: {exc}") from None
 
 
 def to_doc(value: Any) -> dict:

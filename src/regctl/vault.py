@@ -8,9 +8,11 @@ cross-domain linkage exist, but only under a gate-issued ticket that names
 the subject, and every attempt, allowed or not, is committed to the audit
 ledgers and told to the subject.
 
-``state.json`` is not signed, so its vid mappings must be one-to-one to
-load, and each is trusted only once the vault secret re-derives it, on its
-first use in a process; one that does not re-derive raises EncodingError.
+``state.json`` is not signed, so the vault's load, which a deployment runs
+when a command first reaches the vault, refuses vid mappings that are not
+one-to-one, and each mapping is trusted only once the vault secret
+re-derives it, on its first use in a process; one that does not re-derive
+raises EncodingError.
 A save encodes nothing while ``state.json`` still carries the stat stamp of
 the last load or save and no change came since (``store.stamp``).
 

@@ -242,6 +242,19 @@ def test_missing_state_dir_is_domain_error(capsys, monkeypatch):
     assert "state directory" in stderr
 
 
+def test_a_state_file_that_is_not_json_is_reported_and_left_alone(capsys, state):
+    world = bootstrap(capsys, state)
+    gate = Path(state) / "gate.json"
+    gate.write_bytes(b"{")
+    code, _, stderr = invoke(capsys, *seeded(state, "submit", "--request-id", "q1",
+                                             "--program", "p1", "--auth", world["auth"],
+                                             "--domain", "health", "--subjects", world["vid"],
+                                             "--classes", "health", "--purpose", "CARE_AUDIT"))
+    assert code == 1
+    assert stderr.startswith(f"error={gate}: not a JSON document: ")
+    assert gate.read_bytes() == b"{"
+
+
 def test_run_scenario_exit_codes(capsys, state, tmp_path):
     scenario_dir = Path(__file__).parent.parent / "scenarios"
     code, stdout, _ = invoke(capsys, "--state-dir", state, "run-scenario",

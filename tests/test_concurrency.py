@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify
@@ -13,6 +14,8 @@ from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import NotFound, TicketConsumed
 from regctl.events import EventKind
 from regctl.gate import AccessRequest
+from regctl.registry import Registry
+from regctl.vault import Vault
 
 from conftest import make_request
 
@@ -163,6 +166,46 @@ def test_every_service_shares_the_deployment_lock(tmp_path):
         assert len(services) == 6
         assert all(s._lock is d._lock for s in services)
     assert reloaded._lock is not dep._lock
+
+
+def test_threads_reaching_an_unloaded_service_load_it_once(populated, tmp_path, monkeypatch):
+    dep = populated["dep"]
+    dep.state_dir = tmp_path
+    dep.save()
+    reloaded = Deployment(seed=42, state_dir=tmp_path)
+    loads = {"registry": 0, "vault": 0}
+
+    def slow(name, load):
+        def counted(*args):
+            loads[name] += 1
+            time.sleep(0.01)  # a window in which an unlocked getter builds twice
+            return load(*args)
+        return counted
+
+    monkeypatch.setattr(Registry, "load", slow("registry", Registry.load))
+    monkeypatch.setattr(Vault, "load_state", slow("vault", Vault.load_state))
+    start = threading.Barrier(8, timeout=5)
+    reached = []
+
+    def reach(i):
+        start.wait()
+        first, second = ("registry", "gate") if i % 2 else ("gate", "registry")
+        services = {name: getattr(reloaded, name) for name in (first, second, "vault")}
+        reached.append(tuple(id(services[name]) for name in ("registry", "gate", "vault")))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reach, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert loads == {"registry": 1, "vault": 1}
+    assert len(reached) == 8 and len(set(reached)) == 1
 
 
 def test_mixed_concurrent_calls_keep_the_ledgers_and_mailboxes_whole(populated):

@@ -404,6 +404,7 @@ def test_a_file_replaced_behind_a_loaded_deployment_is_rewritten(tmp_path, name)
     _working_world(dep)
     dep.save()
     loaded = Deployment(state_dir=state)
+    loaded.vault, loaded.silos  # each service loads its files when first reached
     path = state / name
     own = path.read_bytes()
     store.write_atomic(path, b"x" * len(own))
@@ -456,6 +457,13 @@ def test_held_load_equals_strict_load(tmp_path):
     assert held == _loaded_events(_without_checkpoint(state, tmp_path))
     tips, _, entries, payloads = held
     assert [seq for seq, _ in tips] == [len(e) - 1 for e in entries] == [len(payloads) - 1] * 2
+
+
+def test_a_checkpoint_that_is_not_json_loads_every_stream_strictly(tmp_path):
+    state, _ = _cli_state(tmp_path)
+    strict = _loaded_events(_without_checkpoint(state, tmp_path))
+    (state / "ledgers" / "checkpoint.json").write_bytes(b"{")
+    assert _loaded_events(state) == strict
 
 
 def test_commands_write_the_same_bytes_with_or_without_checkpoint(tmp_path):

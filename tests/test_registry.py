@@ -412,6 +412,8 @@ def test_reload_verifies_one_signature_and_signs_none(tmp_path, monkeypatch, con
     dep.save()
     calls = count_calls(monkeypatch, "sign", "verify")
     again = Deployment(seed=59, state_dir=state)
+    assert calls == {"sign": 0, "verify": 0}  # the registry loads when first reached
+    journal = again.registry.journal
     assert calls == {"sign": 0, "verify": 1}
-    assert again.registry.journal == dep.registry.journal
+    assert journal == dep.registry.journal
     assert len(again.event_log.regulator_ledger.entries) == 1

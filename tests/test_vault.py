@@ -280,7 +280,7 @@ def test_a_vid_remapped_to_another_master_fails_the_load(populated, tmp_path):
     dep, bob = _saved_with_bob(populated, tmp_path)
     _edit_vids(dep, lambda v: v.update(master_id=populated["master"]) if v["vid"] == bob else None)
     with pytest.raises(EncodingError, match=r"state\.json: vid mappings are not one-to-one"):
-        Deployment(state_dir=dep.state_dir)
+        Deployment(state_dir=dep.state_dir).vault
 
 
 def test_swapped_vids_fail_their_first_use_and_release_nothing(populated, tmp_path):
