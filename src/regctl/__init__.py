@@ -43,6 +43,6 @@ from .scenario import (
     scan_for_sentinels,
 )
 from .silo import RegulatorShareStore, Silo, SiloRecord, SiloSchema
-from .vault import AliasGrant, MasterRecord, Vault, VirtualId, derive_vid_value
+from .vault import AliasGrant, Vault, VirtualId, derive_vid_value
 
 __version__ = "0.1.0"

@@ -14,7 +14,9 @@ bijection counts each (subject, event id) pair with its multiplicity.
 The two ledgers and ``events.log`` are ``store.Stream``s under one
 checkpoint. Only ``entries``, ``historical_heads`` and ``payloads`` decode
 the bytes a load kept, on first use, so a load and save cost O(change) and
-not O(history).
+not O(history). A save writes nothing while no event was recorded and no
+event id drawn since the last load or save, and the five files still carry
+the stamp taken then (``store.stamp``).
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ class EventLog:
         self._payloads = store.Stream(bytes, bytes)  # payload i belongs to ledger entry i
         self._counters: dict[str, int] = {}
         self._checkpoint_key = crypto.seed_key(controller, "CKPTKEYv1")
+        self._stamp: store.Stamp | None = None  # of the files that hold this log
 
     @property
     def payloads(self) -> list[bytes]:
@@ -123,7 +126,11 @@ class EventLog:
                 "controller.log": self.controller_ledger.stream,
                 "events.log": self._payloads}
 
+    def _files(self, directory: Path) -> list[Path]:
+        return [directory / name for name in (*self._streams(), store.CHECKPOINT, "counters.json")]
+
     def next_event_id(self, prefix: str) -> str:
+        self._stamp = None
         self._counters[prefix] = self._counters.get(prefix, 0) + 1
         return f"{prefix}{self._counters[prefix]:05d}"
 
@@ -134,6 +141,7 @@ class EventLog:
         other's last signed entry, whose head hash becomes the
         cross-commitment, so an honest pair always cross-verifies.
         """
+        self._stamp = None
         now = self.clock.now()
         event = Event(kind=kind, event_id=event_id, timestamp=now,
                       subjects=tuple(subjects), summary=summary)
@@ -170,13 +178,19 @@ class EventLog:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        """Write counters.json, then the ledger pair and events.log under the checkpoint."""
+        """Write counters.json, then the ledger pair and events.log under the
+        checkpoint; nothing while the files still hold exactly this log."""
+        files = self._files(directory)
+        if store.unchanged(self._stamp, *files):
+            return
         store.write_json(directory / "counters.json", self._counters)
         store.save_streams(directory, self._streams(), self._checkpoint_key)
+        self._stamp = store.stamp(*files)
 
     def load(self, directory: Path) -> None:
         """Load into a log that holds no event yet: the streams the checkpoint
         vouches for are kept undecoded, any other is read strictly."""
+        self._stamp = store.stamp(*self._files(directory))
         store.load_streams(directory, self._streams(), self._checkpoint_key)
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())

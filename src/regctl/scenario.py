@@ -863,20 +863,20 @@ class _Runner:
         covers. Pointed at another subject's master, the load must refuse it;
         swapped with that subject's, its first use must."""
         doc = store.read_json(state_dir / VAULT_STATE)
-        a, b = next(((a, b) for i, a in enumerate(doc["vids"]) for b in doc["vids"][i + 1:]
-                     if a["domain"] == b["domain"]), (None, None))
-        if a is None:
+        domain = next((d for d in doc["domains"] if len(doc["vids"].get(d, [[]])[0]) >= 2), None)
+        if domain is None:
             self.attacks.append(AttackOutcome("RemapVid", False, "no two vids share a domain"))
             return
-        masters = a["master_id"], b["master_id"]
+        vids, master_ids, _ = doc["vids"][domain]  # the first two rows are remapped
+        masters = tuple(master_ids[:2])
         outcomes = []
         with tempfile.TemporaryDirectory(prefix="regctl-remap-") as tmp:
             for stage, remapped in (("load", (masters[1], masters[1])), ("use", masters[::-1])):
-                a["master_id"], b["master_id"] = remapped
+                master_ids[:2] = remapped
                 copy = Path(tmp) / stage
                 shutil.copytree(state_dir, copy)
                 store.write_json(copy / VAULT_STATE, doc)
-                outcomes.append((stage, *_remap_refusal(copy, a["domain"], a["vid"])))
+                outcomes.append((stage, *_remap_refusal(copy, domain, vids[0])))
         self.attacks.append(AttackOutcome(
             "RemapVid", all(stage == refused_at for stage, refused_at, _ in outcomes),
             "; ".join(detail for _, _, detail in outcomes)))

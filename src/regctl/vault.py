@@ -8,6 +8,21 @@ cross-domain linkage exist, but only under a gate-issued ticket that names
 the subject, and every attempt, allowed or not, is committed to the audit
 ledgers and told to the subject.
 
+``state.json`` holds the vault in columns, and memory holds it as the file
+does::
+
+    {"domains": [domain, ...],
+     "masters": {master_id: [created_at, attributes], ...},
+     "vids": {domain: [[vid, ...], [master_id, ...], [counter, ...]], ...},
+     "aliases": [alias grant, ...]}
+
+Row i of a domain's columns is one vid mapping: the vid, its master and the
+derivation counter that produced it. A load checks the document's shape and
+builds only the two lookup dicts over the columns; a ``VirtualId`` is built
+only to be returned, and the attribute index that refuses a duplicate
+master only on the first registration after a load. A save dumps the
+columns as they are held.
+
 ``state.json`` is not signed, so the vault's load, which a deployment runs
 when a command first reaches the vault, refuses vid mappings that are not
 one-to-one, and each mapping is trusted only once the vault secret
@@ -25,8 +40,10 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Iterable, get_type_hints
 
 from . import crypto, store
 from .clock import Clock
@@ -59,11 +76,9 @@ def derive_vid_value(secret: bytes, master_id: str, domain: str, counter: int) -
     return str(int.from_bytes(tag[:8], "big") % 10**VID_DIGITS).zfill(VID_DIGITS)
 
 
-@dataclass
-class MasterRecord:
-    master_id: str  # 16 bytes, hex form
-    attributes: dict[str, str]
-    created_at: int
+def _attribute_key(attributes: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    """The key two masters with the same attributes share."""
+    return tuple(sorted(attributes.items()))
 
 
 @dataclass(frozen=True)
@@ -93,11 +108,13 @@ class Vault:
         self.event_log = event_log
         self.regulator = regulator
         self._rand = rand_bytes
-        self.masters: dict[str, MasterRecord] = {}
-        self._attr_index: dict[tuple[tuple[str, str], ...], str] = {}
+        self.masters: dict[str, list] = {}  # master_id -> [created_at, attributes]
+        # attribute key -> master_id; None until the first registration after a load
+        self._attr_index: dict[tuple[tuple[str, str], ...], str] | None = {}
         self.domains: list[str] = []
-        self._vids: dict[tuple[str, str], VirtualId] = {}      # (master_id, domain)
-        self._vid_index: dict[tuple[str, str], str] = {}       # (domain, vid) -> master_id
+        self._columns: dict[str, list[list]] = {}  # domain -> [vids, master_ids, counters]
+        self._vids: dict[tuple[str, str], int] = {}  # (master_id, domain) -> row in its columns
+        self._vid_index: dict[tuple[str, str], str] = {}  # (domain, vid) -> master_id
         self._unchecked: set[tuple[str, str]] = set()  # loaded (master_id, domain) not yet re-derived
         self._state_path: Path | None = None
         self._stamp: store.Stamp | None = None  # of the state.json that holds this state
@@ -118,15 +135,18 @@ class Vault:
         if not attributes:
             raise MissingAttribute("attributes must be non-empty")
         with self._lock:
-            frozen = tuple(sorted(attributes.items()))
-            if frozen in self._attr_index:
+            if self._attr_index is None:
+                self._attr_index = {_attribute_key(attrs): master_id
+                                    for master_id, (_, attrs) in self.masters.items()}
+            key = _attribute_key(attributes)
+            if key in self._attr_index:
                 raise DuplicateMaster("identical attribute set already registered")
             while True:
                 master_id = self._rand(16).hex()
                 if master_id not in self.masters:
                     break
-            self.masters[master_id] = MasterRecord(master_id, dict(attributes), self.clock.now())
-            self._attr_index[frozen] = master_id
+            self.masters[master_id] = [self.clock.now(), dict(attributes)]
+            self._attr_index[key] = master_id
             self._stamp = None
             return master_id
 
@@ -135,43 +155,59 @@ class Vault:
     def derive_vid(self, master_id: str, domain: str) -> VirtualId:
         """Derive (or return the stored) virtual id for one master in one domain."""
         with self._lock:
-            if master_id not in self.masters:
-                raise NotFound(f"master {master_id} not registered")
-            if domain not in self.domains:
-                raise DomainUnregistered(f"domain {domain} not registered")
-            existing = self._stored(master_id, domain)
-            if existing is not None:
-                return existing
-            counter = 0
-            while True:
-                vid = derive_vid_value(self._secret, master_id, domain, counter)
-                if (domain, vid) not in self._vid_index:
-                    break
-                counter += 1
-            virtual = VirtualId(domain=domain, vid=vid, master_id=master_id,
-                                derivation_counter=counter)
-            self._vids[(master_id, domain)] = virtual
-            self._vid_index[(domain, vid)] = master_id
-            self._stamp = None
-            return virtual
+            return self._virtual(master_id, domain, self._derive(master_id, domain))
+
+    def _derive(self, master_id: str, domain: str) -> int:
+        """The row of ``master_id``'s mapping in ``domain``, derived if there is none."""
+        if master_id not in self.masters:
+            raise NotFound(f"master {master_id} not registered")
+        if domain not in self.domains:
+            raise DomainUnregistered(f"domain {domain} not registered")
+        row = self._stored(master_id, domain)
+        if row is not None:
+            return row
+        counter = 0
+        while True:
+            vid = derive_vid_value(self._secret, master_id, domain, counter)
+            if (domain, vid) not in self._vid_index:
+                break
+            counter += 1
+        vids, master_ids, counters = self._columns.setdefault(domain, [[], [], []])
+        row = len(vids)
+        vids.append(vid)
+        master_ids.append(master_id)
+        counters.append(counter)
+        self._vids[(master_id, domain)] = row
+        self._vid_index[(domain, vid)] = master_id
+        self._stamp = None
+        return row
+
+    def _virtual(self, master_id: str, domain: str, row: int) -> VirtualId:
+        vids, _, counters = self._columns[domain]
+        return VirtualId(domain=domain, vid=vids[row], master_id=master_id,
+                         derivation_counter=counters[row])
 
     def vid_exists(self, domain: str, vid: str) -> bool:
         return (domain, vid) in self._vid_index
 
-    def _stored(self, master_id: str, domain: str) -> VirtualId | None:
-        """The vid mapping of ``master_id`` in ``domain``, if there is one.
+    def _stored(self, master_id: str, domain: str) -> int | None:
+        """The row of the vid mapping of ``master_id`` in ``domain``, if there is one.
 
         A mapping read from ``state.json`` is re-derived from the vault
         secret on its first use, once per process.
         """
-        virtual = self._vids.get((master_id, domain))
-        if virtual is not None and (master_id, domain) in self._unchecked:
-            if virtual.vid != derive_vid_value(self._secret, master_id, domain,
-                                               virtual.derivation_counter):
+        row = self._vids.get((master_id, domain))
+        if row is not None and (master_id, domain) in self._unchecked:
+            vids, _, counters = self._columns[domain]
+            try:
+                rederived = derive_vid_value(self._secret, master_id, domain, counters[row])
+            except (ValueError, OverflowError):  # a master id not in hex, a negative counter
+                rederived = None
+            if vids[row] != rederived:
                 raise EncodingError(f"{self._state_path}: a stored {domain} vid does not "
                                     "re-derive from its master")
             self._unchecked.discard((master_id, domain))
-        return virtual
+        return row
 
     # -- authorized resolution --------------------------------------------------
 
@@ -218,7 +254,7 @@ class Vault:
             action = f"link {domain_a}->{domain_b}"
             master_id = self._authorize(action, ticket, "link", vid_a, domain_a, domain_b)
             self._log_vault_event(EventKind.VAULT_LINK, [vid_a], action)
-            return self._vids[(master_id, domain_b)]
+            return self._virtual(master_id, domain_b, self._vids[(master_id, domain_b)])
 
     # -- trusted plumbing (regulator-side wiring, not part of the public surface) --
 
@@ -233,7 +269,8 @@ class Vault:
             master_id = self.master_for_vid(domain, vid)
             if master_id is None:
                 return None
-            return self.derive_vid(master_id, registry_domain).vid
+            row = self._derive(master_id, registry_domain)
+            return self._columns[registry_domain][0][row]
 
     def master_for_vid(self, domain: str, vid: str) -> str | None:
         master_id = self._vid_index.get((domain, vid))
@@ -242,8 +279,8 @@ class Vault:
         return master_id
 
     def vid_if_derived(self, master_id: str, domain: str) -> str | None:
-        virtual = self._stored(master_id, domain)
-        return virtual.vid if virtual else None
+        row = self._stored(master_id, domain)
+        return None if row is None else self._columns[domain][0][row]
 
     # -- alias numbers -----------------------------------------------------------
 
@@ -252,7 +289,7 @@ class Vault:
             record = self.masters.get(master_id)
             if record is None:
                 raise NotFound(f"master {master_id} not registered")
-            real = record.attributes.get("real_phone")
+            real = record[1].get("real_phone")
             if real is None:
                 raise MissingAttribute("master has no real_phone attribute")
             if ttl_seconds <= 0:
@@ -295,31 +332,78 @@ class Vault:
             return
         state = {
             "domains": self.domains,
-            "masters": [vars(m) for m in self.masters.values()],
-            "vids": [vars(v) for v in self._vids.values()],
+            "masters": self.masters,
+            "vids": self._columns,
             "aliases": [vars(g) for grants in self._aliases.values() for g in grants],
         }
         store.write_json(path, state)
         self._stamp = store.stamp(path)
 
     def load_state(self, directory: Path) -> None:
-        """Read ``state.json`` into a vault that holds no vid yet."""
-        self._state_path = directory / "state.json"
-        self._stamp = store.stamp(self._state_path)
-        state = store.read_json(self._state_path)
+        """Read ``state.json`` into a vault that holds no vid yet; a document
+        of the wrong shape raises EncodingError."""
+        self._state_path = path = directory / "state.json"
+        self._stamp = store.stamp(path)
+        state = store.read_json(path)
         if state is None:
             return
-        self.domains = list(state["domains"])
-        for m in state["masters"]:
-            master = MasterRecord(**m)
-            self.masters[master.master_id] = master
-            self._attr_index[tuple(sorted(master.attributes.items()))] = master.master_id
-        for v in state["vids"]:
-            virtual = VirtualId(**v)
-            self._vids[(v["master_id"], v["domain"])] = virtual
-            self._vid_index[(v["domain"], v["vid"])] = v["master_id"]
-        if not len(self._vids) == len(self._vid_index) == len(state["vids"]):
-            raise EncodingError(f"{self._state_path}: vid mappings are not one-to-one")
+        try:
+            self.domains, self.masters, self._columns, grants = _parts(state)
+        except ValueError as exc:
+            raise EncodingError(f"{path}: not a vault state document: {exc}") from None
+        for domain, (vids, master_ids, _) in self._columns.items():
+            self._vid_index.update(zip(zip(repeat(domain), vids), master_ids, strict=True))
+            self._vids.update(zip(zip(master_ids, repeat(domain)), range(len(vids)), strict=True))
+        mappings = sum(len(vids) for vids, _, _ in self._columns.values())
+        if not len(self._vids) == len(self._vid_index) == mappings:
+            raise EncodingError(f"{path}: vid mappings are not one-to-one")
+        self._attr_index = None
         self._unchecked = set(self._vids)
-        for a in state["aliases"]:
-            self._aliases.setdefault(a["alias_number"], []).append(AliasGrant(**a))
+        for grant in grants:
+            self._aliases.setdefault(grant.alias_number, []).append(grant)
+
+
+_STATE_KEYS = ("domains", "masters", "vids", "aliases")
+_GRANT_TYPES = get_type_hints(AliasGrant)
+
+
+def _all(items: Iterable, kind: type) -> bool:
+    """Every item is exactly a ``kind``."""
+    return set(map(type, items)) <= {kind}
+
+
+def _check(holds: bool, problem: str) -> None:
+    if not holds:
+        raise ValueError(problem)
+
+
+def _parts(state: Any) -> tuple[list[str], dict[str, list], dict[str, list[list]],
+                                list[AliasGrant]]:
+    """The domains, masters, vid columns and alias grants of a ``state.json``
+    document; ValueError names the first part of the wrong shape."""
+    _check(type(state) is dict and state.keys() == set(_STATE_KEYS),
+           f"its keys are not {', '.join(_STATE_KEYS)}")
+    domains, masters, columns, aliases = (state[key] for key in _STATE_KEYS)
+    _check(type(domains) is list and _all(domains, str), "domains is not a list of names")
+    _check(type(masters) is dict, "masters is not an object")
+    records = masters.values()
+    _check(_all(records, list) and set(map(len, records)) <= {2}
+           and _all(map(itemgetter(0), records), int)
+           and _all(map(itemgetter(1), records), dict)
+           and _all(chain.from_iterable(map(dict.values, map(itemgetter(1), records))), str),
+           "a master is not [created_at, attributes]")
+    _check(type(columns) is dict and columns.keys() <= set(domains),
+           "vids is not an object of registered domains")
+    for domain, column in columns.items():
+        _check(type(column) is list and len(column) == 3 and _all(column, list)
+               and _all(column[0], str) and _all(column[1], str) and _all(column[2], int)
+               and masters.keys() >= set(column[1]),
+               f"the {domain} vids are not [[vid, ...], [master_id, ...], [counter, ...]] "
+               "of registered masters")
+        # a zip of unequal columns would drop the rows past the shortest
+        _check(len(set(map(len, column))) == 1, f"the {domain} columns differ in length")
+    _check(type(aliases) is list and _all(aliases, dict)
+           and all({key: type(value) for key, value in grant.items()} == _GRANT_TYPES
+                   for grant in aliases),
+           "aliases is not a list of alias grants")
+    return domains, masters, columns, [AliasGrant(**grant) for grant in aliases]

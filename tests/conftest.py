@@ -62,8 +62,8 @@ def count_calls(monkeypatch, *names: str, owner=crypto) -> dict[str, int]:
     (the ``crypto`` module unless given), from here on."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*args, _name=name, _original=getattr(owner, name)):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     return calls

@@ -7,6 +7,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from regctl import Basis, Deployment, Scope, SiloSchema, store
 from regctl.cli import _Cli, main as cli_main
 from regctl.deploy import REGISTRY_DOMAIN
@@ -170,9 +172,8 @@ def test_a_command_that_reaches_a_vault_file_failing_its_load_saves_nothing(tmp_
     vid = _out(_run(capsys, state, ["vault", "derive", "--master", other, "--domain", "health"]))["vid"]
     path = state / "vault" / "state.json"
     doc = json.loads(path.read_bytes())
-    for virtual in doc["vids"]:
-        if virtual["vid"] == vid:
-            virtual["master_id"] = world["master"]  # two health vids for one master
+    vids, master_ids, _ = doc["vids"]["health"]
+    master_ids[vids.index(vid)] = world["master"]  # two health vids for one master
     path.write_text(json.dumps(doc))
     before = _files(state)
     code, _, err = _run(capsys, state, [
@@ -180,6 +181,78 @@ def test_a_command_that_reaches_a_vault_file_failing_its_load_saves_nothing(tmp_
         "--domain", "health", "--subjects", world["vid"], "--classes", "health",
         "--purpose", "CARE_AUDIT"])
     assert (code, err) == (1, f"error={path}: vid mappings are not one-to-one\n")
+    after = _files(state)
+    assert after.pop("invocations.json") != before.pop("invocations.json")
+    assert after == before
+
+
+def test_a_command_that_logs_no_event_leaves_the_ledger_files_alone(tmp_path, capsys,
+                                                                   monkeypatch):
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    streams = [state / "ledgers" / name
+               for name in ("regulator.log", "controller.log", "events.log", "checkpoint.json")]
+    files = [*streams, state / "ledgers" / "counters.json"]
+    stamp = store.stamp(*files)
+    written = []
+    write_atomic = store.write_atomic
+    monkeypatch.setattr(store, "write_atomic",
+                        lambda path, data: written.append(path) or write_atomic(path, data))
+    assert _run(capsys, state, ["vault", "derive", "--master", world["master"],
+                                "--domain", "health"])[0] == 0
+    assert store.stamp(*files) == stamp
+    assert not set(written) & set(files)  # not even compared with what a save would write
+    assert _run(capsys, state, ["submit", "--request-id", "q1", "--program", "p1",
+                                "--auth", world["auth"], "--domain", "health",
+                                "--subjects", world["vid"], "--classes", "health",
+                                "--purpose", "CARE_AUDIT"])[0] == 0
+    assert set(written) >= set(files)
+    # a submit's event id is its request id, so counters.json keeps its bytes
+    assert all(after != before for after, before in zip(store.stamp(*streams), stamp))
+
+
+def _old_layout(doc: dict) -> dict:
+    """``doc`` in the layout of one object per master and per vid mapping."""
+    return {"domains": doc["domains"], "aliases": doc["aliases"],
+            "masters": [{"master_id": master_id, "created_at": created_at, "attributes": attributes}
+                        for master_id, (created_at, attributes) in doc["masters"].items()],
+            "vids": [{"domain": domain, "vid": vid, "master_id": master_id,
+                      "derivation_counter": counter}
+                     for domain, columns in doc["vids"].items()
+                     for vid, master_id, counter in zip(*columns)]}
+
+
+def _short_column(index: int):
+    def edit(doc: dict) -> dict:
+        doc["vids"]["health"][index].pop()
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {"domains": doc["domains"]},
+    lambda doc: [],
+    lambda doc: {**doc, "masters": list(doc["masters"])},
+    lambda doc: {**doc, "vids": {"health": doc["vids"]["health"][:2]}},
+    lambda doc: {**doc, "vids": {"health": [[1, 2], *doc["vids"]["health"][1:]]}},
+    lambda doc: {**doc, "masters": {m: [str(t), a] for m, (t, a) in doc["masters"].items()}},
+    lambda doc: {**doc, "aliases": [{"alias_number": "9912345678"}]},
+    _old_layout,
+    _short_column(0),
+    _short_column(2),
+], ids=["missing-keys", "list", "masters-list", "two-columns", "int-vids", "str-created-at",
+        "bare-alias", "old-layout", "short-vid-column", "short-counter-column"])
+def test_a_vault_state_of_the_wrong_shape_fails_the_load_and_saves_nothing(tmp_path, capsys,
+                                                                          edit):
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    derive = ["vault", "derive", "--master", world["master"], "--domain", "health"]
+    assert _run(capsys, state, derive)[0] == 0
+    path = state / "vault" / "state.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_bytes()))))
+    before = _files(state)
+    code, _, err = _run(capsys, state, derive)
+    assert code == 1 and err.startswith(f"error={path}: not a vault state document: ")
     after = _files(state)
     assert after.pop("invocations.json") != before.pop("invocations.json")
     assert after == before

@@ -397,7 +397,8 @@ def test_open_and_consent_give_encode_no_vault_silo_or_share_store(tmp_path, cap
     assert store.stamp(*files) == stamp
 
 
-@pytest.mark.parametrize("name", ["vault/state.json", "silos/health/records.log"])
+@pytest.mark.parametrize("name", ["vault/state.json", "silos/health/records.log",
+                                  "ledgers/events.log"])
 def test_a_file_replaced_behind_a_loaded_deployment_is_rewritten(tmp_path, name):
     state = tmp_path / "state"
     dep = Deployment(seed=96, state_dir=state)

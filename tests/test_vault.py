@@ -25,7 +25,7 @@ from regctl.gate import AccessTicket
 from regctl.scenario import control_linkage_accuracy, linkage_accuracy
 from regctl.vault import derive_vid_value
 
-from conftest import make_request
+from conftest import count_calls, make_request
 
 
 def make_ticket(dep: Deployment, operation: str, domain: str, subjects: tuple[str, ...],
@@ -267,20 +267,60 @@ def _saved_with_bob(populated, tmp_path) -> tuple[Deployment, str]:
     return dep, bob
 
 
-def _edit_vids(dep: Deployment, edit) -> None:
-    """Apply ``edit`` to each stored vid mapping of ``vault/state.json``, which is not signed."""
+def _edit_state(dep: Deployment, edit) -> None:
+    """Apply ``edit`` to the document of ``vault/state.json``, which is not signed."""
     path = dep.state_dir / "vault" / "state.json"
     state = json.loads(path.read_text())
-    for virtual in state["vids"]:
-        edit(virtual)
+    edit(state)
     path.write_text(json.dumps(state))
+
+
+def _edit_vids(dep: Deployment, masters: dict[str, str]) -> None:
+    """Map each vid in ``masters`` to the master named there."""
+    def remap(state: dict) -> None:
+        for vids, master_ids, _ in state["vids"].values():
+            for row, vid in enumerate(vids):
+                master_ids[row] = masters.get(vid, master_ids[row])
+    _edit_state(dep, remap)
 
 
 def test_a_vid_remapped_to_another_master_fails_the_load(populated, tmp_path):
     dep, bob = _saved_with_bob(populated, tmp_path)
-    _edit_vids(dep, lambda v: v.update(master_id=populated["master"]) if v["vid"] == bob else None)
+    _edit_vids(dep, {bob: populated["master"]})
     with pytest.raises(EncodingError, match=r"state\.json: vid mappings are not one-to-one"):
         Deployment(state_dir=dep.state_dir).vault
+
+
+def test_a_vid_repeated_in_a_domain_column_fails_the_load(populated, tmp_path):
+    dep, _ = _saved_with_bob(populated, tmp_path)
+
+    def repeat_alice(state: dict) -> None:
+        vids = state["vids"]["health"][0]  # Alice's row, then Bob's
+        vids[1] = vids[0]
+    _edit_state(dep, repeat_alice)
+    with pytest.raises(EncodingError, match=r"state\.json: vid mappings are not one-to-one"):
+        Deployment(state_dir=dep.state_dir).vault
+
+
+def test_a_load_builds_no_virtual_id_and_no_attribute_index(populated, tmp_path, monkeypatch):
+    dep, _ = _saved_with_bob(populated, tmp_path)
+    built = count_calls(monkeypatch, "VirtualId", "_attribute_key", owner=vault_module)
+    reloaded = Deployment(state_dir=dep.state_dir)
+    assert reloaded.vault.vid_if_derived(populated["master"], "health") == populated["vid"]
+    assert built == {"VirtualId": 0, "_attribute_key": 0}
+    carol = reloaded.vault.register_master({"name": "carol"})
+    reloaded.vault.derive_vid(carol, "health")
+    assert built == {"VirtualId": 1, "_attribute_key": len(reloaded.vault.masters)}
+
+
+def test_identical_attributes_rejected_after_a_reload(populated, tmp_path):
+    dep, _ = _saved_with_bob(populated, tmp_path)
+    reloaded = Deployment(state_dir=dep.state_dir)
+    with pytest.raises(DuplicateMaster):
+        reloaded.vault.register_master({"name": "bob"})
+    reloaded.vault.register_master({"name": "carol"})
+    with pytest.raises(DuplicateMaster):
+        reloaded.vault.register_master({"name": "carol"})
 
 
 def test_swapped_vids_fail_their_first_use_and_release_nothing(populated, tmp_path):
@@ -288,12 +328,31 @@ def test_swapped_vids_fail_their_first_use_and_release_nothing(populated, tmp_pa
     alice, alice_master = populated["vid"], populated["master"]
     bob_master = dep.vault.master_for_vid("health", bob)
     swap = {alice: bob_master, bob: alice_master}
-    _edit_vids(dep, lambda v: v.update(master_id=swap[v["vid"]]) if v["vid"] in swap else None)
+    _edit_vids(dep, swap)
 
     reloaded = Deployment(state_dir=dep.state_dir)
     with pytest.raises(EncodingError, match=r"state\.json: a stored health vid does not re-derive"):
         reloaded.gate.submit(make_request(reloaded, populated, subjects=[bob]))
     assert reloaded.gate.tickets == {} and reloaded.gate.plaintext_releases == 0
+
+
+def _negative_counter(state: dict) -> None:
+    state["vids"]["health"][2][0] = -1  # Alice's row
+
+
+def _master_id_not_hex(state: dict) -> None:
+    master_ids = state["vids"]["health"][1]
+    state["masters"]["not hex"] = state["masters"][master_ids[0]]
+    master_ids[0] = "not hex"
+
+
+@pytest.mark.parametrize("edit", [_negative_counter, _master_id_not_hex])
+def test_a_mapping_that_cannot_be_re_derived_fails_its_first_use(populated, tmp_path, edit):
+    dep, _ = _saved_with_bob(populated, tmp_path)
+    _edit_state(dep, edit)
+    vault = Deployment(state_dir=dep.state_dir).vault
+    with pytest.raises(EncodingError, match=r"state\.json: a stored health vid does not re-derive"):
+        vault.master_for_vid("health", populated["vid"])
 
 
 def test_a_loaded_vid_is_re_derived_once_per_process(populated, tmp_path, monkeypatch):
