@@ -65,10 +65,8 @@ class _Cli:
     def deployment(self) -> Deployment:
         if self._deployment is None:
             self.lock()
-            self._deployment = Deployment(seed=self.args.seed, clock_mode=self.args.clock,
-                                          state_dir=self.state_dir)
-            if self._deployment.clock.mode == "logical":
-                self._deployment.clock.advance(1)
+            self._deployment = Deployment(seed=self.args.seed, state_dir=self.state_dir)
+            self._deployment.clock.advance(1)
         return self._deployment
 
     def save(self) -> None:
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--state-dir", help="state directory (or REGCTL_STATE_DIR)")
     parser.add_argument("--seed", type=int, default=None, help="seed all randomness")
-    parser.add_argument("--clock", choices=("logical", "real"), default="logical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     vault = sub.add_parser("vault").add_subparsers(dest="vault_command", required=True)

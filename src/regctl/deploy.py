@@ -7,15 +7,16 @@ the CLI can operate statefully across invocations and the scenario runner
 can snapshot a run for byte-level inspection.
 
 A command reaches few services, so a deployment loads only the services it
-reaches. Loading a state directory reads the keys, the event log (whose
-last entry restores the clock) and the notifier's counts at once. The
-registry, the vault, the regulator share store, the silos and the gate are
-each built and loaded when first reached, once, under the deployment lock,
-and a save writes only the services that were built: one never built still
-holds exactly what its files hold. Each file is still read strictly and in
-full before anything that depends on it runs. The gate prunes the state it
-loads at the clock reading of the last save, with the filter a save applies,
-so a ``gate.json`` left unwritten by commands that never reached the gate
+reaches. Loading a state directory reads the keys, the event log, the
+clock (one logical tick, never behind the last ledger entry) and the
+notifier's counts at once. The registry, the vault, the regulator share
+store, the silos and the gate are each built and loaded when first
+reached, once, under the deployment lock, and a save writes only the
+services that were built: one never built still holds exactly what its
+files hold. Each file is still read strictly and in full before anything
+that depends on it runs. The gate prunes the state it loads at the clock
+reading of the last save, with the filter a save applies, so a
+``gate.json`` left unwritten by commands that never reached the gate
 loads as those saves would have written it.
 
 It also hosts the one cross-service workflow: opt-out deletion, which
@@ -71,15 +72,14 @@ def identities(regulator_seed: bytes,
 
 
 class Deployment:
-    def __init__(self, seed: int | None = None, clock_mode: str = "logical",
-                 state_dir: Path | None = None):
+    def __init__(self, seed: int | None = None, state_dir: Path | None = None):
         self.state_dir = Path(state_dir) if state_dir else None
         if seed is not None and self.state_dir is not None:
             # stateful CLI use: each invocation must continue, not restart,
             # the deterministic byte stream
             seed = seed * 1_000_003 + self._bump_invocation_counter()
         self._rng = random.Random(seed) if seed is not None else None
-        self.clock = Clock(mode=clock_mode)
+        self.clock = Clock()
 
         reg_seed, ctrl_seed, self._vault_secret = self._load_or_create_keys()
         self.regulator, self.controller = identities(reg_seed, ctrl_seed)
@@ -166,7 +166,7 @@ class Deployment:
 
     def _bump_invocation_counter(self) -> int:
         path = self.state_dir / "invocations.json"
-        count = (store.read_json(path) or 0) + 1
+        count = store.read_count(path) + 1
         store.write_json(path, count)
         return count
 
@@ -278,7 +278,7 @@ class Deployment:
             self.notifier.save(root / "notifications.json")
             for domain, silo in sorted(built.get("silos", {}).items()):
                 silo.save(root / "silos" / domain)
-            store.write_json(root / "clock.json", {"mode": self.clock.mode, "tick": self.clock.now()})
+            store.write_json(root / "clock.json", self.clock.now())
 
     def _load_state(self) -> None:
         """Load what every command needs: the event log, the clock and the
@@ -286,13 +286,11 @@ class Deployment:
         root = self.state_dir
         with self._lock:
             self.event_log.load(root / "ledgers")
-            clock_state = store.read_json(root / "clock.json") or {"mode": self.clock.mode, "tick": 0}
-            saved = clock_state["tick"] if clock_state["mode"] == self.clock.mode else 0
-            if self.clock.mode == "logical":
-                # never behind the ledger: a rolled-back clock.json would
-                # revive expired windows, tickets and aliases
-                last = self.event_log.regulator_ledger.head()
-                saved = max(saved, last.timestamp if last is not None else 0)
-                self.clock.set_tick(saved)
+            # never behind the ledger: a rolled-back clock.json would
+            # revive expired windows, tickets and aliases
+            last = self.event_log.regulator_ledger.head()
+            saved = max(store.read_count(root / "clock.json"),
+                        last.timestamp if last is not None else 0)
+            self.clock.set_tick(saved)
             self._loaded_at = saved
             self.notifier.load(root / "notifications.json")

@@ -194,4 +194,4 @@ class EventLog:
         store.load_streams(directory, self._streams(), self._checkpoint_key)
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
-        self._counters.update(store.read_json(directory / "counters.json") or {})
+        self._counters = store.read_counts(directory / "counters.json", "event id count by prefix")

@@ -95,7 +95,5 @@ class Notifier:
 
     def load(self, path: Path) -> None:
         """Read the delivered counts into a notifier that has shown nothing yet."""
-        doc = store.read_json(path) if path.exists() else {}
-        if not isinstance(doc, dict) or not all(type(n) is int and n >= 0 for n in doc.values()):
-            raise EncodingError(f"{path}: not a non-negative integer delivered count by vid")
-        self._delivered, self._unchecked = doc, path
+        self._delivered = store.read_counts(path, "delivered count by vid")
+        self._unchecked = path

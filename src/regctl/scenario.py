@@ -448,7 +448,7 @@ def adversary_link_accuracy(report: Report) -> float:
 
 class _Runner:
     def __init__(self, seed: int):
-        self.deployment = Deployment(seed=seed, clock_mode="logical")
+        self.deployment = Deployment(seed=seed)
         self.wire: list[bytes] = []  # the signed bytes of each request and ticket issued
         # handle kind (a RULES ``declares``) -> handle -> what its step created
         self.handles: dict[str, dict[str, object]] = defaultdict(dict)

@@ -28,8 +28,9 @@ timestamp granularity, would go unseen.
 In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes the
 checkpoint vouches for: each stream's SHA-256 and record count, which
-``save_streams`` writes last, under an HMAC. An older checkpoint that
-also records a ledger head verifies as stored and is read for the rest.
+``save_streams`` writes last, under an HMAC. No state directory whose
+checkpoint still records ledger heads loads: its ``clock.json`` predates
+the bare tick, which ``read_count`` requires.
 """
 
 from __future__ import annotations
@@ -271,6 +272,27 @@ def read_json(path: Path) -> Any:
         return json.loads(path.read_bytes())
     except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise EncodingError(f"{path}: not a JSON document: {exc}") from None
+
+
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0  # neither a bool nor a float is a count
+
+
+def read_count(path: Path) -> int:
+    """The bare non-negative integer at ``path``; 0 when there is no file."""
+    count = read_json(path)
+    if count is not None and not _is_count(count):
+        raise EncodingError(f"{path}: not a non-negative integer")
+    return count or 0
+
+
+def read_counts(path: Path, what: str) -> dict[str, int]:
+    """The non-negative integer ``what`` by key at ``path``; empty when there is no file."""
+    counts = read_json(path)
+    if counts is not None and not (isinstance(counts, dict)
+                                   and all(map(_is_count, counts.values()))):
+        raise EncodingError(f"{path}: not a non-negative integer {what}")
+    return counts or {}
 
 
 def to_doc(value: Any) -> dict:

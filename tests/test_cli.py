@@ -255,6 +255,37 @@ def test_a_state_file_that_is_not_json_is_reported_and_left_alone(capsys, state)
     assert gate.read_bytes() == b"{"
 
 
+@pytest.mark.parametrize("doc", ['[1]', '"9"', '-1', '2.5', 'true',
+                                 '{"mode": "logical", "tick": 3}',
+                                 '{"mode": "real", "tick": 1792406910}'],
+                         ids=["list", "string", "negative", "float", "bool", "logical clock",
+                              "real clock"])
+@pytest.mark.parametrize("name", ["clock.json", "invocations.json", "ledgers/counters.json"])
+def test_a_counter_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(capsys, state,
+                                                                             name, doc):
+    bootstrap(capsys, state)
+    root = Path(state)
+    path = root / name
+    path.write_text(doc)
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != "invocations.json"}
+
+    before = files()
+    code, _, stderr = invoke(capsys, *seeded(state, "silo", "list", "--domain", "health"))
+    assert code == 1
+    assert stderr.startswith(f"error={path}: ")
+    assert files() == before
+
+
+def test_the_clock_option_is_gone(capsys, state):
+    with pytest.raises(SystemExit) as err:
+        main(["--state-dir", state, "--clock", "real", "silo", "list", "--domain", "health"])
+    assert err.value.code == 2
+    assert not Path(state).exists()
+
+
 def test_run_scenario_exit_codes(capsys, state, tmp_path):
     scenario_dir = Path(__file__).parent.parent / "scenarios"
     code, stdout, _ = invoke(capsys, "--state-dir", state, "run-scenario",

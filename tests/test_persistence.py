@@ -525,7 +525,7 @@ def test_a_rolled_back_clock_json_does_not_reopen_an_expired_window(tmp_path):
     dep.clock.set_tick(6)
     assert _submit(dep, world, "q1").decision.reason is DenyReason.WINDOW
     dep.save()
-    store.write_json(state / "clock.json", {"mode": "logical", "tick": 2})
+    store.write_json(state / "clock.json", 2)
     reloaded = Deployment(state_dir=state)
     assert reloaded.clock.now() == 6
     assert _submit(reloaded, world, "q2").decision.reason is DenyReason.WINDOW
