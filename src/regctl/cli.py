@@ -95,10 +95,7 @@ class _Cli:
         print(f"expires_at={grant.expires_at}")
 
     def cmd_vault_route(self) -> None:
-        dep = self.deployment()
-        at = self.args.at if self.args.at is not None else dep.clock.now()
-        real = dep.vault.route(self.args.alias, at)
-        print(f"real_number={real}")
+        print(f"real_number={self.deployment().vault.route(self.args.alias)}")
 
     def cmd_silo_create(self) -> None:
         try:
@@ -262,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ttl", type=int, required=True)
     p = vault.add_parser("route")
     p.add_argument("--alias", required=True)
-    p.add_argument("--at", type=int, default=None)
 
     silo = sub.add_parser("silo").add_subparsers(dest="silo_command", required=True)
     p = silo.add_parser("create")

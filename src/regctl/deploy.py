@@ -61,7 +61,11 @@ def read_keys(state_dir: Path) -> tuple[bytes, ...] | None:
     keys_dir = state_dir / "keys"
     if not (keys_dir / KEY_FILES[0]).exists():
         return None
-    return tuple(bytes.fromhex((keys_dir / name).read_text()) for name in KEY_FILES)
+    seeds = []
+    for path in (keys_dir / name for name in KEY_FILES):
+        with store.reading(path, "a hex key"):
+            seeds.append(bytes.fromhex(path.read_text()))
+    return tuple(seeds)
 
 
 def identities(regulator_seed: bytes,
@@ -159,7 +163,9 @@ class Deployment:
         if self._loaded_at is not None:
             # kept as the save that wrote the clock would have kept it: a
             # command that never reached the gate left gate.json as it was
-            gate.load_state(store.read_json(self.state_dir / "gate.json") or {}, self._loaded_at)
+            path = self.state_dir / "gate.json"
+            with store.reading(path, "a gate state document"):
+                gate.load_state(store.read_json(path) or {}, self._loaded_at)
         return gate
 
     # -- randomness and keys ------------------------------------------------------
@@ -216,8 +222,7 @@ class Deployment:
 
     def _new_silo(self, schema: SiloSchema) -> Silo:
         return Silo(schema, self.share_store, vid_exists=self._vid_exists,
-                    clock=self.clock, event_log=self.event_log, rand_bytes=self.rand_bytes,
-                    lock=self._lock)
+                    event_log=self.event_log, rand_bytes=self.rand_bytes, lock=self._lock)
 
     # -- opt-out deletion workflow --------------------------------------------------------
 

@@ -14,9 +14,10 @@ bijection counts each (subject, event id) pair with its multiplicity.
 The two ledgers and ``events.log`` are ``store.Stream``s under one
 checkpoint. Only ``entries``, ``historical_heads`` and ``payloads`` decode
 the bytes a load kept, on first use, so a load and save cost O(change) and
-not O(history). A save writes nothing while no event was recorded and no
-event id drawn since the last load or save, and the five files still carry
-the stamp taken then (``store.stamp``).
+not O(history). A save writes nothing while no event was recorded since
+the last load or save and the four files still carry the stamp taken then
+(``store.stamp``). An id the log draws is its prefix and the seq of the
+ledger entry that records the event, so no id counter is kept.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ class EventLog:
         self.controller_ledger = Ledger(owner=controller, counterpart=regulator)
         self.clock = clock
         self._payloads = store.Stream(bytes, bytes)  # payload i belongs to ledger entry i
-        self._counters: dict[str, int] = {}
         self._checkpoint_key = crypto.seed_key(controller, "CKPTKEYv1")
         self._stamp: store.Stamp | None = None  # of the files that hold this log
 
@@ -127,12 +127,11 @@ class EventLog:
                 "events.log": self._payloads}
 
     def _files(self, directory: Path) -> list[Path]:
-        return [directory / name for name in (*self._streams(), store.CHECKPOINT, "counters.json")]
+        return [directory / name for name in (*self._streams(), store.CHECKPOINT)]
 
     def next_event_id(self, prefix: str) -> str:
-        self._stamp = None
-        self._counters[prefix] = self._counters.get(prefix, 0) + 1
-        return f"{prefix}{self._counters[prefix]:05d}"
+        """``prefix`` and the seq of the ledger entry the next ``record`` appends."""
+        return f"{prefix}{len(self.regulator_ledger.stream):05d}"
 
     def record(self, kind: EventKind, event_id: str, subjects: list[str], summary: str) -> bytes:
         """Commit one event to both ledgers.
@@ -178,12 +177,11 @@ class EventLog:
     # -- persistence -----------------------------------------------------------
 
     def save(self, directory: Path) -> None:
-        """Write counters.json, then the ledger pair and events.log under the
-        checkpoint; nothing while the files still hold exactly this log."""
+        """Write the ledger pair and events.log under the checkpoint; nothing
+        while the files still hold exactly this log."""
         files = self._files(directory)
         if store.unchanged(self._stamp, *files):
             return
-        store.write_json(directory / "counters.json", self._counters)
         store.save_streams(directory, self._streams(), self._checkpoint_key)
         self._stamp = store.stamp(*files)
 
@@ -194,4 +192,3 @@ class EventLog:
         store.load_streams(directory, self._streams(), self._checkpoint_key)
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
-        self._counters = store.read_counts(directory / "counters.json", "event id count by prefix")

@@ -256,10 +256,6 @@ class Ledger:
     def save(self, path: Path) -> None:
         store.write_atomic(path, self.stream.file_bytes())
 
-    def load(self, path: Path) -> None:
-        """Replace the chain with a saved ledger file (strictly read)."""
-        self.load_entries(store.read_records(path, LogEntry.from_canonical))
-
     def load_entries(self, entries: list[LogEntry]) -> None:
         """Replace the chain; its head hash is derived when first needed."""
         self.stream.replace(entries)

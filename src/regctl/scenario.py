@@ -102,7 +102,7 @@ RULES: dict[str, _Rule] = {
                   types={"master": "master", "from": "domain", "to": "domain", "submit": "submit"}),
     "ALIAS": _Rule(declares="alias", required=("master", "ttl"),
                    types={"master": "master", "ttl": int}),
-    "ROUTE": _Rule(refers="alias", types={"at": int}),
+    "ROUTE": _Rule(refers="alias"),
     "TICK": _Rule(refers=int),
     "CrossSiloLink": _Rule(required=("domains",), types={"domains": DOMAINS, "threshold": float},
                            handler="_attack_cross_silo"),
@@ -623,8 +623,7 @@ class _Runner:
             self.declare(step, grant.alias_number)
             return f"alias={grant.alias_number}"
         if kw == "ROUTE":
-            at = int(step.arg("at")) if step.arg("at") else dep.clock.now()
-            dep.vault.route(self.ref(step), at)
+            dep.vault.route(self.ref(step))
             return "routed"
         if kw == "ATTACK":
             getattr(self, RULES[step.arg("kind")].handler)(step)

@@ -9,6 +9,9 @@ ciphertext and metadata, and decryption happens in the gate's open path.
 Opt-out deletion destroys the ciphertext and both shares and produces a
 dual-signed proof over the destroyed record ids.
 
+``records.log`` holds one ``SRECv2`` record per line (id, vid, ciphertext,
+controller share) by record id, and no time: it does not give away creation order.
+
 A silo's and the share store's save encode nothing while their files still
 carry the stat stamp of the last load or save and no change came since
 (``store.stamp``).
@@ -24,7 +27,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from . import crypto, store
-from .clock import Clock
 from .crypto import Holder, KeyShare, SigningIdentity
 from .errors import EncodingError, NotFound, SchemaError, WeakIdentifierRejected
 from .events import EventKind, EventLog
@@ -74,25 +76,21 @@ class SiloRecord:
     vid: str
     ciphertext: bytes
     controller_share: KeyShare
-    created_at: int
 
     def canonical_bytes(self) -> bytes:
         return crypto.canon_encode(
-            "SRECv1",
-            [self.record_id, self.vid, self.ciphertext, self.controller_share.share, self.created_at],
-        )
+            "SRECv2", [self.record_id, self.vid, self.ciphertext, self.controller_share.share])
 
     @classmethod
     def from_canonical(cls, data: bytes) -> "SiloRecord":
         tag, fields = crypto.canon_decode(data)
-        if tag != "SRECv1" or len(fields) != 5:
+        if tag != "SRECv2" or len(fields) != 4:
             raise EncodingError("not a silo record")
         return cls(
             record_id=crypto.decode_str(fields[0]),
             vid=crypto.decode_str(fields[1]),
             ciphertext=fields[2],
             controller_share=KeyShare(fields[3], Holder.CONTROLLER),
-            created_at=crypto.decode_int(fields[4]),
         )
 
 
@@ -152,20 +150,20 @@ class RegulatorShareStore:
     def load(self, path: Path) -> None:
         """Replace the held shares with the file's."""
         self._stamp = store.stamp(path)
-        self._shares = {rid: KeyShare(bytes.fromhex(hexshare), Holder.REGULATOR)
-                        for rid, hexshare in (store.read_json(path) or {}).items()}
+        with store.reading(path, "regulator shares by record id"):
+            self._shares = {rid: KeyShare(bytes.fromhex(hexshare), Holder.REGULATOR)
+                            for rid, hexshare in (store.read_json(path) or {}).items()}
 
 
 class Silo:
     def __init__(self, schema: SiloSchema, share_store: RegulatorShareStore,
-                 vid_exists: Callable[[str, str], bool], clock: Clock, event_log: EventLog,
+                 vid_exists: Callable[[str, str], bool], event_log: EventLog,
                  rand_bytes: Callable[[int], bytes] | None = None,
                  lock: threading.RLock | None = None):
         schema.validate()
         self.schema = schema
         self.share_store = share_store
         self.vid_exists = vid_exists
-        self.clock = clock
         self.event_log = event_log
         self._rand = rand_bytes or secrets.token_bytes
         self._records: dict[str, SiloRecord] = {}
@@ -201,8 +199,7 @@ class Silo:
                 key, crypto.record_nonce(record_id), plaintext,
                 record_aad(record_id, vid, self.domain),
             )
-            self._records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share,
-                                                  self.clock.now())
+            self._records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share)
             self._stamp = None
             self.share_store.deposit(record_id, regulator_share)
             return record_id
@@ -277,7 +274,6 @@ class Silo:
         if store.unchanged(self._stamp, *paths):
             return
         store.write_json(paths[0], store.to_doc(self.schema))
-        # by record id, so the file does not give away creation order
         records = [self._records[rid].canonical_bytes() for rid in sorted(self._records)]
         store.write_records(paths[1], records)
         self._stamp = store.stamp(*paths)
@@ -292,4 +288,9 @@ class Silo:
 
     @staticmethod
     def load_schema(directory: Path) -> SiloSchema:
-        return store.from_doc(SiloSchema, store.read_json(directory / "schema.json"))
+        path = directory / "schema.json"
+        doc = store.read_json(path)
+        if doc is None:
+            raise EncodingError(f"{path}: no such file")
+        with store.reading(path, "a silo schema"):
+            return store.from_doc(SiloSchema, doc)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -47,10 +48,10 @@ import os
 import tempfile
 import typing
 from pathlib import Path
-from typing import Any, Callable, Generic, Iterable, TypeVar
+from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
 
 from . import crypto
-from .errors import EncodingError, RegctlError
+from .errors import CustodyError, EncodingError, RegctlError
 
 T = TypeVar("T")
 
@@ -272,6 +273,16 @@ def read_json(path: Path) -> Any:
         return json.loads(path.read_bytes())
     except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise EncodingError(f"{path}: not a JSON document: {exc}") from None
+
+
+@contextlib.contextmanager
+def reading(path: Path, what: str) -> Iterator[None]:
+    """Raise EncodingError naming ``path`` when its reader cannot take it as
+    ``what``: a wrong type, a missing key, non-hex text, a wrong-size share."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, CustodyError) as exc:
+        raise EncodingError(f"{path}: not {what}: {exc}") from None
 
 
 def _is_count(value: Any) -> bool:

@@ -12,7 +12,7 @@ ledgers and told to the subject.
 does::
 
     {"domains": [domain, ...],
-     "masters": {master_id: [created_at, attributes], ...},
+     "masters": {master_id: {attribute: value, ...}, ...},
      "vids": {domain: [[vid, ...], [master_id, ...], [counter, ...]], ...},
      "aliases": [alias grant, ...]}
 
@@ -32,7 +32,7 @@ A save encodes nothing while ``state.json`` still carries the stat stamp of
 the last load or save and no change came since (``store.stamp``).
 
 The vault also issues short-lived alias phone numbers (prefix "99") that
-route to a master's real number while active.
+route to a master's real number while active at the clock's tick.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import re
 import threading
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, get_type_hints
 
@@ -108,7 +107,7 @@ class Vault:
         self.event_log = event_log
         self.regulator = regulator
         self._rand = rand_bytes
-        self.masters: dict[str, list] = {}  # master_id -> [created_at, attributes]
+        self.masters: dict[str, dict[str, str]] = {}  # master_id -> attributes
         # attribute key -> master_id; None until the first registration after a load
         self._attr_index: dict[tuple[tuple[str, str], ...], str] | None = {}
         self.domains: list[str] = []
@@ -137,7 +136,7 @@ class Vault:
         with self._lock:
             if self._attr_index is None:
                 self._attr_index = {_attribute_key(attrs): master_id
-                                    for master_id, (_, attrs) in self.masters.items()}
+                                    for master_id, attrs in self.masters.items()}
             key = _attribute_key(attributes)
             if key in self._attr_index:
                 raise DuplicateMaster("identical attribute set already registered")
@@ -145,7 +144,7 @@ class Vault:
                 master_id = self._rand(16).hex()
                 if master_id not in self.masters:
                     break
-            self.masters[master_id] = [self.clock.now(), dict(attributes)]
+            self.masters[master_id] = dict(attributes)
             self._attr_index[key] = master_id
             self._stamp = None
             return master_id
@@ -286,10 +285,10 @@ class Vault:
 
     def issue_alias(self, master_id: str, ttl_seconds: int) -> AliasGrant:
         with self._lock:
-            record = self.masters.get(master_id)
-            if record is None:
+            attributes = self.masters.get(master_id)
+            if attributes is None:
                 raise NotFound(f"master {master_id} not registered")
-            real = record[1].get("real_phone")
+            real = attributes.get("real_phone")
             if real is None:
                 raise MissingAttribute("master has no real_phone attribute")
             if ttl_seconds <= 0:
@@ -308,19 +307,17 @@ class Vault:
             self._log_vault_event(EventKind.VAULT_ROUTE, [], f"alias issued ttl={ttl_seconds}")
             return grant
 
-    def route(self, alias_number: str, at_time: int) -> str:
+    def route(self, alias_number: str) -> str:
+        """The real number ``alias_number`` routes to at the clock's tick."""
         with self._lock:
             grants = self._aliases.get(alias_number)
             if not grants:
                 raise NotFound(f"alias {alias_number} unknown")
-            hit = None
-            for grant in grants:
-                if grant.issued_at <= at_time < grant.expires_at:
-                    hit = grant
-                    break
+            now = self.clock.now()
+            hit = next((g for g in grants if g.issued_at <= now < g.expires_at), None)
             if hit is None:
                 self._log_vault_event(EventKind.VAULT_ROUTE, [], f"route refused alias={alias_number}")
-                raise Expired(f"alias {alias_number} not active at {at_time}")
+                raise Expired(f"alias {alias_number} not active at {now}")
             self._log_vault_event(EventKind.VAULT_ROUTE, [], f"route ok alias={alias_number}")
             return hit.real_number
 
@@ -377,7 +374,7 @@ def _check(holds: bool, problem: str) -> None:
         raise ValueError(problem)
 
 
-def _parts(state: Any) -> tuple[list[str], dict[str, list], dict[str, list[list]],
+def _parts(state: Any) -> tuple[list[str], dict[str, dict], dict[str, list[list]],
                                 list[AliasGrant]]:
     """The domains, masters, vid columns and alias grants of a ``state.json``
     document; ValueError names the first part of the wrong shape."""
@@ -386,12 +383,9 @@ def _parts(state: Any) -> tuple[list[str], dict[str, list], dict[str, list[list]
     domains, masters, columns, aliases = (state[key] for key in _STATE_KEYS)
     _check(type(domains) is list and _all(domains, str), "domains is not a list of names")
     _check(type(masters) is dict, "masters is not an object")
-    records = masters.values()
-    _check(_all(records, list) and set(map(len, records)) <= {2}
-           and _all(map(itemgetter(0), records), int)
-           and _all(map(itemgetter(1), records), dict)
-           and _all(chain.from_iterable(map(dict.values, map(itemgetter(1), records))), str),
-           "a master is not [created_at, attributes]")
+    _check(_all(masters.values(), dict)
+           and _all(chain.from_iterable(map(dict.values, masters.values())), str),
+           "a master is not an object of attributes")
     _check(type(columns) is dict and columns.keys() <= set(domains),
            "vids is not an object of registered domains")
     for domain, column in columns.items():

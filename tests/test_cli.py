@@ -225,7 +225,7 @@ def test_route_matches_library(capsys, state):
     alias = kv(stdout.splitlines()[0])["alias"]
     code, stdout, _ = invoke(capsys, *seeded(state, "vault", "route", "--alias", alias))
     dep = Deployment(state_dir=Path(state))
-    assert kv(stdout.strip())["real_number"] == dep.vault.route(alias, dep.clock.now())
+    assert kv(stdout.strip())["real_number"] == dep.vault.route(alias)
 
 
 def test_silo_create_rejects_a_field_without_a_class(capsys, state):
@@ -260,7 +260,7 @@ def test_a_state_file_that_is_not_json_is_reported_and_left_alone(capsys, state)
                                  '{"mode": "real", "tick": 1792406910}'],
                          ids=["list", "string", "negative", "float", "bool", "logical clock",
                               "real clock"])
-@pytest.mark.parametrize("name", ["clock.json", "invocations.json", "ledgers/counters.json"])
+@pytest.mark.parametrize("name", ["clock.json", "invocations.json"])
 def test_a_counter_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(capsys, state,
                                                                              name, doc):
     bootstrap(capsys, state)
@@ -284,6 +284,67 @@ def test_the_clock_option_is_gone(capsys, state):
         main(["--state-dir", state, "--clock", "real", "silo", "list", "--domain", "health"])
     assert err.value.code == 2
     assert not Path(state).exists()
+
+
+def test_the_route_at_option_is_gone(capsys, state):
+    with pytest.raises(SystemExit) as err:
+        main(["--state-dir", state, "vault", "route", "--alias", "9900000000", "--at", "3"])
+    assert err.value.code == 2
+    assert not Path(state).exists()
+
+
+def test_an_expired_alias_is_refused_on_the_clock(capsys, state):
+    world = bootstrap(capsys, state)
+    code, stdout, _ = invoke(capsys, *seeded(state, "vault", "alias",
+                                             "--master", world["master"], "--ttl", "2"))
+    alias = kv(stdout.splitlines()[0])["alias"]
+    expires_at = int(kv(stdout.splitlines()[1])["expires_at"])
+    assert invoke(capsys, *seeded(state, "vault", "route", "--alias", alias))[1] == (
+        "real_number=0012300456\n")
+    assert invoke(capsys, *seeded(state, "vault", "route", "--alias", alias)) == (
+        1, "", f"error=alias {alias} not active at {expires_at}\n")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("gate.json", "[1]"),
+    ("gate.json", '"x"'),
+    ("gate.json", '{"nonces": {"zz": 1}}'),
+    ("regulator_shares.json", "[1]"),
+    ("regulator_shares.json", '"x"'),
+    ("regulator_shares.json", '{"R1": "zz"}'),
+    ("regulator_shares.json", '{"R1": "ab"}'),
+    ("silos/health/schema.json", "[1]"),
+    ("silos/health/schema.json", "{}"),
+    ("silos/health/schema.json", '"x"'),
+    ("silos/health/schema.json", None),
+    ("keys/regulator.seed", "zz"),
+], ids=["gate-list", "gate-string", "gate-non-hex-nonce", "shares-list", "shares-string",
+        "shares-non-hex", "shares-short", "schema-list", "schema-empty", "schema-string",
+        "schema-missing", "seed-non-hex"])
+def test_a_state_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(capsys, state,
+                                                                          name, content):
+    world = bootstrap(capsys, state)
+    root = Path(state)
+    path = root / name
+    if content is None:
+        path.unlink()
+    else:
+        path.write_text(content)
+
+    def files():
+        return {p: p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != "invocations.json"}
+
+    before = files()
+    code, stdout, stderr = invoke(capsys, *seeded(state, "submit", "--request-id", "q1",
+                                                  "--program", "p1", "--auth", world["auth"],
+                                                  "--domain", "health",
+                                                  "--subjects", world["vid"],
+                                                  "--classes", "health",
+                                                  "--purpose", "CARE_AUDIT"))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"error={path}: ")
+    assert files() == before
 
 
 def test_run_scenario_exit_codes(capsys, state, tmp_path):

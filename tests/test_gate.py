@@ -20,7 +20,7 @@ from regctl.errors import (
     TicketInvalid,
     Unauthorized,
 )
-from regctl.events import EventKind
+from regctl.events import Event, EventKind
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS
 
 from conftest import count_calls, make_request
@@ -83,13 +83,31 @@ def test_denial_is_notified_to_subjects(populated):
 def test_request_id_equal_to_a_vault_event_id_is_still_notified(populated):
     dep, vid = populated["dep"], populated["vid"]
     with pytest.raises(Unauthorized):
-        dep.vault.resolve(vid, "health", None)  # logs V00001, a denial, for the subject
-    result = dep.gate.submit(make_request(dep, populated, request_id="V00001"))
+        dep.vault.resolve(vid, "health", None)  # logs a denial for the subject
+    event_id = Event.from_canonical(dep.event_log.payloads[-1]).event_id
+    result = dep.gate.submit(make_request(dep, populated, request_id=event_id))
     assert result.decision.allowed
     expected = dep.event_log.expected_notification_pairs()
-    assert expected[(vid, "V00001")] == 2 and expected == dep.notifier.pairs()
+    assert expected[(vid, event_id)] == 2 and expected == dep.notifier.pairs()
     assert [(n.request_id, n.outcome.value) for n in dep.notifier.fetch(vid)] == [
-        ("V00001", "Denied"), ("V00001", "Allowed")]
+        (event_id, "Denied"), (event_id, "Allowed")]
+
+
+def test_a_drawn_event_id_is_its_prefix_and_its_ledger_seq(populated):
+    dep = populated["dep"]
+    with pytest.raises(Unauthorized):
+        dep.vault.resolve(populated["vid"], "health", None)
+    result = dep.gate.submit(make_request(dep, populated))
+    record_id = populated["record_id"]
+    dep.gate.open_record(result.ticket, record_id,
+                         dep.silos["health"].controller_share(record_id))
+    log = dep.event_log
+    prefixes = {EventKind.VAULT_DENIED: "V", EventKind.OPEN_OK: "O"}
+    drawn = [(event.event_id, f"{prefixes[event.kind]}{entry.seq:05d}")
+             for event, entry in zip(log.events_from_ledger(log.regulator_ledger),
+                                     log.regulator_ledger.entries)
+             if event.kind in prefixes]
+    assert len(drawn) == 2 and all(event_id == named for event_id, named in drawn)
 
 
 def test_replayed_request_is_ledgered_and_notified_under_its_own_id(populated):

@@ -190,9 +190,8 @@ def test_a_command_that_logs_no_event_leaves_the_ledger_files_alone(tmp_path, ca
                                                                    monkeypatch):
     state = tmp_path / "state"
     world = _saved_world(state)
-    streams = [state / "ledgers" / name
-               for name in ("regulator.log", "controller.log", "events.log", "checkpoint.json")]
-    files = [*streams, state / "ledgers" / "counters.json"]
+    files = [state / "ledgers" / name
+             for name in ("regulator.log", "controller.log", "events.log", "checkpoint.json")]
     stamp = store.stamp(*files)
     written = []
     write_atomic = store.write_atomic
@@ -207,15 +206,14 @@ def test_a_command_that_logs_no_event_leaves_the_ledger_files_alone(tmp_path, ca
                                 "--subjects", world["vid"], "--classes", "health",
                                 "--purpose", "CARE_AUDIT"])[0] == 0
     assert set(written) >= set(files)
-    # a submit's event id is its request id, so counters.json keeps its bytes
-    assert all(after != before for after, before in zip(store.stamp(*streams), stamp))
+    assert all(after != before for after, before in zip(store.stamp(*files), stamp))
 
 
 def _old_layout(doc: dict) -> dict:
     """``doc`` in the layout of one object per master and per vid mapping."""
     return {"domains": doc["domains"], "aliases": doc["aliases"],
-            "masters": [{"master_id": master_id, "created_at": created_at, "attributes": attributes}
-                        for master_id, (created_at, attributes) in doc["masters"].items()],
+            "masters": [{"master_id": master_id, "attributes": attributes}
+                        for master_id, attributes in doc["masters"].items()],
             "vids": [{"domain": domain, "vid": vid, "master_id": master_id,
                       "derivation_counter": counter}
                      for domain, columns in doc["vids"].items()
@@ -235,13 +233,14 @@ def _short_column(index: int):
     lambda doc: {**doc, "masters": list(doc["masters"])},
     lambda doc: {**doc, "vids": {"health": doc["vids"]["health"][:2]}},
     lambda doc: {**doc, "vids": {"health": [[1, 2], *doc["vids"]["health"][1:]]}},
-    lambda doc: {**doc, "masters": {m: [str(t), a] for m, (t, a) in doc["masters"].items()}},
+    lambda doc: {**doc, "masters": {m: [0, a] for m, a in doc["masters"].items()}},
+    lambda doc: {**doc, "masters": {m: {**a, "age": 40} for m, a in doc["masters"].items()}},
     lambda doc: {**doc, "aliases": [{"alias_number": "9912345678"}]},
     _old_layout,
     _short_column(0),
     _short_column(2),
-], ids=["missing-keys", "list", "masters-list", "two-columns", "int-vids", "str-created-at",
-        "bare-alias", "old-layout", "short-vid-column", "short-counter-column"])
+], ids=["missing-keys", "list", "masters-list", "two-columns", "int-vids", "list-master",
+        "int-attribute", "bare-alias", "old-layout", "short-vid-column", "short-counter-column"])
 def test_a_vault_state_of_the_wrong_shape_fails_the_load_and_saves_nothing(tmp_path, capsys,
                                                                           edit):
     state = tmp_path / "state"

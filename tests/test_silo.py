@@ -125,7 +125,7 @@ def test_record_file_round_trip(dep, tmp_path):
     silo.save(tmp_path / "health")
     from regctl.silo import Silo
     schema = Silo.load_schema(tmp_path / "health")
-    reloaded = Silo(schema, dep.share_store, dep.vault.vid_exists, dep.clock, dep.event_log)
+    reloaded = Silo(schema, dep.share_store, dep.vault.vid_exists, dep.event_log)
     reloaded.load_records(tmp_path / "health")
     assert reloaded.list_records() == silo.list_records()
     record_id = silo.list_records()[0][0]
@@ -147,10 +147,23 @@ def test_a_second_load_holds_exactly_the_files_records_and_shares(dep, tmp_path)
     shares.load(tmp_path / "one.json")
     assert shares.get(first) == dep.share_store.get(first)
     assert shares.get(second) is None
-    reloaded = Silo(silo.schema, shares, dep.vault.vid_exists, dep.clock, dep.event_log)
+    reloaded = Silo(silo.schema, shares, dep.vault.vid_exists, dep.event_log)
     reloaded.load_records(tmp_path / "two")
     reloaded.load_records(tmp_path / "one")
     assert reloaded.list_records() == [(first, vid)]
+
+
+def test_a_record_file_line_does_not_tell_when_its_record_was_put(tmp_path):
+    lines = []
+    for tick in (5, 50):
+        d = Deployment(seed=71)
+        d.create_silo(SiloSchema(domain="health", field_classes=(("bp", "health"),)))
+        _, vid = enroll(d)
+        d.clock.set_tick(tick)
+        d.silos["health"].put_record(vid, {"bp": "120/80"})
+        d.silos["health"].save(tmp_path / str(tick))
+        lines.append((tmp_path / str(tick) / "records.log").read_bytes())
+    assert lines[0] == lines[1] and lines[0].count(b"\n") == 1
 
 
 # -- deletion ---------------------------------------------------------------------------

@@ -394,20 +394,23 @@ def test_alias_routes_within_window(deployment):
     master = deployment.vault.register_master({"name": "p", "real_phone": "0012345678"})
     grant = deployment.vault.issue_alias(master, ttl_seconds=30)
     assert grant.alias_number.startswith("99") and len(grant.alias_number) == 10
-    assert deployment.vault.route(grant.alias_number, grant.issued_at) == "0012345678"
-    assert deployment.vault.route(grant.alias_number, grant.expires_at - 1) == "0012345678"
+    assert deployment.clock.now() == grant.issued_at
+    assert deployment.vault.route(grant.alias_number) == "0012345678"
+    deployment.clock.set_tick(grant.expires_at - 1)
+    assert deployment.vault.route(grant.alias_number) == "0012345678"
 
 
 def test_alias_expires_at_boundary(deployment):
     master = deployment.vault.register_master({"name": "p", "real_phone": "0012345678"})
     grant = deployment.vault.issue_alias(master, ttl_seconds=30)
+    deployment.clock.set_tick(grant.expires_at)
     with pytest.raises(Expired):
-        deployment.vault.route(grant.alias_number, grant.expires_at)
+        deployment.vault.route(grant.alias_number)
 
 
 def test_unknown_alias(deployment):
     with pytest.raises(NotFound):
-        deployment.vault.route("9900000000", 0)
+        deployment.vault.route("9900000000")
 
 
 def test_concurrent_aliases_share_target(deployment):
@@ -415,8 +418,7 @@ def test_concurrent_aliases_share_target(deployment):
     a = deployment.vault.issue_alias(master, ttl_seconds=30)
     b = deployment.vault.issue_alias(master, ttl_seconds=30)
     assert a.alias_number != b.alias_number
-    now = deployment.clock.now()
-    assert deployment.vault.route(a.alias_number, now) == deployment.vault.route(b.alias_number, now)
+    assert deployment.vault.route(a.alias_number) == deployment.vault.route(b.alias_number)
 
 
 def test_alias_requires_phone_attribute(deployment):
