@@ -6,7 +6,6 @@ from .clock import Clock
 from .crypto import (
     Holder,
     KeyShare,
-    Role,
     SigningIdentity,
     canon_decode,
     canon_encode,

@@ -187,13 +187,6 @@ def chain_hash(prev: bytes, entry: bytes) -> bytes:
 # Signing identities
 # ---------------------------------------------------------------------------
 
-class Role(enum.Enum):
-    REGULATOR = "regulator"
-    CONTROLLER = "controller"
-    SUBJECT = "subject"
-    PROGRAM = "program"
-
-
 @dataclass(frozen=True)
 class SigningIdentity:
     """Ed25519 identity; the private seed is present only on the owning side.
@@ -205,7 +198,6 @@ class SigningIdentity:
 
     key_id: str
     public_key: bytes
-    role: Role
     _private: bytes | None = field(default=None, repr=False)
     _signer: Ed25519PrivateKey | None = field(init=False, repr=False, compare=False)
     _verifier: Ed25519PublicKey = field(init=False, repr=False, compare=False)
@@ -216,16 +208,16 @@ class SigningIdentity:
         object.__setattr__(self, "_verifier", Ed25519PublicKey.from_public_bytes(self.public_key))
 
     @classmethod
-    def generate(cls, key_id: str, role: Role, seed: bytes | None = None) -> "SigningIdentity":
+    def generate(cls, key_id: str, seed: bytes | None = None) -> "SigningIdentity":
         seed = seed if seed is not None else secrets.token_bytes(32)
         if len(seed) != 32:
             raise SignatureError("Ed25519 seed must be 32 bytes")
         priv = Ed25519PrivateKey.from_private_bytes(seed)
         pub = priv.public_key().public_bytes_raw()
-        return cls(key_id=key_id, public_key=pub, role=role, _private=seed)
+        return cls(key_id=key_id, public_key=pub, _private=seed)
 
     def public_only(self) -> "SigningIdentity":
-        return SigningIdentity(self.key_id, self.public_key, self.role)
+        return SigningIdentity(self.key_id, self.public_key)
 
 
 def sign(identity: SigningIdentity, payload: bytes) -> bytes:

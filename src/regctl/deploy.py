@@ -19,6 +19,12 @@ reading of the last save, with the filter a save applies, so a
 ``gate.json`` left unwritten by commands that never reached the gate
 loads as those saves would have written it.
 
+With a seed, randomness is one deterministic stream, started at the first
+draw. In a state directory that draw bumps the count in
+``invocations.json`` that numbers the stream, and the save writes it: each
+invocation that draws gets its own stream, and one that does not leaves
+the file alone.
+
 It also hosts the one cross-service workflow: opt-out deletion, which
 walks every silo holding the subject's data, issues one regulator-signed
 obligation per silo, erases records and shares on both sides, and attaches
@@ -41,16 +47,14 @@ from typing import Any, Callable, TypeVar
 
 from . import store
 from .clock import Clock
-from .crypto import Role, SigningIdentity
+from .crypto import SigningIdentity
 from .errors import RegctlError
 from .events import EventLog
 from .gate import Gate
 from .notify import Notifier
 from .registry import DeletionProof, Registry, Scope
 from .silo import RegulatorShareStore, Silo, SiloSchema
-from .vault import Vault
-
-REGISTRY_DOMAIN = "registry"
+from .vault import REGISTRY_DOMAIN, Vault  # perfbench and the tests import it from here
 KEY_FILES = ("regulator.seed", "controller.seed", "vault.secret")  # hex, one key each
 
 T = TypeVar("T")
@@ -71,24 +75,22 @@ def read_keys(state_dir: Path) -> tuple[bytes, ...] | None:
 def identities(regulator_seed: bytes,
                controller_seed: bytes) -> tuple[SigningIdentity, SigningIdentity]:
     """The regulator's and the controller's signing identities."""
-    return (SigningIdentity.generate("regulator-1", Role.REGULATOR, regulator_seed),
-            SigningIdentity.generate("controller-1", Role.CONTROLLER, controller_seed))
+    return (SigningIdentity.generate("regulator-1", regulator_seed),
+            SigningIdentity.generate("controller-1", controller_seed))
 
 
 class Deployment:
     def __init__(self, seed: int | None = None, state_dir: Path | None = None):
         self.state_dir = Path(state_dir) if state_dir else None
-        if seed is not None and self.state_dir is not None:
-            # stateful CLI use: each invocation must continue, not restart,
-            # the deterministic byte stream
-            seed = seed * 1_000_003 + self._bump_invocation_counter()
-        self._rng = random.Random(seed) if seed is not None else None
+        self._seed = seed
+        self._rng: random.Random | None = None  # the seeded stream, from its first draw
+        self._invocation: int | None = None  # the invocation count that stream is numbered by
         self.clock = Clock()
+        self._lock = threading.RLock()
 
         reg_seed, ctrl_seed, self._vault_secret = self._load_or_create_keys()
         self.regulator, self.controller = identities(reg_seed, ctrl_seed)
 
-        self._lock = threading.RLock()
         self.event_log = EventLog(self.regulator, self.controller, self.clock)
         self.notifier = Notifier(self.event_log, lock=self._lock)
         self._built: dict[str, Any] = {}  # service name -> the service, once reached
@@ -136,7 +138,6 @@ class Deployment:
     def _build_vault(self) -> Vault:
         vault = Vault(self._vault_secret, self.clock, self.event_log,
                       regulator=self.regulator, rand_bytes=self.rand_bytes, lock=self._lock)
-        vault.register_domain(REGISTRY_DOMAIN)
         if self._loaded_at is not None:
             vault.load_state(self.state_dir / "vault")
         return vault
@@ -170,16 +171,19 @@ class Deployment:
 
     # -- randomness and keys ------------------------------------------------------
 
-    def _bump_invocation_counter(self) -> int:
-        path = self.state_dir / "invocations.json"
-        count = store.read_count(path) + 1
-        store.write_json(path, count)
-        return count
-
     def rand_bytes(self, n: int) -> bytes:
-        if self._rng is not None:
-            return self._rng.randbytes(n)
-        return secrets.token_bytes(n)
+        if self._seed is None:
+            return secrets.token_bytes(n)
+        with self._lock:
+            if self._rng is None:
+                seed = self._seed
+                if self.state_dir is not None:
+                    # stateful CLI use: each invocation that draws continues,
+                    # not restarts, the deterministic byte stream
+                    self._invocation = store.read_count(self.state_dir / "invocations.json") + 1
+                    seed = seed * 1_000_003 + self._invocation
+                self._rng = random.Random(seed)
+        return self._rng.randbytes(n)
 
     def _load_or_create_keys(self) -> tuple[bytes, ...]:
         self._key_seeds = read_keys(self.state_dir) if self.state_dir is not None else None
@@ -190,15 +194,18 @@ class Deployment:
         return self._key_seeds
 
     def _write_keys(self) -> None:
+        """Write the key seeds, unless written, and the count of the stream drawn from."""
         keys_dir = self.state_dir / "keys"
         if not (keys_dir / KEY_FILES[0]).exists():
             for name, key in zip(KEY_FILES, self._key_seeds):
                 store.write_atomic(keys_dir / name, (key.hex() + "\n").encode("ascii"))
+        if self._invocation is not None:
+            store.write_json(self.state_dir / "invocations.json", self._invocation)
 
     # -- wiring callbacks -----------------------------------------------------------
 
     def _registry_vid_of(self, domain: str, vid: str) -> str | None:
-        return self.vault.registry_vid_of(domain, vid, REGISTRY_DOMAIN)
+        return self.vault.registry_vid_of(domain, vid)
 
     def _vid_exists(self, domain: str, vid: str) -> bool:
         return self.vault.vid_exists(domain, vid)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import crypto, store
 from .crypto import HASH_BYTES, SIGNATURE_BYTES, ZERO_HASH, SigningIdentity
-from .errors import EncodingError, SignatureError, StaleCrossHead
+from .errors import EncodingError, StaleCrossHead
 
 
 # LOGv1 byte layout: the 9-byte tag header, then each field as a 4-byte
@@ -182,12 +182,8 @@ class Ledger:
         """Verify the counterpart's last entry; return its (seq, head hash)."""
         seq = -1
         if head is not None:
-            try:
-                ok = (head.signer_key_id == self.counterpart.key_id
-                      and crypto.verify(self.counterpart, head.signing_payload(), head.signature))
-            except SignatureError:
-                ok = False
-            if not ok:
+            if not (head.signer_key_id == self.counterpart.key_id
+                    and crypto.verify(self.counterpart, head.signing_payload(), head.signature)):
                 raise StaleCrossHead("counterpart head signature does not verify")
             seq = head.seq
         cross_head = head_hash(head)
@@ -242,10 +238,7 @@ class Ledger:
                 return i
             if entry.signer_key_id != self.owner.key_id:
                 return i
-            try:
-                if not crypto.verify(self.owner, entry.signing_payload(), entry.signature):
-                    return i
-            except SignatureError:
+            if not crypto.verify(self.owner, entry.signing_payload(), entry.signature):
                 return i
             heads.append(crypto.chain_hash(heads[-1], entry.canonical))
         self._verified_heads = heads

@@ -1,9 +1,13 @@
 """Authorization registry: the regulator's rulebook.
 
 Holds purpose codes, regulator-signed authorizations and program manifests,
-and per-subject consent records, and answers the single question every
-access decision reduces to: is this (authorization, program, scope,
-purpose, subject) combination allowed right now?
+and the latest consent record of each (subject, purpose) pair, and answers
+the single question every access decision reduces to: is this
+(authorization, program, scope, purpose, subject) combination allowed right
+now? It keeps only what that question and its own mutators read: an
+authorization or deletion obligation is numbered by how many there are,
+and a deletion proof lives on in the journal and as its hash on the
+consent record it closes.
 
 ``check`` evaluates seven conditions in a fixed order and denies with the
 first failure, so decisions are deterministic and auditable:
@@ -228,17 +232,14 @@ class Registry:
         self.manifests: dict[str, ProgramManifest] = {}
         self.manifests_by_digest: dict[bytes, ProgramManifest] = {}
         self.authorizations: dict[str, Authorization] = {}
-        self.consents: dict[tuple[str, str], list[ConsentRecord]] = {}
+        self.consents: dict[tuple[str, str], ConsentRecord] = {}  # the latest of each pair
         self.obligations: dict[str, DeletionObligation] = {}
-        self.deletion_proofs: list[DeletionProof] = []
         # signed RECv1 records, one per mutation; record i has seq i
         self.journal: list[bytes] = []
         # crypto.chain_hash over every record in self.journal
         self._journal_head = ZERO_HASH
         # (signing payload, signature) of manifests whose signature verified
         self._verified_manifests: set[tuple[bytes, bytes]] = set()
-        self._auth_counter = 0
-        self._obligation_counter = 0
         self._lock = lock or threading.RLock()
 
     # -- journal ---------------------------------------------------------------
@@ -299,7 +300,6 @@ class Registry:
         elif kind == "auth":
             auth = store.from_doc(Authorization, p)
             self.authorizations[auth.auth_id] = auth
-            self._auth_counter = max(self._auth_counter, int(auth.auth_id[1:]))
             return auth
         elif kind == "auth-status":
             auth = self.authorizations[p["auth_id"]]
@@ -307,40 +307,34 @@ class Registry:
             return auth
         elif kind == "consent":
             record = ConsentRecord(p["subject_vid"], p["purpose_code"], p["granted_at"])
-            self._consent_list(p["subject_vid"], p["purpose_code"]).append(record)
+            self.consents[(record.subject_vid, record.purpose_code)] = record
             return record
         elif kind == "renewal":
-            records = self._consent_list(p["subject_vid"], p["purpose_code"])
-            if records and records[-1].live():
-                records[-1].renewed_at = p["renewed_at"]
+            pair = (p["subject_vid"], p["purpose_code"])
+            record = self.consents.get(pair)
+            if record is not None and record.live():
+                record.renewed_at = p["renewed_at"]
             else:
-                records.append(
-                    ConsentRecord(p["subject_vid"], p["purpose_code"],
-                                  p["renewed_at"], renewed_at=p["renewed_at"])
-                )
-            return records[-1]
+                record = self.consents[pair] = ConsentRecord(*pair, p["renewed_at"],
+                                                             renewed_at=p["renewed_at"])
+            return record
         elif kind == "optout":
-            record = self._consent_list(p["subject_vid"], p["purpose_code"])[-1]
+            record = self.consents[(p["subject_vid"], p["purpose_code"])]
             record.opted_out_at = p["opted_out_at"]
             return record
         elif kind == "obligation":
             obligation = store.from_doc(DeletionObligation, p)
             self.obligations[obligation.obligation_id] = obligation
-            self._obligation_counter = max(self._obligation_counter, int(obligation.obligation_id[1:]))
             return obligation
         elif kind == "proof":
             # the record also names the consent it closes; from_doc skips those keys
             proof = store.from_doc(DeletionProof, p)
-            self.deletion_proofs.append(proof)
-            records = self._consent_list(p["subject_vid"], p["purpose_code"])
-            if records:
-                records[-1].deletion_proof = proof.proof_hash
+            record = self.consents.get((p["subject_vid"], p["purpose_code"]))
+            if record is not None:
+                record.deletion_proof = proof.proof_hash
             return proof
         else:
             raise EncodingError(f"unknown journal record kind: {kind}")
-
-    def _consent_list(self, subject_vid: str, purpose_code: str) -> list[ConsentRecord]:
-        return self.consents.setdefault((subject_vid, purpose_code), [])
 
     # -- purposes and programs ---------------------------------------------------
 
@@ -375,7 +369,7 @@ class Registry:
 
     def _store_auth(self, grantee_key_id: str, scope: Scope, purpose_code: str, basis: Basis,
                     valid_from: int, valid_until: int, status: AuthStatus) -> Authorization:
-        unsigned = Authorization(f"A{self._auth_counter + 1:05d}", grantee_key_id, scope,
+        unsigned = Authorization(f"A{len(self.authorizations) + 1:05d}", grantee_key_id, scope,
                                  purpose_code, basis, valid_from, valid_until, status,
                                  signature=b"")
         return self._commit("auth", store.to_doc(self._signed(unsigned)))
@@ -416,6 +410,8 @@ class Registry:
         with self._lock:
             if purpose_code not in self.purposes:
                 raise UnknownPurpose(f"purpose {purpose_code} not registered")
+            if not subject_vid:  # the gate checks a subject with no registry vid as ""
+                raise RegctlError("consent must name a subject vid")
             return self._commit("consent", {"subject_vid": subject_vid, "purpose_code": purpose_code,
                                             "granted_at": self.clock.now()})
 
@@ -423,6 +419,8 @@ class Registry:
         with self._lock:
             if purpose_code not in self.purposes:
                 raise UnknownPurpose(f"purpose {purpose_code} not registered")
+            if not subject_vid:
+                raise RegctlError("consent must name a subject vid")
             # first renewal activates any authorization waiting on this purpose
             pending = [auth.auth_id for auth in self.authorizations.values()
                        if auth.purpose_code == purpose_code and auth.status == AuthStatus.PENDING_CONSENT]
@@ -439,14 +437,14 @@ class Registry:
                                            "opted_out_at": self.clock.now()})
 
     def has_live_consent(self, subject_vid: str, purpose_code: str) -> bool:
-        records = self.consents.get((subject_vid, purpose_code), [])
-        return bool(records) and records[-1].live()
+        record = self.consents.get((subject_vid, purpose_code))
+        return record is not None and record.live()
 
     # -- deletion obligations ------------------------------------------------------
 
     def issue_deletion_obligation(self, subject_vid: str, purpose_code: str, domain: str) -> DeletionObligation:
         with self._lock:
-            unsigned = DeletionObligation(f"D{self._obligation_counter + 1:05d}", subject_vid,
+            unsigned = DeletionObligation(f"D{len(self.obligations) + 1:05d}", subject_vid,
                                           purpose_code, domain, self.clock.now(), signature=b"")
             return self._commit("obligation", store.to_doc(self._signed(unsigned)))
 

@@ -59,28 +59,35 @@ class _Rule:
     creates it) or ``refers`` (an earlier step created it); TICK's positional
     is its count, typed ``int``. ``types`` maps an argument to the handle kind
     it refers to, to a HANDLE_LISTS type, to ``int``, ``float`` or
-    ``field_spec``, or to a tuple of the values it may take. An ATTACK kind's
-    row names its runner method.
+    ``field_spec``, or to a tuple of the values it may take. A step gives no
+    argument its row does not name, unless the row is ``free``. An ATTACK
+    kind's row names its runner method.
     """
 
     declares: str | None = None
     refers: str | type | None = None
     required: tuple[str, ...] = ()
     types: Mapping[str, str | type | tuple[str, ...]] = field(default_factory=dict)
+    optional: tuple[str, ...] = ()
+    free: bool = False  # any other key=value is data: a master's attributes, a record's fields
     handler: str | None = None
+
+    def names(self) -> set[str]:
+        return {*self.required, *self.types, *self.optional}
 
 
 # the args an access request is built from (SUBMIT, TamperProgram, AccessAfterOptOut)
 _REQUEST = {"program": "program", "auth": "grant", "purpose": "purpose", "domain": "domain"}
+_REQUEST_OPTIONAL = ("op", "classes")
 
 RULES: dict[str, _Rule] = {
     "DOMAIN": _Rule(declares="domain"),
-    "MASTER": _Rule(declares="master"),
+    "MASTER": _Rule(declares="master", free=True),
     "SILO": _Rule(declares="silo", required=("domain", "fields"),
-                  types={"domain": "domain", "fields": field_spec}),
-    "PURPOSE": _Rule(declares="purpose"),
+                  types={"domain": "domain", "fields": field_spec}, optional=("contact",)),
+    "PURPOSE": _Rule(declares="purpose", optional=("desc",)),
     "PROGRAM": _Rule(declares="program", required=("purpose", "domain", "classes", "op"),
-                     types={"purpose": "purpose", "domain": "domain"}),
+                     types={"purpose": "purpose", "domain": "domain"}, optional=("artifact",)),
     "GRANT": _Rule(declares="grant", required=("grantee", "domain", "classes", "op", "purpose",
                                                "basis", "from", "until"),
                    types={"purpose": "purpose", "domain": "domain", "from": int, "until": int,
@@ -90,9 +97,9 @@ RULES: dict[str, _Rule] = {
     "RENEW": _Rule(refers="master", required=("purpose",), types={"purpose": "purpose"}),
     "OPTOUT": _Rule(refers="master", required=("purpose",), types={"purpose": "purpose"}),
     "PUT": _Rule(declares="record", required=("silo", "master"),
-                 types={"silo": "silo", "master": "master"}),
+                 types={"silo": "silo", "master": "master"}, free=True),
     "SUBMIT": _Rule(declares="submit", required=("program", "auth", "subjects", "purpose"),
-                    types={**_REQUEST, "subjects": MASTERS}),
+                    types={**_REQUEST, "subjects": MASTERS}, optional=_REQUEST_OPTIONAL),
     "OPEN": _Rule(refers="submit", required=("record",), types={"record": "record"}),
     "EXTEND": _Rule(declares="grant", required=("from", "purpose"),
                     types={"from": "grant", "purpose": "purpose"}),
@@ -110,15 +117,16 @@ RULES: dict[str, _Rule] = {
                            handler="_attack_replay"),
     "TamperProgram": _Rule(required=("program", "auth", "subjects", "purpose"),
                            types={**_REQUEST, "subjects": MASTERS},
-                           handler="_attack_tamper_program"),
+                           optional=_REQUEST_OPTIONAL, handler="_attack_tamper_program"),
     "TruncateLedger": _Rule(types={"side": ("controller", "regulator"), "count": int},
                             handler="_attack_truncate"),
     "ForgeTicket": _Rule(required=("record",), types={"record": "record"},
                          handler="_attack_forge_ticket"),
     "AccessAfterOptOut": _Rule(required=("master", "program", "auth", "purpose"),
                                types={**_REQUEST, "master": "master"},
+                               optional=_REQUEST_OPTIONAL,
                                handler="_attack_access_after_optout"),
-    "WeakIdSmuggle": _Rule(handler="_attack_weak_id"),
+    "WeakIdSmuggle": _Rule(optional=("domain", "field", "class"), handler="_attack_weak_id"),
     "RemapVid": _Rule(handler="_attack_remap_vid"),
 }
 
@@ -219,8 +227,14 @@ def parse_scenario(text: str, default_name: str = "scenario") -> Scenario:
         step = Step(keyword=keyword, handle=handle, args=tuple(args.items()), line=line_no)
 
         _check(step, keyword, declared)
+        row, names = keyword, rule.names()
         if keyword == "ATTACK":
-            _check(step, step.arg("kind"), declared)
+            row = step.arg("kind")
+            _check(step, row, declared)
+            names |= RULES[row].names()
+        unknown = [key for key in args if key not in names]
+        if unknown and not rule.free:
+            raise ScenarioSyntaxError(f"{row} takes no {unknown[0]}=", line_no)
         steps.append(step)
 
     return Scenario(name=name, seed=seed, steps=tuple(steps))
@@ -829,8 +843,8 @@ class _Runner:
         registry = self.deployment.registry
         now = self.deployment.clock.now()
         probed = 0
-        for (subject, purpose), records in sorted(registry.consents.items()):
-            if not records or records[-1].live():
+        for (subject, purpose), record in sorted(registry.consents.items()):
+            if record.live():
                 continue
             probed += 1
             if registry.has_live_consent(subject, purpose):

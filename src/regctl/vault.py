@@ -14,14 +14,15 @@ does::
     {"domains": [domain, ...],
      "masters": {master_id: {attribute: value, ...}, ...},
      "vids": {domain: [[vid, ...], [master_id, ...], [counter, ...]], ...},
-     "aliases": [alias grant, ...]}
+     "aliases": [{"alias_number": ..., "real_number": ..., "expires_at": tick}, ...]}
 
 Row i of a domain's columns is one vid mapping: the vid, its master and the
-derivation counter that produced it. A load checks the document's shape and
-builds only the two lookup dicts over the columns; a ``VirtualId`` is built
-only to be returned, and the attribute index that refuses a duplicate
-master only on the first registration after a load. A save dumps the
-columns as they are held.
+derivation counter that produced it. Only ``derive_vid`` adds a mapping,
+so an access check, which only looks mappings up, leaves ``state.json`` as
+it was. A load checks the document's shape and builds only the two lookup
+dicts over the columns; a ``VirtualId`` is built only to be returned, and
+the attribute index that refuses a duplicate master only on the first
+registration after a load. A save dumps the columns as they are held.
 
 ``state.json`` is not signed, so the vault's load, which a deployment runs
 when a command first reaches the vault, refuses vid mappings that are not
@@ -32,7 +33,9 @@ A save encodes nothing while ``state.json`` still carries the stat stamp of
 the last load or save and no change came since (``store.stamp``).
 
 The vault also issues short-lived alias phone numbers (prefix "99") that
-route to a master's real number while active at the clock's tick.
+route to a master's real number until the clock reaches their expiry. A
+load never sets the clock behind the ledger entry that logged an issue, so
+a grant is never asked about a tick before it was issued.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .events import EventKind, EventLog
 
 VID_DIGITS = 20
 ALIAS_PREFIX = "99"
+REGISTRY_DOMAIN = "registry"  # where the registry's consent records name subjects
 
 # Keeps "VID|" + domain within the 16-byte canonical tag limit.
 _DOMAIN_RE = re.compile(r"^[a-z][a-z0-9_]{0,11}$")
@@ -92,7 +96,6 @@ class VirtualId:
 class AliasGrant:
     alias_number: str
     real_number: str
-    issued_at: int
     expires_at: int
 
 
@@ -110,7 +113,7 @@ class Vault:
         self.masters: dict[str, dict[str, str]] = {}  # master_id -> attributes
         # attribute key -> master_id; None until the first registration after a load
         self._attr_index: dict[tuple[tuple[str, str], ...], str] | None = {}
-        self.domains: list[str] = []
+        self.domains: list[str] = [REGISTRY_DOMAIN]
         self._columns: dict[str, list[list]] = {}  # domain -> [vids, master_ids, counters]
         self._vids: dict[tuple[str, str], int] = {}  # (master_id, domain) -> row in its columns
         self._vid_index: dict[tuple[str, str], str] = {}  # (domain, vid) -> master_id
@@ -154,32 +157,27 @@ class Vault:
     def derive_vid(self, master_id: str, domain: str) -> VirtualId:
         """Derive (or return the stored) virtual id for one master in one domain."""
         with self._lock:
-            return self._virtual(master_id, domain, self._derive(master_id, domain))
-
-    def _derive(self, master_id: str, domain: str) -> int:
-        """The row of ``master_id``'s mapping in ``domain``, derived if there is none."""
-        if master_id not in self.masters:
-            raise NotFound(f"master {master_id} not registered")
-        if domain not in self.domains:
-            raise DomainUnregistered(f"domain {domain} not registered")
-        row = self._stored(master_id, domain)
-        if row is not None:
-            return row
-        counter = 0
-        while True:
-            vid = derive_vid_value(self._secret, master_id, domain, counter)
-            if (domain, vid) not in self._vid_index:
-                break
-            counter += 1
-        vids, master_ids, counters = self._columns.setdefault(domain, [[], [], []])
-        row = len(vids)
-        vids.append(vid)
-        master_ids.append(master_id)
-        counters.append(counter)
-        self._vids[(master_id, domain)] = row
-        self._vid_index[(domain, vid)] = master_id
-        self._stamp = None
-        return row
+            if master_id not in self.masters:
+                raise NotFound(f"master {master_id} not registered")
+            if domain not in self.domains:
+                raise DomainUnregistered(f"domain {domain} not registered")
+            row = self._stored(master_id, domain)
+            if row is None:
+                counter = 0
+                while True:
+                    vid = derive_vid_value(self._secret, master_id, domain, counter)
+                    if (domain, vid) not in self._vid_index:
+                        break
+                    counter += 1
+                vids, master_ids, counters = self._columns.setdefault(domain, [[], [], []])
+                row = len(vids)
+                vids.append(vid)
+                master_ids.append(master_id)
+                counters.append(counter)
+                self._vids[(master_id, domain)] = row
+                self._vid_index[(domain, vid)] = master_id
+                self._stamp = None
+            return self._virtual(master_id, domain, row)
 
     def _virtual(self, master_id: str, domain: str, row: int) -> VirtualId:
         vids, _, counters = self._columns[domain]
@@ -257,19 +255,16 @@ class Vault:
 
     # -- trusted plumbing (regulator-side wiring, not part of the public surface) --
 
-    def registry_vid_of(self, domain: str, vid: str, registry_domain: str) -> str | None:
-        """Translate a domain vid to the subject's registry-domain vid.
+    def registry_vid_of(self, domain: str, vid: str) -> str | None:
+        """The subject's registry-domain vid, if one was derived, for a domain vid.
 
         Used by the gate while evaluating consent: the translation stays
-        inside the regulator boundary, maps pseudonym to pseudonym, and the
-        enclosing submit is itself ledgered.
+        inside the regulator boundary, maps pseudonym to pseudonym, and
+        derives nothing, so a check leaves the vault as it was.
         """
         with self._lock:
             master_id = self.master_for_vid(domain, vid)
-            if master_id is None:
-                return None
-            row = self._derive(master_id, registry_domain)
-            return self._columns[registry_domain][0][row]
+            return None if master_id is None else self.vid_if_derived(master_id, REGISTRY_DOMAIN)
 
     def master_for_vid(self, domain: str, vid: str) -> str | None:
         master_id = self._vid_index.get((domain, vid))
@@ -300,8 +295,7 @@ class Vault:
                 active = [g for g in self._aliases.get(alias, []) if g.expires_at > now]
                 if not active:
                     break
-            grant = AliasGrant(alias_number=alias, real_number=real,
-                               issued_at=now, expires_at=now + ttl_seconds)
+            grant = AliasGrant(alias_number=alias, real_number=real, expires_at=now + ttl_seconds)
             self._aliases.setdefault(alias, []).append(grant)
             self._stamp = None
             self._log_vault_event(EventKind.VAULT_ROUTE, [], f"alias issued ttl={ttl_seconds}")
@@ -314,7 +308,8 @@ class Vault:
             if not grants:
                 raise NotFound(f"alias {alias_number} unknown")
             now = self.clock.now()
-            hit = next((g for g in grants if g.issued_at <= now < g.expires_at), None)
+            # a load never sets the clock behind the entry that logged an issue
+            hit = next((g for g in grants if now < g.expires_at), None)
             if hit is None:
                 self._log_vault_event(EventKind.VAULT_ROUTE, [], f"route refused alias={alias_number}")
                 raise Expired(f"alias {alias_number} not active at {now}")

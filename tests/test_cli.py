@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from regctl.cli import main
-from regctl.deploy import Deployment
+from regctl.deploy import REGISTRY_DOMAIN, Deployment
 
 
 def invoke(capsys, *argv) -> tuple[int, str, str]:
@@ -242,6 +242,34 @@ def test_missing_state_dir_is_domain_error(capsys, monkeypatch):
     assert "state directory" in stderr
 
 
+@pytest.mark.parametrize("basis", ["Consent", "Legal"])
+def test_a_submit_for_a_subject_with_no_registry_vid_leaves_the_vault_file_alone(capsys, state,
+                                                                                  basis):
+    world = bootstrap(capsys, state)  # its subject has a health vid and no registry vid
+    _, stdout, _ = invoke(capsys, *seeded(state, "grant", "--grantee", "controller",
+                                          "--domain", "health", "--classes", "health,other",
+                                          "--op", "read", "--purpose", "CARE_AUDIT",
+                                          "--basis", basis, "--from", "0", "--until", "1000"))
+    vault = Path(state) / "vault" / "state.json"
+    before = vault.read_bytes()
+    code, stdout, stderr = invoke(capsys, *seeded(state, "submit", "--request-id", "q1",
+                                                  "--program", "p1", "--auth",
+                                                  kv(stdout.strip())["auth_id"],
+                                                  "--domain", "health", "--subjects", world["vid"],
+                                                  "--classes", "health,other",
+                                                  "--purpose", "CARE_AUDIT"))
+    if basis == "Consent":
+        assert (code, stdout, stderr) == (1, "", "error=Deny(Consent)\n")
+    else:
+        assert code == 0
+        ticket = kv(stdout.splitlines()[0])["ticket_id"]
+        assert invoke(capsys, *seeded(state, "open", "--ticket", ticket,
+                                      "--record", world["record"]))[1] == "bp=130/85\nvisits=2\n"
+    assert vault.read_bytes() == before
+    dep = Deployment(state_dir=Path(state))
+    assert dep.vault.vid_if_derived(world["master"], REGISTRY_DOMAIN) is None
+
+
 def test_a_state_file_that_is_not_json_is_reported_and_left_alone(capsys, state):
     world = bootstrap(capsys, state)
     gate = Path(state) / "gate.json"
@@ -269,11 +297,13 @@ def test_a_counter_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(caps
     path.write_text(doc)
 
     def files():
-        return {p: p.read_bytes() for p in sorted(root.rglob("*"))
-                if p.is_file() and p.name != "invocations.json"}
+        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
     before = files()
-    code, _, stderr = invoke(capsys, *seeded(state, "silo", "list", "--domain", "health"))
+    # every load reads clock.json; only the first seeded draw reads invocations.json
+    argv = (("silo", "list", "--domain", "health") if name == "clock.json"
+            else ("vault", "register", "name=drawn"))
+    code, _, stderr = invoke(capsys, *seeded(state, *argv))
     assert code == 1
     assert stderr.startswith(f"error={path}: ")
     assert files() == before
@@ -332,8 +362,7 @@ def test_a_state_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(capsys
         path.write_text(content)
 
     def files():
-        return {p: p.read_bytes() for p in sorted(root.rglob("*"))
-                if p.is_file() and p.name != "invocations.json"}
+        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
     before = files()
     code, stdout, stderr = invoke(capsys, *seeded(state, "submit", "--request-id", "q1",

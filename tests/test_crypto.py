@@ -14,7 +14,6 @@ from regctl import canon_encode, chain_hash, combine_shares, prf_derive, sign, v
 from regctl.crypto import (
     Holder,
     KeyShare,
-    Role,
     SigningIdentity,
     ZERO_HASH,
     aead_decrypt,
@@ -102,7 +101,7 @@ def test_prf_output_bits_are_balanced():
 # -- signatures -----------------------------------------------------------------
 
 def _identity(seed_byte: int = 1) -> SigningIdentity:
-    return SigningIdentity.generate("k-test", Role.REGULATOR, bytes([seed_byte]) * 32)
+    return SigningIdentity.generate("k-test", bytes([seed_byte]) * 32)
 
 
 def test_sign_verify_round_trip():
@@ -252,7 +251,7 @@ def build_conformance_entries() -> list[dict]:
     Deterministic: fixed seeds, fixed inputs. The committed JSON pins the
     byte layout; any drift in encoding, hashing or signing breaks this.
     """
-    identity = SigningIdentity.generate("fixture-key", Role.REGULATOR, b"\x07" * 32)
+    identity = SigningIdentity.generate("fixture-key", b"\x07" * 32)
     hmac_key = bytes(range(32))
     cases = [
         ("T", []),
@@ -285,7 +284,7 @@ def build_conformance_entries() -> list[dict]:
 def test_conformance_fixture_matches_committed_bytes():
     committed = json.loads(FIXTURE_PATH.read_text())
     assert build_conformance_entries() == committed["entries"]
-    identity = SigningIdentity.generate("fixture-key", Role.REGULATOR, b"\x07" * 32)
+    identity = SigningIdentity.generate("fixture-key", b"\x07" * 32)
     for entry in committed["entries"]:
         encoding = bytes.fromhex(entry["encoding"])
         assert sha256(encoding).hex() == entry["sha256"]

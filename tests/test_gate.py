@@ -56,8 +56,8 @@ def test_stale_timestamp_denied(populated):
 
 def test_wrong_signer_denied(populated):
     dep = populated["dep"]
-    from regctl.crypto import Role, SigningIdentity
-    imposter = SigningIdentity.generate("imposter", Role.CONTROLLER, b"\x09" * 32)
+    from regctl.crypto import SigningIdentity
+    imposter = SigningIdentity.generate("imposter", b"\x09" * 32)
     request = make_request(dep, populated)
     forged = replace(request, controller_signature=crypto.sign(imposter, request.signing_payload()))
     assert dep.gate.submit(forged).decision.reason == DenyReason.SIGNATURE

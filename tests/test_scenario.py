@@ -98,6 +98,19 @@ def test_malformed_arguments_are_parse_errors(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text, line, message", [
+    (WORLD + "MASTER m2 name=SENTINEL-ALIAS-PERSON real_phone=0012300456\n"
+     "ALIAS a master=m2 ttl=5\nROUTE a at=3\n", 8, "ROUTE takes no at="),
+    (WORLD + GRANT + " basis=Legal from=0 until=5\n"
+     "SUBMIT q program=p auth=g subjects=m1 purpose=P bogus=1\n", 7, "SUBMIT takes no bogus="),
+    ("DOMAIN health\nATTACK kind=RemapVid side=controller\n", 2, "RemapVid takes no side="),
+], ids=["route-at", "submit-bogus", "attack-other-kinds-argument"])
+def test_an_argument_the_step_does_not_name_is_refused(text, line, message):
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 @pytest.mark.parametrize("text", [
     WORLD + GRANT + " basis=Legal from=10 until=5\n"
     "SUBMIT q program=p auth=g subjects=m1 purpose=P classes=health\n",

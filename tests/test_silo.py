@@ -199,8 +199,8 @@ def test_deletion_proof_verifies_under_both_keys(dep):
     proofs = dep.process_opt_out(registry_vid, "CARE_AUDIT")
     assert proofs[0].verify(dep.regulator, dep.controller)
     # and it is pinned to the consent record
-    records = dep.registry.consents[(registry_vid, "CARE_AUDIT")]
-    assert records[-1].deletion_proof == proofs[0].proof_hash
+    record = dep.registry.consents[(registry_vid, "CARE_AUDIT")]
+    assert record.deletion_proof == proofs[0].proof_hash
 
 
 def test_tampered_proof_fails_verification(dep):

@@ -1,0 +1,77 @@
+"""Open cells of the tamper matrix (ROADMAP item 1).
+
+Each test rolls one state file back to the bytes it held before a command
+and asserts today's outcome: the rollback goes unseen, and the reloaded
+state decides as it did before that command. Each names the ROADMAP item
+that closes its cell. Closing a cell makes its test fail, and the test
+then asserts the refusal instead.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from regctl import Basis, Deployment, Scope, SiloSchema
+from regctl.cli import main as cli_main
+from regctl.deploy import REGISTRY_DOMAIN
+
+
+def _saved_world(state: Path) -> dict[str, str]:
+    """One consenting subject with a health record, a signed program and a
+    consent-basis grant for it."""
+    dep = Deployment(seed=23, state_dir=state)
+    dep.create_silo(SiloSchema(domain="health", field_classes=(("bp", "health"),)))
+    dep.registry.register_purpose("CARE_AUDIT", "care")
+    scope = Scope("health", ("health",), "read")
+    dep.registry.sign_program("p1", b"prog", "CARE_AUDIT", scope)
+    auth = dep.registry.grant(dep.controller.key_id, scope, "CARE_AUDIT", Basis.CONSENT, 0, 10**6)
+    master = dep.vault.register_master({"name": "tampered person"})
+    vid = dep.vault.derive_vid(master, "health").vid
+    subject = dep.vault.derive_vid(master, REGISTRY_DOMAIN).vid
+    dep.registry.record_consent(subject, "CARE_AUDIT")
+    record = dep.silos["health"].put_record(vid, {"bp": "120/80"})
+    dep.save()
+    return {"auth": auth.auth_id, "vid": vid, "subject": subject, "record": record}
+
+
+def _run(capsys, state: Path, *argv: str) -> tuple[int, str, str]:
+    code = cli_main(["--state-dir", str(state), "--seed", "23", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _submit(capsys, state: Path, world: dict[str, str], request_id: str) -> tuple[int, str, str]:
+    return _run(capsys, state, "submit", "--request-id", request_id, "--program", "p1",
+                "--auth", world["auth"], "--domain", "health", "--subjects", world["vid"],
+                "--classes", "health", "--purpose", "CARE_AUDIT")
+
+
+def test_open_cell_a_journal_rolled_back_past_an_optout_revives_the_consent(tmp_path, capsys):
+    """Closed by ROADMAP item 3: anchor each journal head in the ledgers."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    journal = state / "registry.journal"
+    before_optout = journal.read_bytes()
+    assert _run(capsys, state, "consent", "optout", "--subject", world["subject"],
+                "--purpose", "CARE_AUDIT")[0] == 0
+    assert _submit(capsys, state, world, "q1") == (1, "", "error=Deny(Consent)\n")
+    journal.write_bytes(before_optout)
+    code, stdout, _ = _submit(capsys, state, world, "q2")
+    assert code == 0 and stdout.startswith("ticket_id=")  # the cell is open
+
+
+def test_open_cell_a_gate_file_rolled_back_past_an_open_reopens_the_record(tmp_path, capsys):
+    """Closed by ROADMAP item 3: derive the consumed marks from the ledger."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    code, stdout, _ = _submit(capsys, state, world, "q1")
+    assert code == 0
+    ticket = stdout.splitlines()[0].removeprefix("ticket_id=")
+    gate = state / "gate.json"
+    before_open = gate.read_bytes()
+    opened = _run(capsys, state, "open", "--ticket", ticket, "--record", world["record"])
+    assert opened == (0, "bp=120/80\n", "")
+    assert _run(capsys, state, "open", "--ticket", ticket, "--record", world["record"])[0] == 1
+    gate.write_bytes(before_open)
+    assert _run(capsys, state, "open", "--ticket", ticket,
+                "--record", world["record"]) == opened  # the cell is open
