@@ -6,6 +6,8 @@ statefully against a shared state directory (``--state-dir`` or
 A subcommand checks its own arguments before it loads the deployment, so
 a malformed argument leaves the state directory untouched. ``verify-logs``
 loads no deployment: it reads only ``keys/`` and the two ledger files.
+``COMMANDS`` declares every subcommand's arguments, and a command line
+builds the parsers of the commands it names and of no other.
 Exit codes: 0 success, 1 domain error (reason on stderr), 2 usage error.
 """
 
@@ -239,6 +241,98 @@ class _Cli:
         return 0 if report.passed else 1
 
 
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One argument, as ``add_argument`` takes it."""
+    return flags, kwargs
+
+
+def _required(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return _arg(*flags, required=True, **kwargs)
+
+
+# Each command maps to its arguments, or to a dict of its subcommands. A
+# list among a command's arguments is a required mutually exclusive group.
+COMMANDS: dict = {
+    "vault": {
+        "register": [_arg("attr", nargs="+", help="attribute key=value pairs")],
+        "derive": [_required("--master"), _required("--domain")],
+        "alias": [_required("--master"), _required("--ttl", type=int)],
+        "route": [_required("--alias")],
+    },
+    "silo": {
+        "create": [_required("--domain"),
+                   _required("--field", action="append", help="name:class (repeatable)"),
+                   _arg("--contact-approved", action="store_true")],
+        "put": [_required("--domain"), _required("--vid"),
+                _arg("fields", nargs="+", help="field key=value pairs")],
+        "list": [_required("--domain")],
+    },
+    "purpose": {"add": [_arg("code"), _arg("--desc", default="")]},
+    "program": {
+        "sign": [_required("--program-id"),
+                 [_arg("--artifact", help="path to the program artifact"),
+                  _arg("--artifact-text", help="inline artifact text")],
+                 _required("--purpose"), _required("--domain"),
+                 _required("--classes", help="comma-separated field classes"),
+                 _arg("--op", default="read")],
+    },
+    "grant": [_required("--grantee", help="'controller' or a key id"), _required("--domain"),
+              _required("--classes"), _arg("--op", default="read"), _required("--purpose"),
+              _required("--basis", choices=("Legal", "Consent")),
+              _required("--from", dest="valid_from", type=int),
+              _required("--until", dest="valid_until", type=int)],
+    "extend": [_required("--auth"), _required("--purpose")],
+    "consent": dict.fromkeys(("give", "renew", "optout"), [
+        _required("--subject", help="subject vid in the registry domain"),
+        _required("--purpose")]),
+    "submit": [_required("--request-id"), _required("--program"), _required("--auth"),
+               _required("--domain"), _required("--subjects", help="comma-separated vids"),
+               _required("--classes"), _required("--purpose"), _arg("--op", default="read")],
+    "open": [_required("--ticket"), _required("--record")],
+    "verify-logs": [_arg("regulator_log"), _arg("controller_log")],
+    "notifications": [_arg("vid"),
+                      _arg("--all", action="store_true", help="print delivered notifications too")],
+    "run-scenario": [_arg("file"), _arg("--report", help="also write the report to this path")],
+}
+
+
+class _Subparsers(dict):
+    """The choices of a sub-parsers action: each name maps to its command's
+    spec until its first lookup builds the parser. Usage, help and the
+    choice check only iterate and test the names, so a command line builds
+    the parsers of the commands it names and no other."""
+
+    def __init__(self, action: argparse.Action, specs: dict):
+        super().__init__(specs)
+        self._action = action
+
+    def __getitem__(self, name: str) -> argparse.ArgumentParser:
+        spec = super().__getitem__(name)
+        if isinstance(spec, argparse.ArgumentParser):
+            return spec
+        # what add_parser builds, kept in place: add_parser would refuse the
+        # name, which is already here
+        parser = self._action._parser_class(prog=f"{self._action._prog_prefix} {name}")
+        self[name] = parser
+        _build(parser, spec, f"{name}_command")
+        return parser
+
+
+def _build(parser: argparse.ArgumentParser, spec: list | dict, dest: str) -> None:
+    """Add a command's arguments to ``parser``, or its subcommands under ``dest``."""
+    if isinstance(spec, dict):
+        action = parser.add_subparsers(dest=dest, required=True)
+        action.choices = action._name_parser_map = _Subparsers(action, spec)
+        return
+    for arg in spec:
+        if isinstance(arg, list):
+            group = parser.add_mutually_exclusive_group(required=True)
+            for flags, kwargs in arg:
+                group.add_argument(*flags, **kwargs)
+        else:
+            parser.add_argument(*arg[0], **arg[1])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regctl",
@@ -246,94 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--state-dir", help="state directory (or REGCTL_STATE_DIR)")
     parser.add_argument("--seed", type=int, default=None, help="seed all randomness")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    vault = sub.add_parser("vault").add_subparsers(dest="vault_command", required=True)
-    p = vault.add_parser("register")
-    p.add_argument("attr", nargs="+", help="attribute key=value pairs")
-    p = vault.add_parser("derive")
-    p.add_argument("--master", required=True)
-    p.add_argument("--domain", required=True)
-    p = vault.add_parser("alias")
-    p.add_argument("--master", required=True)
-    p.add_argument("--ttl", type=int, required=True)
-    p = vault.add_parser("route")
-    p.add_argument("--alias", required=True)
-
-    silo = sub.add_parser("silo").add_subparsers(dest="silo_command", required=True)
-    p = silo.add_parser("create")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--field", action="append", required=True, help="name:class (repeatable)")
-    p.add_argument("--contact-approved", action="store_true")
-    p = silo.add_parser("put")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--vid", required=True)
-    p.add_argument("fields", nargs="+", help="field key=value pairs")
-    p = silo.add_parser("list")
-    p.add_argument("--domain", required=True)
-
-    purpose = sub.add_parser("purpose").add_subparsers(dest="purpose_command", required=True)
-    p = purpose.add_parser("add")
-    p.add_argument("code")
-    p.add_argument("--desc", default="")
-
-    program = sub.add_parser("program").add_subparsers(dest="program_command", required=True)
-    p = program.add_parser("sign")
-    p.add_argument("--program-id", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--artifact", help="path to the program artifact")
-    group.add_argument("--artifact-text", help="inline artifact text")
-    p.add_argument("--purpose", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--classes", required=True, help="comma-separated field classes")
-    p.add_argument("--op", default="read")
-
-    p = sub.add_parser("grant")
-    p.add_argument("--grantee", required=True, help="'controller' or a key id")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--classes", required=True)
-    p.add_argument("--op", default="read")
-    p.add_argument("--purpose", required=True)
-    p.add_argument("--basis", choices=("Legal", "Consent"), required=True)
-    p.add_argument("--from", dest="valid_from", type=int, required=True)
-    p.add_argument("--until", dest="valid_until", type=int, required=True)
-
-    p = sub.add_parser("extend")
-    p.add_argument("--auth", required=True)
-    p.add_argument("--purpose", required=True)
-
-    consent = sub.add_parser("consent").add_subparsers(dest="consent_command", required=True)
-    for name in ("give", "renew", "optout"):
-        p = consent.add_parser(name)
-        p.add_argument("--subject", required=True, help="subject vid in the registry domain")
-        p.add_argument("--purpose", required=True)
-
-    p = sub.add_parser("submit")
-    p.add_argument("--request-id", required=True)
-    p.add_argument("--program", required=True)
-    p.add_argument("--auth", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--subjects", required=True, help="comma-separated vids")
-    p.add_argument("--classes", required=True)
-    p.add_argument("--purpose", required=True)
-    p.add_argument("--op", default="read")
-
-    p = sub.add_parser("open")
-    p.add_argument("--ticket", required=True)
-    p.add_argument("--record", required=True)
-
-    p = sub.add_parser("verify-logs")
-    p.add_argument("regulator_log")
-    p.add_argument("controller_log")
-
-    p = sub.add_parser("notifications")
-    p.add_argument("vid")
-    p.add_argument("--all", action="store_true", help="print delivered notifications too")
-
-    p = sub.add_parser("run-scenario")
-    p.add_argument("file")
-    p.add_argument("--report", help="also write the report to this path")
-
+    _build(parser, COMMANDS, "command")
     return parser
 
 

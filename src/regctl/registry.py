@@ -15,9 +15,18 @@ first failure, so decisions are deterministic and auditable:
     Existence, Status, Window, Scope, PurposeMatch, Manifest, Consent
 
 Every state mutation is one regulator-signed journal record, applied by the
-same code live and when the journal is replayed on load. The journal is
+same code live and when the journal is replayed. The journal is
 hash-chained: each record's signature covers the chain head over every
-earlier record's bytes, so a load verifies only the last signature.
+earlier record's bytes, so a replay verifies only the last signature.
+
+The journal is the record; ``registry.json`` beside it caches the state it
+leads to. A save writes the journal, then that snapshot, sealed by an HMAC
+keyed from the regulator's seed and naming the SHA-256, record count and
+chain head of the journal bytes it was taken from. A load whose snapshot
+seal verifies and names exactly the journal's bytes builds the state from
+it and holds those bytes undecoded; any other load replays the journal
+strictly. A save writes neither file while the registry is unchanged and
+both files still carry the stamp a load or save took of them.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import operator
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -235,9 +245,11 @@ class Registry:
         self.consents: dict[tuple[str, str], ConsentRecord] = {}  # the latest of each pair
         self.obligations: dict[str, DeletionObligation] = {}
         # signed RECv1 records, one per mutation; record i has seq i
-        self.journal: list[bytes] = []
-        # crypto.chain_hash over every record in self.journal
+        self._journal = store.Stream(bytes, bytes)
+        # crypto.chain_hash over every record in the journal
         self._journal_head = ZERO_HASH
+        self._snapshot_key = crypto.seed_key(regulator, "REGSNAPKEYv1")
+        self._stamp: store.Stamp | None = None  # of the journal and snapshot that hold this registry
         # (signing payload, signature) of manifests whose signature verified
         self._verified_manifests: set[tuple[bytes, bytes]] = set()
         self._lock = lock or threading.RLock()
@@ -246,16 +258,24 @@ class Registry:
     #
     # State changes only through ``_commit`` (live) and ``load`` (replay),
     # and both apply each record through ``_apply``, so a reloaded registry
-    # decides exactly as the live one did.
+    # decides exactly as the live one did. A load from the snapshot applies
+    # the snapshot's documents through ``_apply`` too, and sets the consents
+    # it holds as they were.
+
+    @property
+    def journal(self) -> list[bytes]:
+        """Every signed record, in order; held bytes are decoded on first use."""
+        return self._journal.records
 
     def _commit(self, kind: str, payload: dict):
         """Sign one journal record, apply it, and return what ``_apply`` stored."""
-        seq = len(self.journal)
+        self._stamp = None
+        seq = len(self._journal)
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         signature = crypto.sign(self.regulator, _signed_payload(seq, self._journal_head, kind, body))
         stored = self._apply(kind, payload)
         record = crypto.canon_encode("RECv1", [seq, kind, body, signature])
-        self.journal.append(record)
+        self._journal.append(record)
         self._journal_head = crypto.chain_hash(self._journal_head, record)
         return stored
 
@@ -265,18 +285,49 @@ class Registry:
         return dataclasses.replace(unsigned, signature=signature)
 
     def save(self, path: Path) -> None:
-        store.write_records(path, self.journal)
+        """Write the journal, then the snapshot beside it; neither while both
+        files still hold exactly this registry."""
+        snapshot_path = path.with_suffix(".json")
+        if store.unchanged(self._stamp, path, snapshot_path):
+            return
+        data = self._journal.file_bytes()
+        store.write_atomic(path, data)
+        store.write_sealed(snapshot_path, "registry", self._snapshot(data), self._snapshot_key,
+                           _SNAPSHOT_TAG)
+        self._stamp = store.stamp(path, snapshot_path)
 
     def load(self, path: Path) -> None:
-        """Replay a signed journal file into a fresh registry.
+        """Load a saved journal into a fresh registry.
+
+        The snapshot beside the journal is used when its seal verifies and
+        it was taken from exactly the journal's bytes: the live state is
+        built from it, and the journal's bytes are held undecoded. Any other
+        journal is replayed strictly by ``_replay``.
+        """
+        snapshot_path = path.with_suffix(".json")
+        stamp = store.stamp(path, snapshot_path)
+        data = store.read_bytes(path)
+        snapshot = store.read_sealed(snapshot_path, "registry", self._snapshot_key, _SNAPSHOT_TAG)
+        with store.reading(snapshot_path, "a registry snapshot"):
+            mark = None if snapshot is None else store.from_doc(store.FileMark, snapshot["journal"])
+            if mark is not None and mark.sha256 == crypto.sha256(data):
+                self._restore(snapshot)
+                self._journal.hold(path, data, mark.count)
+                self._journal_head = bytes.fromhex(snapshot["head"])
+                self._stamp = stamp
+                return
+        self._replay(path, data)
+
+    def _replay(self, path: Path, data: bytes) -> None:
+        """Replay the journal bytes ``data``, read from ``path``.
 
         Every byte is authenticated before anything is applied: the records
         must be in sequence, and the last one's signature, which covers the
         chain head over all the records before it, must verify.
         """
-        records = store.read_records(path, _decode_record)
+        records = store.decode_records(path, data, _decode_record)
         head = prev = self._journal_head
-        for position, (seq, _, _, _, record) in enumerate(records, len(self.journal)):
+        for position, (seq, _, _, _, record) in enumerate(records, len(self._journal)):
             if seq != position:
                 raise EncodingError(f"registry journal record {seq} found at position {position}")
             prev, head = head, crypto.chain_hash(head, record)
@@ -286,8 +337,39 @@ class Registry:
                 raise EncodingError(f"registry journal record {seq} signature invalid")
         for _, kind, body, _, record in records:
             self._apply(kind, json.loads(body))
-            self.journal.append(record)
+            self._journal.append(record)
         self._journal_head = head
+
+    # -- the snapshot ------------------------------------------------------------
+    #
+    # The live state, in dict order, and the journal it was taken from: the
+    # SHA-256 and record count of the journal's bytes, and its chain head.
+    # Purposes, manifests, authorizations and obligations are the documents
+    # their journal records apply; consents are columns of their fields.
+
+    def _snapshot(self, journal: bytes) -> dict:
+        consents = self.consents.values()
+        columns = [list(map(operator.attrgetter(name), consents)) for name in _CONSENT_FIELDS]
+        columns[-1] = [None if proof is None else proof.hex() for proof in columns[-1]]
+        return {
+            "journal": store.to_doc(store.FileMark(crypto.sha256(journal), len(self._journal))),
+            "head": self._journal_head.hex(),
+            "purpose": [{"code": code, "description": description}
+                        for code, description in self.purposes.items()],
+            "manifest": list(map(store.to_doc, self.manifests.values())),
+            "auth": list(map(store.to_doc, self.authorizations.values())),
+            "obligation": list(map(store.to_doc, self.obligations.values())),
+            "consents": columns,
+        }
+
+    def _restore(self, snapshot: dict) -> None:
+        for kind in ("purpose", "manifest", "auth", "obligation"):
+            for doc in snapshot[kind]:
+                self._apply(kind, doc)
+        *columns, proofs = snapshot["consents"]
+        proofs = [None if proof is None else bytes.fromhex(proof) for proof in proofs]
+        for record in map(ConsentRecord, *columns, proofs):
+            self.consents[(record.subject_vid, record.purpose_code)] = record
 
     def _apply(self, kind: str, p: dict):
         if kind == "purpose":
@@ -505,6 +587,10 @@ class Registry:
             if not crypto.verify(self.regulator, manifest.signing_payload(), manifest.signature):
                 return False
         return True
+
+
+_SNAPSHOT_TAG = "REGSNAPv1"
+_CONSENT_FIELDS = tuple(field.name for field in dataclasses.fields(ConsentRecord))
 
 
 def _signed_payload(seq: int, prev_head: bytes, kind: str, body: bytes) -> bytes:

@@ -26,9 +26,11 @@ only an edit in place that keeps the size, within the file system's
 timestamp granularity, would go unseen.
 
 In memory a record stream is a ``Stream``: the bytes a load kept,
-undecoded, then the records appended since. A load keeps only bytes the
-checkpoint vouches for: each stream's SHA-256 and record count, which
-``save_streams`` writes last, under an HMAC. No state directory whose
+undecoded, then the records appended since. A load keeps only bytes a
+sealed document vouches for by their SHA-256 and record count: the
+checkpoint, which ``save_streams`` writes last, or the registry's snapshot
+of its journal. ``write_sealed`` and ``read_sealed`` are the one seal, an
+HMAC over the JSON bytes of a document's content. No state directory whose
 checkpoint still records ledger heads loads: its ``clock.json`` predates
 the bare tick, which ``read_count`` requires.
 """
@@ -140,11 +142,14 @@ def stream_text(data: bytes) -> str:
     return data.decode("latin-1")
 
 
+def read_bytes(path: Path) -> bytes:
+    """The bytes of the file at ``path``; none when there is no file."""
+    return path.read_bytes() if path.exists() else b""
+
+
 def read_records(path: Path, decode: Callable[[bytes], T]) -> list[T]:
     """Read a record stream; a missing file is empty, a bad line raises EncodingError."""
-    if not path.exists():
-        return []
-    return decode_records(path, path.read_bytes(), decode)
+    return decode_records(path, read_bytes(path), decode)
 
 
 def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> list[T]:
@@ -175,12 +180,17 @@ class Stream(Generic[T]):
     def load(self, path: Path, mark: FileMark | None) -> None:
         """Replace the stream with the file at ``path``: kept undecoded if
         ``mark`` vouches for its bytes, else read strictly; a missing file is empty."""
-        data = path.read_bytes() if path.exists() else b""
+        data = read_bytes(path)
         if mark is None or crypto.sha256(data) != mark.sha256:
             self.replace(decode_records(path, data, self._decode))
         else:
-            self.replace(())
-            self._path, self._kept, self._kept_count = path, data, mark.count
+            self.hold(path, data, mark.count)
+
+    def hold(self, path: Path, data: bytes, count: int) -> None:
+        """Replace the stream with the ``count`` records of ``data``, the
+        bytes read from ``path``, kept undecoded."""
+        self.replace(())
+        self._path, self._kept, self._kept_count = path, data, count
 
     def __len__(self) -> int:
         return self._kept_count + len(self._records)
@@ -226,32 +236,44 @@ class FileMark:
 
 def save_streams(directory: Path, streams: dict[str, Stream], key: bytes) -> None:
     """Write each stream to its file in ``directory``, then the checkpoint
-    under an HMAC keyed by ``key``: last, so it never vouches for a file not
-    yet written."""
+    sealed by ``key``: last, so it never vouches for a file not yet written."""
     files = {}
     for name, stream in streams.items():
         data = stream.file_bytes()
         write_atomic(directory / name, data)
         files[name] = to_doc(FileMark(crypto.sha256(data), len(stream)))
-    write_json(directory / CHECKPOINT, {"files": files, "mac": _checkpoint_mac(key, files).hex()})
+    write_sealed(directory / CHECKPOINT, "files", files, key, _CHECKPOINT_TAG)
 
 
 def load_streams(directory: Path, streams: dict[str, Stream], key: bytes) -> None:
     """Load each stream from its file in ``directory``, keeping the bytes of
-    those the checkpoint vouches for; none unless its MAC verifies."""
-    try:
-        doc = read_json(directory / CHECKPOINT)
-        files, mac = doc["files"], bytes.fromhex(doc["mac"])
-    except (EncodingError, ValueError, TypeError, KeyError):  # no file reads as None
-        files, mac = {}, b""
-    if not hmac.compare_digest(mac, _checkpoint_mac(key, files)):
-        files = {}
+    those the checkpoint vouches for; none unless its seal verifies."""
+    files = read_sealed(directory / CHECKPOINT, "files", key, _CHECKPOINT_TAG) or {}
     for name, stream in streams.items():
         stream.load(directory / name, from_doc(FileMark, files[name]) if name in files else None)
 
 
-def _checkpoint_mac(key: bytes, files: dict) -> bytes:
-    return crypto.prf_derive(key, _CHECKPOINT_TAG, json_bytes(files))
+# -- sealed documents ------------------------------------------------------------------
+
+def write_sealed(path: Path, name: str, content: Any, key: bytes, tag: str) -> None:
+    """Write ``{name: content, "mac": ...}``: an HMAC keyed by ``key`` under
+    ``tag`` over the JSON bytes of ``content`` seals it."""
+    write_json(path, {name: content, "mac": _seal(key, tag, content).hex()})
+
+
+def read_sealed(path: Path, name: str, key: bytes, tag: str) -> Any:
+    """The ``content`` ``write_sealed`` wrote at ``path``; None when there is
+    no file, it is not such a document or its seal does not verify."""
+    try:
+        doc = read_json(path)
+        content, mac = doc[name], bytes.fromhex(doc["mac"])
+    except (EncodingError, ValueError, TypeError, KeyError):  # no file reads as None
+        return None
+    return content if hmac.compare_digest(mac, _seal(key, tag, content)) else None
+
+
+def _seal(key: bytes, tag: str, content: Any) -> bytes:
+    return crypto.prf_derive(key, tag, json_bytes(content))
 
 
 # -- JSON documents ------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
+import sys
 from pathlib import Path
 
 import pytest
 
-from regctl.cli import main
+from regctl.cli import build_parser, main
 from regctl.deploy import REGISTRY_DOMAIN, Deployment
 
 
@@ -417,3 +419,79 @@ def test_refused_argument_leaves_state_untouched(capsys, state, argv):
     code, _, stderr = invoke(capsys, *seeded(state, *argv))
     assert (code, stderr.startswith("error=")) == (1, True)
     assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
+# Captured from the parser that built every subcommand's parser up front; the
+# parser that builds only the ones a command line names must print the same.
+_COMMANDS = ("{vault,silo,purpose,program,grant,extend,consent,submit,open,verify-logs,"
+             "notifications,run-scenario}")
+_USAGE = ("usage: regctl [-h] [--state-dir STATE_DIR] [--seed SEED]\n"
+          f"              {_COMMANDS}\n"
+          "              ...\n")
+_CLI_OUTPUT = [
+    pytest.param(["--help"], 0,
+                 (_USAGE +
+                  "\n"
+                  "Regulated, dual-custody access to pseudonymised personal data.\n"
+                  "\n"
+                  "positional arguments:\n"
+                  f"  {_COMMANDS}\n"
+                  "\n"
+                  "options:\n"
+                  "  -h, --help            show this help message and exit\n"
+                  "  --state-dir STATE_DIR\n"
+                  "                        state directory (or REGCTL_STATE_DIR)\n"
+                  "  --seed SEED           seed all randomness\n"),
+                 "",
+                 id="help"),
+    pytest.param(["vault", "--help"], 0,
+                 ("usage: regctl vault [-h] {register,derive,alias,route} ...\n"
+                  "\n"
+                  "positional arguments:\n"
+                  "  {register,derive,alias,route}\n"
+                  "\n"
+                  "options:\n"
+                  "  -h, --help            show this help message and exit\n"),
+                 "",
+                 id="vault-help"),
+    pytest.param([], 2, "",
+                 _USAGE + "regctl: error: the following arguments are required: command\n",
+                 id="no-arguments"),
+    pytest.param(["frobnicate"], 2, "",
+                 (_USAGE +
+                  "regctl: error: argument command: invalid choice: 'frobnicate' (choose from "
+                  "'vault', 'silo', 'purpose', 'program', 'grant', 'extend', 'consent', "
+                  "'submit', 'open', 'verify-logs', 'notifications', 'run-scenario')\n"),
+                 id="unknown-command"),
+    pytest.param(["submit", "--request-id", "q1", "--program", "p1"], 2, "",
+                 ("usage: regctl submit [-h] --request-id REQUEST_ID --program PROGRAM --auth\n"
+                  "                     AUTH --domain DOMAIN --subjects SUBJECTS --classes\n"
+                  "                     CLASSES --purpose PURPOSE [--op OP]\n"
+                  "regctl submit: error: the following arguments are required: --auth, "
+                  "--domain, --subjects, --classes, --purpose\n"),
+                 id="submit-missing-option"),
+]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse 3.13 wraps usage lines anew")
+@pytest.mark.parametrize("argv, code, stdout, stderr", _CLI_OUTPUT)
+def test_help_and_usage_errors_print_what_they_always_printed(capsys, monkeypatch, argv, code,
+                                                              stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert (exit_.value.code, *capsys.readouterr()) == (code, stdout, stderr)
+
+
+def test_a_command_line_builds_the_parsers_it_names_and_no_other(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    args = build_parser().parse_args(["--state-dir", "s", "vault", "derive", "--master", "m",
+                                      "--domain", "health"])
+    assert (args.command, args.vault_command, args.master) == ("vault", "derive", "m")
+    assert built == ["regctl", "regctl vault", "regctl vault derive"]

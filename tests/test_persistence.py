@@ -298,7 +298,7 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
     dep.save()
     after = _snapshot(dep.state_dir)
     changed = {name for name in after if before.get(name) != after[name]}
-    assert len(changed) >= 10
+    assert len(changed) >= 10 and {"registry.journal", "registry.json"} <= changed
 
     real_replace = store.os.replace
     for k in range(1, 100):
@@ -327,7 +327,9 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
         assert not leftovers, f"write {k} left {leftovers}"
         for name, data in now.items():
             assert data in (before.get(name), after.get(name)), f"write {k} tore {name}"
-        assert _loaded_events(state) == _loaded_events(_without_checkpoint(state, tmp_path)), k
+        strict = _strict_copy(state, tmp_path)
+        assert _loaded_events(state) == _loaded_events(strict), k
+        assert _loaded_registry(state) == _loaded_registry(strict), k
         if not crashed:
             assert now == before | after
             break
@@ -430,12 +432,14 @@ def _cli_state(tmp_path) -> tuple[Path, list[list[str]]]:
     return state, [submit("q3"), submit("q4")]
 
 
-def _without_checkpoint(state: Path, tmp_path: Path) -> Path:
-    """A copy of ``state`` with no checkpoint, so every stream loads strictly."""
+def _strict_copy(state: Path, tmp_path: Path) -> Path:
+    """A copy of ``state`` with no checkpoint and no registry snapshot, so
+    every stream loads strictly and the registry journal is replayed."""
     strict = tmp_path / "strict"
     shutil.rmtree(strict, ignore_errors=True)
     shutil.copytree(state, strict)
     (strict / "ledgers" / "checkpoint.json").unlink(missing_ok=True)
+    (strict / "registry.json").unlink(missing_ok=True)
     return strict
 
 
@@ -452,24 +456,34 @@ def _loaded_events(state: Path):
     return tips, heads, [ledger.entries for ledger in ledgers], log.payloads
 
 
+def _loaded_registry(state: Path):
+    """What a registry loaded from ``state`` holds; or the error the load raised."""
+    try:
+        registry = Deployment(state_dir=state).registry
+    except EncodingError as exc:
+        return repr(exc).replace(str(state), "<state>")
+    return [getattr(registry, name) for name in ("purposes", "manifests", "authorizations",
+                                                 "consents", "obligations", "journal")]
+
+
 def test_held_load_equals_strict_load(tmp_path):
     state, _ = _cli_state(tmp_path)
     held = _loaded_events(state)
-    assert held == _loaded_events(_without_checkpoint(state, tmp_path))
+    assert held == _loaded_events(_strict_copy(state, tmp_path))
     tips, _, entries, payloads = held
     assert [seq for seq, _ in tips] == [len(e) - 1 for e in entries] == [len(payloads) - 1] * 2
 
 
 def test_a_checkpoint_that_is_not_json_loads_every_stream_strictly(tmp_path):
     state, _ = _cli_state(tmp_path)
-    strict = _loaded_events(_without_checkpoint(state, tmp_path))
+    strict = _loaded_events(_strict_copy(state, tmp_path))
     (state / "ledgers" / "checkpoint.json").write_bytes(b"{")
     assert _loaded_events(state) == strict
 
 
 def test_commands_write_the_same_bytes_with_or_without_checkpoint(tmp_path):
     state, commands = _cli_state(tmp_path)
-    strict = _without_checkpoint(state, tmp_path)
+    strict = _strict_copy(state, tmp_path)
     for argv in commands:
         assert cli_main(argv) == 0
         (strict / "ledgers" / "checkpoint.json").unlink(missing_ok=True)

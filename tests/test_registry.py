@@ -282,6 +282,10 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
     path = tmp_path / "registry.journal"
     dep.registry.save(path)
 
+    snapshot = path.with_suffix(".json")
+    live = snapshot.read_bytes()
+    snapshot.unlink()  # so the load replays the journal
+
     from regctl.registry import Registry
     replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     replayed.load(path)
@@ -299,6 +303,7 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
     again = tmp_path / "again.journal"
     replayed.save(again)
     assert again.read_bytes() == path.read_bytes()
+    assert again.with_suffix(".json").read_bytes() == live
 
 
 def test_journal_rejects_out_of_sequence_record(dep, tmp_path):
@@ -412,9 +417,7 @@ def test_journal_rejects_record_spliced_from_another_journal(dep, tmp_path, sour
     _assert_rejected_before_apply(dep, path)
 
 
-@pytest.mark.parametrize("consents", [1, 500])
-def test_reload_verifies_one_signature_and_signs_none(tmp_path, monkeypatch, consents):
-    state = tmp_path / "state"
+def _saved_deployment(state: Path, consents: int) -> Deployment:
     dep = Deployment(seed=59, state_dir=state)
     dep.vault.register_domain("health")
     dep.registry.register_purpose("TAX_AUDIT", "income assessment")
@@ -424,6 +427,14 @@ def test_reload_verifies_one_signature_and_signs_none(tmp_path, monkeypatch, con
     for i in range(consents):
         dep.registry.record_consent(f"subject-{i}", "TAX_AUDIT")
     dep.save()
+    return dep
+
+
+@pytest.mark.parametrize("consents", [1, 500])
+def test_reload_verifies_one_signature_and_signs_none(tmp_path, monkeypatch, consents):
+    state = tmp_path / "state"
+    dep = _saved_deployment(state, consents)
+    (state / "registry.json").unlink()  # no snapshot: the journal is replayed
     calls = count_calls(monkeypatch, "sign", "verify")
     again = Deployment(seed=59, state_dir=state)
     assert calls == {"sign": 0, "verify": 0}  # the registry loads when first reached
@@ -431,3 +442,19 @@ def test_reload_verifies_one_signature_and_signs_none(tmp_path, monkeypatch, con
     assert calls == {"sign": 0, "verify": 1}
     assert journal == dep.registry.journal
     assert len(again.event_log.regulator_ledger.entries) == 1
+
+
+@pytest.mark.parametrize("consents", [1, 500])
+def test_a_snapshot_load_verifies_and_signs_nothing(tmp_path, monkeypatch, consents):
+    state = tmp_path / "state"
+    dep = _saved_deployment(state, consents)
+    loaded = Deployment(seed=59, state_dir=state)
+    calls = count_calls(monkeypatch, "sign", "verify")
+    decoded = count_calls(monkeypatch, "canon_decode")
+    again = loaded.registry
+    assert calls == {"sign": 0, "verify": 0} and decoded == {"canon_decode": 0}
+    for name in ("purposes", "manifests", "manifests_by_digest", "authorizations", "consents",
+                 "obligations", "_journal_head"):
+        assert getattr(again, name) == getattr(dep.registry, name), name
+    assert again.journal == dep.registry.journal  # the held bytes, decoded on first use
+    assert calls == {"sign": 0, "verify": 0}
