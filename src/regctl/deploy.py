@@ -6,18 +6,23 @@ knows how to persist the lot under a state directory (and reload it), so
 the CLI can operate statefully across invocations and the scenario runner
 can snapshot a run for byte-level inspection.
 
-A command reaches few services, so a deployment loads only the services it
+A command reaches few services, so a deployment loads only those it
 reaches. Loading a state directory reads the keys, the event log, the
 clock (one logical tick, never behind the last ledger entry) and the
-notifier's counts at once. The registry, the vault, the regulator share
+notifier's counts at once; the registry, the vault, the regulator share
 store, the silos and the gate are each built and loaded when first
 reached, once, under the deployment lock, and a save writes only the
-services that were built: one never built still holds exactly what its
-files hold. Each file is still read strictly and in full before anything
+services built. Each file is read strictly and in full before anything
 that depends on it runs. The gate prunes the state it loads at the clock
 reading of the last save, with the filter a save applies, so a
 ``gate.json`` left unwritten by commands that never reached the gate
 loads as those saves would have written it.
+
+Every service persists through one contract, ``Persisted``: only the
+deployment reads (``read_files``) and writes (``_write``) its files, and
+``_save`` skips one whose ``changed`` mark is down while they still carry
+the ``store.stamp`` taken when they were last read or written, so a file
+replaced behind the process is written again from memory.
 
 With a seed, randomness is one deterministic stream, started at the first
 draw. In a state directory that draw bumps the count in
@@ -43,7 +48,7 @@ import random
 import secrets
 import threading
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, Protocol, TypeVar
 
 from . import store
 from .clock import Clock
@@ -53,22 +58,33 @@ from .events import EventLog
 from .gate import Gate
 from .notify import Notifier
 from .registry import DeletionProof, Registry, Scope
-from .silo import RegulatorShareStore, Silo, SiloSchema
+from .silo import RegulatorShareStore, Silo, SiloSchema, silo_files
 from .vault import REGISTRY_DOMAIN, Vault  # perfbench and the tests import it from here
-KEY_FILES = ("regulator.seed", "controller.seed", "vault.secret")  # hex, one key each
+KEY_FILES = ("keys/regulator.seed", "keys/controller.seed", "keys/vault.secret")  # hex, one key each
 
 T = TypeVar("T")
 
 
+class Persisted(Protocol):
+    files: tuple[str, ...]  # relative to the state directory, in write order, any seal last
+    changed: bool  # set by its mutators since the files were read or written
+    def save(self) -> dict[str, bytes]: ...  # the bytes of each of ``files``, by name
+
+
+def read_files(root: Path, names: Iterable[str]) -> store.Files:
+    """Each file ``names`` names under ``root``, with its bytes; None for a missing one."""
+    return [(p, p.read_bytes() if p.exists() else None) for p in (root / n for n in names)]
+
+
 def read_keys(state_dir: Path) -> tuple[bytes, ...] | None:
     """The key seeds saved under ``state_dir/keys``, in KEY_FILES order; None if there are none."""
-    keys_dir = state_dir / "keys"
-    if not (keys_dir / KEY_FILES[0]).exists():
+    files = read_files(state_dir, KEY_FILES)
+    if files[0][1] is None:
         return None
     seeds = []
-    for path in (keys_dir / name for name in KEY_FILES):
+    for path, data in files:
         with store.reading(path, "a hex key"):
-            seeds.append(bytes.fromhex(path.read_text()))
+            seeds.append(bytes.fromhex(data.decode()))
     return tuple(seeds)
 
 
@@ -94,6 +110,7 @@ class Deployment:
         self.event_log = EventLog(self.regulator, self.controller, self.clock)
         self.notifier = Notifier(self.event_log, lock=self._lock)
         self._built: dict[str, Any] = {}  # service name -> the service, once reached
+        self._stamps: dict[tuple[str, ...], store.Stamp | None] = {}  # a service's files -> theirs
         # the clock's reading at the save this deployment loaded; None when it loaded none
         self._loaded_at: int | None = None
         if self.state_dir is not None:
@@ -101,24 +118,28 @@ class Deployment:
 
     # -- services, each built and loaded when first reached ---------------------------
 
-    def _reach(self, name: str, build: Callable[[], T]) -> T:
-        """The service ``name``, built by ``build`` the first time it is reached."""
+    def _reach(self, name: str, build: Callable[[], T],
+               load: Callable[[T, store.Files], None] | None = None) -> T:
+        """The service ``name``: built by ``build`` and loaded by ``load`` when first reached."""
         with self._lock:
             if name not in self._built:
-                self._built[name] = build()
+                service = build()
+                if load is not None and self._loaded_at is not None:
+                    load(service, self._load(service.files))
+                self._built[name] = service
             return self._built[name]
 
     @property
     def registry(self) -> Registry:
-        return self._reach("registry", self._build_registry)
+        return self._reach("registry", self._new_registry, Registry.load)
 
     @property
     def vault(self) -> Vault:
-        return self._reach("vault", self._build_vault)
+        return self._reach("vault", self._new_vault, Vault.load_state)
 
     @property
     def share_store(self) -> RegulatorShareStore:
-        return self._reach("share_store", self._build_share_store)
+        return self._reach("share_store", RegulatorShareStore, RegulatorShareStore.load)
 
     @property
     def silos(self) -> dict[str, Silo]:
@@ -126,48 +147,33 @@ class Deployment:
 
     @property
     def gate(self) -> Gate:
-        return self._reach("gate", self._build_gate)
+        return self._reach("gate", self._new_gate, self._load_gate)
 
-    def _build_registry(self) -> Registry:
-        registry = Registry(self.regulator, self.clock, self.event_log,
-                            subjects_in_scope=self._subjects_in_scope, lock=self._lock)
-        if self._loaded_at is not None:
-            registry.load(self.state_dir / "registry.journal")
-        return registry
+    def _new_registry(self) -> Registry:
+        return Registry(self.regulator, self.clock, self.event_log,
+                        subjects_in_scope=self._subjects_in_scope, lock=self._lock)
 
-    def _build_vault(self) -> Vault:
-        vault = Vault(self._vault_secret, self.clock, self.event_log,
-                      regulator=self.regulator, rand_bytes=self.rand_bytes, lock=self._lock)
-        if self._loaded_at is not None:
-            vault.load_state(self.state_dir / "vault")
-        return vault
+    def _new_vault(self) -> Vault:
+        return Vault(self._vault_secret, self.clock, self.event_log, regulator=self.regulator,
+                     rand_bytes=self.rand_bytes, lock=self._lock)
 
-    def _build_share_store(self) -> RegulatorShareStore:
-        share_store = RegulatorShareStore()
-        if self._loaded_at is not None:
-            share_store.load(self.state_dir / "regulator_shares.json")
-        return share_store
+    def _new_gate(self) -> Gate:
+        return Gate(self.regulator, self.controller, self, self.event_log, self.clock,
+                    registry_vid_of=self._registry_vid_of, rand_bytes=self.rand_bytes,
+                    lock=self._lock)
+
+    def _load_gate(self, gate: Gate, files: store.Files) -> None:
+        gate.load_state(files, self._loaded_at)
 
     def _build_silos(self) -> dict[str, Silo]:
         silos: dict[str, Silo] = {}
         if self._loaded_at is not None and (self.state_dir / "silos").exists():
             for silo_dir in sorted(p for p in (self.state_dir / "silos").iterdir() if p.is_dir()):
-                silo = self._new_silo(Silo.load_schema(silo_dir))
-                silo.load_records(silo_dir)
+                files = self._load(silo_files(silo_dir.name))
+                silo = self._new_silo(Silo.load_schema(files))
+                silo.load_records(files)
                 silos[silo.domain] = silo
         return silos
-
-    def _build_gate(self) -> Gate:
-        gate = Gate(self.regulator, self.controller, self, self.event_log, self.clock,
-                    registry_vid_of=self._registry_vid_of, rand_bytes=self.rand_bytes,
-                    lock=self._lock)
-        if self._loaded_at is not None:
-            # kept as the save that wrote the clock would have kept it: a
-            # command that never reached the gate left gate.json as it was
-            path = self.state_dir / "gate.json"
-            with store.reading(path, "a gate state document"):
-                gate.load_state(store.read_json(path) or {}, self._loaded_at)
-        return gate
 
     # -- randomness and keys ------------------------------------------------------
 
@@ -180,7 +186,7 @@ class Deployment:
                 if self.state_dir is not None:
                     # stateful CLI use: each invocation that draws continues,
                     # not restarts, the deterministic byte stream
-                    self._invocation = store.read_count(self.state_dir / "invocations.json") + 1
+                    self._invocation = self._read_count("invocations.json") + 1
                     seed = seed * 1_000_003 + self._invocation
                 self._rng = random.Random(seed)
         return self._rng.randbytes(n)
@@ -195,12 +201,13 @@ class Deployment:
 
     def _write_keys(self) -> None:
         """Write the key seeds, unless written, and the count of the stream drawn from."""
-        keys_dir = self.state_dir / "keys"
-        if not (keys_dir / KEY_FILES[0]).exists():
-            for name, key in zip(KEY_FILES, self._key_seeds):
-                store.write_atomic(keys_dir / name, (key.hex() + "\n").encode("ascii"))
+        files = {}
+        if not (self.state_dir / KEY_FILES[0]).exists():
+            files = {name: (key.hex() + "\n").encode("ascii")
+                     for name, key in zip(KEY_FILES, self._key_seeds)}
         if self._invocation is not None:
-            store.write_json(self.state_dir / "invocations.json", self._invocation)
+            files["invocations.json"] = store.json_bytes(self._invocation)
+        self._write(files)
 
     # -- wiring callbacks -----------------------------------------------------------
 
@@ -270,39 +277,54 @@ class Deployment:
     # -- persistence -------------------------------------------------------------------------
 
     def save(self) -> None:
-        """Write the state directory. A service never reached holds exactly
-        what its files hold, so only the services reached are saved."""
+        """Write the state directory: the keys, each service reached, then the
+        clock. A service never reached holds exactly what its files hold, so
+        only the services reached are saved."""
         if self.state_dir is None:
             raise RegctlError("deployment has no state directory")
-        root = self.state_dir
         with self._lock:
             built = self._built
             self._write_keys()
-            if "vault" in built:
-                self.vault.save(root / "vault")
-            if "registry" in built:
-                self.registry.save(root / "registry.journal")
-            self.event_log.save(root / "ledgers")
-            if "share_store" in built:
-                self.share_store.save(root / "regulator_shares.json")
-            if "gate" in built:
-                store.write_json(root / "gate.json", self.gate.state_dict())
-            self.notifier.save(root / "notifications.json")
-            for domain, silo in sorted(built.get("silos", {}).items()):
-                silo.save(root / "silos" / domain)
-            store.write_json(root / "clock.json", self.clock.now())
+            services = [built.get("vault"), built.get("registry"), self.event_log,
+                        built.get("share_store"), built.get("gate"), self.notifier,
+                        *(silo for _, silo in sorted(built.get("silos", {}).items()))]
+            for service in services:
+                if service is not None:
+                    self._save(service)
+            self._write({"clock.json": store.json_bytes(self.clock.now())})
+
+    def _save(self, service: Persisted) -> None:
+        """Write the files of ``service``, unless it is unchanged and they still carry its stamp."""
+        paths = [self.state_dir / name for name in service.files]
+        kept = self._stamps.pop(service.files, None)  # so that a save cut short leaves none
+        if kept is not None and not service.changed and store.stamp(*paths) == kept:
+            self._stamps[service.files] = kept
+            return
+        self._write(service.save())
+        self._stamps[service.files] = store.stamp(*paths)
+
+    def _write(self, files: dict[str, bytes]) -> None:
+        for name, data in files.items():
+            store.write_atomic(self.state_dir / name, data)
+
+    def _load(self, names: tuple[str, ...]) -> store.Files:
+        """The bytes of a service's files, read after their stamp is taken."""
+        self._stamps[names] = store.stamp(*(self.state_dir / name for name in names))
+        return read_files(self.state_dir, names)
+
+    def _read_count(self, name: str) -> int:
+        """The count the file ``name`` holds; 0 when there is no such file."""
+        return store.parse_count(*read_files(self.state_dir, (name,))[0])
 
     def _load_state(self) -> None:
         """Load what every command needs: the event log, the clock and the
         notifier. Each other service is loaded when first reached."""
-        root = self.state_dir
         with self._lock:
-            self.event_log.load(root / "ledgers")
+            self.event_log.load(self._load(self.event_log.files))
             # never behind the ledger: a rolled-back clock.json would
             # revive expired windows, tickets and aliases
             last = self.event_log.regulator_ledger.head()
-            saved = max(store.read_count(root / "clock.json"),
-                        last.timestamp if last is not None else 0)
+            saved = max(self._read_count("clock.json"), last.timestamp if last is not None else 0)
             self.clock.set_tick(saved)
             self._loaded_at = saved
-            self.notifier.load(root / "notifications.json")
+            self.notifier.load(self._load(self.notifier.files))

@@ -12,12 +12,12 @@ denied twice in one tick), so the log keeps every recorded payload and the
 bijection counts each (subject, event id) pair with its multiplicity.
 
 The two ledgers and ``events.log`` are ``store.Stream``s under one
-checkpoint. Only ``entries``, ``historical_heads`` and ``payloads`` decode
-the bytes a load kept, on first use, so a load and save cost O(change) and
-not O(history). A save writes nothing while no event was recorded since
-the last load or save and the four files still carry the stamp taken then
-(``store.stamp``). An id the log draws is its prefix and the seq of the
-ledger entry that records the event, so no id counter is kept.
+checkpoint, saved after them. Only ``entries``, ``historical_heads`` and
+``payloads`` decode the bytes a load kept, on first use, so a load and save
+cost O(change) and not O(history). Recording an event sets ``changed``;
+an unchanged log whose files still carry their stamp is not saved. An id
+the log draws is its prefix and the seq of the ledger entry that records
+the event, so no id counter is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import crypto, store
 from .clock import Clock
@@ -105,8 +104,15 @@ class Event:
         )
 
 
+_CHECKPOINT_TAG = "CKPTv1"
+
+
 class EventLog:
     """Paired ledgers + payload store, behind one record() call."""
+
+    # the three streams, then the checkpoint that vouches for them
+    files = ("ledgers/regulator.log", "ledgers/controller.log", "ledgers/events.log",
+             "ledgers/checkpoint.json")
 
     def __init__(self, regulator: SigningIdentity, controller: SigningIdentity, clock: Clock):
         self.regulator_ledger = Ledger(owner=regulator, counterpart=controller)
@@ -114,20 +120,15 @@ class EventLog:
         self.clock = clock
         self._payloads = store.Stream(bytes, bytes)  # payload i belongs to ledger entry i
         self._checkpoint_key = crypto.seed_key(controller, "CKPTKEYv1")
-        self._stamp: store.Stamp | None = None  # of the files that hold this log
+        self.changed = False  # an event was recorded since the files were read or written
 
     @property
     def payloads(self) -> list[bytes]:
         """Every recorded payload, in record order; kept ones decode strictly on first use."""
         return self._payloads.records
 
-    def _streams(self) -> dict[str, store.Stream]:
-        return {"regulator.log": self.regulator_ledger.stream,
-                "controller.log": self.controller_ledger.stream,
-                "events.log": self._payloads}
-
-    def _files(self, directory: Path) -> list[Path]:
-        return [directory / name for name in (*self._streams(), store.CHECKPOINT)]
+    def _streams(self) -> tuple[store.Stream, ...]:  # those ``files`` name, in order
+        return self.regulator_ledger.stream, self.controller_ledger.stream, self._payloads
 
     def next_event_id(self, prefix: str) -> str:
         """``prefix`` and the seq of the ledger entry the next ``record`` appends."""
@@ -140,7 +141,7 @@ class EventLog:
         other's last signed entry, whose head hash becomes the
         cross-commitment, so an honest pair always cross-verifies.
         """
-        self._stamp = None
+        self.changed = True
         now = self.clock.now()
         event = Event(kind=kind, event_id=event_id, timestamp=now,
                       subjects=tuple(subjects), summary=summary)
@@ -176,19 +177,25 @@ class EventLog:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, directory: Path) -> None:
-        """Write the ledger pair and events.log under the checkpoint; nothing
-        while the files still hold exactly this log."""
-        files = self._files(directory)
-        if store.unchanged(self._stamp, *files):
-            return
-        store.save_streams(directory, self._streams(), self._checkpoint_key)
-        self._stamp = store.stamp(*files)
+    def save(self) -> dict[str, bytes]:
+        """The ledger pair and events.log, then the checkpoint: last, so that
+        it never vouches for a file not yet written."""
+        self.changed = False
+        files, marks = {}, {}
+        for name, stream in zip(self.files, self._streams()):
+            files[name] = data = stream.file_bytes()
+            mark = store.FileMark(crypto.sha256(data), len(stream))
+            marks[name.removeprefix("ledgers/")] = store.to_doc(mark)
+        files[self.files[-1]] = store.sealed("files", marks, self._checkpoint_key, _CHECKPOINT_TAG)
+        return files
 
-    def load(self, directory: Path) -> None:
-        """Load into a log that holds no event yet: the streams the checkpoint
-        vouches for are kept undecoded, any other is read strictly."""
-        self._stamp = store.stamp(*self._files(directory))
-        store.load_streams(directory, self._streams(), self._checkpoint_key)
+    def load(self, files: store.Files) -> None:
+        """Load ``files`` into a log that holds no event yet: the streams the
+        checkpoint vouches for are kept undecoded, any other is decoded strictly."""
+        *streams, (_, checkpoint) = files
+        marks = store.unseal(checkpoint, "files", self._checkpoint_key, _CHECKPOINT_TAG) or {}
+        for stream, (path, data) in zip(self._streams(), streams):
+            mark = marks.get(path.name)
+            stream.load(path, data, None if mark is None else store.from_doc(store.FileMark, mark))
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())

@@ -20,6 +20,7 @@ from .clock import Clock
 from .crypto import KeyShare, Holder, SigningIdentity
 from .errors import (
     DecryptFailure,
+    EncodingError,
     NotFound,
     ProtocolError,
     RegctlError,
@@ -148,6 +149,9 @@ class Services(Protocol):
 
 
 class Gate:
+    files = ("gate.json",)
+    changed = True  # a save drops what the clock retired, so every save encodes the gate
+
     def __init__(self, regulator: SigningIdentity, controller: SigningIdentity,
                  services: Services, event_log: EventLog, clock: Clock,
                  registry_vid_of: Callable[[str, str], str | None],
@@ -186,7 +190,9 @@ class Gate:
         then the registry decision per subject (first failure wins).
         Malformed requests raise ProtocolError after being logged; they
         identify no subject, so nobody is notified. The event is logged
-        under the request id, which a replay or a reuse shares.
+        under the request id, which a replay or a reuse shares. A read of a
+        record with no regulator share, which only a lost or tampered share
+        store leaves, raises EncodingError unlogged, with the nonce unspent.
         """
         with self._lock:
             now = self.clock.now()
@@ -222,8 +228,11 @@ class Gate:
                     for vid in request.subject_vids:
                         for record_id in silo.records_for_vid(vid):
                             share = share_store.get(record_id)
-                            if share is not None:
-                                shares[record_id] = share
+                            if share is None:  # a share goes only with its record
+                                del self._seen_nonces[request.nonce]  # nothing was decided
+                                raise EncodingError(f"{share_store.loaded_from}: no regulator "
+                                                    f"share for record {record_id}")
+                            shares[record_id] = share
             subjects = sorted(set(request.subject_vids))
             ticket = AccessTicket(
                 ticket_id="T" + self._rand(6).hex(),
@@ -347,6 +356,9 @@ class Gate:
                 {key: exp for key, exp in self._consumed.items() if exp > now},
                 {tid: t for tid, t in self.tickets.items() if t.expires_at > now})
 
+    def save(self) -> dict[str, bytes]:
+        return {self.files[0]: store.json_bytes(self.state_dict())}
+
     def state_dict(self) -> dict:
         nonces, consumed, tickets = self._kept(self.clock.now())
         return {
@@ -359,17 +371,20 @@ class Gate:
             ],
         }
 
-    def load_state(self, state: dict, saved_at: int) -> None:
-        """Read a ``state_dict`` into a fresh gate, keeping what a save at
+    def load_state(self, files: store.Files, saved_at: int) -> None:
+        """Load ``files`` into a fresh gate, keeping what a save at
         ``saved_at``, the clock reading of the last save, would have kept."""
-        self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
-        self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
-        for t in state.get("tickets", []):
-            ticket = store.from_doc(AccessTicket, t, regulator_shares={
-                rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
-                for rid, h in t["regulator_shares"].items()})
-            self.tickets[ticket.ticket_id] = ticket
-        self._seen_nonces, self._consumed, self.tickets = self._kept(saved_at)
+        ((path, data),) = files
+        state = store.parse_json(path, data) or {}
+        with store.reading(path, "a gate state document"):
+            self._seen_nonces = {bytes.fromhex(n): ts for n, ts in state.get("nonces", {}).items()}
+            self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
+            for t in state.get("tickets", []):
+                ticket = store.from_doc(AccessTicket, t, regulator_shares={
+                    rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
+                    for rid, h in t["regulator_shares"].items()})
+                self.tickets[ticket.ticket_id] = ticket
+            self._seen_nonces, self._consumed, self.tickets = self._kept(saved_at)
 
     def drop_records_from_tickets(self, record_ids: set[str]) -> None:
         """Purge stored tickets that referenced now-deleted records."""

@@ -34,6 +34,8 @@ class Notification:
 
 
 class Notifier:
+    files = ("notifications.json",)
+
     def __init__(self, event_log: EventLog, lock: threading.RLock):
         self._event_log = event_log
         self._boxes: dict[str, list[Notification]] = {}
@@ -41,6 +43,7 @@ class Notifier:
         self._total = 0  # notifications in the mailboxes
         self._delivered: dict[str, int] = {}
         self._unchecked: Path | None = None  # the file of delivered counts not yet checked
+        self.changed = False  # a count moved since the file was read or written
         self._lock = lock
 
     def enqueue(self, event: Event) -> None:
@@ -75,6 +78,7 @@ class Notifier:
             fresh = box[self._delivered.get(subject_vid, 0):]
             if fresh:
                 self._delivered[subject_vid] = len(box)
+                self.changed = True
             return fresh
 
     def all_notifications(self) -> list[Notification]:
@@ -90,10 +94,12 @@ class Notifier:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self, path: Path) -> None:
-        store.write_json(path, self._delivered)
+    def save(self) -> dict[str, bytes]:
+        self.changed = False
+        return {self.files[0]: store.json_bytes(self._delivered)}
 
-    def load(self, path: Path) -> None:
-        """Read the delivered counts into a notifier that has shown nothing yet."""
-        self._delivered = store.read_counts(path, "delivered count by vid")
+    def load(self, files: store.Files) -> None:
+        """Load ``files`` into a notifier that has shown nothing yet."""
+        ((path, data),) = files
+        self._delivered = store.parse_counts(path, data, "delivered count by vid")
         self._unchecked = path

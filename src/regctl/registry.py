@@ -25,8 +25,8 @@ keyed from the regulator's seed and naming the SHA-256, record count and
 chain head of the journal bytes it was taken from. A load whose snapshot
 seal verifies and names exactly the journal's bytes builds the state from
 it and holds those bytes undecoded; any other load replays the journal
-strictly. A save writes neither file while the registry is unchanged and
-both files still carry the stamp a load or save took of them.
+strictly and leaves the registry ``changed``, as every mutation does, so
+the next save writes both files and a fresh snapshot.
 """
 
 from __future__ import annotations
@@ -231,6 +231,8 @@ class DeletionProof:
 # ---------------------------------------------------------------------------
 
 class Registry:
+    files = ("registry.journal", "registry.json")  # the journal, then its snapshot
+
     def __init__(self, regulator: SigningIdentity, clock: Clock, event_log: EventLog,
                  subjects_in_scope: Callable[[Scope], list[str]],
                  lock: threading.RLock | None = None):
@@ -249,7 +251,7 @@ class Registry:
         # crypto.chain_hash over every record in the journal
         self._journal_head = ZERO_HASH
         self._snapshot_key = crypto.seed_key(regulator, "REGSNAPKEYv1")
-        self._stamp: store.Stamp | None = None  # of the journal and snapshot that hold this registry
+        self.changed = False  # since the files were read or written
         # (signing payload, signature) of manifests whose signature verified
         self._verified_manifests: set[tuple[bytes, bytes]] = set()
         self._lock = lock or threading.RLock()
@@ -269,7 +271,7 @@ class Registry:
 
     def _commit(self, kind: str, payload: dict):
         """Sign one journal record, apply it, and return what ``_apply`` stored."""
-        self._stamp = None
+        self.changed = True
         seq = len(self._journal)
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         signature = crypto.sign(self.regulator, _signed_payload(seq, self._journal_head, kind, body))
@@ -284,39 +286,31 @@ class Registry:
         signature = crypto.sign(self.regulator, unsigned.signing_payload())
         return dataclasses.replace(unsigned, signature=signature)
 
-    def save(self, path: Path) -> None:
-        """Write the journal, then the snapshot beside it; neither while both
-        files still hold exactly this registry."""
-        snapshot_path = path.with_suffix(".json")
-        if store.unchanged(self._stamp, path, snapshot_path):
-            return
+    def save(self) -> dict[str, bytes]:
+        """The journal, then the snapshot taken from it: last, so that it
+        never vouches for a journal not yet written."""
+        self.changed = False
         data = self._journal.file_bytes()
-        store.write_atomic(path, data)
-        store.write_sealed(snapshot_path, "registry", self._snapshot(data), self._snapshot_key,
-                           _SNAPSHOT_TAG)
-        self._stamp = store.stamp(path, snapshot_path)
+        return {"registry.journal": data,
+                "registry.json": store.sealed("registry", self._snapshot(data),
+                                              self._snapshot_key, _SNAPSHOT_TAG)}
 
-    def load(self, path: Path) -> None:
-        """Load a saved journal into a fresh registry.
-
-        The snapshot beside the journal is used when its seal verifies and
-        it was taken from exactly the journal's bytes: the live state is
-        built from it, and the journal's bytes are held undecoded. Any other
-        journal is replayed strictly by ``_replay``.
-        """
-        snapshot_path = path.with_suffix(".json")
-        stamp = store.stamp(path, snapshot_path)
-        data = store.read_bytes(path)
-        snapshot = store.read_sealed(snapshot_path, "registry", self._snapshot_key, _SNAPSHOT_TAG)
+    def load(self, files: store.Files) -> None:
+        """Load ``files`` into a fresh registry: from the snapshot, holding the
+        journal's bytes undecoded, when its seal verifies and it was taken from
+        exactly those bytes; else by replaying the journal strictly."""
+        (path, data), (snapshot_path, snapshot) = files
+        data = data or b""
+        snapshot = store.unseal(snapshot, "registry", self._snapshot_key, _SNAPSHOT_TAG)
         with store.reading(snapshot_path, "a registry snapshot"):
             mark = None if snapshot is None else store.from_doc(store.FileMark, snapshot["journal"])
             if mark is not None and mark.sha256 == crypto.sha256(data):
                 self._restore(snapshot)
                 self._journal.hold(path, data, mark.count)
                 self._journal_head = bytes.fromhex(snapshot["head"])
-                self._stamp = stamp
                 return
         self._replay(path, data)
+        self.changed = True  # so that the next save writes a snapshot of it
 
     def _replay(self, path: Path, data: bytes) -> None:
         """Replay the journal bytes ``data``, read from ``path``.

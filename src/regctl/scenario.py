@@ -875,7 +875,8 @@ class _Runner:
         """Remap a vid in copies of the saved vault state, which no signature
         covers. Pointed at another subject's master, the load must refuse it;
         swapped with that subject's, its first use must."""
-        doc = store.read_json(state_dir / VAULT_STATE)
+        path = state_dir / VAULT_STATE
+        doc = store.parse_json(path, path.read_bytes())
         domain = next((d for d in doc["domains"] if len(doc["vids"].get(d, [[]])[0]) >= 2), None)
         if domain is None:
             self.attacks.append(AttackOutcome("RemapVid", False, "no two vids share a domain"))
@@ -888,7 +889,7 @@ class _Runner:
                 master_ids[:2] = remapped
                 copy = Path(tmp) / stage
                 shutil.copytree(state_dir, copy)
-                store.write_json(copy / VAULT_STATE, doc)
+                store.write_atomic(copy / VAULT_STATE, store.json_bytes(doc))
                 outcomes.append((stage, *_remap_refusal(copy, domain, vids[0])))
         self.attacks.append(AttackOutcome(
             "RemapVid", all(stage == refused_at for stage, refused_at, _ in outcomes),

@@ -12,9 +12,10 @@ dual-signed proof over the destroyed record ids.
 ``records.log`` holds one ``SRECv2`` record per line (id, vid, ciphertext,
 controller share) by record id, and no time: it does not give away creation order.
 
-A silo's and the share store's save encode nothing while their files still
-carry the stat stamp of the last load or save and no change came since
-(``store.stamp``).
+A silo's files are ``silos/<domain>/schema.json`` and ``records.log``, the
+share store's ``regulator_shares.json``. Every change sets ``changed``; the
+deployment encodes neither while it is unchanged and its files still carry
+the stamp taken when they were read or written.
 """
 
 from __future__ import annotations
@@ -122,15 +123,18 @@ def record_aad(record_id: str, vid: str, domain: str) -> bytes:
 class RegulatorShareStore:
     """Regulator-side deposit box for the second half of every record key."""
 
+    files = ("regulator_shares.json",)
+
     def __init__(self):
         self._shares: dict[str, KeyShare] = {}
-        self._stamp: store.Stamp | None = None  # of the file that holds these shares
+        self.loaded_from: Path | None = None  # the file the shares were loaded from
+        self.changed = False  # since the file was read or written
 
     def deposit(self, record_id: str, share: KeyShare) -> None:
         if share.holder is not Holder.REGULATOR:
             raise SchemaError("only regulator shares can be deposited")
         self._shares[record_id] = share
-        self._stamp = None
+        self.changed = True
 
     def get(self, record_id: str) -> KeyShare | None:
         return self._shares.get(record_id)
@@ -138,21 +142,20 @@ class RegulatorShareStore:
     def destroy(self, record_id: str) -> bool:
         """Erase a share; True confirms it is gone."""
         self._shares.pop(record_id, None)
-        self._stamp = None
+        self.changed = True
         return record_id not in self._shares
 
-    def save(self, path: Path) -> None:
-        if store.unchanged(self._stamp, path):
-            return
-        store.write_json(path, {rid: s.share.hex() for rid, s in self._shares.items()})
-        self._stamp = store.stamp(path)
+    def save(self) -> dict[str, bytes]:
+        self.changed = False
+        return {self.files[0]: store.json_bytes({rid: s.share.hex()
+                                                 for rid, s in self._shares.items()})}
 
-    def load(self, path: Path) -> None:
-        """Replace the held shares with the file's."""
-        self._stamp = store.stamp(path)
-        with store.reading(path, "regulator shares by record id"):
-            self._shares = {rid: KeyShare(bytes.fromhex(hexshare), Holder.REGULATOR)
-                            for rid, hexshare in (store.read_json(path) or {}).items()}
+    def load(self, files: store.Files) -> None:
+        """Replace the held shares with those ``files`` hold."""
+        ((self.loaded_from, data),) = files
+        with store.reading(self.loaded_from, "regulator shares by record id"):
+            self._shares = {rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR) for rid, h
+                            in (store.parse_json(self.loaded_from, data) or {}).items()}
 
 
 class Silo:
@@ -167,7 +170,8 @@ class Silo:
         self.event_log = event_log
         self._rand = rand_bytes or secrets.token_bytes
         self._records: dict[str, SiloRecord] = {}
-        self._stamp: store.Stamp | None = None  # of the schema.json and records.log of this silo
+        self.files = silo_files(schema.domain)
+        self.changed = False  # since the files were read or written
         self._lock = lock or threading.RLock()
 
     @property
@@ -200,7 +204,7 @@ class Silo:
                 record_aad(record_id, vid, self.domain),
             )
             self._records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share)
-            self._stamp = None
+            self.changed = True
             self.share_store.deposit(record_id, regulator_share)
             return record_id
 
@@ -249,7 +253,7 @@ class Silo:
         if not crypto.verify(regulator, obligation.signing_payload(), obligation.signature):
             raise NotFound(f"obligation {obligation.obligation_id} signature invalid")
         with self._lock:
-            self._stamp = None
+            self.changed = True
             for rid in doomed:
                 del self._records[rid]
             for rid in doomed:
@@ -269,28 +273,30 @@ class Silo:
 
     # -- persistence --------------------------------------------------------------
 
-    def save(self, directory: Path) -> None:
-        paths = directory / "schema.json", directory / "records.log"
-        if store.unchanged(self._stamp, *paths):
-            return
-        store.write_json(paths[0], store.to_doc(self.schema))
-        records = [self._records[rid].canonical_bytes() for rid in sorted(self._records)]
-        store.write_records(paths[1], records)
-        self._stamp = store.stamp(*paths)
+    def save(self) -> dict[str, bytes]:
+        self.changed = False
+        schema, records = self.files
+        return {schema: store.json_bytes(store.to_doc(self.schema)),
+                records: store.encode_records(self._records[rid].canonical_bytes()
+                                              for rid in sorted(self._records))}
 
-    def load_records(self, directory: Path) -> None:
-        """Replace the silo's records with those of ``records.log``; the
-        schema is the one the silo was built with, read by ``load_schema``."""
-        paths = directory / "schema.json", directory / "records.log"
-        self._stamp = store.stamp(*paths)
+    def load_records(self, files: store.Files) -> None:
+        """Replace the silo's records with those ``files`` hold; the schema is
+        the one the silo was built with, read by ``load_schema``."""
+        _, (path, data) = files
         self._records = {record.record_id: record for record in
-                         store.read_records(paths[1], SiloRecord.from_canonical)}
+                         store.decode_records(path, data or b"", SiloRecord.from_canonical)}
 
     @staticmethod
-    def load_schema(directory: Path) -> SiloSchema:
-        path = directory / "schema.json"
-        doc = store.read_json(path)
+    def load_schema(files: store.Files) -> SiloSchema:
+        (path, data), _ = files
+        doc = store.parse_json(path, data)
         if doc is None:
             raise EncodingError(f"{path}: no such file")
         with store.reading(path, "a silo schema"):
             return store.from_doc(SiloSchema, doc)
+
+
+def silo_files(domain: str) -> tuple[str, str]:
+    """The files of the silo of ``domain``: its schema, then its records."""
+    return f"silos/{domain}/schema.json", f"silos/{domain}/records.log"

@@ -1,38 +1,31 @@
-"""The state directory's storage: two formats, one writer, one reader.
+"""The state directory's storage: two formats over bytes, one atomic writer.
 
 * Record streams hold one record per line: the base64 of its canonical
-  bytes, ended by ``"\\n"``. Reading is strict: only ``"\\n"`` ends a
-  line, the file must end with one, every line must be valid base64 that
+  bytes, ended by ``"\\n"``. Decoding is strict: only ``"\\n"`` ends a
+  line, the bytes must end with one, every line must be valid base64 that
   re-encodes to the identical text, and its bytes must decode; the first
   line that breaks a rule is reported.
-* JSON documents are written with sorted keys and compact separators.
+* JSON documents are encoded with sorted keys and compact separators.
   A dataclass's document holds its fields by name: ``bytes`` as hex, an
   enum as its value, a nested dataclass as its own document, a tuple as a
   list of items of one type, and any other value as itself. ``to_doc``
   and ``from_doc`` apply the rule each way, by each field's annotation.
 
-Every file is written whole by ``write_atomic``: a temp file in the same
-directory, fsynced, then renamed over the target, so a crash leaves each
-file either as it was or as it was to become. A file that already holds
-exactly the bytes to write is left alone.
-
-A service whose state changes rarely skips even encoding it: it keeps the
-``stamp`` of the files that hold exactly its state in memory, taken before
-a load reads them and after a save writes them, forgets it on every change,
-and saves nothing while the files still carry that stamp. A stamp is the
-files' device, inode, size and modification and change times, so a file
-replaced behind the process no longer matches and is rewritten from memory;
-only an edit in place that keeps the size, within the file system's
-timestamp granularity, would go unseen.
+No service reads or writes a file itself. The deployment reads each
+service's files and hands their bytes to the parsers here, and writes the
+bytes the encoders here produce through ``write_atomic``: a temp file in
+the same directory, fsynced, then renamed over the target, so a crash
+leaves each file either as it was or as it was to become. A file that
+already holds exactly the bytes to write is left alone. By ``stamp`` the
+deployment tells that a service's files still hold its state: only an edit
+in place that keeps the size, within the timestamp granularity, goes unseen.
 
 In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes a
-sealed document vouches for by their SHA-256 and record count: the
-checkpoint, which ``save_streams`` writes last, or the registry's snapshot
-of its journal. ``write_sealed`` and ``read_sealed`` are the one seal, an
-HMAC over the JSON bytes of a document's content. No state directory whose
-checkpoint still records ledger heads loads: its ``clock.json`` predates
-the bare tick, which ``read_count`` requires.
+sealed document vouches for by their SHA-256 and record count: the event
+log's checkpoint or the registry's snapshot of its journal, each saved
+after the bytes it vouches for. ``sealed`` and ``unseal`` are the one
+seal, an HMAC over the JSON bytes of a document's content.
 """
 
 from __future__ import annotations
@@ -56,6 +49,9 @@ from . import crypto
 from .errors import CustodyError, EncodingError, RegctlError
 
 T = TypeVar("T")
+
+# a service's files as read: each path and its bytes, in the service's order; None if missing
+Files = list[tuple[Path, bytes | None]]
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -92,19 +88,10 @@ def stamp(*paths: Path) -> Stamp | None:
         return None
 
 
-def unchanged(kept: Stamp | None, *paths: Path) -> bool:
-    """True when ``kept`` is a stamp and the files at ``paths`` still carry it."""
-    return kept is not None and stamp(*paths) == kept
-
-
 # -- record streams --------------------------------------------------------------
 
 def encode_records(records: Iterable[bytes]) -> bytes:
     return b"".join(map(binascii.b2a_base64, records))  # each ends in "\n"
-
-
-def write_records(path: Path, records: Iterable[bytes]) -> None:
-    write_atomic(path, encode_records(records))
 
 
 def parse_records(raw: str, decode: Callable[[bytes], T]) -> tuple[list[T], int | None]:
@@ -142,16 +129,6 @@ def stream_text(data: bytes) -> str:
     return data.decode("latin-1")
 
 
-def read_bytes(path: Path) -> bytes:
-    """The bytes of the file at ``path``; none when there is no file."""
-    return path.read_bytes() if path.exists() else b""
-
-
-def read_records(path: Path, decode: Callable[[bytes], T]) -> list[T]:
-    """Read a record stream; a missing file is empty, a bad line raises EncodingError."""
-    return decode_records(path, read_bytes(path), decode)
-
-
 def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> list[T]:
     """Decode the bytes of the record stream at ``path``; a bad line raises EncodingError."""
     records, bad = parse_records(stream_text(data), decode)
@@ -177,10 +154,10 @@ class Stream(Generic[T]):
         self._kept_last: T | None = None  # the last kept record, once decoded
         self._records = list(records)  # every record after the kept ones
 
-    def load(self, path: Path, mark: FileMark | None) -> None:
-        """Replace the stream with the file at ``path``: kept undecoded if
-        ``mark`` vouches for its bytes, else read strictly; a missing file is empty."""
-        data = read_bytes(path)
+    def load(self, path: Path, data: bytes | None, mark: FileMark | None) -> None:
+        """Replace the stream with ``data``, read from ``path``: kept undecoded
+        if ``mark`` vouches for it, else decoded strictly; None is empty."""
+        data = data or b""
         if mark is None or crypto.sha256(data) != mark.sha256:
             self.replace(decode_records(path, data, self._decode))
         else:
@@ -220,54 +197,29 @@ class Stream(Generic[T]):
         return self._kept + encode_records(map(self._encode, self._records))
 
 
-# -- the checkpoint ------------------------------------------------------------------
-
-CHECKPOINT = "checkpoint.json"
-_CHECKPOINT_TAG = "CKPTv1"
-
+# -- sealed documents ------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class FileMark:
-    """What the checkpoint records of one record stream a save wrote."""
+    """What a sealed document records of the record stream it vouches for."""
 
     sha256: bytes
     count: int
 
 
-def save_streams(directory: Path, streams: dict[str, Stream], key: bytes) -> None:
-    """Write each stream to its file in ``directory``, then the checkpoint
-    sealed by ``key``: last, so it never vouches for a file not yet written."""
-    files = {}
-    for name, stream in streams.items():
-        data = stream.file_bytes()
-        write_atomic(directory / name, data)
-        files[name] = to_doc(FileMark(crypto.sha256(data), len(stream)))
-    write_sealed(directory / CHECKPOINT, "files", files, key, _CHECKPOINT_TAG)
+def sealed(name: str, content: Any, key: bytes, tag: str) -> bytes:
+    """The bytes of ``{name: content, "mac": ...}``: an HMAC keyed by ``key``
+    under ``tag`` over the JSON bytes of ``content`` seals it."""
+    return json_bytes({name: content, "mac": _seal(key, tag, content).hex()})
 
 
-def load_streams(directory: Path, streams: dict[str, Stream], key: bytes) -> None:
-    """Load each stream from its file in ``directory``, keeping the bytes of
-    those the checkpoint vouches for; none unless its seal verifies."""
-    files = read_sealed(directory / CHECKPOINT, "files", key, _CHECKPOINT_TAG) or {}
-    for name, stream in streams.items():
-        stream.load(directory / name, from_doc(FileMark, files[name]) if name in files else None)
-
-
-# -- sealed documents ------------------------------------------------------------------
-
-def write_sealed(path: Path, name: str, content: Any, key: bytes, tag: str) -> None:
-    """Write ``{name: content, "mac": ...}``: an HMAC keyed by ``key`` under
-    ``tag`` over the JSON bytes of ``content`` seals it."""
-    write_json(path, {name: content, "mac": _seal(key, tag, content).hex()})
-
-
-def read_sealed(path: Path, name: str, key: bytes, tag: str) -> Any:
-    """The ``content`` ``write_sealed`` wrote at ``path``; None when there is
-    no file, it is not such a document or its seal does not verify."""
+def unseal(data: bytes | None, name: str, key: bytes, tag: str) -> Any:
+    """The ``content`` that ``sealed`` encoded as ``data``; None when there
+    are no bytes, they are not such a document or its seal does not verify."""
     try:
-        doc = read_json(path)
+        doc = json.loads(data)
         content, mac = doc[name], bytes.fromhex(doc["mac"])
-    except (EncodingError, ValueError, TypeError, KeyError):  # no file reads as None
+    except (ValueError, TypeError, KeyError):  # json.loads(None) raises a TypeError
         return None
     return content if hmac.compare_digest(mac, _seal(key, tag, content)) else None
 
@@ -282,17 +234,13 @@ def json_bytes(doc: Any) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def write_json(path: Path, doc: Any) -> None:
-    write_atomic(path, json_bytes(doc))
-
-
-def read_json(path: Path) -> Any:
-    """The document at ``path``, or None when there is no file; a file that
-    is not a JSON document raises EncodingError."""
-    if not path.exists():
+def parse_json(path: Path, data: bytes | None) -> Any:
+    """The document ``data``, read from ``path``, holds; None for no bytes,
+    a missing file. Bytes that are not a JSON document raise EncodingError."""
+    if data is None:
         return None
     try:
-        return json.loads(path.read_bytes())
+        return json.loads(data)
     except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise EncodingError(f"{path}: not a JSON document: {exc}") from None
 
@@ -311,17 +259,17 @@ def _is_count(value: Any) -> bool:
     return type(value) is int and value >= 0  # neither a bool nor a float is a count
 
 
-def read_count(path: Path) -> int:
-    """The bare non-negative integer at ``path``; 0 when there is no file."""
-    count = read_json(path)
+def parse_count(path: Path, data: bytes | None) -> int:
+    """The bare non-negative integer ``data``, read from ``path``, holds; 0 for no bytes."""
+    count = parse_json(path, data)
     if count is not None and not _is_count(count):
         raise EncodingError(f"{path}: not a non-negative integer")
     return count or 0
 
 
-def read_counts(path: Path, what: str) -> dict[str, int]:
-    """The non-negative integer ``what`` by key at ``path``; empty when there is no file."""
-    counts = read_json(path)
+def parse_counts(path: Path, data: bytes | None, what: str) -> dict[str, int]:
+    """The non-negative integer ``what`` by key ``data`` holds; empty for no bytes."""
+    counts = parse_json(path, data)
     if counts is not None and not (isinstance(counts, dict)
                                    and all(map(_is_count, counts.values()))):
         raise EncodingError(f"{path}: not a non-negative integer {what}")

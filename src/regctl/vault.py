@@ -29,8 +29,9 @@ when a command first reaches the vault, refuses vid mappings that are not
 one-to-one, and each mapping is trusted only once the vault secret
 re-derives it, on its first use in a process; one that does not re-derive
 raises EncodingError.
-A save encodes nothing while ``state.json`` still carries the stat stamp of
-the last load or save and no change came since (``store.stamp``).
+Every change sets ``changed``; the deployment encodes no unchanged vault
+while ``state.json`` still carries the stamp taken when it was read or
+written.
 
 The vault also issues short-lived alias phone numbers (prefix "99") that
 route to a master's real number until the clock reaches their expiry. A
@@ -100,6 +101,8 @@ class AliasGrant:
 
 
 class Vault:
+    files = ("vault/state.json",)
+
     def __init__(self, secret: bytes, clock: Clock, event_log: EventLog,
                  regulator: SigningIdentity,
                  rand_bytes: Callable[[int], bytes], lock: threading.RLock):
@@ -118,8 +121,8 @@ class Vault:
         self._vids: dict[tuple[str, str], int] = {}  # (master_id, domain) -> row in its columns
         self._vid_index: dict[tuple[str, str], str] = {}  # (domain, vid) -> master_id
         self._unchecked: set[tuple[str, str]] = set()  # loaded (master_id, domain) not yet re-derived
-        self._state_path: Path | None = None
-        self._stamp: store.Stamp | None = None  # of the state.json that holds this state
+        self.loaded_from: Path | None = None  # the file the vids were loaded from
+        self.changed = False  # since the file was read or written
         self._aliases: dict[str, list[AliasGrant]] = {}
         self._lock = lock
 
@@ -131,7 +134,7 @@ class Vault:
         with self._lock:
             if domain not in self.domains:
                 self.domains.append(domain)
-                self._stamp = None
+                self.changed = True
 
     def register_master(self, attributes: dict[str, str]) -> str:
         if not attributes:
@@ -149,7 +152,7 @@ class Vault:
                     break
             self.masters[master_id] = dict(attributes)
             self._attr_index[key] = master_id
-            self._stamp = None
+            self.changed = True
             return master_id
 
     # -- virtual ids ----------------------------------------------------------
@@ -176,7 +179,7 @@ class Vault:
                 counters.append(counter)
                 self._vids[(master_id, domain)] = row
                 self._vid_index[(domain, vid)] = master_id
-                self._stamp = None
+                self.changed = True
             return self._virtual(master_id, domain, row)
 
     def _virtual(self, master_id: str, domain: str, row: int) -> VirtualId:
@@ -201,7 +204,7 @@ class Vault:
             except (ValueError, OverflowError):  # a master id not in hex, a negative counter
                 rederived = None
             if vids[row] != rederived:
-                raise EncodingError(f"{self._state_path}: a stored {domain} vid does not "
+                raise EncodingError(f"{self.loaded_from}: a stored {domain} vid does not "
                                     "re-derive from its master")
             self._unchecked.discard((master_id, domain))
         return row
@@ -297,7 +300,7 @@ class Vault:
                     break
             grant = AliasGrant(alias_number=alias, real_number=real, expires_at=now + ttl_seconds)
             self._aliases.setdefault(alias, []).append(grant)
-            self._stamp = None
+            self.changed = True
             self._log_vault_event(EventKind.VAULT_ROUTE, [], f"alias issued ttl={ttl_seconds}")
             return grant
 
@@ -318,25 +321,22 @@ class Vault:
 
     # -- persistence ---------------------------------------------------------------
 
-    def save(self, directory: Path) -> None:
-        path = directory / "state.json"
-        if store.unchanged(self._stamp, path):
-            return
+    def save(self) -> dict[str, bytes]:
+        self.changed = False
         state = {
             "domains": self.domains,
             "masters": self.masters,
             "vids": self._columns,
             "aliases": [vars(g) for grants in self._aliases.values() for g in grants],
         }
-        store.write_json(path, state)
-        self._stamp = store.stamp(path)
+        return {self.files[0]: store.json_bytes(state)}
 
-    def load_state(self, directory: Path) -> None:
-        """Read ``state.json`` into a vault that holds no vid yet; a document
-        of the wrong shape raises EncodingError."""
-        self._state_path = path = directory / "state.json"
-        self._stamp = store.stamp(path)
-        state = store.read_json(path)
+    def load_state(self, files: store.Files) -> None:
+        """Load ``files`` into a vault that holds no vid yet; a document of
+        the wrong shape raises EncodingError."""
+        ((path, data),) = files
+        self.loaded_from = path
+        state = store.parse_json(path, data)
         if state is None:
             return
         try:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto
@@ -67,3 +69,10 @@ def count_calls(monkeypatch, *names: str, owner=crypto) -> dict[str, int]:
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def write_files(root: Path, files: dict[str, bytes]) -> None:
+    """Write the files a service's ``save`` returned under ``root``, as a deployment does."""
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)

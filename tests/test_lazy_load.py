@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from regctl import Basis, Deployment, Scope, SiloSchema, store
+from regctl import Basis, Deployment, Scope, SiloSchema, deploy, store
 from regctl.cli import _Cli, main as cli_main
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest
@@ -154,11 +154,13 @@ def test_consent_give_reads_no_vault_or_silo_file(tmp_path, capsys, monkeypatch)
     state = tmp_path / "state"
     _saved_world(state)
     read = []
-    for name in ("read_json", "read_records", "read_bytes"):
-        def recorded(path, *args, _read=getattr(store, name)):
-            read.append(path.relative_to(state).as_posix())
-            return _read(path, *args)
-        monkeypatch.setattr(store, name, recorded)
+    read_files = deploy.read_files
+
+    def recorded(root, names):
+        files = read_files(root, names)
+        read.extend(path.relative_to(state).as_posix() for path, _ in files)
+        return files
+    monkeypatch.setattr(deploy, "read_files", recorded)
     assert _run(capsys, state, ["consent", "give", "--subject", "someone",
                                 "--purpose", "CARE_AUDIT"])[0] == 0
     assert {"registry.journal", "registry.json"} <= set(read)

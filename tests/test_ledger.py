@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regctl import Deployment, cross_verify
+from regctl.deploy import read_files
 from regctl.crypto import ZERO_HASH, canon_encode, sha256
 from regctl.errors import EncodingError, StaleCrossHead
 from regctl.events import EventKind, EventLog
@@ -19,7 +20,7 @@ from regctl.ledger import (
     verify_ledger_files,
 )
 
-from conftest import count_calls
+from conftest import count_calls, write_files
 
 FIELDS = ("seq", "prev_hash", "payload_digest", "cross_head", "timestamp",
           "signer_key_id", "signature")
@@ -180,7 +181,7 @@ def test_reload_and_save_never_re_encode_an_entry(pair, tmp_path, monkeypatch):
     pair.event_log.regulator_ledger.save(path)
     calls = count_calls(monkeypatch, "canon_encode")
     reloaded = Ledger(owner=pair.regulator, counterpart=pair.controller)
-    reloaded.stream.load(path, None)  # strictly read: no checkpoint vouches for it
+    reloaded.stream.load(path, path.read_bytes(), None)  # strict: no checkpoint vouches for it
     reloaded.save(tmp_path / "again.log")
     assert calls["canon_encode"] == 0
     assert (tmp_path / "again.log").read_bytes() == path.read_bytes()
@@ -208,8 +209,8 @@ def test_missing_trailing_newline_is_flagged(pair, tmp_path):
 @pytest.mark.parametrize("damage", ["stray characters", "no final newline"])
 def test_events_log_reload_is_strict(pair, tmp_path, damage):
     fill(pair, 3)
-    pair.event_log.save(tmp_path)
-    path = tmp_path / "events.log"
+    write_files(tmp_path, pair.event_log.save())
+    path = tmp_path / "ledgers" / "events.log"
     lines = path.read_text().split("\n")
     if damage == "stray characters":
         lines[1] = lines[1][:8] + "!*" + lines[1][8:]  # a lax decoder skips them
@@ -221,25 +222,25 @@ def test_events_log_reload_is_strict(pair, tmp_path, damage):
 
     reloaded = EventLog(pair.regulator, pair.controller, pair.clock)
     with pytest.raises(EncodingError, match=f"at line {bad}$"):
-        reloaded.load(tmp_path)
+        reloaded.load(read_files(tmp_path, reloaded.files))
 
 
 def test_events_log_payloads_pair_with_ledger_entries_by_position(pair, tmp_path):
     fill(pair, 3)
-    pair.event_log.save(tmp_path)
-    (tmp_path / "checkpoint.json").unlink()
-    path = tmp_path / "events.log"
+    write_files(tmp_path, pair.event_log.save())
+    (tmp_path / "ledgers" / "checkpoint.json").unlink()
+    path = tmp_path / "ledgers" / "events.log"
     lines = path.read_text().splitlines(keepends=True)
     lines[0], lines[1] = lines[1], lines[0]
     path.write_text("".join(lines))
 
     reloaded = EventLog(pair.regulator, pair.controller, pair.clock)
-    reloaded.load(tmp_path)
+    reloaded.load(read_files(tmp_path, reloaded.files))
     with pytest.raises(EncodingError, match="payload 0 is not the one its ledger entry"):
         reloaded.events_from_ledger(reloaded.regulator_ledger)
     path.write_text("".join(lines[1:]))
     reloaded = EventLog(pair.regulator, pair.controller, pair.clock)
-    reloaded.load(tmp_path)
+    reloaded.load(read_files(tmp_path, reloaded.files))
     with pytest.raises(EncodingError, match="2 payloads for 3 ledger entries"):
         reloaded.events_from_ledger(reloaded.regulator_ledger)
 

@@ -399,17 +399,21 @@ def test_open_and_consent_give_encode_no_vault_silo_or_share_store(tmp_path, cap
     assert store.stamp(*files) == stamp
 
 
-@pytest.mark.parametrize("name", ["vault/state.json", "silos/health/records.log",
-                                  "ledgers/events.log"])
+@pytest.mark.parametrize("name", [
+    "vault/state.json", "silos/health/schema.json", "silos/health/records.log",
+    "ledgers/events.log", "ledgers/checkpoint.json", "registry.journal", "registry.json",
+    "regulator_shares.json"])
 def test_a_file_replaced_behind_a_loaded_deployment_is_rewritten(tmp_path, name):
     state = tmp_path / "state"
     dep = Deployment(seed=96, state_dir=state)
-    _working_world(dep)
+    assert _submit(dep, _working_world(dep), "q1").decision.allowed  # so events.log holds one
     dep.save()
     loaded = Deployment(state_dir=state)
-    loaded.vault, loaded.silos  # each service loads its files when first reached
+    # each service loads its files when first reached
+    loaded.vault, loaded.silos, loaded.registry, loaded.share_store
     path = state / name
     own = path.read_bytes()
+    assert own
     store.write_atomic(path, b"x" * len(own))
     loaded.save()
     assert path.read_bytes() == own
@@ -539,7 +543,7 @@ def test_a_rolled_back_clock_json_does_not_reopen_an_expired_window(tmp_path):
     dep.clock.set_tick(6)
     assert _submit(dep, world, "q1").decision.reason is DenyReason.WINDOW
     dep.save()
-    store.write_json(state / "clock.json", 2)
+    (state / "clock.json").write_bytes(store.json_bytes(2))
     reloaded = Deployment(state_dir=state)
     assert reloaded.clock.now() == 6
     assert _submit(reloaded, world, "q2").decision.reason is DenyReason.WINDOW

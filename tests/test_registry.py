@@ -20,7 +20,9 @@ from regctl.errors import (
     UnknownPurpose,
 )
 
-from conftest import count_calls
+from regctl.deploy import read_files
+
+from conftest import count_calls, write_files
 from truthtable import build_matrix
 
 
@@ -279,8 +281,8 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
     leaving = dep.vault.derive_vid(master, REGISTRY_DOMAIN).vid
     dep.registry.record_consent(leaving, "TAX_AUDIT")
     assert len(dep.process_opt_out(leaving, "TAX_AUDIT")) == 1
+    write_files(tmp_path, dep.registry.save())
     path = tmp_path / "registry.journal"
-    dep.registry.save(path)
 
     snapshot = path.with_suffix(".json")
     live = snapshot.read_bytes()
@@ -288,7 +290,7 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
 
     from regctl.registry import Registry
     replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
-    replayed.load(path)
+    replayed.load(read_files(path.parent, replayed.files))
     kinds = {crypto.decode_str(crypto.canon_decode(base64.b64decode(line))[1][1])
              for line in path.read_text().splitlines()}
     assert kinds == {"purpose", "manifest", "auth", "auth-status", "consent", "renewal",
@@ -300,18 +302,16 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
     assert replayed.authorizations[revoked.auth_id].status.value == "Revoked"
     assert not replayed.has_live_consent("subject-1", "TAX_AUDIT")
     assert replayed.has_live_consent("subject-1", "TAX_RESEARCH")
-    again = tmp_path / "again.journal"
-    replayed.save(again)
-    assert again.read_bytes() == path.read_bytes()
-    assert again.with_suffix(".json").read_bytes() == live
+    again = replayed.save()
+    assert again == {"registry.journal": path.read_bytes(), "registry.json": live}
 
 
 def test_journal_rejects_out_of_sequence_record(dep, tmp_path):
     dep.registry.record_consent("subject-1", "TAX_AUDIT")
     dep.registry.opt_out("subject-1", "TAX_AUDIT")
     dep.registry.record_consent("subject-2", "TAX_AUDIT")
+    write_files(tmp_path, dep.registry.save())
     path = tmp_path / "registry.journal"
-    dep.registry.save(path)
     lines = path.read_text().splitlines()
     del lines[2]  # the opt-out: without the check, subject-1 consents again
     path.write_text("".join(l + "\n" for l in lines))
@@ -319,13 +319,13 @@ def test_journal_rejects_out_of_sequence_record(dep, tmp_path):
     from regctl.registry import Registry
     replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError):
-        replayed.load(path)
+        replayed.load(read_files(path.parent, replayed.files))
 
 
 def test_journal_rejects_tampered_record(dep, tmp_path):
     dep.registry.grant(dep.controller.key_id, scope(), "TAX_AUDIT", Basis.LEGAL, 0, 10)
+    write_files(tmp_path, dep.registry.save())
     path = tmp_path / "registry.journal"
-    dep.registry.save(path)
     lines = path.read_text().splitlines()
     blob = bytearray(base64.b64decode(lines[0]))
     blob[20] ^= 0x01
@@ -335,15 +335,15 @@ def test_journal_rejects_tampered_record(dep, tmp_path):
     from regctl.registry import Registry
     replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError):
-        replayed.load(path)
+        replayed.load(read_files(path.parent, replayed.files))
 
 
 @pytest.mark.parametrize("damage", ["stray characters", "no final newline"])
 def test_journal_reload_is_strict(dep, tmp_path, damage):
     dep.registry.record_consent("subject-1", "TAX_AUDIT")
     dep.registry.opt_out("subject-1", "TAX_AUDIT")
+    write_files(tmp_path, dep.registry.save())
     path = tmp_path / "registry.journal"
-    dep.registry.save(path)
     lines = path.read_text().split("\n")
     if damage == "stray characters":
         lines[1] = lines[1][:8] + "!*" + lines[1][8:]  # a lax decoder skips them
@@ -356,22 +356,22 @@ def test_journal_reload_is_strict(dep, tmp_path, damage):
     from regctl.registry import Registry
     replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError, match=f"at line {bad}$"):
-        replayed.load(path)
+        replayed.load(read_files(path.parent, replayed.files))
 
 
 def _saved_journal(dep, tmp_path) -> tuple[Path, list[bytes]]:
     for i in range(4):
         dep.registry.record_consent(f"subject-{i}", "TAX_AUDIT")
+    write_files(tmp_path, dep.registry.save())
     path = tmp_path / "registry.journal"
-    dep.registry.save(path)
-    return path, store.read_records(path, bytes)
+    return path, store.decode_records(path, path.read_bytes(), bytes)
 
 
 def _assert_rejected_before_apply(dep, path):
     from regctl.registry import Registry
     replayed = Registry(dep.regulator, dep.clock, dep.event_log, dep._subjects_in_scope)
     with pytest.raises(EncodingError):
-        replayed.load(path)
+        replayed.load(read_files(path.parent, replayed.files))
     assert replayed.journal == []
     assert replayed.purposes == {} and replayed.consents == {}
 
@@ -387,7 +387,7 @@ def test_journal_rejects_flipped_bit_in_middle_signature(dep, tmp_path):
     middle = bytearray(records[2])
     middle[-10] ^= 0x01  # inside the 64 signature bytes that end the record
     records[2] = bytes(middle)
-    store.write_records(path, records)
+    path.write_bytes(store.encode_records(records))
     _assert_rejected_before_apply(dep, path)
 
 
@@ -396,7 +396,7 @@ def test_journal_rejects_swapped_bodies(dep, tmp_path):
     one, two = _record_fields(records[1]), _record_fields(records[2])
     one[2], two[2] = two[2], one[2]
     records[1], records[2] = (crypto.canon_encode("RECv1", fields) for fields in (one, two))
-    store.write_records(path, records)
+    path.write_bytes(store.encode_records(records))
     _assert_rejected_before_apply(dep, path)
 
 
@@ -413,7 +413,7 @@ def test_journal_rejects_record_spliced_from_another_journal(dep, tmp_path, sour
     path, records = _saved_journal(dep, tmp_path)
     assert _record_fields(other.journal[2])[0] == _record_fields(records[2])[0]  # same seq
     records[2] = other.journal[2]
-    store.write_records(path, records)
+    path.write_bytes(store.encode_records(records))
     _assert_rejected_before_apply(dep, path)
 
 

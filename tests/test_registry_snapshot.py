@@ -119,7 +119,8 @@ def test_every_command_writes_the_same_bytes_from_the_snapshot_as_from_the_repla
     assert run("consent", "optout", "--subject", subjects[1], "--purpose", "CARE_AUDIT") == {}
 
     kinds = {crypto.decode_str(crypto.canon_decode(record)[1][1])
-             for record in store.read_records(held / "registry.journal", bytes)}
+             for record in store.decode_records(held / "registry.journal",
+                                                (held / "registry.journal").read_bytes(), bytes)}
     assert kinds == {"purpose", "manifest", "auth", "auth-status", "consent", "renewal",
                      "optout", "obligation", "proof"}
     # a held load replayed only when there was no journal yet
@@ -168,7 +169,7 @@ def _reseal(path: Path, key: bytes) -> None:
     content = json.loads(path.read_bytes())["registry"]
     opted_out_at = content["consents"][4]
     content["consents"][4] = [None] * len(opted_out_at)
-    store.write_sealed(path, "registry", content, key, _SNAPSHOT_TAG)
+    path.write_bytes(store.sealed("registry", content, key, _SNAPSHOT_TAG))
 
 
 def _flip_byte(path: Path, **_) -> None:

@@ -9,12 +9,12 @@ import pytest
 from regctl import Deployment, SiloSchema
 from regctl import crypto
 from regctl.crypto import Holder, KeyShare
-from regctl.deploy import REGISTRY_DOMAIN
+from regctl.deploy import REGISTRY_DOMAIN, read_files
 from regctl.errors import DecryptFailure, NotFound, SchemaError, WeakIdentifierRejected
 from regctl.scenario import load_scenario, run
 from regctl.silo import RegulatorShareStore, Silo, decode_fields, encode_fields, record_aad
 
-from conftest import count_calls
+from conftest import count_calls, write_files
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -122,11 +122,10 @@ def test_record_file_round_trip(dep, tmp_path):
     _, vid = enroll(dep)
     silo = dep.silos["health"]
     silo.put_record(vid, {"bp": "120/80"})
-    silo.save(tmp_path / "health")
-    from regctl.silo import Silo
-    schema = Silo.load_schema(tmp_path / "health")
-    reloaded = Silo(schema, dep.share_store, dep.vault.vid_exists, dep.event_log)
-    reloaded.load_records(tmp_path / "health")
+    write_files(tmp_path, silo.save())
+    files = read_files(tmp_path, silo.files)
+    reloaded = Silo(Silo.load_schema(files), dep.share_store, dep.vault.vid_exists, dep.event_log)
+    reloaded.load_records(files)
     assert reloaded.list_records() == silo.list_records()
     record_id = silo.list_records()[0][0]
     assert reloaded.fetch_ciphertext(record_id) == silo.fetch_ciphertext(record_id)
@@ -136,20 +135,18 @@ def test_a_second_load_holds_exactly_the_files_records_and_shares(dep, tmp_path)
     _, vid = enroll(dep)
     silo = dep.silos["health"]
     first = silo.put_record(vid, {"bp": "120/80"})
-    silo.save(tmp_path / "one")
-    dep.share_store.save(tmp_path / "one.json")
+    write_files(tmp_path / "one", {**silo.save(), **dep.share_store.save()})
     second = silo.put_record(vid, {"bp": "110/70"})
-    silo.save(tmp_path / "two")
-    dep.share_store.save(tmp_path / "two.json")
+    write_files(tmp_path / "two", {**silo.save(), **dep.share_store.save()})
 
     shares = RegulatorShareStore()
-    shares.load(tmp_path / "two.json")
-    shares.load(tmp_path / "one.json")
+    shares.load(read_files(tmp_path / "two", shares.files))
+    shares.load(read_files(tmp_path / "one", shares.files))
     assert shares.get(first) == dep.share_store.get(first)
     assert shares.get(second) is None
     reloaded = Silo(silo.schema, shares, dep.vault.vid_exists, dep.event_log)
-    reloaded.load_records(tmp_path / "two")
-    reloaded.load_records(tmp_path / "one")
+    reloaded.load_records(read_files(tmp_path / "two", silo.files))
+    reloaded.load_records(read_files(tmp_path / "one", silo.files))
     assert reloaded.list_records() == [(first, vid)]
 
 
@@ -161,8 +158,7 @@ def test_a_record_file_line_does_not_tell_when_its_record_was_put(tmp_path):
         _, vid = enroll(d)
         d.clock.set_tick(tick)
         d.silos["health"].put_record(vid, {"bp": "120/80"})
-        d.silos["health"].save(tmp_path / str(tick))
-        lines.append((tmp_path / str(tick) / "records.log").read_bytes())
+        lines.append(d.silos["health"].save()["silos/health/records.log"])
     assert lines[0] == lines[1] and lines[0].count(b"\n") == 1
 
 

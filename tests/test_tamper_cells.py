@@ -1,19 +1,22 @@
-"""Open cells of the tamper matrix (ROADMAP item 1).
+"""Cells of the tamper matrix (ROADMAP item 1).
 
-Each test rolls one state file back to the bytes it held before a command
-and asserts today's outcome: the rollback goes unseen, and the reloaded
-state decides as it did before that command. Each names the ROADMAP item
-that closes its cell. Closing a cell makes its test fail, and the test
-then asserts the refusal instead.
+Each open-cell test rolls one state file back to the bytes it held before
+a command and asserts today's outcome: the rollback goes unseen, and the
+reloaded state decides as it did before that command. Each names the
+ROADMAP item that closes its cell. Closing a cell makes its test fail, and
+the test then asserts the refusal instead, as each closed-cell test does.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from regctl import Basis, Deployment, Scope, SiloSchema
+import pytest
+
+from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema
 from regctl.cli import main as cli_main
 from regctl.deploy import REGISTRY_DOMAIN
+from regctl.errors import EncodingError
 
 
 def _saved_world(state: Path) -> dict[str, str]:
@@ -34,6 +37,12 @@ def _saved_world(state: Path) -> dict[str, str]:
     return {"auth": auth.auth_id, "vid": vid, "subject": subject, "record": record}
 
 
+def _files(state: Path) -> dict[str, bytes]:
+    """Every state file's bytes, but the CLI's empty lock file's."""
+    return {p.relative_to(state).as_posix(): p.read_bytes()
+            for p in sorted(state.rglob("*")) if p.is_file() and p.name != ".lock"}
+
+
 def _run(capsys, state: Path, *argv: str) -> tuple[int, str, str]:
     code = cli_main(["--state-dir", str(state), "--seed", "23", *argv])
     captured = capsys.readouterr()
@@ -47,7 +56,7 @@ def _submit(capsys, state: Path, world: dict[str, str], request_id: str) -> tupl
 
 
 def test_open_cell_a_journal_rolled_back_past_an_optout_revives_the_consent(tmp_path, capsys):
-    """Closed by ROADMAP item 3: anchor each journal head in the ledgers."""
+    """Closed by ROADMAP item 2: anchor each journal head in the ledgers."""
     state = tmp_path / "state"
     world = _saved_world(state)
     journal = state / "registry.journal"
@@ -61,7 +70,7 @@ def test_open_cell_a_journal_rolled_back_past_an_optout_revives_the_consent(tmp_
 
 
 def test_open_cell_a_gate_file_rolled_back_past_an_open_reopens_the_record(tmp_path, capsys):
-    """Closed by ROADMAP item 3: derive the consumed marks from the ledger."""
+    """Closed by ROADMAP item 2: derive the consumed marks from the ledger."""
     state = tmp_path / "state"
     world = _saved_world(state)
     code, stdout, _ = _submit(capsys, state, world, "q1")
@@ -75,3 +84,40 @@ def test_open_cell_a_gate_file_rolled_back_past_an_open_reopens_the_record(tmp_p
     gate.write_bytes(before_open)
     assert _run(capsys, state, "open", "--ticket", ticket,
                 "--record", world["record"]) == opened  # the cell is open
+
+
+def test_closed_cell_an_emptied_share_store_fails_the_submit_and_saves_nothing(tmp_path,
+                                                                              capsys):
+    """A silo record whose regulator share is gone can only come from a lost
+    or tampered share store: the submit that meets it fails naming the file.
+    The emptied store is caught when a submit uses it, not when it loads."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    shares = state / "regulator_shares.json"
+    shares.write_bytes(b"{}")
+    before = _files(state)
+    assert _submit(capsys, state, world, "q1") == (
+        1, "", f"error={shares}: no regulator share for record {world['record']}\n")
+    assert _files(state) == before
+
+
+def test_closed_cell_a_lost_share_fails_the_submit_in_process_with_the_nonce_unspent(tmp_path):
+    """In process the refusal logs nothing and spends no nonce: once the
+    share is back, the same request is granted."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    dep = Deployment(seed=23, state_dir=state)
+    share = dep.share_store.get(world["record"])
+    dep.share_store.destroy(world["record"])
+    request = AccessRequest.build(
+        controller=dep.controller, request_id="q1", program_id="p1",
+        content_digest=dep.registry.manifests["p1"].content_digest, auth_id=world["auth"],
+        domain="health", operation="read", subject_vids=[world["vid"]],
+        requested_fields=["health"], purpose_code="CARE_AUDIT", timestamp=dep.clock.now(),
+        nonce=dep.rand_bytes(16))
+    events = len(dep.event_log.payloads)
+    with pytest.raises(EncodingError, match="regulator_shares.json: no regulator share"):
+        dep.gate.submit(request)
+    assert len(dep.event_log.payloads) == events
+    dep.share_store.deposit(world["record"], share)
+    assert set(dep.gate.submit(request).ticket.regulator_shares) == {world["record"]}
