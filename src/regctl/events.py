@@ -183,8 +183,7 @@ class EventLog:
         self.changed = False
         files, marks = {}, {}
         for name, stream in zip(self.files, self._streams()):
-            files[name] = data = stream.file_bytes()
-            mark = store.FileMark(crypto.sha256(data), len(stream))
+            files[name], mark = stream.file()
             marks[name.removeprefix("ledgers/")] = store.to_doc(mark)
         files[self.files[-1]] = store.sealed("files", marks, self._checkpoint_key, _CHECKPOINT_TAG)
         return files

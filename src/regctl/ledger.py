@@ -247,7 +247,7 @@ class Ledger:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path: Path) -> None:
-        store.write_atomic(path, self.stream.file_bytes())
+        store.write_atomic(path, self.stream.file()[0])
 
     def load_entries(self, entries: list[LogEntry]) -> None:
         """Replace the chain; its head hash is derived when first needed."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import json
 import operator
 import threading
@@ -290,9 +291,9 @@ class Registry:
         """The journal, then the snapshot taken from it: last, so that it
         never vouches for a journal not yet written."""
         self.changed = False
-        data = self._journal.file_bytes()
+        data, mark = self._journal.file()
         return {"registry.journal": data,
-                "registry.json": store.sealed("registry", self._snapshot(data),
+                "registry.json": store.sealed("registry", self._snapshot(mark),
                                               self._snapshot_key, _SNAPSHOT_TAG)}
 
     def load(self, files: store.Files) -> None:
@@ -304,9 +305,10 @@ class Registry:
         snapshot = store.unseal(snapshot, "registry", self._snapshot_key, _SNAPSHOT_TAG)
         with store.reading(snapshot_path, "a registry snapshot"):
             mark = None if snapshot is None else store.from_doc(store.FileMark, snapshot["journal"])
-            if mark is not None and mark.sha256 == crypto.sha256(data):
+            sha = hashlib.sha256(data)
+            if mark is not None and mark.sha256 == sha.digest():
                 self._restore(snapshot)
-                self._journal.hold(path, data, mark.count)
+                self._journal.hold(path, data, mark.count, sha)
                 self._journal_head = bytes.fromhex(snapshot["head"])
                 return
         self._replay(path, data)
@@ -341,12 +343,12 @@ class Registry:
     # Purposes, manifests, authorizations and obligations are the documents
     # their journal records apply; consents are columns of their fields.
 
-    def _snapshot(self, journal: bytes) -> dict:
+    def _snapshot(self, journal: store.FileMark) -> dict:
         consents = self.consents.values()
         columns = [list(map(operator.attrgetter(name), consents)) for name in _CONSENT_FIELDS]
         columns[-1] = [None if proof is None else proof.hex() for proof in columns[-1]]
         return {
-            "journal": store.to_doc(store.FileMark(crypto.sha256(journal), len(self._journal))),
+            "journal": store.to_doc(journal),
             "head": self._journal_head.hex(),
             "purpose": [{"code": code, "description": description}
                         for code, description in self.purposes.items()],

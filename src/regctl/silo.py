@@ -11,6 +11,11 @@ dual-signed proof over the destroyed record ids.
 
 ``records.log`` holds one ``SRECv2`` record per line (id, vid, ciphertext,
 controller share) by record id, and no time: it does not give away creation order.
+A ``SiloRecord`` keeps its id, its vid and its canonical bytes, which the
+load checks in full and a save writes back as they are; the ciphertext and
+the controller share are read from those bytes when asked for. The share
+store keeps each loaded share as the hex its file holds, every one checked
+at load, and builds a share's ``KeyShare`` once, at the first ``get``.
 
 A silo's files are ``silos/<domain>/schema.json`` and ``records.log``, the
 share store's ``regulator_shares.json``. Every change sets ``changed``; the
@@ -20,6 +25,7 @@ the stamp taken when they were read or written.
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import secrets
 import threading
@@ -71,28 +77,40 @@ def field_spec(value: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-@dataclass
 class SiloRecord:
-    record_id: str
-    vid: str
-    ciphertext: bytes
-    controller_share: KeyShare
+    """One sealed record, held as its canonical bytes: the ciphertext and the
+    controller share are read from them when asked for."""
+
+    __slots__ = ("record_id", "vid", "_canonical")
+
+    def __init__(self, record_id: str, vid: str, canonical: bytes):
+        self.record_id = record_id
+        self.vid = vid
+        self._canonical = canonical
 
     def canonical_bytes(self) -> bytes:
-        return crypto.canon_encode(
-            "SRECv2", [self.record_id, self.vid, self.ciphertext, self.controller_share.share])
+        return self._canonical
+
+    @classmethod
+    def new(cls, record_id: str, vid: str, ciphertext: bytes,
+            controller_share: KeyShare) -> "SiloRecord":
+        return cls(record_id, vid, crypto.canon_encode(
+            "SRECv2", [record_id, vid, ciphertext, controller_share.share]))
 
     @classmethod
     def from_canonical(cls, data: bytes) -> "SiloRecord":
         tag, fields = crypto.canon_decode(data)
-        if tag != "SRECv2" or len(fields) != 4:
+        if tag != "SRECv2" or len(fields) != 4 or len(fields[3]) != crypto.SHARE_BYTES:
             raise EncodingError("not a silo record")
-        return cls(
-            record_id=crypto.decode_str(fields[0]),
-            vid=crypto.decode_str(fields[1]),
-            ciphertext=fields[2],
-            controller_share=KeyShare(fields[3], Holder.CONTROLLER),
-        )
+        return cls(crypto.decode_str(fields[0]), crypto.decode_str(fields[1]), data)
+
+    @property
+    def ciphertext(self) -> bytes:
+        return crypto.canon_decode(self._canonical)[1][2]
+
+    @property
+    def controller_share(self) -> KeyShare:
+        return KeyShare(crypto.canon_decode(self._canonical)[1][3], Holder.CONTROLLER)
 
 
 def encode_fields(fields: Mapping[str, str]) -> bytes:
@@ -121,12 +139,15 @@ def record_aad(record_id: str, vid: str, domain: str) -> bytes:
 
 
 class RegulatorShareStore:
-    """Regulator-side deposit box for the second half of every record key."""
+    """Regulator-side deposit box for the second half of every record key.
+
+    A loaded share stays the hex its file holds until ``get`` first asks
+    for it; the load checks every one of them."""
 
     files = ("regulator_shares.json",)
 
     def __init__(self):
-        self._shares: dict[str, KeyShare] = {}
+        self._shares: dict[str, KeyShare | str] = {}  # a share, or its hex as loaded
         self.loaded_from: Path | None = None  # the file the shares were loaded from
         self.changed = False  # since the file was read or written
 
@@ -137,7 +158,10 @@ class RegulatorShareStore:
         self.changed = True
 
     def get(self, record_id: str) -> KeyShare | None:
-        return self._shares.get(record_id)
+        share = self._shares.get(record_id)
+        if isinstance(share, str):
+            share = self._shares[record_id] = KeyShare(bytes.fromhex(share), Holder.REGULATOR)
+        return share
 
     def destroy(self, record_id: str) -> bool:
         """Erase a share; True confirms it is gone."""
@@ -147,15 +171,20 @@ class RegulatorShareStore:
 
     def save(self) -> dict[str, bytes]:
         self.changed = False
-        return {self.files[0]: store.json_bytes({rid: s.share.hex()
-                                                 for rid, s in self._shares.items()})}
+        shares = {rid: s.lower() if isinstance(s, str) else s.share.hex()
+                  for rid, s in self._shares.items()}
+        return {self.files[0]: store.json_bytes(shares)}
 
     def load(self, files: store.Files) -> None:
-        """Replace the held shares with those ``files`` hold."""
+        """Replace the held shares with those ``files`` hold: each the hex of
+        a 32-byte share, checked in bulk."""
         ((self.loaded_from, data),) = files
         with store.reading(self.loaded_from, "regulator shares by record id"):
-            self._shares = {rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR) for rid, h
-                            in (store.parse_json(self.loaded_from, data) or {}).items()}
+            shares = store.parse_json(self.loaded_from, data) or {}
+            if any(len(h) != 2 * crypto.SHARE_BYTES for h in shares.values()):
+                raise ValueError(f"a share is not {crypto.SHARE_BYTES} bytes of hex")
+            binascii.a2b_hex("".join(shares.values()))  # hex digits only, no spaces
+            self._shares = shares
 
 
 class Silo:
@@ -203,7 +232,7 @@ class Silo:
                 key, crypto.record_nonce(record_id), plaintext,
                 record_aad(record_id, vid, self.domain),
             )
-            self._records[record_id] = SiloRecord(record_id, vid, ciphertext, controller_share)
+            self._records[record_id] = SiloRecord.new(record_id, vid, ciphertext, controller_share)
             self.changed = True
             self.share_store.deposit(record_id, regulator_share)
             return record_id
@@ -289,12 +318,16 @@ class Silo:
 
     @staticmethod
     def load_schema(files: store.Files) -> SiloSchema:
+        """The schema ``files`` hold; it must name the domain of its own directory."""
         (path, data), _ = files
         doc = store.parse_json(path, data)
         if doc is None:
             raise EncodingError(f"{path}: no such file")
         with store.reading(path, "a silo schema"):
-            return store.from_doc(SiloSchema, doc)
+            schema = store.from_doc(SiloSchema, doc)
+        if schema.domain != path.parent.name:
+            raise EncodingError(f"{path}: names domain {schema.domain!r}, not {path.parent.name!r}")
+        return schema
 
 
 def silo_files(domain: str) -> tuple[str, str]:

@@ -4,7 +4,10 @@
   bytes, ended by ``"\\n"``. Decoding is strict: only ``"\\n"`` ends a
   line, the bytes must end with one, every line must be valid base64 that
   re-encodes to the identical text, and its bytes must decode; the first
-  line that breaks a rule is reported.
+  line that breaks a rule is reported. ``decode_records`` checks the
+  base64 of a whole stream in C: it decodes each line and compares the
+  one re-encoding of all of them with the bytes read. Only a stream that
+  fails runs the line-by-line loop of ``parse_records``, to name the line.
 * JSON documents are encoded with sorted keys and compact separators.
   A dataclass's document holds its fields by name: ``bytes`` as hex, an
   enum as its value, a nested dataclass as its own document, a tuple as a
@@ -24,8 +27,10 @@ In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes a
 sealed document vouches for by their SHA-256 and record count: the event
 log's checkpoint or the registry's snapshot of its journal, each saved
-after the bytes it vouches for. ``sealed`` and ``unseal`` are the one
-seal, an HMAC over the JSON bytes of a document's content.
+after the bytes it vouches for. A stream carries the SHA-256 state of the
+bytes it was loaded from, so a save hashes only the records appended
+since. ``sealed`` and ``unseal`` are the one seal, an HMAC over the JSON
+bytes of a document's content.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import contextlib
 import dataclasses
 import enum
 import functools
+import hashlib
 import hmac
 import json
 import operator
@@ -130,7 +136,22 @@ def stream_text(data: bytes) -> str:
 
 
 def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> list[T]:
-    """Decode the bytes of the record stream at ``path``; a bad line raises EncodingError."""
+    """Decode the bytes of the record stream at ``path``; a bad line raises EncodingError.
+
+    It accepts exactly what ``parse_records`` accepts: a line is canonical
+    base64 of the bytes ``binascii.a2b_base64`` makes of it, which ignores
+    stray characters, exactly when re-encoding those bytes gives the line
+    back. Only a stream that fails is run through ``parse_records``, which
+    names its first bad line.
+    """
+    if data.endswith(b"\n"):
+        try:
+            blobs = list(map(binascii.a2b_base64, data.split(b"\n")))
+            del blobs[-1]  # what follows the last "\n"
+            if encode_records(blobs) == data:
+                return list(map(decode, blobs))
+        except (ValueError, RegctlError):  # binascii.Error is a ValueError
+            pass
     records, bad = parse_records(stream_text(data), decode)
     if bad is not None:
         raise EncodingError(f"{path}: undecodable record at line {bad}")
@@ -153,21 +174,27 @@ class Stream(Generic[T]):
         self._kept_count = 0
         self._kept_last: T | None = None  # the last kept record, once decoded
         self._records = list(records)  # every record after the kept ones
+        self._sha = hashlib.sha256()  # over the file bytes of the first ``_hashed`` records
+        self._hashed = 0
 
     def load(self, path: Path, data: bytes | None, mark: FileMark | None) -> None:
         """Replace the stream with ``data``, read from ``path``: kept undecoded
         if ``mark`` vouches for it, else decoded strictly; None is empty."""
         data = data or b""
-        if mark is None or crypto.sha256(data) != mark.sha256:
+        sha = hashlib.sha256(data)
+        if mark is None or sha.digest() != mark.sha256:
             self.replace(decode_records(path, data, self._decode))
+            self._sha, self._hashed = sha, len(self._records)
         else:
-            self.hold(path, data, mark.count)
+            self.hold(path, data, mark.count, sha)
 
-    def hold(self, path: Path, data: bytes, count: int) -> None:
+    def hold(self, path: Path, data: bytes, count: int, sha: Any) -> None:
         """Replace the stream with the ``count`` records of ``data``, the
-        bytes read from ``path``, kept undecoded."""
+        bytes read from ``path``, kept undecoded; ``sha`` is the
+        ``hashlib.sha256`` state over ``data``."""
         self.replace(())
         self._path, self._kept, self._kept_count = path, data, count
+        self._sha, self._hashed = sha, count
 
     def __len__(self) -> int:
         return self._kept_count + len(self._records)
@@ -192,9 +219,16 @@ class Stream(Generic[T]):
     def append(self, record: T) -> None:
         self._records.append(record)
 
-    def file_bytes(self) -> bytes:
-        """The stream's file: the kept bytes as they were read, then each later record."""
-        return self._kept + encode_records(map(self._encode, self._records))
+    def file(self) -> tuple[bytes, FileMark]:
+        """The stream's file, the kept bytes as they were read and then each
+        later record, and its mark. Only the records not hashed before are
+        hashed, and the carried state then covers them too."""
+        split = self._hashed - self._kept_count  # the first record not hashed
+        tail = encode_records(map(self._encode, self._records[split:]))
+        self._sha.update(tail)
+        self._hashed = len(self)
+        hashed = encode_records(map(self._encode, self._records[:split]))
+        return self._kept + hashed + tail, FileMark(self._sha.digest(), self._hashed)
 
 
 # -- sealed documents ------------------------------------------------------------------

@@ -378,6 +378,21 @@ def test_a_state_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(capsys
     assert files() == before
 
 
+@pytest.mark.parametrize("domain", ["tax", "health"])
+def test_a_silo_schema_that_names_another_domain_is_refused(capsys, state, domain):
+    bootstrap(capsys, state)
+    root = Path(state)
+    schema = root / "silos" / "health" / "schema.json"
+    edited = schema.read_bytes().replace(b'"domain":"health"', b'"domain":"tax"')
+    assert edited != schema.read_bytes()
+    schema.write_bytes(edited)
+    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    code, stdout, stderr = invoke(capsys, *seeded(state, "silo", "list", "--domain", domain))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error={schema}: names domain 'tax', not 'health'\n"
+    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
 def test_run_scenario_exit_codes(capsys, state, tmp_path):
     scenario_dir = Path(__file__).parent.parent / "scenarios"
     code, stdout, _ = invoke(capsys, "--state-dir", state, "run-scenario",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
 from regctl.cli import main as cli_main
-from regctl.crypto import SHARE_BYTES, Holder, KeyShare, prf_derive, seed_key, sha256
+from regctl.crypto import SHARE_BYTES, Holder, KeyShare, canon_encode, prf_derive, seed_key, sha256
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError, TicketConsumed, TicketExpired
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest, AccessTicket
@@ -30,7 +30,7 @@ from regctl.registry import (
     ProgramManifest,
 )
 from regctl.scenario import load_scenario, run
-from regctl.silo import SiloRecord
+from regctl.silo import RegulatorShareStore, SiloRecord
 
 from conftest import count_calls
 
@@ -564,6 +564,148 @@ def test_malformed_line_after_a_save_is_refused_at_that_line(tmp_path, name, che
         doc_path.write_text(json.dumps(doc))
     with pytest.raises(EncodingError, match=f"{re.escape(str(path))}: undecodable record at line 1$"):
         Deployment(state_dir=state)
+
+
+# -- the fast strict decode, the lean silo records and shares, the carried digest ---------
+
+_silo_records = st.lists(
+    st.builds(lambda rid, vid, ciphertext, share: SiloRecord.new(
+        rid, vid, ciphertext, KeyShare(share, Holder.CONTROLLER)).canonical_bytes(),
+        st.text(max_size=6), st.text(max_size=6), st.binary(max_size=9),
+        st.binary(min_size=SHARE_BYTES, max_size=SHARE_BYTES)),
+    max_size=4)
+# (kind, where, byte): flip the byte at ``where`` by ``byte``, insert ``byte`` there,
+# or drop the newline nearest after it
+_mutations = st.lists(st.tuples(st.sampled_from(["flip", "insert", "drop newline"]),
+                                st.floats(0, 1, exclude_max=True),
+                                st.sampled_from(b"\n=A/+ \x0b\xff") | st.integers(1, 255)),
+                      max_size=3)
+
+
+def _mutated(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for kind, where, byte in mutations:
+        at = int(where * len(out))
+        if kind == "insert":
+            out.insert(at, byte)
+        elif at < len(out) and kind == "flip":
+            out[at] ^= byte
+        elif (newline := out.find(b"\n", at)) >= 0:
+            del out[newline]
+    return bytes(out)
+
+
+@given(records=_silo_records, mutations=_mutations)
+def test_the_fast_decode_refuses_at_the_line_the_loop_names(records, mutations):
+    data = _mutated(store.encode_records(records), mutations)
+    path = Path("records.log")
+    expected, bad = store.parse_records(store.stream_text(data), SiloRecord.from_canonical)
+    if bad is None:
+        decoded = store.decode_records(path, data, SiloRecord.from_canonical)
+        assert [r.canonical_bytes() for r in decoded] == [r.canonical_bytes() for r in expected]
+    else:
+        with pytest.raises(EncodingError) as err:
+            store.decode_records(path, data, SiloRecord.from_canonical)
+        assert str(err.value) == f"{path}: undecodable record at line {bad}"
+
+
+@pytest.mark.parametrize("fields", [
+    ("SRECv1", ["R1", "v1", b"ct", b"s" * SHARE_BYTES]),
+    ("SRECv2", ["R1", "v1", b"ct"]),
+    ("SRECv2", ["R1", "v1", b"ct", b"s" * (SHARE_BYTES - 1)]),
+    ("SRECv2", ["R1", b"\xff\xfe", b"ct", b"s" * SHARE_BYTES]),
+], ids=["wrong-tag", "three-fields", "short-share", "non-utf8-vid"])
+def test_a_records_log_line_the_silo_cannot_hold_is_refused_at_load(tmp_path, fields):
+    state = tmp_path / "state"
+    dep = Deployment(seed=99, state_dir=state)
+    _working_world(dep)
+    dep.save()
+    path = state / "silos" / "health" / "records.log"
+    path.write_bytes(path.read_bytes() + store.encode_records([canon_encode(*fields)]))
+    with pytest.raises(EncodingError, match=f"^{re.escape(str(path))}: undecodable record at line 1$"):
+        Deployment(state_dir=state).silos
+
+
+def _stream_loaded(how: str, tmp_path: Path) -> tuple[store.Stream, bytes]:
+    """A stream loaded from two records' bytes: held, strictly or held and then decoded."""
+    data = store.encode_records([b"first", b"second"])
+    stream = store.Stream(bytes, bytes)
+    mark = store.FileMark(sha256(data), 2) if how != "strict" else None
+    stream.load(tmp_path / "s.log", data, mark)
+    if how == "decoded":
+        assert stream.records == [b"first", b"second"]
+    return stream, data
+
+
+@pytest.mark.parametrize("how", ["held", "strict", "decoded"])
+def test_a_streams_mark_is_the_digest_of_its_file_after_appends(tmp_path, how):
+    stream, data = _stream_loaded(how, tmp_path)
+    for appended in ([b"third"], [], [b"fourth", b"fifth"]):
+        for record in appended:
+            stream.append(record)
+        data += store.encode_records(appended)
+        assert stream.file() == (data, store.FileMark(sha256(data), len(stream)))
+    assert store.decode_records(tmp_path / "s.log", data, bytes) == stream.records
+
+
+def _marks_vouch_for_their_files(state: Path) -> None:
+    checkpoint = json.loads((state / "ledgers" / "checkpoint.json").read_bytes())["files"]
+    snapshot = json.loads((state / "registry.json").read_bytes())["registry"]["journal"]
+    for path, mark in [*((state / "ledgers" / n, checkpoint[n]) for n in STREAMS),
+                       (state / "registry.journal", snapshot)]:
+        data = path.read_bytes()
+        assert mark == {"sha256": sha256(data).hex(), "count": data.count(b"\n")}, path.name
+
+
+@pytest.mark.parametrize("how", ["held", "strict", "decoded"])
+def test_checkpoint_and_snapshot_vouch_for_the_bytes_each_save_writes(tmp_path, how):
+    state, _ = _cli_state(tmp_path)
+    if how == "strict":
+        state = _strict_copy(state, tmp_path)
+    dep = Deployment(state_dir=state)
+    world = {"manifest": dep.registry.manifests["p1"],
+             "auth": next(iter(dep.registry.authorizations.values())),
+             "vid": dep.silos["health"].list_records()[0][1]}
+    if how == "decoded":
+        dep.event_log.payloads, dep.event_log.regulator_ledger.entries, dep.registry.journal
+    for request_id in ("q3", "q4"):  # the second save hashes only what the first did not
+        assert _submit(dep, world, request_id).decision.allowed
+        dep.registry.register_purpose(f"P_{request_id}", "more")
+        dep.save()
+        _marks_vouch_for_their_files(state)
+
+
+def test_a_loaded_share_is_decoded_once(tmp_path):
+    state = tmp_path / "state"
+    dep = Deployment(seed=99, state_dir=state)
+    record_id = _working_world(dep)["record_id"]
+    dep.save()
+    shares = Deployment(state_dir=state).share_store
+    share = shares.get(record_id)
+    assert share is shares.get(record_id)
+    assert share == dep.share_store.get(record_id)
+    assert shares.get("R-none") is None
+
+
+@pytest.mark.parametrize("value", [" " + "ab" * 31 + " ", "ab" * 15 + "  " + "ab" * 16,
+                                   "g" * 64, "é" * 64, "ab" * 31, "ab" * 33, 7],
+                         ids=["spaced-ends", "spaced-inside", "non-hex", "non-ascii",
+                              "short", "long", "number"])
+def test_a_share_store_value_that_is_not_a_shares_hex_is_refused_at_load(tmp_path, value):
+    path = tmp_path / "regulator_shares.json"
+    data = json.dumps({"R1": "cd" * 32, "R2": value}).encode()
+    shares = RegulatorShareStore()
+    with pytest.raises(EncodingError, match=f"^{re.escape(str(path))}: not regulator shares"):
+        shares.load([(path, data)])
+
+
+def test_a_loaded_share_store_saves_lowercase_hex(tmp_path):
+    path = tmp_path / "regulator_shares.json"
+    data = store.json_bytes({"R1": "cd" * 32, "R2": "AB" * 32})
+    shares = RegulatorShareStore()
+    shares.load([(path, data)])
+    assert shares.get("R2").share == b"\xab" * 32
+    assert shares.save() == {path.name: store.json_bytes({"R1": "cd" * 32, "R2": "ab" * 32})}
 
 
 def test_state_directory_layout_matches_readme(tmp_path):
