@@ -223,11 +223,8 @@ class _Cli:
 
     def cmd_notifications(self) -> None:
         dep = self.deployment()
-        notifications = (dep.notifier.all_notifications() if self.args.all
-                         else dep.notifier.fetch(self.args.vid))
-        for n in notifications:
-            if self.args.all and n.subject_vid != self.args.vid:
-                continue
+        read = dep.notifier.mailbox if self.args.all else dep.notifier.fetch
+        for n in read(self.args.vid):
             print(f"notif_id={n.notif_id} request_id={n.request_id} "
                   f"outcome={n.outcome.value} created_at={n.created_at} summary={n.summary!r}")
 

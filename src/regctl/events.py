@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import crypto, store
 from .clock import Clock
@@ -72,7 +73,7 @@ NOTIFY_OUTCOME: dict[EventKind, Outcome | None] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     kind: EventKind
     event_id: str
@@ -95,13 +96,18 @@ class Event:
         n = crypto.decode_int(fields[3])
         if len(fields) != 5 + n:
             raise EncodingError("event subject count mismatch")
-        return cls(
-            kind=EventKind(crypto.decode_str(fields[0])),
-            event_id=crypto.decode_str(fields[1]),
-            timestamp=crypto.decode_int(fields[2]),
-            subjects=tuple(crypto.decode_str(f) for f in fields[4 : 4 + n]),
-            summary=crypto.decode_str(fields[4 + n]),
-        )
+        kind = _KIND_OF.get(fields[0])
+        if kind is None:
+            raise EncodingError(f"unknown event kind {fields[0]!r}")
+        try:  # strict UTF-8, as crypto.decode_str, in one handler for every text field
+            event_id, summary = fields[1].decode(), fields[4 + n].decode()
+            subjects = tuple(map(bytes.decode, fields[4 : 4 + n]))
+        except UnicodeDecodeError:
+            raise EncodingError("payload is not valid UTF-8") from None
+        return cls(kind, event_id, crypto.decode_int(fields[2]), subjects, summary)
+
+
+_KIND_OF = {kind.value.encode(): kind for kind in EventKind}  # the kind a payload field names
 
 
 _CHECKPOINT_TAG = "CKPTv1"
@@ -119,6 +125,7 @@ class EventLog:
         self.controller_ledger = Ledger(owner=controller, counterpart=regulator)
         self.clock = clock
         self._payloads = store.Stream(bytes, bytes)  # payload i belongs to ledger entry i
+        self._payloads_path = Path(self.files[2])  # where the payloads were read from
         self._checkpoint_key = crypto.seed_key(controller, "CKPTKEYv1")
         self.changed = False  # an event was recorded since the files were read or written
 
@@ -154,6 +161,19 @@ class EventLog:
 
     # -- derived views ---------------------------------------------------------
 
+    def events(self, start: int = 0) -> list[Event]:
+        """The event of each payload from ``start`` on: all decode, or the
+        first that is not an event raises EncodingError naming events.log
+        and its index."""
+        events: list[Event] = []
+        try:
+            for payload in self.payloads[start:]:
+                events.append(Event.from_canonical(payload))
+        except EncodingError as exc:
+            raise EncodingError(f"{self._payloads_path}: payload {start + len(events)} "
+                                f"is not an event: {exc}") from None
+        return events
+
     def events_from_ledger(self, ledger: Ledger) -> list[Event]:
         """The event of each ledger entry: payload i of events.log belongs to entry i."""
         entries, payloads = ledger.entries, self.payloads
@@ -162,7 +182,7 @@ class EventLog:
         for entry, payload in zip(entries, payloads):
             if crypto.sha256(payload) != entry.payload_digest:
                 raise EncodingError(f"payload {entry.seq} is not the one its ledger entry commits to")
-        return [Event.from_canonical(payload) for payload in payloads]
+        return self.events()
 
     def expected_notification_pairs(self) -> Counter[tuple[str, str]]:
         """How often the regulator ledger says each (subject, event_id) pair must be notified."""
@@ -192,6 +212,7 @@ class EventLog:
         """Load ``files`` into a log that holds no event yet: the streams the
         checkpoint vouches for are kept undecoded, any other is decoded strictly."""
         *streams, (_, checkpoint) = files
+        self._payloads_path = streams[2][0]
         marks = store.unseal(checkpoint, "files", self._checkpoint_key, _CHECKPOINT_TAG) or {}
         for stream, (path, data) in zip(self._streams(), streams):
             mark = marks.get(path.name)

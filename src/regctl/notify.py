@@ -9,7 +9,14 @@ hold one (subject, event id) pair more than once, and ``pairs`` counts it
 that often. Delivery is pull-based, and
 a fetch delivers every fresh notification, so only a delivered count per
 vid is stored. Mailboxes are keyed by vid, never by any real-world
-identifier."""
+identifier.
+
+The view holds, per vid, only (pair number, event) references: the events
+of one cohort share one ``Event``. The first read after a load decodes
+each payload of ``events.log`` once, and a later read only the payloads
+recorded since; all decode, or none show. A ``Notification`` is built
+only for what a read returns: the fresh part of a fetch, one vid's
+mailbox, or every mailbox for ``all_notifications``."""
 
 from __future__ import annotations
 
@@ -33,12 +40,18 @@ class Notification:
     created_at: int
 
 
+def _notification(number: int, vid: str, event: Event) -> Notification:
+    """The notification of pair ``number``: ``event`` shown to ``vid``."""
+    return Notification(f"N{number:06d}", vid, event.event_id, NOTIFY_OUTCOME[event.kind],
+                        event.summary, event.timestamp)
+
+
 class Notifier:
     files = ("notifications.json",)
 
     def __init__(self, event_log: EventLog, lock: threading.RLock):
         self._event_log = event_log
-        self._boxes: dict[str, list[Notification]] = {}
+        self._boxes: dict[str, list[tuple[int, Event]]] = {}  # vid -> (pair number, event)
         self._shown = 0  # payloads of the log already shown in the mailboxes
         self._total = 0  # notifications in the mailboxes
         self._delivered: dict[str, int] = {}
@@ -48,21 +61,20 @@ class Notifier:
 
     def enqueue(self, event: Event) -> None:
         """Show ``event`` in its subjects' mailboxes, if it is one they must learn about."""
-        outcome = NOTIFY_OUTCOME[event.kind]
-        if outcome is not None:
+        if NOTIFY_OUTCOME[event.kind] is not None:
+            boxes, number = self._boxes, self._total
             for vid in event.subjects:
-                self._total += 1
-                self._boxes.setdefault(vid, []).append(Notification(
-                    f"N{self._total:06d}", vid, event.event_id, outcome, event.summary,
-                    event.timestamp))
+                number += 1
+                boxes.setdefault(vid, []).append((number, event))
+            self._total = number
 
-    def _view(self) -> dict[str, list[Notification]]:
+    def _view(self) -> dict[str, list[tuple[int, Event]]]:
         """Every mailbox, once the events recorded since the last read are shown
         (after a load, every event of the log)."""
-        payloads = self._event_log.payloads
-        for event in [Event.from_canonical(p) for p in payloads[self._shown:]]:  # all decode, or none show
+        events = self._event_log.events(self._shown)  # all decode, or none show
+        for event in events:
             self.enqueue(event)
-        self._shown = len(payloads)
+        self._shown += len(events)
         if self._unchecked is not None:
             for vid, count in self._delivered.items():
                 if count > len(self._boxes.get(vid, ())):
@@ -79,18 +91,26 @@ class Notifier:
             if fresh:
                 self._delivered[subject_vid] = len(box)
                 self.changed = True
-            return fresh
+            return [_notification(number, subject_vid, event) for number, event in fresh]
+
+    def mailbox(self, subject_vid: str) -> list[Notification]:
+        """Every notification of ``subject_vid``, delivered or not, in record order."""
+        with self._lock:
+            return [_notification(number, subject_vid, event)
+                    for number, event in self._view().get(subject_vid, [])]
 
     def all_notifications(self) -> list[Notification]:
+        """Every notification of every mailbox, in record order."""
         with self._lock:
-            return sorted((n for box in self._view().values() for n in box),
-                          key=lambda n: n.notif_id)
+            shown = sorted((number, vid, event)
+                           for vid, box in self._view().items() for number, event in box)
+            return [_notification(*pair) for pair in shown]
 
     def pairs(self) -> Counter[tuple[str, str]]:
         """How many notifications of each (subject_vid, request_id) pair the mailboxes hold."""
         with self._lock:
-            return Counter((n.subject_vid, n.request_id)
-                           for box in self._view().values() for n in box)
+            return Counter((vid, event.event_id)
+                           for vid, box in self._view().items() for _, event in box)
 
     # -- persistence -----------------------------------------------------------
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import base64
 import sys
 from pathlib import Path
 
 import pytest
 
 from regctl.cli import build_parser, main
+from regctl.crypto import canon_decode, canon_encode
 from regctl.deploy import REGISTRY_DOMAIN, Deployment
 
 
@@ -390,6 +392,41 @@ def test_a_silo_schema_that_names_another_domain_is_refused(capsys, state, domai
     code, stdout, stderr = invoke(capsys, *seeded(state, "silo", "list", "--domain", domain))
     assert (code, stdout) == (1, "")
     assert stderr == f"error={schema}: names domain 'tax', not 'health'\n"
+    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+
+
+def _edited_access_payload(events_log: Path, edit) -> int:
+    """Replace the first access-allowed payload of ``events_log`` by the
+    canonical bytes of ``edit(fields)``; the index of that payload."""
+    lines = events_log.read_bytes().splitlines(keepends=True)
+    for index, line in enumerate(lines):
+        tag, fields = canon_decode(base64.b64decode(line))
+        if fields[0] == b"access-allowed":
+            lines[index] = base64.b64encode(canon_encode(tag, edit(fields))) + b"\n"
+            events_log.write_bytes(b"".join(lines))
+            return index
+    raise AssertionError("no access-allowed payload")
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda f: [b"access-allowet", *f[1:]], "unknown event kind b'access-allowet'"),
+    (lambda f: [*f[:-1], b"\xff" + f[-1]], "payload is not valid UTF-8"),
+    (lambda f: [*f[:3], (len(f) - 4).to_bytes(8, "big"), *f[4:]], "event subject count mismatch"),
+], ids=["unknown-kind", "non-utf8-summary", "wrong-subject-count"])
+def test_a_payload_that_is_not_an_event_is_reported_by_index_and_nothing_is_saved(
+        capsys, state, edit, reason):
+    world = bootstrap(capsys, state)
+    assert invoke(capsys, *seeded(state, "submit", "--request-id", "q1", "--program", "p1",
+                                  "--auth", world["auth"], "--domain", "health",
+                                  "--subjects", world["vid"], "--classes", "health",
+                                  "--purpose", "CARE_AUDIT"))[0] == 0
+    root = Path(state)
+    events_log = root / "ledgers" / "events.log"
+    index = _edited_access_payload(events_log, edit)
+    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    code, stdout, stderr = invoke(capsys, *seeded(state, "notifications", world["vid"]))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error={events_log}: payload {index} is not an event: {reason}\n"
     assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
 
 
