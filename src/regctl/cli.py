@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import crypto, scenario as scenario_mod
+from . import crypto, store
 from .deploy import Deployment, identities, read_keys
 from .errors import EncodingError, RegctlError
 from .gate import AccessRequest
@@ -131,7 +131,8 @@ class _Cli:
 
     def cmd_program_sign(self) -> None:
         if self.args.artifact is not None:
-            artifact = Path(self.args.artifact).read_bytes()
+            with store.named_file(self.args.artifact):
+                artifact = Path(self.args.artifact).read_bytes()
         else:
             artifact = self.args.artifact_text.encode("utf-8")
         scope = Scope(self.args.domain, tuple(_split_csv(self.args.classes)), self.args.op)
@@ -229,11 +230,14 @@ class _Cli:
                   f"outcome={n.outcome.value} created_at={n.created_at} summary={n.summary!r}")
 
     def cmd_run_scenario(self) -> int:
-        loaded = scenario_mod.load_scenario(self.args.file)
-        report = scenario_mod.run(loaded, seed=self.args.seed, state_dir=self.state_dir)
+        from . import scenario  # only this command loads the scenario harness
+
+        loaded = scenario.load_scenario(self.args.file)
+        report = scenario.run(loaded, seed=self.args.seed, state_dir=self.state_dir)
         text = report.render()
         if self.args.report:
-            Path(self.args.report).write_text(text)
+            with store.named_file(self.args.report):
+                Path(self.args.report).write_text(text)
         sys.stdout.write(text)
         return 0 if report.passed else 1
 

@@ -282,7 +282,8 @@ def verify_ledger_files(regulator_path: Path, controller_path: Path,
         ("regulator", regulator_path, regulator, controller),
         ("controller", controller_path, controller, regulator),
     ):
-        entries, bad = parse_ledger_lines(store.stream_text(Path(path).read_bytes()))
+        with store.named_file(path):
+            entries, bad = parse_ledger_lines(store.stream_text(Path(path).read_bytes()))
         if bad is not None:
             lines.append(f"{label}_chain=parse_error_at:{bad}")
             ok = False

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 import operator
 import threading
@@ -301,17 +300,14 @@ class Registry:
         journal's bytes undecoded, when its seal verifies and it was taken from
         exactly those bytes; else by replaying the journal strictly."""
         (path, data), (snapshot_path, snapshot) = files
-        data = data or b""
         snapshot = store.unseal(snapshot, "registry", self._snapshot_key, _SNAPSHOT_TAG)
         with store.reading(snapshot_path, "a registry snapshot"):
             mark = None if snapshot is None else store.from_doc(store.FileMark, snapshot["journal"])
-            sha = hashlib.sha256(data)
-            if mark is not None and mark.sha256 == sha.digest():
+            if self._journal.hold(path, data, mark):
                 self._restore(snapshot)
-                self._journal.hold(path, data, mark.count, sha)
                 self._journal_head = bytes.fromhex(snapshot["head"])
                 return
-        self._replay(path, data)
+        self._replay(path, data or b"")
         self.changed = True  # so that the next save writes a snapshot of it
 
     def _replay(self, path: Path, data: bytes) -> None:

@@ -280,7 +280,9 @@ def _check(step: Step, row: str, declared: dict[str, set[str]]) -> None:
 
 def load_scenario(path: Path | str) -> Scenario:
     path = Path(path)
-    return parse_scenario(path.read_text(), default_name=path.stem)
+    with store.named_file(path):
+        text = path.read_text(encoding="utf-8")
+    return parse_scenario(text, default_name=path.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes a
 sealed document vouches for by their SHA-256 and record count: the event
 log's checkpoint or the registry's snapshot of its journal, each saved
-after the bytes it vouches for. A stream carries the SHA-256 state of the
-bytes it was loaded from, so a save hashes only the records appended
-since. ``sealed`` and ``unseal`` are the one seal, an HMAC over the JSON
-bytes of a document's content.
+after the bytes it vouches for, and only ``Stream.hold`` decides that. A
+stream carries the SHA-256 state of the bytes it was loaded from, so a
+load hashes them once and a save hashes only the records appended since.
+``sealed`` and ``unseal`` are the one seal, an HMAC over the JSON bytes of
+a document's content, encoded once and checked over the bytes as read: a
+document that is not byte for byte what ``sealed`` wrote is not trusted.
 """
 
 from __future__ import annotations
@@ -180,21 +182,23 @@ class Stream(Generic[T]):
     def load(self, path: Path, data: bytes | None, mark: FileMark | None) -> None:
         """Replace the stream with ``data``, read from ``path``: kept undecoded
         if ``mark`` vouches for it, else decoded strictly; None is empty."""
-        data = data or b""
-        sha = hashlib.sha256(data)
-        if mark is None or sha.digest() != mark.sha256:
-            self.replace(decode_records(path, data, self._decode))
-            self._sha, self._hashed = sha, len(self._records)
-        else:
-            self.hold(path, data, mark.count, sha)
+        if not self.hold(path, data, mark):
+            self._records = decode_records(path, data or b"", self._decode)
 
-    def hold(self, path: Path, data: bytes, count: int, sha: Any) -> None:
-        """Replace the stream with the ``count`` records of ``data``, the
-        bytes read from ``path``, kept undecoded; ``sha`` is the
-        ``hashlib.sha256`` state over ``data``."""
+    def hold(self, path: Path, data: bytes | None, mark: FileMark | None) -> bool:
+        """Whether ``mark`` vouches for ``data``, the bytes read from ``path``
+        (None is empty). If it does, the stream holds them undecoded; if not,
+        it is emptied for the caller to append the records it decodes from
+        them. Either way ``data`` is hashed once, for the next save."""
+        data = data or b""
         self.replace(())
-        self._path, self._kept, self._kept_count = path, data, count
-        self._sha, self._hashed = sha, count
+        self._sha = hashlib.sha256(data)
+        if mark is None or self._sha.digest() != mark.sha256:
+            self._hashed = data.count(b"\n")  # one record per line, once decoded
+            return False
+        self._path, self._kept, self._kept_count = path, data, mark.count
+        self._hashed = mark.count
+        return True
 
     def __len__(self) -> int:
         return self._kept_count + len(self._records)
@@ -242,24 +246,33 @@ class FileMark:
 
 
 def sealed(name: str, content: Any, key: bytes, tag: str) -> bytes:
-    """The bytes of ``{name: content, "mac": ...}``: an HMAC keyed by ``key``
-    under ``tag`` over the JSON bytes of ``content`` seals it."""
-    return json_bytes({name: content, "mac": _seal(key, tag, content).hex()})
+    """The ``json_bytes`` of ``{name: content, "mac": ...}``: an HMAC keyed
+    by ``key`` under ``tag`` over the JSON bytes of ``content``, encoded
+    once, seals it."""
+    body = json_bytes(content)
+    head, tail = _frame(name, crypto.prf_derive(key, tag, body))
+    return head + body + tail
 
 
 def unseal(data: bytes | None, name: str, key: bytes, tag: str) -> Any:
     """The ``content`` that ``sealed`` encoded as ``data``; None when there
-    are no bytes, they are not such a document or its seal does not verify."""
-    try:
-        doc = json.loads(data)
-        content, mac = doc[name], bytes.fromhex(doc["mac"])
-    except (ValueError, TypeError, KeyError):  # json.loads(None) raises a TypeError
+    are no bytes or they are not byte for byte what ``sealed`` writes under
+    ``key``. The seal is checked over the content's bytes as read, and only
+    bytes it vouches for are parsed."""
+    if not data:
         return None
-    return content if hmac.compare_digest(mac, _seal(key, tag, content)) else None
+    head, tail = _frame(name, bytes(crypto.HASH_BYTES))  # an HMAC-SHA-256 is as long as a hash
+    body = data[len(head):len(data) - len(tail)]
+    head, tail = _frame(name, crypto.prf_derive(key, tag, body))
+    return json.loads(body) if hmac.compare_digest(head + body + tail, data) else None
 
 
-def _seal(key: bytes, tag: str, content: Any) -> bytes:
-    return crypto.prf_derive(key, tag, json_bytes(content))
+def _frame(name: str, mac: bytes) -> tuple[bytes, bytes]:
+    """The bytes ``sealed`` writes before and after the content of a
+    document named ``name`` sealed by ``mac``."""
+    key = json_bytes(name) + b":"
+    head, _, tail = json_bytes({name: None, "mac": mac.hex()}).partition(key + b"null")
+    return head + key, tail
 
 
 # -- JSON documents ------------------------------------------------------------------
@@ -287,6 +300,17 @@ def reading(path: Path, what: str) -> Iterator[None]:
         yield
     except (AttributeError, KeyError, TypeError, ValueError, CustodyError) as exc:
         raise EncodingError(f"{path}: not {what}: {exc}") from None
+
+
+@contextlib.contextmanager
+def named_file(path: Path | str) -> Iterator[None]:
+    """Raise RegctlError naming ``path``, a file a command line names, when
+    it cannot be read or written, or its text is not UTF-8."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text: {exc.reason}"
+        raise RegctlError(f"{path}: {reason or exc}") from None
 
 
 def _is_count(value: Any) -> bool:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import base64
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -451,6 +453,72 @@ def test_report_flag_writes_file(capsys, tmp_path):
                              str(scenario_dir / "optout.scn"), "--report", str(out))
     assert code == 0
     assert out.read_text() == stdout
+
+
+def _state_files(root: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+_PROGRAM = ("program", "sign", "--program-id", "p2", "--purpose", "CARE_AUDIT",
+            "--domain", "health", "--classes", "health")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ((*_PROGRAM, "--artifact", "{missing}"), "No such file or directory"),
+    ((*_PROGRAM, "--artifact", "{tmp}"), "Is a directory"),
+    (("run-scenario", "{missing}"), "No such file or directory"),
+    (("run-scenario", "{not_utf8}"), "not UTF-8 text: invalid start byte"),
+    (("verify-logs", "{missing}", "{missing}"), "No such file or directory"),
+], ids=["missing artifact", "directory artifact", "missing scenario", "non-UTF-8 scenario",
+        "missing ledgers"])
+def test_an_unreadable_file_argument_is_reported_and_the_state_is_left_alone(
+        capsys, state, tmp_path, argv, reason):
+    names = {"missing": str(tmp_path / "missing" / "file"), "tmp": str(tmp_path),
+             "not_utf8": str(tmp_path / "latin.scn")}
+    (tmp_path / "latin.scn").write_bytes(b"\xffDOMAIN health\n")
+    bootstrap(capsys, state)
+    before = _state_files(Path(state))
+    argv = [arg.format(**names) for arg in argv]
+    path = next(arg for arg in argv if arg in names.values())
+    assert invoke(capsys, *seeded(state, *argv)) == (1, "", f"error={path}: {reason}\n")
+    assert _state_files(Path(state)) == before
+    fresh = tmp_path / "fresh"
+    if argv[0] != "verify-logs":  # which needs keys
+        assert invoke(capsys, *seeded(str(fresh), *argv)) == (1, "", f"error={path}: {reason}\n")
+        assert not fresh.exists()
+
+
+def test_a_report_that_cannot_be_written_is_reported_after_the_run_saved(capsys, tmp_path):
+    scenario = Path(__file__).parent.parent / "scenarios" / "honest.scn"
+    report = tmp_path / "missing" / "report.txt"
+    state = tmp_path / "state"
+    assert invoke(capsys, "--state-dir", str(state), "run-scenario", str(scenario),
+                  "--report", str(report)) == (
+        1, "", f"error={report}: No such file or directory\n")
+    assert (state / "ledgers" / "checkpoint.json").exists()
+
+
+def test_only_run_scenario_loads_the_scenario_harness(tmp_path):
+    """The package root re-exports only the names callers import from it, and
+    the CLI imports the scenario harness inside the one command that runs it."""
+    state = str(tmp_path / "state")
+    program = f"""
+import sys
+import regctl.cli
+assert "regctl.scenario" not in sys.modules
+for argv in (["silo", "create", "--domain", "health", "--field", "bp:health"],
+             ["silo", "list", "--domain", "health"]):
+    assert regctl.cli.main(["--state-dir", {state!r}, *argv]) == 0
+assert "regctl.scenario" not in sys.modules
+from regctl import (AccessRequest, Basis, Decision, Deployment, DenyReason, Scope, SiloSchema,
+                    canon_decode, canon_encode, chain_hash, combine_shares, cross_verify,
+                    prf_derive, sign, verify)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "domain=health\n"
 
 
 @pytest.mark.parametrize("argv", [

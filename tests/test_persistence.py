@@ -675,6 +675,66 @@ def test_checkpoint_and_snapshot_vouch_for_the_bytes_each_save_writes(tmp_path, 
         _marks_vouch_for_their_files(state)
 
 
+def test_a_snapshot_load_encodes_no_content_and_a_save_encodes_it_once(tmp_path, monkeypatch):
+    state, _ = _cli_state(tmp_path)
+    encoded = []
+    json_bytes = store.json_bytes
+    monkeypatch.setattr(store, "json_bytes", lambda doc: encoded.append(doc) or json_bytes(doc))
+
+    def snapshots() -> int:
+        """How many documents encoded so far hold the snapshot content."""
+        return sum(isinstance(doc, dict) and ("consents" in doc
+                                              or isinstance(doc.get("registry"), dict))
+                   for doc in encoded)
+    registry = Deployment(state_dir=state).registry
+    assert not registry.changed and snapshots() == 0  # loaded from the snapshot
+    assert registry.save()["registry.json"] == (state / "registry.json").read_bytes()
+    assert snapshots() == 1
+
+
+def test_a_respaced_checkpoint_loads_every_stream_strictly_and_is_written_back(
+        tmp_path, capsys, monkeypatch):
+    state, commands = _cli_state(tmp_path)
+    clean = tmp_path / "clean"
+    shutil.copytree(state, clean)
+    checkpoint = state / "ledgers" / "checkpoint.json"
+    checkpoint.write_bytes(json.dumps(json.loads(checkpoint.read_bytes()), sort_keys=True).encode())
+    capsys.readouterr()
+    streams = []
+    real_decode = store.decode_records
+    monkeypatch.setattr(store, "decode_records",
+                        lambda path, *args: streams.append(path.name) or real_decode(path, *args))
+    assert cli_main(commands[0]) == 0
+    assert set(STREAMS) <= set(streams)
+    decided = capsys.readouterr()
+    assert cli_main([str(clean) if arg == str(state) else arg for arg in commands[0]]) == 0
+    assert capsys.readouterr() == decided
+    assert _snapshot(state) == _snapshot(clean)
+
+
+_json_docs = st.dictionaries(st.text(max_size=4),
+                             st.none() | st.integers() | st.text(max_size=4)
+                             | st.lists(st.integers(), max_size=2), max_size=3)
+
+
+@given(name=st.sampled_from(["files", "registry"]), content=_json_docs,
+       separators=st.sampled_from([(",", ":"), (", ", ": "), (",", ": ")]),
+       mutations=_mutations, cut=st.integers(0, 2), junk=st.binary(max_size=80))
+def test_unseal_takes_only_the_bytes_sealed_wrote(name, content, separators, mutations, cut,
+                                                  junk):
+    key = bytes(range(SHARE_BYTES))
+    data = store.sealed(name, content, key, "SEALv1")
+    mac = prf_derive(key, "SEALv1", store.json_bytes(content))
+    assert data == store.json_bytes({name: content, "mac": mac.hex()})
+    # the same document and seal, spaced anew, then edited byte by byte
+    edited = json.dumps(json.loads(data), sort_keys=True, separators=separators).encode()
+    edited = _mutated(edited, mutations)
+    edited = edited[:len(edited) - cut]
+    assert store.unseal(edited, name, key, "SEALv1") == (content if edited == data else None)
+    assert store.unseal(junk, name, key, "SEALv1") is None
+    assert store.unseal(data, name, bytes(SHARE_BYTES), "SEALv1") is None
+
+
 def test_a_loaded_share_is_decoded_once(tmp_path):
     state = tmp_path / "state"
     dep = Deployment(seed=99, state_dir=state)

@@ -193,9 +193,15 @@ def _resealed_under_a_wrong_key(path: Path, **_) -> None:
     _reseal(path, crypto.seed_key(controller, "REGSNAPKEYv1"))
 
 
+def _respaced(path: Path, **_) -> None:
+    """The same document and seal, with JSON's default separators."""
+    path.write_bytes(json.dumps(json.loads(path.read_bytes()), sort_keys=True).encode())
+
+
 @pytest.mark.parametrize("edit", [_flip_byte, _roll_back, _from_another_seed,
-                                  _resealed_under_a_wrong_key],
-                         ids=["flipped-byte", "rolled-back", "another-seed", "wrong-key"])
+                                  _resealed_under_a_wrong_key, _respaced],
+                         ids=["flipped-byte", "rolled-back", "another-seed", "wrong-key",
+                              "re-spaced"])
 def test_an_edited_snapshot_is_ignored_and_written_again(tmp_path, capsys, replays, edit):
     clean = tmp_path / "clean"
     world, before = _opted_out(capsys, clean, 23)

@@ -1,6 +1,6 @@
 """Cells of the tamper matrix (ROADMAP item 1).
 
-Each open-cell test rolls one state file back to the bytes it held before
+Each open-cell test rolls state files back to the bytes they held before
 a command and asserts today's outcome: the rollback goes unseen, and the
 reloaded state decides as it did before that command. Each names the
 ROADMAP item that closes its cell. Closing a cell makes its test fail, and
@@ -9,6 +9,7 @@ the test then asserts the refusal instead, as each closed-cell test does.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,29 @@ def test_open_cell_a_gate_file_rolled_back_past_an_open_reopens_the_record(tmp_p
     gate.write_bytes(before_open)
     assert _run(capsys, state, "open", "--ticket", ticket,
                 "--record", world["record"]) == opened  # the cell is open
+
+
+def test_open_cell_the_ledgers_rolled_back_past_a_grant_erase_its_audit_and_notice(tmp_path,
+                                                                                   capsys):
+    """Closed by ROADMAP item 11: check the ledgers against an auditor-held
+    checkpoint. Both ledgers, events.log and the checkpoint roll back
+    together, so each still vouches for the others."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    ledgers = state / "ledgers"
+    shutil.copytree(ledgers, tmp_path / "before")
+    code, stdout, _ = _submit(capsys, state, world, "q1")
+    assert code == 0 and stdout.startswith("ticket_id=")
+    code, stdout, _ = _run(capsys, state, "notifications", "--all", world["vid"])
+    assert code == 0 and "request_id=q1 " in stdout
+    shutil.rmtree(ledgers)
+    shutil.copytree(tmp_path / "before", ledgers)
+    assert _run(capsys, state, "verify-logs", str(ledgers / "regulator.log"),
+                str(ledgers / "controller.log")) == (
+        0, "regulator_chain=ok\ncontroller_chain=ok\ncross=ok\n", "")
+    assert _run(capsys, state, "notifications", "--all", world["vid"]) == (0, "", "")
+    code, stdout, _ = _submit(capsys, state, world, "q2")
+    assert code == 0 and stdout.startswith("ticket_id=")  # the cell is open
 
 
 def test_closed_cell_an_emptied_share_store_fails_the_submit_and_saves_nothing(tmp_path,
