@@ -6,6 +6,9 @@ statefully against a shared state directory (``--state-dir`` or
 A subcommand checks its own arguments before it loads the deployment, so
 a malformed argument leaves the state directory untouched. ``verify-logs``
 loads no deployment: it reads only ``keys/`` and the two ledger files.
+A command that loads a deployment, and ``verify-logs``, holds ``flock`` on
+the state directory itself, so no command creates a lock file and
+``verify-logs`` leaves the directory as it found it.
 ``COMMANDS`` declares every subcommand's arguments, and a command line
 builds the parsers of the commands it names and of no other.
 Exit codes: 0 success, 1 domain error (reason on stderr), 2 usage error.
@@ -54,18 +57,18 @@ class _Cli:
             if state_dir is None:
                 raise RegctlError("no state directory: pass --state-dir or set REGCTL_STATE_DIR")
         self.state_dir = Path(state_dir) if state_dir else None
-        self._lock_file = None
+        self._lock_fd: int | None = None
         self._deployment: Deployment | None = None
 
     def lock(self) -> None:
-        """Hold the state directory's lock until ``release``."""
-        if self._lock_file is None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-            self._lock_file = open(self.state_dir / ".lock", "w")
-            fcntl.flock(self._lock_file, fcntl.LOCK_EX)
+        """Hold the lock on the state directory, which must exist, until ``release``."""
+        if self._lock_fd is None:
+            self._lock_fd = os.open(self.state_dir, os.O_RDONLY | os.O_DIRECTORY)
+            fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
 
     def deployment(self) -> Deployment:
         if self._deployment is None:
+            self.state_dir.mkdir(parents=True, exist_ok=True)
             self.lock()
             self._deployment = Deployment(seed=self.args.seed, state_dir=self.state_dir)
             self._deployment.clock.advance(1)
@@ -76,9 +79,8 @@ class _Cli:
             self._deployment.save()
 
     def release(self) -> None:
-        if self._lock_file is not None:
-            fcntl.flock(self._lock_file, fcntl.LOCK_UN)
-            self._lock_file.close()
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)  # which releases the lock
 
     # -- subcommands ------------------------------------------------------------
 
@@ -197,7 +199,7 @@ class _Cli:
 
     def cmd_open(self) -> None:
         dep = self.deployment()
-        ticket = dep.gate.tickets.get(self.args.ticket)
+        ticket = dep.gate.ticket(self.args.ticket)
         if ticket is None:
             raise RegctlError(f"ticket {self.args.ticket} not found (expired tickets are pruned)")
         silo = dep.silos.get(ticket.granted_scope.domain)

@@ -12,7 +12,9 @@ clock (one logical tick, never behind the last ledger entry) and the
 notifier's counts at once; the registry, the vault, the regulator share
 store, the silos and the gate are each built and loaded when first
 reached, once, under the deployment lock, and a save writes only the
-services built. Each file is read strictly and in full before anything
+services built. A silo reaches the share store only to deposit or destroy
+a share, so an open, which takes the regulator's share from its ticket,
+reads no share file. Each file is read strictly and in full before anything
 that depends on it runs. The gate prunes the state it loads at the clock
 reading of the last save, with the filter a save applies, so a
 ``gate.json`` left unwritten by commands that never reached the gate
@@ -235,7 +237,7 @@ class Deployment:
             return silo
 
     def _new_silo(self, schema: SiloSchema) -> Silo:
-        return Silo(schema, self.share_store, vid_exists=self._vid_exists,
+        return Silo(schema, lambda: self.share_store, vid_exists=self._vid_exists,
                     event_log=self.event_log, rand_bytes=self.rand_bytes, lock=self._lock)
 
     # -- opt-out deletion workflow --------------------------------------------------------

@@ -174,26 +174,27 @@ class EventLog:
                                 f"is not an event: {exc}") from None
         return events
 
-    def events_from_ledger(self, ledger: Ledger) -> list[Event]:
-        """The event of each ledger entry: payload i of events.log belongs to entry i."""
-        entries, payloads = ledger.entries, self.payloads
-        if len(entries) != len(payloads):
-            raise EncodingError(f"{len(payloads)} payloads for {len(entries)} ledger entries")
-        for entry, payload in zip(entries, payloads):
-            if crypto.sha256(payload) != entry.payload_digest:
-                raise EncodingError(f"payload {entry.seq} is not the one its ledger entry commits to")
+    def events_from_ledger(self, *ledgers: Ledger) -> list[Event]:
+        """The event of each entry of every one of ``ledgers``: payload i of
+        events.log belongs to entry i of each, and is hashed and decoded once."""
+        payloads = self.payloads
+        digests = list(map(crypto.sha256, payloads))
+        for ledger in ledgers:
+            entries = ledger.entries
+            if len(entries) != len(payloads):
+                raise EncodingError(f"{len(payloads)} payloads for {len(entries)} ledger entries")
+            for entry, digest in zip(entries, digests):
+                if digest != entry.payload_digest:
+                    raise EncodingError(f"payload {entry.seq} is not the one its ledger entry "
+                                        "commits to")
         return self.events()
 
     def expected_notification_pairs(self) -> Counter[tuple[str, str]]:
         """How often the regulator ledger says each (subject, event_id) pair must be notified."""
-        return Counter((vid, event.event_id)
-                       for event in self.events_from_ledger(self.regulator_ledger)
-                       if NOTIFY_OUTCOME[event.kind] is not None
-                       for vid in event.subjects)
+        return notification_pairs(self.events_from_ledger(self.regulator_ledger))
 
     def access_entry_count(self, ledger: Ledger) -> int:
-        kinds = {EventKind.ACCESS_ALLOWED, EventKind.ACCESS_DENIED}
-        return sum(1 for e in self.events_from_ledger(ledger) if e.kind in kinds)
+        return access_count(self.events_from_ledger(ledger))
 
     # -- persistence -----------------------------------------------------------
 
@@ -219,3 +220,14 @@ class EventLog:
             stream.load(path, data, None if mark is None else store.from_doc(store.FileMark, mark))
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
+
+
+def notification_pairs(events: list[Event]) -> Counter[tuple[str, str]]:
+    """How often ``events`` say each (subject, event_id) pair must be notified."""
+    return Counter((vid, event.event_id) for event in events
+                   if NOTIFY_OUTCOME[event.kind] is not None for vid in event.subjects)
+
+
+def access_count(events: list[Event]) -> int:
+    """How many of ``events`` decided an access request."""
+    return sum(e.kind in (EventKind.ACCESS_ALLOWED, EventKind.ACCESS_DENIED) for e in events)

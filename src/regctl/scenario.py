@@ -37,6 +37,7 @@ from .errors import (
     ScenarioSyntaxError,
     WeakIdentifierRejected,
 )
+from .events import access_count, notification_pairs
 from .gate import AccessRequest, AccessTicket
 from .ledger import Ledger, cross_verify
 from .registry import Basis, DenyReason, Scope
@@ -772,14 +773,16 @@ class _Runner:
         results.append(InvariantResult("cross-verify", divergence is None,
                                        str(divergence) if divergence else ""))
 
-        reg_count = dep.event_log.access_entry_count(dep.event_log.regulator_ledger)
-        ctrl_count = dep.event_log.access_entry_count(dep.event_log.controller_ledger)
-        expected = dep.event_log.expected_notification_pairs()
+        # both ledgers commit to every payload, so each counts the accesses the payloads hold
+        log = dep.event_log
+        events = log.events_from_ledger(log.regulator_ledger, log.controller_ledger)
+        accesses = access_count(events)
+        expected = notification_pairs(events)
         actual = dep.notifier.pairs()
-        bijection_ok = (self.submit_count == reg_count == ctrl_count) and expected == actual
+        bijection_ok = self.submit_count == accesses and expected == actual
         results.append(InvariantResult(
             "access-bijection", bijection_ok,
-            f"submits={self.submit_count} regulator={reg_count} controller={ctrl_count} "
+            f"submits={self.submit_count} regulator={accesses} controller={accesses} "
             f"pairs={actual.total()}"))
 
         hits = scan_for_sentinels(state_dir, self.sentinels, extra_blobs=self.wire)

@@ -13,9 +13,13 @@ dual-signed proof over the destroyed record ids.
 controller share) by record id, and no time: it does not give away creation order.
 A ``SiloRecord`` keeps its id, its vid and its canonical bytes, which the
 load checks in full and a save writes back as they are; the ciphertext and
-the controller share are read from those bytes when asked for. The share
+the controller share are read from those bytes when asked for. A load
+splits each record in one pass over its fixed layout: the tag, four
+length-prefixed fields, a 32-byte share last, and UTF-8 ids. The share
 store keeps each loaded share as the hex its file holds, every one checked
-at load, and builds a share's ``KeyShare`` once, at the first ``get``.
+at load, and builds a share's ``KeyShare`` once, at the first ``get``. A
+silo reaches the share store only to deposit or destroy a share, so a
+command that reads records, an open among them, loads no share file.
 
 A silo's files are ``silos/<domain>/schema.json`` and ``records.log``, the
 share store's ``regulator_shares.json``. Every change sets ``changed``; the
@@ -28,6 +32,7 @@ from __future__ import annotations
 import binascii
 import dataclasses
 import secrets
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,6 +82,12 @@ def field_spec(value: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
+_LEN = struct.Struct(">I")  # a canonical field's length prefix
+_SREC_HEAD = crypto.canon_encode("SRECv2", [])  # the tag's length prefix and the tag
+_ID_AT = len(_SREC_HEAD) + 4  # where a record's id starts, past its length prefix
+_SHARE_PREFIX = _LEN.pack(crypto.SHARE_BYTES)
+
+
 class SiloRecord:
     """One sealed record, held as its canonical bytes: the ciphertext and the
     controller share are read from them when asked for."""
@@ -99,10 +110,22 @@ class SiloRecord:
 
     @classmethod
     def from_canonical(cls, data: bytes) -> "SiloRecord":
-        tag, fields = crypto.canon_decode(data)
-        if tag != "SRECv2" or len(fields) != 4 or len(fields[3]) != crypto.SHARE_BYTES:
-            raise EncodingError("not a silo record")
-        return cls(crypto.decode_str(fields[0]), crypto.decode_str(fields[1]), data)
+        """The record ``data`` holds, split in one pass: it accepts exactly the
+        ``canon_decode`` of an ``SRECv2`` tag and four fields, the last a
+        32-byte share, with UTF-8 ids."""
+        # each *_at is where that field's length prefix starts, and the share's is fixed
+        share_at = len(data) - 4 - crypto.SHARE_BYTES
+        try:
+            vid_at = _ID_AT + _LEN.unpack_from(data, _ID_AT - 4)[0]
+            ciphertext_at = vid_at + 4 + _LEN.unpack_from(data, vid_at)[0]
+            ciphertext_end = ciphertext_at + 4 + _LEN.unpack_from(data, ciphertext_at)[0]
+            if (not data.startswith(_SREC_HEAD) or ciphertext_end != share_at
+                    or data[share_at:share_at + 4] != _SHARE_PREFIX):
+                raise EncodingError("not a silo record")
+            return cls(data[_ID_AT:vid_at].decode("utf-8"),
+                       data[vid_at + 4:ciphertext_at].decode("utf-8"), data)
+        except (struct.error, UnicodeDecodeError):  # a length prefix past the end, a non-UTF-8 id
+            raise EncodingError("not a silo record") from None
 
     @property
     def ciphertext(self) -> bytes:
@@ -188,13 +211,13 @@ class RegulatorShareStore:
 
 
 class Silo:
-    def __init__(self, schema: SiloSchema, share_store: RegulatorShareStore,
+    def __init__(self, schema: SiloSchema, share_store: Callable[[], RegulatorShareStore],
                  vid_exists: Callable[[str, str], bool], event_log: EventLog,
                  rand_bytes: Callable[[int], bytes] | None = None,
                  lock: threading.RLock | None = None):
         schema.validate()
         self.schema = schema
-        self.share_store = share_store
+        self._share_store = share_store  # called only to deposit or destroy a share
         self.vid_exists = vid_exists
         self.event_log = event_log
         self._rand = rand_bytes or secrets.token_bytes
@@ -234,7 +257,7 @@ class Silo:
             )
             self._records[record_id] = SiloRecord.new(record_id, vid, ciphertext, controller_share)
             self.changed = True
-            self.share_store.deposit(record_id, regulator_share)
+            self._share_store().deposit(record_id, regulator_share)
             return record_id
 
     # -- metadata and ciphertext (no plaintext surface) ---------------------------
@@ -285,8 +308,9 @@ class Silo:
             self.changed = True
             for rid in doomed:
                 del self._records[rid]
+            share_store = self._share_store()
             for rid in doomed:
-                if not self.share_store.destroy(rid):
+                if not share_store.destroy(rid):
                     raise SchemaError(f"regulator share for {rid} not confirmed destroyed")
             unsigned = DeletionProof(obligation.obligation_id, self.domain, tuple(sorted(doomed)),
                                      DeletionProof.hash_record_ids(doomed), b"", b"")

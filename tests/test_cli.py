@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import base64
+import fcntl
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -202,6 +204,41 @@ def test_verify_logs_reads_only_keys_and_writes_nothing(capsys, state, tmp_path)
     code, stdout, stderr = invoke(capsys, *seeded(str(tmp_path / "empty"), *argv))
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error=no keys in ")
+
+
+def test_verify_logs_leaves_the_listing_of_a_library_saved_state_directory(capsys, tmp_path):
+    state = tmp_path / "state"
+    dep = Deployment(seed=5, state_dir=state)
+    dep.vault.register_master({"name": "listed"})
+    dep.save()
+    listing = sorted(state.rglob("*"))
+    ledgers = state / "ledgers"
+    assert invoke(capsys, "--state-dir", str(state), "verify-logs",
+                  str(ledgers / "regulator.log"), str(ledgers / "controller.log"))[0] == 0
+    assert sorted(state.rglob("*")) == listing
+
+
+@pytest.mark.parametrize("argv", [["verify-logs", "{state}/ledgers/regulator.log",
+                                   "{state}/ledgers/controller.log"],
+                                  ["vault", "register", "name=waiting"]],
+                         ids=["verify-logs", "a saving command"])
+def test_a_command_waits_for_the_lock_on_the_state_directory(capsys, tmp_path, argv):
+    state = tmp_path / "state"
+    Deployment(seed=5, state_dir=state).save()
+    held = os.open(state, os.O_RDONLY | os.O_DIRECTORY)  # as a running command holds it
+    codes = []
+    command = threading.Thread(target=lambda: codes.append(main(
+        ["--state-dir", str(state), *(a.format(state=state) for a in argv)])))
+    try:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        command.start()
+        command.join(0.3)
+        waited = command.is_alive()
+    finally:
+        os.close(held)
+    command.join(10)
+    assert waited and not command.is_alive() and codes == [0]
+    capsys.readouterr()
 
 
 def test_alias_and_route(capsys, state):

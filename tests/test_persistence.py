@@ -139,7 +139,7 @@ def test_consumed_tickets_stay_consumed_across_reload(tmp_path):
     first.save()
 
     second = Deployment(seed=91, state_dir=state)
-    ticket = second.gate.tickets.get(result.ticket.ticket_id)
+    ticket = second.gate.ticket(result.ticket.ticket_id)
     assert ticket is not None  # still within its 60-tick life
     with pytest.raises(TicketConsumed):
         second.gate.open_record(ticket, record_id,
@@ -186,13 +186,138 @@ def test_consumed_mark_outlives_its_ticket_dropped_by_erasure(tmp_path):
     assert set(ticket.regulator_shares) == {world["record_id"], kept}
     # erasing one of its records drops the ticket from the gate's saved tickets
     first.process_opt_out(world["registry_vid"], "CARE_AUDIT")
-    assert ticket.ticket_id not in first.gate.tickets
+    assert first.gate.ticket(ticket.ticket_id) is None
     first.gate.open_record(ticket, kept, first.silos["health"].controller_share(kept))
     first.save()
 
     second = Deployment(seed=96, state_dir=state)
     with pytest.raises(TicketConsumed):
         second.gate.open_record(ticket, kept, second.silos["health"].controller_share(kept))
+
+
+def _held_tickets(tmp_path) -> tuple[Path, dict, list[AccessTicket]]:
+    """A saved state directory holding two live tickets: one for two subjects,
+    then, 30 ticks later, one for the first subject alone."""
+    state = tmp_path / "state"
+    dep = Deployment(seed=98, state_dir=state)
+    world = _working_world(dep)
+    other = dep.vault.register_master({"name": "second person"})
+    other_vid = dep.vault.derive_vid(other, "health").vid
+    world["other_registry_vid"] = dep.vault.derive_vid(other, REGISTRY_DOMAIN).vid
+    dep.registry.record_consent(world["other_registry_vid"], "CARE_AUDIT")
+    dep.silos["health"].put_record(other_vid, {"bp": "110/70"})
+    both = dep.gate.submit(_request(dep, world, "q1", [world["vid"], other_vid])).ticket
+    dep.clock.advance(30)
+    alone = _submit(dep, world, "q2").ticket
+    dep.save()
+    return state, world, [both, alone]
+
+
+def _gate_doc(state: Path) -> dict:
+    return json.loads((state / "gate.json").read_text())
+
+
+def test_a_gate_saved_with_no_lookup_writes_its_file_back_and_builds_no_share(tmp_path,
+                                                                               monkeypatch):
+    state, _, tickets = _held_tickets(tmp_path)
+    built = count_calls(monkeypatch, "__post_init__", owner=KeyShare)
+    gate = Deployment(state_dir=state).gate
+    assert gate.save()["gate.json"] == (state / "gate.json").read_bytes()
+    assert built["__post_init__"] == 0
+    # a lookup builds the ticket and its shares, and a save writes it as before
+    assert gate.ticket(tickets[0].ticket_id) == tickets[0]
+    assert built["__post_init__"] == len(tickets[0].regulator_shares) == 2
+    assert gate.save()["gate.json"] == (state / "gate.json").read_bytes()
+    assert gate.ticket("T-none") is None
+
+
+def test_held_tickets_past_their_expiry_leave_the_saved_gate(tmp_path):
+    state, _, tickets = _held_tickets(tmp_path)
+    dep = Deployment(state_dir=state)
+    dep.clock.advance(TICKET_TTL_SECONDS - 30)  # the first ticket's last tick has passed
+    saved = json.loads(dep.gate.save()["gate.json"])
+    assert [t["ticket_id"] for t in saved["tickets"]] == [tickets[1].ticket_id]
+    dep.clock.advance(30)
+    assert json.loads(dep.gate.save()["gate.json"])["tickets"] == []
+
+
+def test_an_opt_out_drops_a_held_ticket_naming_an_erased_record(tmp_path):
+    state, world, (both, alone) = _held_tickets(tmp_path)
+    dep = Deployment(state_dir=state)
+    assert len(dep.process_opt_out(world["other_registry_vid"], "CARE_AUDIT")) == 1
+    dep.save()
+    assert [t["ticket_id"] for t in _gate_doc(state)["tickets"]] == [alone.ticket_id]
+    assert dep.gate.ticket(both.ticket_id) is None
+    assert dep.gate.ticket(alone.ticket_id) == alone
+
+
+def _first_share(ticket: dict) -> str:
+    return next(iter(ticket["regulator_shares"]))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda t: t.pop("request_id"), id="missing field"),
+    pytest.param(lambda t: t["regulator_shares"].update(
+        {_first_share(t): t["regulator_shares"][_first_share(t)][:62]}), id="62-character share"),
+    pytest.param(lambda t: t["regulator_shares"].update(
+        {_first_share(t): "zz" + t["regulator_shares"][_first_share(t)][2:]}), id="non-hex share"),
+    pytest.param(lambda t: t["granted_scope"].update(operation="bogus"), id="unknown operation"),
+    pytest.param(lambda t: t["granted_scope"].update(field_classes=["bogus"]),
+                 id="unknown field class"),
+])
+def test_a_held_ticket_that_does_not_build_is_refused_at_load(tmp_path, edit):
+    state, _, _ = _held_tickets(tmp_path)
+    doc = _gate_doc(state)
+    edit(doc["tickets"][1])
+    (state / "gate.json").write_bytes(store.json_bytes(doc))
+    with pytest.raises(EncodingError, match=r"gate\.json: not a gate state document"):
+        Deployment(state_dir=state).gate
+
+
+@pytest.mark.parametrize("spell", [str.upper, lambda h: h[:2] + " " + h[2:]],
+                         ids=["upper case", "a space"])
+def test_a_held_share_in_another_spelling_of_its_hex_is_saved_as_lowercase_hex(tmp_path, spell):
+    state, _, tickets = _held_tickets(tmp_path)
+    own = (state / "gate.json").read_bytes()
+    doc = _gate_doc(state)
+    shares = doc["tickets"][0]["regulator_shares"]
+    shares[_first_share(doc["tickets"][0])] = spell(shares[_first_share(doc["tickets"][0])])
+    (state / "gate.json").write_bytes(store.json_bytes(doc))
+    gate = Deployment(state_dir=state).gate
+    assert gate.save()["gate.json"] == own
+    assert gate.ticket(tickets[0].ticket_id) == tickets[0]
+
+
+def test_an_open_on_a_gate_naming_an_unknown_operation_fails_and_saves_nothing(tmp_path, capsys):
+    state = tmp_path / "state"
+    world = _cli_world(lambda *argv: _cli(capsys, state, *argv))
+    doc = _gate_doc(state)
+    doc["tickets"][0]["granted_scope"]["operation"] = "bogus"
+    (state / "gate.json").write_bytes(store.json_bytes(doc))
+    before = _snapshot(state)
+    assert cli_main(["--state-dir", str(state), "open", "--ticket", world["ticket"],
+                     "--record", world["record"]]) == 1
+    assert capsys.readouterr().err == (f"error={state / 'gate.json'}: not a gate state document: "
+                                       "unknown operation: bogus\n")
+    assert _snapshot(state) == before
+
+
+def test_an_open_reads_no_share_file_and_a_put_or_a_submit_reads_it_once(tmp_path, capsys,
+                                                                         monkeypatch):
+    state = tmp_path / "state"
+    world = _cli_world(lambda *argv: _cli(capsys, state, *argv))
+    loads = count_calls(monkeypatch, "load", owner=RegulatorShareStore)
+    counted = {}
+    for name, argv in [
+            ("open", ["open", "--ticket", world["ticket"], "--record", world["record"]]),
+            ("silo put", ["silo", "put", "--domain", "health", "--vid", world["vid"], "bp=1"]),
+            ("submit", ["submit", "--request-id", "q2", "--program", "p1", "--auth",
+                        world["auth"], "--domain", "health", "--subjects", world["vid"],
+                        "--classes", "health", "--purpose", "CARE_AUDIT"])]:
+        loads["load"] = 0
+        _cli(capsys, state, *argv)
+        counted[name] = loads["load"]
+    assert counted == {"open": 0, "silo put": 1, "submit": 1}
 
 
 def test_replayed_nonce_rejected_across_reload(tmp_path):
@@ -347,8 +472,8 @@ def _cli_world(run) -> dict[str, str]:
     """Build a world by CLI commands, each run by ``run(*argv)``, which
     returns the command's output. The commands change the vault in every
     way (a domain, a master, a vid, an alias), a silo and the share store.
-    Returns the ticket of an allowed submit, the record it covers and the
-    subject's registry vid."""
+    Returns the ticket of an allowed submit, the record it covers, the
+    subject's registry vid and health vid, and the grant."""
     run("purpose", "add", "CARE_AUDIT")
     run("silo", "create", "--domain", "health", "--field", "bp:health")
     master = run("vault", "register", "name=oracle", "real_phone=0012")["master_id"]
@@ -365,7 +490,7 @@ def _cli_world(run) -> dict[str, str]:
                  "--domain", "health", "--subjects", vid, "--classes", "health",
                  "--purpose", "CARE_AUDIT")["ticket_id"]
     subject = run("vault", "derive", "--master", master, "--domain", REGISTRY_DOMAIN)["vid"]
-    return {"ticket": ticket, "record": record, "subject": subject}
+    return {"ticket": ticket, "record": record, "subject": subject, "vid": vid, "auth": auth}
 
 
 def test_skipped_saves_leave_the_bytes_every_save_encoding_leaves(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regctl.cli import main as cli_main
+from regctl.events import Event
 from regctl.errors import InsufficientPopulation, ScenarioReferenceError, ScenarioSyntaxError
 from regctl.scenario import (
     ATTACK_KINDS,
@@ -21,6 +22,8 @@ from regctl.scenario import (
     parse_scenario,
     run,
 )
+
+from conftest import count_calls
 
 ROOT = Path(__file__).parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -201,6 +204,16 @@ def test_every_attack_kind_appears_in_committed_suite_and_is_caught():
             seen[attack.kind] = seen.get(attack.kind, False) or attack.caught
     assert set(seen) == set(ATTACK_KINDS)
     assert all(seen.values())
+
+
+@pytest.mark.parametrize("name", ["attacks", "honest"])
+def test_a_run_decodes_each_payload_once_for_the_mailboxes_and_once_for_the_invariant(
+        name, tmp_path, monkeypatch):
+    decoded = count_calls(monkeypatch, "from_canonical", owner=Event)
+    report = run(load_scenario(SCENARIO_DIR / f"{name}.scn"), state_dir=tmp_path)
+    assert report.passed
+    payloads = (tmp_path / "ledgers" / "events.log").read_bytes().count(b"\n")
+    assert payloads and decoded["from_canonical"] == 2 * payloads
 
 
 # -- determinism -------------------------------------------------------------------

@@ -5,14 +5,18 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regctl import Deployment, SiloSchema
 from regctl import crypto
 from regctl.crypto import Holder, KeyShare
 from regctl.deploy import REGISTRY_DOMAIN, read_files
-from regctl.errors import DecryptFailure, NotFound, SchemaError, WeakIdentifierRejected
+from regctl.errors import (DecryptFailure, EncodingError, NotFound, SchemaError,
+                           WeakIdentifierRejected)
 from regctl.scenario import load_scenario, run
-from regctl.silo import RegulatorShareStore, Silo, decode_fields, encode_fields, record_aad
+from regctl.silo import (RegulatorShareStore, Silo, SiloRecord, decode_fields, encode_fields,
+                         record_aad)
 
 from conftest import count_calls, write_files
 
@@ -124,7 +128,8 @@ def test_record_file_round_trip(dep, tmp_path):
     silo.put_record(vid, {"bp": "120/80"})
     write_files(tmp_path, silo.save())
     files = read_files(tmp_path, silo.files)
-    reloaded = Silo(Silo.load_schema(files), dep.share_store, dep.vault.vid_exists, dep.event_log)
+    reloaded = Silo(Silo.load_schema(files), lambda: dep.share_store, dep.vault.vid_exists,
+                    dep.event_log)
     reloaded.load_records(files)
     assert reloaded.list_records() == silo.list_records()
     record_id = silo.list_records()[0][0]
@@ -144,10 +149,75 @@ def test_a_second_load_holds_exactly_the_files_records_and_shares(dep, tmp_path)
     shares.load(read_files(tmp_path / "one", shares.files))
     assert shares.get(first) == dep.share_store.get(first)
     assert shares.get(second) is None
-    reloaded = Silo(silo.schema, shares, dep.vault.vid_exists, dep.event_log)
+    reloaded = Silo(silo.schema, lambda: shares, dep.vault.vid_exists, dep.event_log)
     reloaded.load_records(read_files(tmp_path / "two", silo.files))
     reloaded.load_records(read_files(tmp_path / "one", silo.files))
     assert reloaded.list_records() == [(first, vid)]
+
+
+def _split_by_canon_decode(data: bytes) -> tuple[str, str, bytes]:
+    """A silo record's id, vid and bytes, read through the generic decoder."""
+    tag, fields = crypto.canon_decode(data)
+    if tag != "SRECv2" or len(fields) != 4 or len(fields[3]) != crypto.SHARE_BYTES:
+        raise EncodingError("not a silo record")
+    return crypto.decode_str(fields[0]), crypto.decode_str(fields[1]), data
+
+
+_FAULTS = ("none", "none", "none", "none", "tag", "non-utf-8 id", "short share", "long share",
+           "extra field", "flip", "cut", "append")
+
+
+@st.composite
+def _record_bytes(draw) -> bytes:
+    """The bytes of a silo record, or of one with one fault: another tag, a
+    non-UTF-8 id, a 31- or 33-byte share, an extra field, a flipped bit, a
+    cut or bytes appended."""
+    fault = draw(st.sampled_from(_FAULTS))
+    ids = [draw(st.text(max_size=6)).encode() for _ in range(2)]
+    if fault == "non-utf-8 id":
+        ids[draw(st.integers(0, 1))] += draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+    share = {"short share": 31, "long share": 33}.get(fault, crypto.SHARE_BYTES)
+    fields = [*ids, draw(st.binary(max_size=24)), draw(st.binary(min_size=share, max_size=share))]
+    if fault == "extra field":
+        fields.append(draw(st.binary(max_size=4)))
+    tag = draw(st.sampled_from(["SRECv1", "SRECv", "AADv1"])) if fault == "tag" else "SRECv2"
+    data = crypto.canon_encode(tag, fields)
+    if fault == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + bytes([data[at] ^ (1 << draw(st.integers(0, 7)))]) + data[at + 1:]
+    elif fault == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif fault == "append":
+        data += draw(st.binary(min_size=1, max_size=8))
+    return data
+
+
+@given(_record_bytes())
+@settings(max_examples=500)
+def test_the_one_pass_split_takes_exactly_what_the_generic_decoder_takes(data):
+    try:
+        expected = _split_by_canon_decode(data)
+    except EncodingError:
+        with pytest.raises(EncodingError):
+            SiloRecord.from_canonical(data)
+        return
+    record = SiloRecord.from_canonical(data)
+    assert (record.record_id, record.vid, record.canonical_bytes()) == expected
+
+
+def test_the_one_pass_split_keeps_each_check_of_a_record():
+    share = bytes(range(crypto.SHARE_BYTES))
+    good = crypto.canon_encode("SRECv2", ["R1", "v1", b"ct", share])
+    assert SiloRecord.from_canonical(good).vid == "v1"
+    for bad in (crypto.canon_encode("SRECv1", ["R1", "v1", b"ct", share]),
+                crypto.canon_encode("SRECv2", ["R1", "v1", b"ct", share[:31]]),
+                crypto.canon_encode("SRECv2", ["R1", "v1", b"ct", share + b"!"]),
+                crypto.canon_encode("SRECv2", ["R1", "v1", b"ct", share, b""]),
+                crypto.canon_encode("SRECv2", [b"\xff", "v1", b"ct", share]),
+                crypto.canon_encode("SRECv2", ["R1", b"\xc3", b"ct", share]),
+                good[:-1], good + b"\0", good[:12]):
+        with pytest.raises(EncodingError):
+            SiloRecord.from_canonical(bad)
 
 
 def test_a_record_file_line_does_not_tell_when_its_record_was_put(tmp_path):

@@ -39,9 +39,9 @@ def _saved_world(state: Path) -> dict[str, str]:
 
 
 def _files(state: Path) -> dict[str, bytes]:
-    """Every state file's bytes, but the CLI's empty lock file's."""
+    """Every state file's bytes."""
     return {p.relative_to(state).as_posix(): p.read_bytes()
-            for p in sorted(state.rglob("*")) if p.is_file() and p.name != ".lock"}
+            for p in sorted(state.rglob("*")) if p.is_file()}
 
 
 def _run(capsys, state: Path, *argv: str) -> tuple[int, str, str]:

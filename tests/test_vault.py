@@ -333,7 +333,7 @@ def test_swapped_vids_fail_their_first_use_and_release_nothing(populated, tmp_pa
     reloaded = Deployment(state_dir=dep.state_dir)
     with pytest.raises(EncodingError, match=r"state\.json: a stored health vid does not re-derive"):
         reloaded.gate.submit(make_request(reloaded, populated, subjects=[bob]))
-    assert reloaded.gate.tickets == {} and reloaded.gate.plaintext_releases == 0
+    assert reloaded.gate.state_dict()["tickets"] == [] and reloaded.gate.plaintext_releases == 0
 
 
 def _negative_counter(state: dict) -> None:
