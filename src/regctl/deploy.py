@@ -14,8 +14,11 @@ store, the silos and the gate are each built and loaded when first
 reached, once, under the deployment lock, and a save writes only the
 services built. A silo reaches the share store only to deposit or destroy
 a share, so an open, which takes the regulator's share from its ticket,
-reads no share file. Each file is read strictly and in full before anything
-that depends on it runs. The gate prunes the state it loads at the clock
+reads no share file. Each file is read in full and checked before anything
+that depends on it runs. A record stream is checked strictly, unless a
+sealed document vouches for its bytes: it is then held as read, and decoded
+only as far as a command needs it, so an open decodes only the few silo
+records its lookup probes. The gate prunes the state it loads at the clock
 reading of the last save, with the filter a save applies, so a
 ``gate.json`` left unwritten by commands that never reached the gate
 loads as those saves would have written it.

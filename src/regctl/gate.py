@@ -295,10 +295,12 @@ class Gate:
     # -- open --------------------------------------------------------------------
 
     def open_record(self, ticket: AccessTicket, record_id: str,
-                    controller_share: KeyShare) -> dict[str, str]:
+                    controller_share: KeyShare | None = None) -> dict[str, str]:
         """Combine both shares and release the record's fields, once.
 
-        Only fields whose class falls inside the ticket's granted scope are
+        ``controller_share`` is the controller's share of the record's key;
+        None takes it from the silo, once the ticket admits the record. Only
+        fields whose class falls inside the ticket's granted scope are
         returned. Every failure mode is logged.
         """
         with self._lock:
@@ -321,6 +323,8 @@ class Gate:
             try:
                 ciphertext = silo.fetch_ciphertext(record_id)
                 vid = silo.vid_of(record_id)
+                if controller_share is None:
+                    controller_share = silo.controller_share(record_id)
             except NotFound:
                 raise refuse(NotFound(f"record {record_id} no longer exists"))
 

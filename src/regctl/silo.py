@@ -21,16 +21,25 @@ at load, and builds a share's ``KeyShare`` once, at the first ``get``. A
 silo reaches the share store only to deposit or destroy a share, so a
 command that reads records, an open among them, loads no share file.
 
-A silo's files are ``silos/<domain>/schema.json`` and ``records.log``, the
-share store's ``regulator_shares.json``. Every change sets ``changed``; the
-deployment encodes neither while it is unchanged and its files still carry
-the stamp taken when they were read or written.
+A silo's files are ``silos/<domain>/schema.json``, ``records.log`` and
+``mark.json``, the share store's ``regulator_shares.json``. A save writes
+``records.log`` sorted by record id, then seals its SHA-256 and record
+count in ``mark.json``, under an HMAC keyed from the controller's seed.
+A load whose mark vouches for ``records.log`` holds it undecoded: an id
+lookup (``controller_share``, ``fetch_ciphertext``, ``vid_of`` and the id
+check of ``put_record``) binary-searches its lines and decodes only the
+records it probes, and any other use decodes every record once. A load
+that no mark vouches for decodes every record strictly, and the next save
+seals the mark again. Every change sets ``changed``; the deployment
+encodes none of the files while the silo is unchanged and they still
+carry the stamp taken when they were read or written.
 """
 
 from __future__ import annotations
 
 import binascii
 import dataclasses
+import operator
 import secrets
 import struct
 import threading
@@ -86,6 +95,8 @@ _LEN = struct.Struct(">I")  # a canonical field's length prefix
 _SREC_HEAD = crypto.canon_encode("SRECv2", [])  # the tag's length prefix and the tag
 _ID_AT = len(_SREC_HEAD) + 4  # where a record's id starts, past its length prefix
 _SHARE_PREFIX = _LEN.pack(crypto.SHARE_BYTES)
+_MARK_TAG = "SMARKv1"  # the seal of mark.json
+_record_id = operator.attrgetter("record_id")  # the key records.log is sorted by
 
 
 class SiloRecord:
@@ -221,7 +232,10 @@ class Silo:
         self.vid_exists = vid_exists
         self.event_log = event_log
         self._rand = rand_bytes or secrets.token_bytes
-        self._records: dict[str, SiloRecord] = {}
+        # every record by id; None while ``_held`` holds them as loaded, sorted by id
+        self._records: dict[str, SiloRecord] | None = {}
+        self._held = store.Stream(SiloRecord.from_canonical, SiloRecord.canonical_bytes)
+        self._mark_key = crypto.seed_key(event_log.controller_ledger.owner, "SMARKKEYv1")
         self.files = silo_files(schema.domain)
         self.changed = False  # since the files were read or written
         self._lock = lock or threading.RLock()
@@ -245,7 +259,7 @@ class Silo:
         with self._lock:
             while True:
                 record_id = "R" + self._rand(6).hex()
-                if record_id not in self._records:
+                if self._find(record_id) is None:
                     break
             controller_share = KeyShare(self._rand(32), Holder.CONTROLLER)
             regulator_share = KeyShare(self._rand(32), Holder.REGULATOR)
@@ -255,7 +269,7 @@ class Silo:
                 key, crypto.record_nonce(record_id), plaintext,
                 record_aad(record_id, vid, self.domain),
             )
-            self._records[record_id] = SiloRecord.new(record_id, vid, ciphertext, controller_share)
+            self._all()[record_id] = SiloRecord.new(record_id, vid, ciphertext, controller_share)
             self.changed = True
             self._share_store().deposit(record_id, regulator_share)
             return record_id
@@ -264,29 +278,41 @@ class Silo:
 
     def list_records(self) -> list[tuple[str, str]]:
         with self._lock:
-            return [(r.record_id, r.vid) for r in self._records.values()]
+            return [(r.record_id, r.vid) for r in self._all().values()]
 
     def records_for_vid(self, vid: str) -> list[str]:
         with self._lock:
-            return [r.record_id for r in self._records.values() if r.vid == vid]
+            return [r.record_id for r in self._all().values() if r.vid == vid]
 
     def fetch_ciphertext(self, record_id: str) -> bytes:
-        record = self._records.get(record_id)
-        if record is None:
-            raise NotFound(f"record {record_id} not found")
-        return record.ciphertext
+        return self._record(record_id).ciphertext
 
     def controller_share(self, record_id: str) -> KeyShare:
-        record = self._records.get(record_id)
-        if record is None:
-            raise NotFound(f"record {record_id} not found")
-        return record.controller_share
+        return self._record(record_id).controller_share
 
     def vid_of(self, record_id: str) -> str:
-        record = self._records.get(record_id)
+        return self._record(record_id).vid
+
+    def _record(self, record_id: str) -> SiloRecord:
+        record = self._find(record_id)
         if record is None:
             raise NotFound(f"record {record_id} not found")
-        return record.vid
+        return record
+
+    def _find(self, record_id: str) -> SiloRecord | None:
+        """The record ``record_id``; only held records a search probes are decoded."""
+        with self._lock:
+            if self._records is None:
+                return self._held.find(record_id, _record_id)
+            return self._records.get(record_id)
+
+    def _all(self) -> dict[str, SiloRecord]:
+        """Every record by id, in file order and then the order put; held
+        records are decoded once."""
+        if self._records is None:
+            self._records = {record.record_id: record for record in self._held.records}
+            self._held.replace(())
+        return self._records
 
     # -- deletion --------------------------------------------------------------
 
@@ -306,8 +332,9 @@ class Silo:
             raise NotFound(f"obligation {obligation.obligation_id} signature invalid")
         with self._lock:
             self.changed = True
+            records = self._all()
             for rid in doomed:
-                del self._records[rid]
+                del records[rid]
             share_store = self._share_store()
             for rid in doomed:
                 if not share_store.destroy(rid):
@@ -327,23 +354,39 @@ class Silo:
     # -- persistence --------------------------------------------------------------
 
     def save(self) -> dict[str, bytes]:
+        """The schema, the records sorted by id (held ones as they were read),
+        then the mark that vouches for them: last, so that it never vouches
+        for records not yet written."""
         self.changed = False
-        schema, records = self.files
-        return {schema: store.json_bytes(store.to_doc(self.schema)),
-                records: store.encode_records(self._records[rid].canonical_bytes()
-                                              for rid in sorted(self._records))}
+        schema, records, mark = self.files
+        if self._records is None:
+            data, file_mark = self._held.file()
+        else:
+            data = store.encode_records(self._records[rid].canonical_bytes()
+                                        for rid in sorted(self._records))
+            file_mark = store.FileMark(crypto.sha256(data), len(self._records))
+        return {schema: store.json_bytes(store.to_doc(self.schema)), records: data,
+                mark: store.sealed("records", store.to_doc(file_mark), self._mark_key, _MARK_TAG)}
 
     def load_records(self, files: store.Files) -> None:
-        """Replace the silo's records with those ``files`` hold; the schema is
+        """Replace the silo's records with those ``files`` hold: held undecoded
+        when the mark vouches for them, else decoded strictly. The schema is
         the one the silo was built with, read by ``load_schema``."""
-        _, (path, data) = files
-        self._records = {record.record_id: record for record in
-                         store.decode_records(path, data or b"", SiloRecord.from_canonical)}
+        _, (path, data), (mark_path, mark) = files
+        mark = store.unseal(mark, "records", self._mark_key, _MARK_TAG)
+        with store.reading(mark_path, "a silo mark"):
+            mark = None if mark is None else store.from_doc(store.FileMark, mark)
+        if self._held.hold(path, data, mark):
+            self._records = None
+        else:
+            self._records = {record.record_id: record for record in
+                             store.decode_records(path, data or b"", SiloRecord.from_canonical)}
+            self.changed = True  # so that the next save seals a mark for them
 
     @staticmethod
     def load_schema(files: store.Files) -> SiloSchema:
         """The schema ``files`` hold; it must name the domain of its own directory."""
-        (path, data), _ = files
+        (path, data), *_ = files
         doc = store.parse_json(path, data)
         if doc is None:
             raise EncodingError(f"{path}: no such file")
@@ -354,6 +397,7 @@ class Silo:
         return schema
 
 
-def silo_files(domain: str) -> tuple[str, str]:
-    """The files of the silo of ``domain``: its schema, then its records."""
-    return f"silos/{domain}/schema.json", f"silos/{domain}/records.log"
+def silo_files(domain: str) -> tuple[str, str, str]:
+    """The files of the silo of ``domain``: its schema, its records, then
+    the mark that vouches for them."""
+    return f"silos/{domain}/schema.json", f"silos/{domain}/records.log", f"silos/{domain}/mark.json"

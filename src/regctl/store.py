@@ -26,10 +26,14 @@ in place that keeps the size, within the timestamp granularity, goes unseen.
 In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes a
 sealed document vouches for by their SHA-256 and record count: the event
-log's checkpoint or the registry's snapshot of its journal, each saved
-after the bytes it vouches for, and only ``Stream.hold`` decides that. A
-stream carries the SHA-256 state of the bytes it was loaded from, so a
-load hashes them once and a save hashes only the records appended since.
+log's checkpoint, the registry's snapshot of its journal or a silo's mark,
+each saved after the bytes it vouches for, and only ``Stream.hold``
+decides that. Kept bytes are what a strict writer wrote, so they are
+decoded without the strict check: each line through ``a2b_base64``, with
+no re-encoding to compare. ``Stream.find`` looks a record up among kept
+lines sorted by its key, decoding only the lines it probes. A stream
+carries the SHA-256 state of the bytes it was loaded from, so a load
+hashes them once and a save hashes only the records appended since.
 ``sealed`` and ``unseal`` are the one seal, an HMAC over the JSON bytes of
 a document's content, encoded once and checked over the bytes as read: a
 document that is not byte for byte what ``sealed`` wrote is not trusted.
@@ -174,6 +178,7 @@ class Stream(Generic[T]):
         self._path = Path()
         self._kept = b""  # the loaded file's bytes, until decoded
         self._kept_count = 0
+        self._lines: list[bytes] | None = None  # the kept bytes split into lines, once searched
         self._kept_last: T | None = None  # the last kept record, once decoded
         self._records = list(records)  # every record after the kept ones
         self._sha = hashlib.sha256()  # over the file bytes of the first ``_hashed`` records
@@ -205,11 +210,46 @@ class Stream(Generic[T]):
 
     @property
     def records(self) -> list[T]:
-        """Every record, in order; kept bytes are decoded strictly on first use."""
+        """Every record, in order; kept bytes are decoded once, on first use."""
         if self._kept:
-            self._records[:0] = decode_records(self._path, self._kept, self._decode)
-            self._kept, self._kept_count = b"", 0
+            try:
+                kept = [self._decode(binascii.a2b_base64(line)) for line in self._kept_lines()]
+            except (ValueError, RegctlError):  # bytes no strict writer wrote: name the line
+                kept = decode_records(self._path, self._kept, self._decode)
+            self._records[:0] = kept
+            self._kept, self._kept_count, self._lines = b"", 0, None
         return self._records
+
+    def _kept_lines(self) -> list[bytes]:
+        if self._lines is None:
+            self._lines = self._kept.split(b"\n")
+            del self._lines[-1]  # what follows the last "\n"
+        return self._lines
+
+    def find(self, key: str, key_of: Callable[[T], str]) -> T | None:
+        """The kept record whose ``key_of`` is ``key``; None if none of the
+        kept records has it.
+
+        The kept lines must be sorted by ``key_of``, as the writer the mark
+        vouches for wrote them: they are binary-searched, and only the lines
+        probed are decoded.
+        """
+        lines = self._kept_lines()
+        low, high = 0, len(lines)
+        while low < high:
+            mid = (low + high) // 2
+            try:
+                record = self._decode(binascii.a2b_base64(lines[mid]))
+            except (ValueError, RegctlError):
+                raise EncodingError(f"{self._path}: undecodable record at line {mid}") from None
+            probed = key_of(record)
+            if probed == key:
+                return record
+            if probed < key:
+                low = mid + 1
+            else:
+                high = mid
+        return None
 
     def last(self) -> T | None:
         """The last record, None if there is none; a kept one is decoded once."""

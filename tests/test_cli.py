@@ -16,6 +16,7 @@ import pytest
 from regctl.cli import build_parser, main
 from regctl.crypto import canon_decode, canon_encode
 from regctl.deploy import REGISTRY_DOMAIN, Deployment
+from regctl.events import EventKind
 
 
 def invoke(capsys, *argv) -> tuple[int, str, str]:
@@ -88,6 +89,29 @@ def test_submit_open_round_trip(capsys, state):
                                              "--record", world["record"]))
     assert code == 0
     assert sorted(stdout.strip().splitlines()) == ["bp=130/85", "visits=2"]
+
+
+def test_an_open_of_a_record_the_silo_does_not_hold_is_refused_and_logged(capsys, state):
+    world = bootstrap(capsys, state)
+    code, stdout, _ = invoke(capsys, *seeded(state, "submit", "--request-id", "q1",
+                                             "--program", "p1", "--auth", world["auth"],
+                                             "--domain", "health", "--subjects", world["vid"],
+                                             "--classes", "health,other",
+                                             "--purpose", "CARE_AUDIT"))
+    assert code == 0
+    ticket = kv(stdout.splitlines()[0])["ticket_id"]
+    mailbox = invoke(capsys, *seeded(state, "notifications", "--all", world["vid"]))
+    logged = len(Deployment(state_dir=Path(state)).event_log.payloads)
+
+    assert invoke(capsys, *seeded(state, "open", "--ticket", ticket, "--record",
+                                  "Rdeadbeef0000")) == (
+        1, "", "error=record Rdeadbeef0000 outside ticket scope\n")
+    events = Deployment(state_dir=Path(state)).event_log.events(logged)
+    assert [(event.kind, event.subjects) for event in events] == [(EventKind.OPEN_DENIED, ())]
+    assert invoke(capsys, *seeded(state, "notifications", "--all", world["vid"])) == mailbox
+    ledgers = Path(state) / "ledgers"
+    assert invoke(capsys, *seeded(state, "verify-logs", str(ledgers / "regulator.log"),
+                                  str(ledgers / "controller.log")))[0] == 0
 
 
 def test_expired_grant_denies_with_window_reason(capsys, state):

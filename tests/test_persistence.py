@@ -455,6 +455,7 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
         strict = _strict_copy(state, tmp_path)
         assert _loaded_events(state) == _loaded_events(strict), k
         assert _loaded_registry(state) == _loaded_registry(strict), k
+        assert _loaded_silos(state) == _loaded_silos(strict), k
         if not crashed:
             assert now == before | after
             break
@@ -526,7 +527,7 @@ def test_open_and_consent_give_encode_no_vault_silo_or_share_store(tmp_path, cap
 
 @pytest.mark.parametrize("name", [
     "vault/state.json", "silos/health/schema.json", "silos/health/records.log",
-    "ledgers/events.log", "ledgers/checkpoint.json", "registry.journal", "registry.json",
+    "silos/health/mark.json", "ledgers/events.log", "ledgers/checkpoint.json", "registry.journal", "registry.json",
     "regulator_shares.json"])
 def test_a_file_replaced_behind_a_loaded_deployment_is_rewritten(tmp_path, name):
     state = tmp_path / "state"
@@ -562,13 +563,14 @@ def _cli_state(tmp_path) -> tuple[Path, list[list[str]]]:
 
 
 def _strict_copy(state: Path, tmp_path: Path) -> Path:
-    """A copy of ``state`` with no checkpoint and no registry snapshot, so
-    every stream loads strictly and the registry journal is replayed."""
+    """A copy of ``state`` with no checkpoint, no registry snapshot and no
+    silo mark, so every stream loads strictly and the registry journal is
+    replayed."""
     strict = tmp_path / "strict"
     shutil.rmtree(strict, ignore_errors=True)
     shutil.copytree(state, strict)
-    (strict / "ledgers" / "checkpoint.json").unlink(missing_ok=True)
-    (strict / "registry.json").unlink(missing_ok=True)
+    for seal in ("ledgers/checkpoint.json", "registry.json", *strict.glob("silos/*/mark.json")):
+        (strict / seal).unlink(missing_ok=True)
     return strict
 
 
@@ -593,6 +595,19 @@ def _loaded_registry(state: Path):
         return repr(exc).replace(str(state), "<state>")
     return [getattr(registry, name) for name in ("purposes", "manifests", "authorizations",
                                                  "consents", "obligations", "journal")]
+
+
+def _loaded_silos(state: Path):
+    """Each record of each silo loaded from ``state``, looked up by the ids a
+    second load lists, before anything decodes every record; or the error
+    the load raised."""
+    try:
+        silos, listed = Deployment(state_dir=state).silos, Deployment(state_dir=state).silos
+    except EncodingError as exc:
+        return repr(exc).replace(str(state), "<state>")
+    return {domain: [(rid, vid, silo.vid_of(rid), silo.fetch_ciphertext(rid),
+                      silo.controller_share(rid)) for rid, vid in listed[domain].list_records()]
+            for domain, silo in silos.items()}
 
 
 def test_held_load_equals_strict_load(tmp_path):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -9,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regctl import Deployment, SiloSchema
-from regctl import crypto
+from regctl import crypto, store
 from regctl.crypto import Holder, KeyShare
 from regctl.deploy import REGISTRY_DOMAIN, read_files
 from regctl.errors import (DecryptFailure, EncodingError, NotFound, SchemaError,
                            WeakIdentifierRejected)
+from regctl.registry import DeletionObligation
 from regctl.scenario import load_scenario, run
 from regctl.silo import (RegulatorShareStore, Silo, SiloRecord, decode_fields, encode_fields,
                          record_aad)
@@ -372,3 +376,101 @@ def test_subsequent_access_denied_after_optout(dep, tmp_path):
                                   Scope("health", ("health",), "read"),
                                   "CARE_AUDIT", registry_vid, dep.clock.now())
     assert decision.reason == DenyReason.CONSENT
+
+
+# -- held records: a strictly loaded silo is the oracle ----------------------------
+
+_record_ids = st.one_of(st.binary(min_size=6, max_size=6).map(lambda b: "R" + b.hex()),
+                        st.text("0123456789abcdef", max_size=3).map("R".__add__))
+_vids = st.sampled_from(("v1", "v2", "v3"))
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("lookup"), st.integers(min_value=0)),  # an index into the ids known
+    st.tuples(st.just("records_for_vid"), _vids),
+    st.tuples(st.just("list_records")),
+    st.tuples(st.just("put"), _vids, st.booleans()),  # whether its first id draw collides
+    st.tuples(st.just("erase"), _vids)), max_size=12)
+
+
+class _Draws:
+    """A silo's random bytes: each forced value first, then a fixed stream."""
+
+    def __init__(self):
+        self.forced: list[bytes] = []
+        self._rng = random.Random(0)
+
+    def __call__(self, n: int) -> bytes:
+        return self.forced.pop(0) if self.forced else self._rng.randbytes(n)
+
+
+def _answer(silo: Silo, name: str, *args):
+    try:
+        return getattr(silo, name)(*args)
+    except NotFound as exc:
+        return f"NotFound: {exc}"
+
+
+@settings(deadline=None)
+@given(records=st.lists(st.tuples(_record_ids, _vids, st.binary(max_size=40),
+                                  st.binary(min_size=32, max_size=32)),
+                        max_size=40, unique_by=lambda record: record[0]),
+       absent=st.lists(_record_ids, max_size=4), steps=_steps)
+def test_a_held_silo_answers_and_saves_as_a_strictly_loaded_one(records, absent, steps):
+    dep = Deployment(seed=72)
+    schema = SiloSchema(domain="health", field_classes=(("bp", "health"),))
+    shares = RegulatorShareStore()
+    with pytest.MonkeyPatch.context() as patch:
+        decoded = count_calls(patch, "from_canonical", owner=SiloRecord)
+
+        draws = [_Draws(), _Draws()]  # the held silo's, the strict one's
+
+        def new_silo(rand: _Draws) -> Silo:
+            return Silo(schema, lambda: shares, lambda domain, vid: True, dep.event_log,
+                        rand_bytes=rand)
+
+        source, held, strict = new_silo(_Draws()), *map(new_silo, draws)
+        names = [Path(name) for name in source.files]
+        canonical = [SiloRecord.new(rid, vid, ciphertext,
+                                    KeyShare(share, Holder.CONTROLLER)).canonical_bytes()
+                     for rid, vid, ciphertext, share in records]
+        source.load_records(list(zip(names, (None, store.encode_records(canonical), None))))
+        saved = source.save()
+        strict.load_records([(name, saved[name.as_posix()]) for name in names[:2]]
+                            + [(names[2], None)])
+        decoded["from_canonical"] = 0
+        held.load_records([(name, saved[name.as_posix()]) for name in names])
+        assert decoded["from_canonical"] == 0  # held, undecoded
+        assert held.save() == strict.save() == saved
+
+        bound = math.ceil(math.log2(max(len(records), 1))) + 2
+        for step, *args in steps:
+            if step == "lookup":
+                known = sorted({rid for rid, _ in strict.list_records()} | set(absent))
+                if not known:
+                    continue
+                rid = known[args[0] % len(known)]
+                for name in ("controller_share", "fetch_ciphertext", "vid_of"):
+                    decoded["from_canonical"] = 0
+                    assert _answer(held, name, rid) == _answer(strict, name, rid), (name, rid)
+                    assert decoded["from_canonical"] <= bound
+            elif step == "put":
+                vid, collide = args
+                taken = [rid for rid, _ in strict.list_records()]
+                drawn = [rid for rid in taken if len(rid) == 13]  # "R" and 6 bytes of hex
+                for rand in draws:
+                    rand.forced = [bytes.fromhex(drawn[0][1:])] if collide and drawn else []
+                put = held.put_record(vid, {"bp": "x"})
+                assert put == strict.put_record(vid, {"bp": "x"}) and put not in taken
+            elif step == "erase":
+                (vid,) = args
+                doomed = strict.records_for_vid(vid)
+                assert held.records_for_vid(vid) == doomed
+                if doomed:
+                    unsigned = DeletionObligation("O1", "s", "CARE_AUDIT", "health", 0, b"")
+                    obligation = dataclasses.replace(unsigned, signature=crypto.sign(
+                        dep.regulator, unsigned.signing_payload()))
+                    proofs = [silo.process_deletion(obligation, vid, list(doomed), dep.regulator,
+                                                    dep.controller) for silo in (held, strict)]
+                    assert proofs[0].record_ids == proofs[1].record_ids
+            else:
+                assert _answer(held, step, *args) == _answer(strict, step, *args)
+        assert held.save() == strict.save()

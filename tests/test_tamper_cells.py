@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema
+from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, store
 from regctl.cli import main as cli_main
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError
+
+from conftest import count_calls
 
 
 def _saved_world(state: Path) -> dict[str, str]:
@@ -145,3 +147,73 @@ def test_closed_cell_a_lost_share_fails_the_submit_in_process_with_the_nonce_uns
     assert len(dep.event_log.payloads) == events
     dep.share_store.deposit(world["record"], share)
     assert set(dep.gate.submit(request).ticket.regulator_shares) == {world["record"]}
+
+
+def test_open_cell_a_records_log_rolled_back_to_the_previous_save_loads_the_older_records(
+        tmp_path, capsys):
+    """Closed by ROADMAP item 8: one root commit over every file. The mark
+    no longer vouches for the older bytes, so they load strictly, and
+    nothing tells them from a records.log whose mark was lost."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    records = state / "silos" / "health" / "records.log"
+    before_put = records.read_bytes()
+    code, stdout, _ = _run(capsys, state, "silo", "put", "--domain", "health",
+                           "--vid", world["vid"], "bp=110/70")
+    assert code == 0
+    put = stdout.strip().removeprefix("record_id=")
+    listed = _run(capsys, state, "silo", "list", "--domain", "health")[1]
+    assert f"record_id={put} " in listed
+    records.write_bytes(before_put)
+    assert _run(capsys, state, "silo", "list", "--domain", "health") == (
+        0, f"record_id={world['record']} vid={world['vid']}\n", "")  # the cell is open
+
+
+def test_closed_cell_a_byte_flipped_in_records_log_under_an_intact_mark_is_refused_at_reach(
+        tmp_path, capsys):
+    """The mark vouches only for the bytes it was sealed over: a records.log
+    with a byte's high bit flipped loads strictly, which refuses its line,
+    and nothing is saved."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    code, stdout, _ = _submit(capsys, state, world, "q1")
+    assert code == 0
+    ticket = stdout.splitlines()[0].removeprefix("ticket_id=")
+    records = state / "silos" / "health" / "records.log"
+    original = records.read_bytes()
+    for at in (0, len(original) // 2, len(original) - 2):
+        flipped = bytearray(original)
+        flipped[at] ^= 0x80
+        records.write_bytes(bytes(flipped))
+        before = _files(state)
+        with pytest.raises(EncodingError, match="records.log: undecodable record at line 0"):
+            Deployment(state_dir=state).silos  # the first reach loads them
+        assert _run(capsys, state, "open", "--ticket", ticket, "--record", world["record"]) == (
+            1, "", f"error={records}: undecodable record at line 0\n"), at
+        assert _files(state) == before
+
+
+@pytest.mark.parametrize("edit", ["deleted", "re-spaced"])
+def test_closed_cell_a_lost_or_re_spaced_mark_loads_strictly_and_decides_and_saves_the_same(
+        tmp_path, capsys, monkeypatch, edit):
+    """A silo whose mark.json is gone or not byte for byte what the seal
+    writes loads records.log strictly, opens as the intact state does, and
+    its save seals the same mark again."""
+    state, twin = tmp_path / "state", tmp_path / "twin"
+    world = _saved_world(state)
+    code, stdout, _ = _submit(capsys, state, world, "q1")
+    assert code == 0
+    ticket = stdout.splitlines()[0].removeprefix("ticket_id=")
+    shutil.copytree(state, twin)
+    mark = state / "silos" / "health" / "mark.json"
+    if edit == "deleted":
+        mark.unlink()
+    else:
+        mark.write_bytes(mark.read_bytes().replace(b":", b": "))
+    decoded = count_calls(monkeypatch, "decode_records", owner=store)
+    opened = _run(capsys, state, "open", "--ticket", ticket, "--record", world["record"])
+    assert decoded["decode_records"] == 1
+    assert _run(capsys, twin, "open", "--ticket", ticket, "--record", world["record"]) == opened
+    assert decoded["decode_records"] == 1  # the intact mark vouches: no strict load
+    assert opened == (0, "bp=120/80\n", "")
+    assert _files(state) == _files(twin)
