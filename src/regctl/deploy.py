@@ -27,7 +27,14 @@ Every service persists through one contract, ``Persisted``: only the
 deployment reads (``read_files``) and writes (``_write``) its files, and
 ``_save`` skips one whose ``changed`` mark is down while they still carry
 the ``store.stamp`` taken when they were last read or written, so a file
-replaced behind the process is written again from memory.
+replaced behind the process is written again from memory. A save returns
+each record stream of the event log and the registry as a ``store.Tail``.
+While the service's files still carry the stamp, and a stream's file is
+the size the stream last read or wrote, only its new lines are appended;
+any other file, a stream's included, is written whole through
+``store.write_atomic``. A service's seal is written last, so a crash
+leaves each stream as it was, then some prefix of its new lines, and a
+load drops an unterminated last line that follows the sealed ones.
 
 With a seed, randomness is one deterministic stream, started at the first
 draw. In a state directory that draw bumps the count in
@@ -73,7 +80,7 @@ T = TypeVar("T")
 class Persisted(Protocol):
     files: tuple[str, ...]  # relative to the state directory, in write order, any seal last
     changed: bool  # set by its mutators since the files were read or written
-    def save(self) -> dict[str, bytes]: ...  # the bytes of each of ``files``, by name
+    def save(self) -> dict[str, bytes | store.Tail]: ...  # each of ``files``, by name
 
 
 def read_files(root: Path, names: Iterable[str]) -> store.Files:
@@ -299,18 +306,31 @@ class Deployment:
             self._write({"clock.json": store.json_bytes(self.clock.now())})
 
     def _save(self, service: Persisted) -> None:
-        """Write the files of ``service``, unless it is unchanged and they still carry its stamp."""
+        """Write the files of ``service``, unless it is unchanged and they still
+        carry its stamp. While they carry it, a stream's tail may be appended."""
         paths = [self.state_dir / name for name in service.files]
         kept = self._stamps.pop(service.files, None)  # so that a save cut short leaves none
-        if kept is not None and not service.changed and store.stamp(*paths) == kept:
+        if kept is not None and store.stamp(*paths) != kept:
+            kept = None
+        if kept is not None and not service.changed:
             self._stamps[service.files] = kept
             return
-        self._write(service.save())
+        sizes = {name: s[2] for name, s in zip(service.files, kept or ())}  # as stamped
+        self._write(service.save(), sizes)
         self._stamps[service.files] = store.stamp(*paths)
 
-    def _write(self, files: dict[str, bytes]) -> None:
+    def _write(self, files: dict[str, bytes | store.Tail], sizes: dict[str, int] | None = None
+               ) -> None:
+        """Write ``files``: a tail is appended to a file whose size in
+        ``sizes`` is the one it follows, and any other file is written whole."""
         for name, data in files.items():
-            store.write_atomic(self.state_dir / name, data)
+            path = self.state_dir / name
+            if isinstance(data, store.Tail):
+                if sizes and sizes.get(name) == data.at:
+                    store.write_tail(path, data.data)
+                    continue
+                data = data.whole()
+            store.write_atomic(path, data)
 
     def _load(self, names: tuple[str, ...]) -> store.Files:
         """The bytes of a service's files, read after their stamp is taken."""

@@ -12,12 +12,13 @@ denied twice in one tick), so the log keeps every recorded payload and the
 bijection counts each (subject, event id) pair with its multiplicity.
 
 The two ledgers and ``events.log`` are ``store.Stream``s under one
-checkpoint, saved after them. Only ``entries``, ``historical_heads`` and
-``payloads`` decode the bytes a load kept, on first use, so a load and save
-cost O(change) and not O(history). Recording an event sets ``changed``;
-an unchanged log whose files still carry their stamp is not saved. An id
-the log draws is its prefix and the seq of the ledger entry that records
-the event, so no id counter is kept.
+checkpoint, saved after them: a save hands each stream's new lines to the
+deployment to append, and the checkpoint to write whole. Only ``entries``,
+``historical_heads`` and ``payloads`` decode the bytes a load kept, on
+first use, so a load and save cost O(change) and not O(history). Recording
+an event sets ``changed``; an unchanged log whose files still carry their
+stamp is not saved. An id the log draws is its prefix and the seq of the
+ledger entry that records the event, so no id counter is kept.
 """
 
 from __future__ import annotations
@@ -198,13 +199,14 @@ class EventLog:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self) -> dict[str, bytes]:
-        """The ledger pair and events.log, then the checkpoint: last, so that
-        it never vouches for a file not yet written."""
+    def save(self) -> dict[str, bytes | store.Tail]:
+        """The tails of the ledger pair and events.log, then the checkpoint:
+        last, so that it never vouches for a file not yet written."""
         self.changed = False
-        files, marks = {}, {}
+        files: dict[str, bytes | store.Tail] = {}
+        marks = {}
         for name, stream in zip(self.files, self._streams()):
-            files[name], mark = stream.file()
+            files[name], mark = stream.tail()
             marks[name.removeprefix("ledgers/")] = store.to_doc(mark)
         files[self.files[-1]] = store.sealed("files", marks, self._checkpoint_key, _CHECKPOINT_TAG)
         return files

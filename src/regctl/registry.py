@@ -20,13 +20,13 @@ hash-chained: each record's signature covers the chain head over every
 earlier record's bytes, so a replay verifies only the last signature.
 
 The journal is the record; ``registry.json`` beside it caches the state it
-leads to. A save writes the journal, then that snapshot, sealed by an HMAC
-keyed from the regulator's seed and naming the SHA-256, record count and
-chain head of the journal bytes it was taken from. A load whose snapshot
-seal verifies and names exactly the journal's bytes builds the state from
-it and holds those bytes undecoded; any other load replays the journal
-strictly and leaves the registry ``changed``, as every mutation does, so
-the next save writes both files and a fresh snapshot.
+leads to. A save appends the journal's new records, then writes that
+snapshot, sealed by an HMAC keyed from the regulator's seed and naming the
+SHA-256, record count and chain head of the journal bytes it was taken
+from. A load whose snapshot seal verifies and names exactly the journal's
+bytes builds the state from it and holds those bytes undecoded; any other
+load replays the journal strictly and leaves the registry ``changed``, as
+every mutation does, so the next save writes a fresh snapshot.
 """
 
 from __future__ import annotations
@@ -286,12 +286,12 @@ class Registry:
         signature = crypto.sign(self.regulator, unsigned.signing_payload())
         return dataclasses.replace(unsigned, signature=signature)
 
-    def save(self) -> dict[str, bytes]:
-        """The journal, then the snapshot taken from it: last, so that it
-        never vouches for a journal not yet written."""
+    def save(self) -> dict[str, bytes | store.Tail]:
+        """The journal's tail, then the snapshot taken from it: last, so that
+        it never vouches for a journal not yet written."""
         self.changed = False
-        data, mark = self._journal.file()
-        return {"registry.journal": data,
+        tail, mark = self._journal.tail()
+        return {"registry.journal": tail,
                 "registry.json": store.sealed("registry", self._snapshot(mark),
                                               self._snapshot_key, _SNAPSHOT_TAG)}
 
@@ -303,11 +303,12 @@ class Registry:
         snapshot = store.unseal(snapshot, "registry", self._snapshot_key, _SNAPSHOT_TAG)
         with store.reading(snapshot_path, "a registry snapshot"):
             mark = None if snapshot is None else store.from_doc(store.FileMark, snapshot["journal"])
-            if self._journal.hold(path, data, mark):
+            data = self._journal.hold(path, data, mark)
+            if data is None:
                 self._restore(snapshot)
                 self._journal_head = bytes.fromhex(snapshot["head"])
                 return
-        self._replay(path, data or b"")
+        self._replay(path, data)
         self.changed = True  # so that the next save writes a snapshot of it
 
     def _replay(self, path: Path, data: bytes) -> None:

@@ -376,11 +376,12 @@ class Silo:
         mark = store.unseal(mark, "records", self._mark_key, _MARK_TAG)
         with store.reading(mark_path, "a silo mark"):
             mark = None if mark is None else store.from_doc(store.FileMark, mark)
-        if self._held.hold(path, data, mark):
+        data = self._held.hold(path, data, mark)
+        if data is None:
             self._records = None
         else:
             self._records = {record.record_id: record for record in
-                             store.decode_records(path, data or b"", SiloRecord.from_canonical)}
+                             store.decode_records(path, data, SiloRecord.from_canonical)}
             self.changed = True  # so that the next save seals a mark for them
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""The state directory's storage: two formats over bytes, one atomic writer.
+"""The state directory's storage: two formats over bytes, two writers.
 
 * Record streams hold one record per line: the base64 of its canonical
   bytes, ended by ``"\\n"``. Decoding is strict: only ``"\\n"`` ends a
@@ -16,24 +16,32 @@
 
 No service reads or writes a file itself. The deployment reads each
 service's files and hands their bytes to the parsers here, and writes the
-bytes the encoders here produce through ``write_atomic``: a temp file in
-the same directory, fsynced, then renamed over the target, so a crash
-leaves each file either as it was or as it was to become. A file that
-already holds exactly the bytes to write is left alone. By ``stamp`` the
-deployment tells that a service's files still hold its state: only an edit
-in place that keeps the size, within the timestamp granularity, goes unseen.
+bytes the encoders here produce. A document, a silo's ``records.log`` and
+any stream file the deployment cannot vouch for is written whole through
+``write_atomic``: a temp file in the same directory, fsynced, then renamed
+over the target, so a crash leaves it either as it was or as it was to
+become. A file that already holds exactly the bytes to write is left
+alone. A record stream the event log or the registry saves is a ``Tail``:
+the lines added since the stream last read or wrote its file, which
+``write_tail`` appends and fsyncs when that file still holds the bytes the
+stream left there, so a crash leaves it as it was, then some prefix of the
+new bytes. By ``stamp`` the deployment tells that a service's files still
+hold its state: only an edit in place that keeps the size, within the
+timestamp granularity, goes unseen.
 
 In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes a
 sealed document vouches for by their SHA-256 and record count: the event
 log's checkpoint, the registry's snapshot of its journal or a silo's mark,
 each saved after the bytes it vouches for, and only ``Stream.hold``
-decides that. Kept bytes are what a strict writer wrote, so they are
-decoded without the strict check: each line through ``a2b_base64``, with
-no re-encoding to compare. ``Stream.find`` looks a record up among kept
-lines sorted by its key, decoding only the lines it probes. A stream
-carries the SHA-256 state of the bytes it was loaded from, so a load
-hashes them once and a save hashes only the records appended since.
+decides that. It also drops the one thing an append cut short leaves, an
+unterminated last line after the lines the seal vouches for. Kept bytes
+are what a strict writer wrote, so they are decoded without the strict
+check: each line through ``a2b_base64``, with no re-encoding to compare.
+``Stream.find`` looks a record up among kept lines sorted by its key,
+decoding only the lines it probes. A stream carries the SHA-256 state and
+the size of the bytes it last read or wrote, so a load hashes them once
+and a save encodes and hashes only the records appended since.
 ``sealed`` and ``unseal`` are the one seal, an HMAC over the JSON bytes of
 a document's content, encoded once and checked over the bytes as read: a
 document that is not byte for byte what ``sealed`` wrote is not trusted.
@@ -85,6 +93,20 @@ def write_atomic(path: Path, data: bytes) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_tail(path: Path, data: bytes) -> None:
+    """Append ``data`` to the file at ``path`` and fsync it; no bytes, no write."""
+    if not data:
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 Stamp = tuple[tuple[int, int, int, int, int], ...]
@@ -164,6 +186,17 @@ def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> lis
     return records
 
 
+@dataclasses.dataclass(frozen=True)
+class Tail:
+    """A record stream's file as a save writes it: ``data`` appended after
+    the ``at`` bytes the stream last read or wrote there. ``whole`` builds
+    the whole file, for a file that no longer holds those bytes."""
+
+    at: int
+    data: bytes
+    whole: Callable[[], bytes]
+
+
 class Stream(Generic[T]):
     """A record stream: the bytes a load kept, undecoded, then the records
     appended since. ``decode`` and ``encode`` turn a record's bytes into its
@@ -183,27 +216,45 @@ class Stream(Generic[T]):
         self._records = list(records)  # every record after the kept ones
         self._sha = hashlib.sha256()  # over the file bytes of the first ``_hashed`` records
         self._hashed = 0
+        self._size = 0  # the bytes of those records: the file as last read or written
 
     def load(self, path: Path, data: bytes | None, mark: FileMark | None) -> None:
         """Replace the stream with ``data``, read from ``path``: kept undecoded
         if ``mark`` vouches for it, else decoded strictly; None is empty."""
-        if not self.hold(path, data, mark):
-            self._records = decode_records(path, data or b"", self._decode)
+        rest = self.hold(path, data, mark)
+        if rest is not None:
+            self._records = decode_records(path, rest, self._decode)
 
-    def hold(self, path: Path, data: bytes | None, mark: FileMark | None) -> bool:
-        """Whether ``mark`` vouches for ``data``, the bytes read from ``path``
-        (None is empty). If it does, the stream holds them undecoded; if not,
-        it is emptied for the caller to append the records it decodes from
-        them. Either way ``data`` is hashed once, for the next save."""
+    def hold(self, path: Path, data: bytes | None, mark: FileMark | None) -> bytes | None:
+        """Hold ``data``, the bytes read from ``path`` (None is empty),
+        undecoded if ``mark`` vouches for them, and return None; else empty
+        the stream and return the bytes for the caller to decode strictly and
+        append.
+
+        A crash in the middle of an append leaves the lines ``mark`` vouches
+        for, maybe more, then part of one line. That unterminated fragment is
+        dropped when the file's first ``mark.count`` lines are those ``mark``
+        vouches for; the stream then holds fewer bytes than the file, so its
+        next save writes the file whole. ``data`` is hashed once, for the
+        next save; a file with a fragment is hashed once more, up to its mark.
+        """
         data = data or b""
         self.replace(())
         self._sha = hashlib.sha256(data)
+        if mark is not None and self._sha.digest() != mark.sha256 and not data.endswith(b"\n"):
+            sealed = len(data) - len(data.split(b"\n", mark.count)[-1])
+            sha = hashlib.sha256(data[:sealed])
+            if sha.digest() == mark.sha256:
+                data = data[:data.rfind(b"\n") + 1]
+                sha.update(data[sealed:])
+                self._sha = sha
+        self._size = len(data)
         if mark is None or self._sha.digest() != mark.sha256:
             self._hashed = data.count(b"\n")  # one record per line, once decoded
-            return False
+            return data
         self._path, self._kept, self._kept_count = path, data, mark.count
         self._hashed = mark.count
-        return True
+        return None
 
     def __len__(self) -> int:
         return self._kept_count + len(self._records)
@@ -263,16 +314,25 @@ class Stream(Generic[T]):
     def append(self, record: T) -> None:
         self._records.append(record)
 
-    def file(self) -> tuple[bytes, FileMark]:
-        """The stream's file, the kept bytes as they were read and then each
-        later record, and its mark. Only the records not hashed before are
-        hashed, and the carried state then covers them too."""
+    def tail(self) -> tuple[Tail, FileMark]:
+        """The stream's file as a save writes it, and its mark: the records
+        added since the file was last read or written, after the bytes it
+        then held. Only those records are encoded and hashed, and the
+        carried state then covers them too."""
         split = self._hashed - self._kept_count  # the first record not hashed
-        tail = encode_records(map(self._encode, self._records[split:]))
-        self._sha.update(tail)
+        data = encode_records(map(self._encode, self._records[split:]))
+        self._sha.update(data)
+        kept, written, encode = self._kept, self._records[:split], self._encode
+        tail = Tail(self._size, data, lambda: kept + encode_records(map(encode, written)) + data)
+        self._size += len(data)
         self._hashed = len(self)
-        hashed = encode_records(map(self._encode, self._records[:split]))
-        return self._kept + hashed + tail, FileMark(self._sha.digest(), self._hashed)
+        return tail, FileMark(self._sha.digest(), self._hashed)
+
+    def file(self) -> tuple[bytes, FileMark]:
+        """The stream's whole file, the kept bytes as they were read and then
+        each later record, and its mark, as ``tail`` leaves them."""
+        tail, mark = self.tail()
+        return tail.whole(), mark
 
 
 # -- sealed documents ------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto
+from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto, store
 from regctl.deploy import REGISTRY_DOMAIN
 
 
@@ -71,8 +71,16 @@ def count_calls(monkeypatch, *names: str, owner=crypto) -> dict[str, int]:
     return calls
 
 
-def write_files(root: Path, files: dict[str, bytes]) -> None:
-    """Write the files a service's ``save`` returned under ``root``, as a deployment does."""
-    for name, data in files.items():
+def whole(files: dict[str, bytes | store.Tail]) -> dict[str, bytes]:
+    """The whole bytes of each file a service's ``save`` returned: a
+    stream's tail as the whole file it ends."""
+    return {name: data.whole() if isinstance(data, store.Tail) else data
+            for name, data in files.items()}
+
+
+def write_files(root: Path, files: dict[str, bytes | store.Tail]) -> None:
+    """Write the files a service's ``save`` returned under ``root``, as a
+    deployment does on a directory that holds none of them."""
+    for name, data in whole(files).items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_bytes(data)

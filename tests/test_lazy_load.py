@@ -194,9 +194,10 @@ def test_a_command_that_logs_no_event_leaves_the_ledger_files_alone(tmp_path, ca
              for name in ("regulator.log", "controller.log", "events.log", "checkpoint.json")]
     stamp = store.stamp(*files)
     written = []
-    write_atomic = store.write_atomic
-    monkeypatch.setattr(store, "write_atomic",
-                        lambda path, data: written.append(path) or write_atomic(path, data))
+    for writer in ("write_atomic", "write_tail"):  # a stream is appended, a seal replaced
+        write = getattr(store, writer)
+        monkeypatch.setattr(store, writer, lambda path, data, write=write:
+                            written.append(path) or write(path, data))
     assert _run(capsys, state, ["vault", "derive", "--master", world["master"],
                                 "--domain", "health"])[0] == 0
     assert store.stamp(*files) == stamp

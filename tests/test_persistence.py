@@ -407,60 +407,126 @@ def test_a_save_with_no_change_replaces_no_file(tmp_path, monkeypatch):
     assert _snapshot(dep.state_dir) == before
 
 
-def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
+_STREAM_FILES = ("ledgers/regulator.log", "ledgers/controller.log", "ledgers/events.log",
+                 "registry.journal")
+
+
+def _restore(root: Path, files: dict[str, bytes]) -> None:
+    """Make ``root`` hold exactly ``files``."""
+    shutil.rmtree(root, ignore_errors=True)
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+
+
+def _cut_fragments(root: Path) -> None:
+    """Drop what follows the last newline of each record stream under ``root``."""
+    for name in _STREAM_FILES:
+        data = (root / name).read_bytes()
+        (root / name).write_bytes(data[:data.rfind(b"\n") + 1])
+
+
+@pytest.mark.parametrize("how", ["appended", "rewritten"])
+def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch, how):
+    """A save is cut at each point where a crash can land: before a stream's
+    tail is written, with half of it written, before its fsync, and at each
+    fsync and rename of a whole file. A deployment loaded from the old files
+    appends each stream's tail; one whose stamps are of another directory
+    rewrites every file whole."""
     state = tmp_path / "state"
     dep = Deployment(seed=94, state_dir=state)
     world = _working_world(dep)
     assert _submit(dep, world, "q0").decision.allowed  # so the checkpoint vouches for entries
     dep.save()
     before = _snapshot(state)
-    assert _submit(dep, world, "q1").decision.allowed
-    master = dep.vault.register_master({"name": "second person"})
-    dep.registry.record_consent(dep.vault.derive_vid(master, REGISTRY_DOMAIN).vid, "CARE_AUDIT")
-    dep.silos["health"].put_record(dep.vault.derive_vid(master, "health").vid, {"bp": "110/70"})
-    dep.clock.advance(1)
-    dep.state_dir = tmp_path / "after"
-    dep.save()
-    after = _snapshot(dep.state_dir)
-    changed = {name for name in after if before.get(name) != after[name]}
-    assert len(changed) >= 10 and {"registry.journal", "registry.json"} <= changed
 
-    real_replace = store.os.replace
-    for k in range(1, 100):
-        shutil.rmtree(state)
-        for name, data in before.items():
-            (state / name).parent.mkdir(parents=True, exist_ok=True)
-            (state / name).write_bytes(data)
-        calls = []
+    def changed(root: Path) -> Deployment:
+        """A deployment with a change to every service, to save under ``root``:
+        three lines to append to each stream, so half a tail ends mid-line
+        after a whole new line."""
+        changing = dep
+        if how == "appended":
+            _restore(root, before)
+            changing = Deployment(seed=94, state_dir=root)
+        for request_id in ("q1", "q2", "q3"):
+            assert _submit(changing, world, request_id).decision.allowed
+        changing.registry.register_purpose("CARE_REVIEW", "review")
+        changing.registry.register_purpose("CARE_RECALL", "recall")
+        master = changing.vault.register_master({"name": "second person"})
+        changing.registry.record_consent(
+            changing.vault.derive_vid(master, REGISTRY_DOMAIN).vid, "CARE_AUDIT")
+        changing.silos["health"].put_record(changing.vault.derive_vid(master, "health").vid,
+                                            {"bp": "110/70"})
+        changing.clock.advance(1)
+        changing.state_dir = root
+        return changing
 
-        def crash_at_k(src, dst):
-            calls.append(dst)
-            if len(calls) == k:
+    saved = changed(tmp_path / "after")
+    saved.save()
+    after = _snapshot(tmp_path / "after")
+    changed_names = {name for name in after if before.get(name) != after[name]}
+    assert len(changed_names) >= 10 and {"registry.journal", "registry.json"} <= changed_names
+
+    real = {name: getattr(store.os, name) for name in ("write", "fsync", "replace")}
+    for k in range(1, 200):
+        points: list[str] = []  # each point a crash could be injected at, so far
+
+        def crash_at(point: str) -> bool:
+            points.append(point)
+            return len(points) == k
+
+        def write(fd, data):
+            if crash_at("before a tail"):
                 raise OSError("injected crash")
-            real_replace(src, dst)
+            if crash_at("half a tail"):
+                real["write"](fd, data[:len(data) // 2])
+                raise OSError("injected crash")
+            return real["write"](fd, data)
 
-        dep.state_dir = state
+        def fsync(fd):
+            if crash_at("fsync"):
+                raise OSError("injected crash")
+            real["fsync"](fd)
+
+        def replace(src, dst):
+            if crash_at("replace"):
+                raise OSError("injected crash")
+            real["replace"](src, dst)
+
+        if how == "appended":
+            saving = changed(state)
+        else:
+            _restore(state, before)
+            saving = saved
+            saving.state_dir = state
         with monkeypatch.context() as patch:
-            patch.setattr(store.os, "replace", crash_at_k)
+            for name, call in (("write", write), ("fsync", fsync), ("replace", replace)):
+                patch.setattr(store.os, name, call)
             try:
-                dep.save()
+                saving.save()
                 crashed = False
             except OSError:
                 crashed = True
         now = _snapshot(state)
         leftovers = set(now) - set(before) - set(after)
-        assert not leftovers, f"write {k} left {leftovers}"
+        assert not leftovers, f"point {k} left {leftovers}"
         for name, data in now.items():
-            assert data in (before.get(name), after.get(name)), f"write {k} tore {name}"
+            old, new = before.get(name), after.get(name)
+            torn = (how == "appended" and name in _STREAM_FILES
+                    and data.startswith(old) and new.startswith(data))
+            assert data in (old, new) or torn, f"point {k} tore {name}"
         strict = _strict_copy(state, tmp_path)
+        _cut_fragments(strict)
         assert _loaded_events(state) == _loaded_events(strict), k
         assert _loaded_registry(state) == _loaded_registry(strict), k
         assert _loaded_silos(state) == _loaded_silos(strict), k
         if not crashed:
             assert now == before | after
             break
-    assert k == len(calls) + 1  # every write was interrupted once
-    assert len(calls) >= len(changed)
+    assert k == len(points) + 1  # a crash was injected once at every point
+    assert points.count("replace") >= len(changed_names) - 4 * (how == "appended")
+    tails = points.count("before a tail")
+    assert tails == points.count("half a tail") == (4 if how == "appended" else 0)
 
 
 def _cli(capsys, state: Path, *argv: str) -> dict[str, str]:
@@ -543,6 +609,67 @@ def test_a_file_replaced_behind_a_loaded_deployment_is_rewritten(tmp_path, name)
     store.write_atomic(path, b"x" * len(own))
     loaded.save()
     assert path.read_bytes() == own
+
+
+def test_a_save_appends_each_streams_new_lines_and_replaces_no_stream(tmp_path, capsys,
+                                                                      monkeypatch):
+    state = tmp_path / "state"
+    world = _cli_world(lambda *argv: _cli(capsys, state, *argv))
+    streams = [state / name for name in _STREAM_FILES]
+    old = {path: (path.stat().st_ino, path.read_bytes()) for path in streams}
+    replaced = []
+    replace = store.os.replace
+    monkeypatch.setattr(store.os, "replace",
+                        lambda src, dst: replaced.append(Path(dst)) or replace(src, dst))
+    _cli(capsys, state, "open", "--ticket", world["ticket"], "--record", world["record"])
+    _cli(capsys, state, "consent", "give", "--subject", world["subject"], "--purpose", "CARE_AUDIT")
+    for path, (inode, data) in old.items():
+        grown = path.read_bytes()
+        assert path.stat().st_ino == inode, path.name
+        assert len(grown) > len(data) and grown[:len(data)] == data, path.name
+    assert not set(replaced) & set(streams)
+    assert {state / "ledgers" / "checkpoint.json", state / "registry.json"} <= set(replaced)
+
+
+def _output(capsys, state: Path, *argv: str) -> tuple[int, str, str]:
+    """Run one seeded CLI command on ``state``: its exit code, stdout and stderr."""
+    code = cli_main(["--state-dir", str(state), "--seed", "99", *argv])
+    out, err = capsys.readouterr()
+    return code, out.replace(str(state), "<state>"), err.replace(str(state), "<state>")
+
+
+def test_a_fragment_after_the_sealed_lines_is_dropped_and_the_next_logging_save_rewrites_it(
+        tmp_path, capsys):
+    """A crash in the middle of an append leaves part of a line after the
+    lines the checkpoint vouches for: a load drops it and decides as the
+    clean state does. Without the checkpoint it is refused, as any stream
+    that does not end in a newline is."""
+    state, twin, unsealed = tmp_path / "state", tmp_path / "twin", tmp_path / "unsealed"
+    world = _cli_world(lambda *argv: _cli(capsys, state, *argv))
+    shutil.copytree(state, twin)
+    events = state / "ledgers" / "events.log"
+    clean = events.read_bytes()
+    with events.open("ab") as f:
+        f.write(b"QUJD")
+    shutil.copytree(state, unsealed)
+    (unsealed / "ledgers" / "checkpoint.json").unlink()
+
+    assert _loaded_events(state) == _loaded_events(twin)
+    listed = _output(capsys, twin, "notifications", "--all", world["vid"])
+    assert listed[0] == 0 and "request_id=q1 " in listed[1]
+    assert _output(capsys, state, "notifications", "--all", world["vid"]) == listed
+    assert events.read_bytes() == clean + b"QUJD"  # a command that logs nothing writes nothing
+    before, lines = _snapshot(unsealed), clean.count(b"\n")
+    assert _output(capsys, unsealed, "notifications", "--all", world["vid"]) == (
+        1, "", f"error=<state>/ledgers/events.log: undecodable record at line {lines}\n")
+    assert _snapshot(unsealed) == before
+
+    opened = _output(capsys, twin, "open", "--ticket", world["ticket"], "--record", world["record"])
+    assert opened[0] == 0
+    assert _output(capsys, state, "open", "--ticket", world["ticket"],
+                   "--record", world["record"]) == opened
+    assert events.read_bytes().endswith(b"\n")
+    assert _snapshot(state) == _snapshot(twin)
 
 
 def _cli_state(tmp_path) -> tuple[Path, list[list[str]]]:

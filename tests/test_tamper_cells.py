@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, store
+from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto, store
 from regctl.cli import main as cli_main
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError
@@ -217,3 +217,56 @@ def test_closed_cell_a_lost_or_re_spaced_mark_loads_strictly_and_decides_and_sav
     assert decoded["decode_records"] == 1  # the intact mark vouches: no strict load
     assert opened == (0, "bp=120/80\n", "")
     assert _files(state) == _files(twin)
+
+
+def test_closed_cell_a_checkpoint_rolled_back_alone_drops_no_entry_and_is_sealed_again(
+        tmp_path, capsys):
+    """A checkpoint rolled back to an earlier save's bytes vouches for none
+    of the longer streams, so they load strictly with every entry: the later
+    request still shows and verifies, and the next logging save seals them."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    ledgers = state / "ledgers"
+    checkpoint = ledgers / "checkpoint.json"
+    earlier = checkpoint.read_bytes()
+    code, stdout, _ = _submit(capsys, state, world, "q1")
+    assert code == 0 and stdout.startswith("ticket_id=")
+    checkpoint.write_bytes(earlier)
+    log = Deployment(state_dir=state).event_log
+    lines = (ledgers / "events.log").read_bytes().count(b"\n")
+    assert len(log.payloads) == len(log.regulator_ledger.entries) == lines
+    code, stdout, _ = _run(capsys, state, "notifications", "--all", world["vid"])
+    assert code == 0 and "request_id=q1 " in stdout
+    assert _run(capsys, state, "verify-logs", str(ledgers / "regulator.log"),
+                str(ledgers / "controller.log")) == (
+        0, "regulator_chain=ok\ncontroller_chain=ok\ncross=ok\n", "")
+    code, stdout, _ = _submit(capsys, state, world, "q2")
+    assert code == 0 and stdout.startswith("ticket_id=")
+    marks = store.unseal(checkpoint.read_bytes(), "files", crypto.seed_key(
+        Deployment(state_dir=state).controller, "CKPTKEYv1"), "CKPTv1")
+    for name in ("regulator.log", "controller.log", "events.log"):
+        data = (ledgers / name).read_bytes()
+        assert marks[name] == {"sha256": crypto.sha256(data).hex(),
+                               "count": data.count(b"\n")}, name
+
+
+def test_closed_cell_a_registry_snapshot_rolled_back_alone_replays_every_record(tmp_path,
+                                                                                capsys):
+    """A registry.json rolled back to an earlier save's bytes no longer names
+    the longer journal, so the load replays every record: a consent given
+    after the old snapshot is still there."""
+    state = tmp_path / "state"
+    _saved_world(state)
+    snapshot = state / "registry.json"
+    earlier = snapshot.read_bytes()
+    assert _run(capsys, state, "consent", "give", "--subject", "s2",
+                "--purpose", "CARE_AUDIT") == (0, "consent=recorded\n", "")
+    snapshot.write_bytes(earlier)
+    registry = Deployment(state_dir=state).registry
+    assert registry.has_live_consent("s2", "CARE_AUDIT")
+    assert len(registry.journal) == (state / "registry.journal").read_bytes().count(b"\n")
+    code, stdout, _ = _run(capsys, state, "consent", "optout", "--subject", "s2",
+                           "--purpose", "CARE_AUDIT")
+    assert code == 0 and stdout.startswith("optout=recorded")
+    assert _run(capsys, state, "consent", "optout", "--subject", "s2",
+                "--purpose", "CARE_AUDIT")[0] == 1  # no live consent left to withdraw
