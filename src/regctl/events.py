@@ -214,12 +214,13 @@ class EventLog:
     def load(self, files: store.Files) -> None:
         """Load ``files`` into a log that holds no event yet: the streams the
         checkpoint vouches for are kept undecoded, any other is decoded strictly."""
-        *streams, (_, checkpoint) = files
+        *streams, (checkpoint_path, checkpoint) = files
         self._payloads_path = streams[2][0]
         marks = store.unseal(checkpoint, "files", self._checkpoint_key, _CHECKPOINT_TAG) or {}
+        with store.reading(checkpoint_path, "a ledger checkpoint"):
+            marks = {name: store.from_doc(store.FileMark, mark) for name, mark in marks.items()}
         for stream, (path, data) in zip(self._streams(), streams):
-            mark = marks.get(path.name)
-            stream.load(path, data, None if mark is None else store.from_doc(store.FileMark, mark))
+            stream.load(path, data, marks.get(path.name))
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
 

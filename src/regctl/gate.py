@@ -8,24 +8,21 @@ subjects and carrying the regulator's key shares for the covered records. Every 
 denied, lands in both ledgers and in the subjects' mailboxes.
 
 The gate holds its live tickets by id, in issue order, and ``ticket`` is
-the one lookup. A load checks every ticket document of ``gate.json`` and
-keeps it as loaded: its ``AccessTicket`` and regulator ``KeyShare``s are
-built when a command first looks the ticket up, and a save writes an
-untouched document back as it was read. A document a save would not write
-back as it was read, such as one with upper-case hex, is built at load.
+the one lookup. A load builds every ticket of ``gate.json``, each with its
+regulator shares as a ``RegulatorShares``, which checks their hex and builds
+a share's ``KeyShare`` only when it is first looked up.
 """
 
 from __future__ import annotations
 
-import binascii
 import secrets
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
 from . import crypto, store
 from .clock import Clock
-from .crypto import KeyShare, Holder, SigningIdentity
+from .crypto import KeyShare, SigningIdentity
 from .errors import (
     DecryptFailure,
     EncodingError,
@@ -40,7 +37,7 @@ from .errors import (
 )
 from .events import EventKind, EventLog
 from .registry import Decision, DenyReason, Registry, Scope
-from .silo import RegulatorShareStore, Silo, decode_fields, record_aad
+from .silo import RegulatorShares, RegulatorShareStore, Silo, decode_fields, record_aad
 
 TICKET_TTL_SECONDS = 60
 FRESHNESS_WINDOW_SECONDS = 300
@@ -101,7 +98,7 @@ class AccessTicket:
     request_id: str
     granted_scope: Scope
     subject_vids: tuple[str, ...]  # the request's subjects, in the scope's domain
-    regulator_shares: dict[str, KeyShare]
+    regulator_shares: Mapping[str, KeyShare]  # a RegulatorShares, once the gate holds it
     expires_at: int
     signature: bytes
 
@@ -173,9 +170,7 @@ class Gate:
         self._rand = rand_bytes
         self._seen_nonces: dict[bytes, int] = {}  # nonce -> its request's timestamp
         self._consumed: dict[tuple[str, str], int] = {}  # (ticket, record) -> ticket expiry
-        # each live ticket by id, in issue order; a loaded one as its checked
-        # document until its first lookup
-        self._tickets: dict[str, AccessTicket | dict] = {}
+        self._tickets: dict[str, AccessTicket] = {}  # each live ticket by id, in issue order
         self.plaintext_releases = 0
         self._lock = lock
 
@@ -230,7 +225,7 @@ class Gate:
                 if not decision.allowed:
                     return self._deny(request, payload, scope, decision.reason)
 
-            shares: dict[str, KeyShare] = {}
+            shares = RegulatorShares()
             if request.operation == "read":
                 silo = self._services.silos.get(request.domain)
                 if silo is not None:
@@ -363,10 +358,7 @@ class Gate:
         None if the gate holds none, as when a load pruned it as expired or
         an erasure dropped it."""
         with self._lock:
-            ticket = self._tickets.get(ticket_id)
-            if isinstance(ticket, dict):
-                ticket = self._tickets[ticket_id] = _ticket_of(ticket)
-            return ticket
+            return self._tickets.get(ticket_id)
 
     # -- persistence -----------------------------------------------------------------
 
@@ -378,7 +370,7 @@ class Gate:
         return ({n: ts for n, ts in self._seen_nonces.items()
                  if ts + FRESHNESS_WINDOW_SECONDS >= now},
                 {key: exp for key, exp in self._consumed.items() if exp > now},
-                {tid: t for tid, t in self._tickets.items() if _field(t, "expires_at") > now})
+                {tid: t for tid, t in self._tickets.items() if t.expires_at > now})
 
     def save(self) -> dict[str, bytes]:
         return {self.files[0]: store.json_bytes(self.state_dict())}
@@ -388,13 +380,12 @@ class Gate:
         return {
             "nonces": {n.hex(): ts for n, ts in nonces.items()},
             "consumed": sorted([t, r, exp] for (t, r), exp in consumed.items()),
-            "tickets": [t if isinstance(t, dict) else _doc_of(t) for t in tickets.values()],
+            "tickets": [_doc_of(t) for t in tickets.values()],
         }
 
     def load_state(self, files: store.Files, saved_at: int) -> None:
         """Load ``files`` into a fresh gate, keeping what a save at
-        ``saved_at``, the clock reading of the last save, would have kept.
-        Each ticket document is checked in full and kept as read."""
+        ``saved_at``, the clock reading of the last save, would have kept."""
         ((path, data),) = files
         state = store.parse_json(path, data) or {}
         with store.reading(path, "a gate state document"):
@@ -402,55 +393,23 @@ class Gate:
             self._consumed = {(t, r): exp for t, r, exp in state.get("consumed", [])}
             for doc in state.get("tickets", []):
                 try:
-                    held = _held(doc)
+                    ticket = store.from_doc(AccessTicket, doc, regulator_shares=RegulatorShares(
+                        doc["regulator_shares"]))
                 except RegctlError as exc:  # a scope naming no known operation or field class
                     raise ValueError(exc) from None
-                self._tickets[_field(held, "ticket_id")] = held
+                self._tickets[ticket.ticket_id] = ticket
             self._seen_nonces, self._consumed, self._tickets = self._kept(saved_at)
 
     def drop_records_from_tickets(self, record_ids: set[str]) -> None:
         """Purge stored tickets that referenced now-deleted records."""
         doomed = [tid for tid, t in self._tickets.items()
-                  if not record_ids.isdisjoint(_field(t, "regulator_shares"))]
+                  if not record_ids.isdisjoint(t.regulator_shares)]
         for tid in doomed:
             del self._tickets[tid]
 
 
-def _field(ticket: AccessTicket | dict, name: str) -> Any:
-    """The field ``name`` of a held ticket, built or still its document."""
-    return ticket[name] if isinstance(ticket, dict) else getattr(ticket, name)
-
-
 def _doc_of(ticket: AccessTicket) -> dict:
     """The document ``gate.json`` holds for ``ticket``."""
-    return {**store.to_doc(ticket), "regulator_shares": {
-        rid: s.share.hex() for rid, s in ticket.regulator_shares.items()}}
-
-
-def _ticket_of(doc: dict) -> AccessTicket:
-    """The ticket ``doc`` holds; a share that is not 32 bytes of hex raises."""
-    return store.from_doc(AccessTicket, doc, regulator_shares={
-        rid: KeyShare(bytes.fromhex(h), Holder.REGULATOR)
-        for rid, h in doc["regulator_shares"].items()})
-
-
-def _held(doc: dict) -> AccessTicket | dict:
-    """What the gate holds for the ticket document ``doc``, which raises
-    where ``_ticket_of`` would: ``doc`` itself when ``_doc_of`` would give it
-    back, else the ticket it holds. The ticket is built without its shares,
-    whose hex is checked in one pass."""
-    bare = store.from_doc(AccessTicket, doc, regulator_shares={})
-    shares = list(doc["regulator_shares"].values())
-    if (all(type(h) is str and len(h) == 2 * crypto.SHARE_BYTES for h in shares)
-            and _is_lower_hex("".join(shares))
-            and store.to_doc(bare) == {**doc, "regulator_shares": {}}):
-        return doc
-    return _ticket_of(doc)
-
-
-def _is_lower_hex(text: str) -> bool:
-    """Whether ``text`` is hex digits only, in lower case."""
-    try:
-        return binascii.a2b_hex(text).hex() == text
-    except ValueError:  # binascii.Error is a ValueError, and so is non-ASCII text
-        return False
+    doc = store.to_doc(ticket)
+    doc["regulator_shares"] = ticket.regulator_shares.hex()
+    return doc

@@ -16,10 +16,12 @@ load checks in full and a save writes back as they are; the ciphertext and
 the controller share are read from those bytes when asked for. A load
 splits each record in one pass over its fixed layout: the tag, four
 length-prefixed fields, a 32-byte share last, and UTF-8 ids. The share
-store keeps each loaded share as the hex its file holds, every one checked
-at load, and builds a share's ``KeyShare`` once, at the first ``get``. A
-silo reaches the share store only to deposit or destroy a share, so a
-command that reads records, an open among them, loads no share file.
+store and each gate ticket hold their shares in a ``RegulatorShares``: the
+hex a file stores, exactly 64 digits read in either case and checked in one
+pass at load, a ``KeyShare`` built once at its first lookup, and lower-case
+hex again at save. A silo reaches the share store only to deposit or
+destroy a share, so a command that reads records, an open among them,
+loads no share file.
 
 A silo's files are ``silos/<domain>/schema.json``, ``records.log`` and
 ``mark.json``, the share store's ``regulator_shares.json``. A save writes
@@ -43,6 +45,7 @@ import operator
 import secrets
 import struct
 import threading
+from collections.abc import Iterator, MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -172,16 +175,61 @@ def record_aad(record_id: str, vid: str, domain: str) -> bytes:
     return crypto.canon_encode("AADv1", [record_id, vid, domain])
 
 
-class RegulatorShareStore:
-    """Regulator-side deposit box for the second half of every record key.
+class RegulatorShares(MutableMapping[str, KeyShare]):
+    """Regulator shares by record id, each held as the hex a file stores
+    until it is first looked up; a share put in memory is hexed only by ``hex``."""
 
-    A loaded share stays the hex its file holds until ``get`` first asks
-    for it; the load checks every one of them."""
+    __slots__ = ("_shares", "_hex_only")
+
+    def __init__(self, stored: dict[str, str] | None = None):
+        """The map of ``stored``, the hex of each share by record id as a file
+        holds it, taken over; a value not exactly 64 hex digits raises ValueError."""
+        shares = {} if stored is None else stored
+        if set(map(len, shares.values())) - {2 * crypto.SHARE_BYTES}:
+            raise ValueError(f"a share is not {crypto.SHARE_BYTES} bytes of hex")
+        joined = "".join(shares.values())
+        binascii.a2b_hex(joined)  # hex digits only: no space, sign or non-ASCII digit
+        if joined != joined.lower():
+            shares = {rid: h.lower() for rid, h in shares.items()}
+        self._shares: dict[str, KeyShare | str] = shares  # a share, or its lower-case hex
+        self._hex_only = True  # no held share is a KeyShare
+
+    def __getitem__(self, record_id: str) -> KeyShare:
+        share = self._shares[record_id]
+        if isinstance(share, str):
+            share = self[record_id] = KeyShare(bytes.fromhex(share), Holder.REGULATOR)
+        return share
+
+    def __setitem__(self, record_id: str, share: KeyShare) -> None:
+        self._shares[record_id] = share
+        self._hex_only = False
+
+    def __delitem__(self, record_id: str) -> None:
+        del self._shares[record_id]
+
+    def __contains__(self, record_id: object) -> bool:  # Mapping's would build the share
+        return record_id in self._shares
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._shares)
+
+    def __len__(self) -> int:
+        return len(self._shares)
+
+    def hex(self) -> dict[str, str]:
+        """The lower-case hex of each share by record id, as a file stores it."""
+        if self._hex_only:  # a loaded map no lookup touched: no pass per share
+            return dict(self._shares)
+        return {rid: s if isinstance(s, str) else s.share.hex() for rid, s in self._shares.items()}
+
+
+class RegulatorShareStore:
+    """Regulator-side deposit box for the second half of every record key."""
 
     files = ("regulator_shares.json",)
 
     def __init__(self):
-        self._shares: dict[str, KeyShare | str] = {}  # a share, or its hex as loaded
+        self._shares = RegulatorShares()
         self.loaded_from: Path | None = None  # the file the shares were loaded from
         self.changed = False  # since the file was read or written
 
@@ -192,10 +240,7 @@ class RegulatorShareStore:
         self.changed = True
 
     def get(self, record_id: str) -> KeyShare | None:
-        share = self._shares.get(record_id)
-        if isinstance(share, str):
-            share = self._shares[record_id] = KeyShare(bytes.fromhex(share), Holder.REGULATOR)
-        return share
+        return self._shares.get(record_id)
 
     def destroy(self, record_id: str) -> bool:
         """Erase a share; True confirms it is gone."""
@@ -205,20 +250,13 @@ class RegulatorShareStore:
 
     def save(self) -> dict[str, bytes]:
         self.changed = False
-        shares = {rid: s.lower() if isinstance(s, str) else s.share.hex()
-                  for rid, s in self._shares.items()}
-        return {self.files[0]: store.json_bytes(shares)}
+        return {self.files[0]: store.json_bytes(self._shares.hex())}
 
     def load(self, files: store.Files) -> None:
-        """Replace the held shares with those ``files`` hold: each the hex of
-        a 32-byte share, checked in bulk."""
+        """Replace the held shares with those ``files`` hold."""
         ((self.loaded_from, data),) = files
         with store.reading(self.loaded_from, "regulator shares by record id"):
-            shares = store.parse_json(self.loaded_from, data) or {}
-            if any(len(h) != 2 * crypto.SHARE_BYTES for h in shares.values()):
-                raise ValueError(f"a share is not {crypto.SHARE_BYTES} bytes of hex")
-            binascii.a2b_hex("".join(shares.values()))  # hex digits only, no spaces
-            self._shares = shares
+            self._shares = RegulatorShares(store.parse_json(self.loaded_from, data) or {})
 
 
 class Silo:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
@@ -264,6 +264,9 @@ def _first_share(ticket: dict) -> str:
     pytest.param(lambda t: t["granted_scope"].update(operation="bogus"), id="unknown operation"),
     pytest.param(lambda t: t["granted_scope"].update(field_classes=["bogus"]),
                  id="unknown field class"),
+    pytest.param(lambda t: t["regulator_shares"].update(
+        {_first_share(t): t["regulator_shares"][_first_share(t)][:2] + " "
+         + t["regulator_shares"][_first_share(t)][2:]}), id="a space"),
 ])
 def test_a_held_ticket_that_does_not_build_is_refused_at_load(tmp_path, edit):
     state, _, _ = _held_tickets(tmp_path)
@@ -274,8 +277,7 @@ def test_a_held_ticket_that_does_not_build_is_refused_at_load(tmp_path, edit):
         Deployment(state_dir=state).gate
 
 
-@pytest.mark.parametrize("spell", [str.upper, lambda h: h[:2] + " " + h[2:]],
-                         ids=["upper case", "a space"])
+@pytest.mark.parametrize("spell", [str.upper], ids=["upper case"])
 def test_a_held_share_in_another_spelling_of_its_hex_is_saved_as_lowercase_hex(tmp_path, spell):
     state, _, tickets = _held_tickets(tmp_path)
     own = (state / "gate.json").read_bytes()
@@ -801,6 +803,22 @@ def test_a_checkpoint_that_still_records_heads_loads_held(tmp_path, monkeypatch)
     assert "head" not in json.loads(path.read_text())["files"]["regulator.log"]
 
 
+def test_a_sealed_checkpoint_with_a_malformed_mark_fails_a_command_naming_it(tmp_path, capsys):
+    state, _ = _cli_state(tmp_path)
+    dep = Deployment(state_dir=state)
+    path = state / "ledgers" / "checkpoint.json"
+    files = json.loads(path.read_text())["files"]
+    files["events.log"]["sha256"] = "zz"
+    path.write_bytes(store.sealed("files", files, seed_key(dep.controller, "CKPTKEYv1"), "CKPTv1"))
+    before = _snapshot(state)
+    capsys.readouterr()
+    assert cli_main(["--state-dir", str(state), "silo", "list", "--domain", "health"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(f"error={re.escape(str(path))}: not a ledger checkpoint: [^\n]*\n", err)
+    assert _snapshot(state) == before
+
+
 def test_a_rolled_back_clock_json_does_not_reopen_an_expired_window(tmp_path):
     state = tmp_path / "state"
     dep = Deployment(seed=98, state_dir=state)
@@ -1033,6 +1051,61 @@ def test_a_loaded_share_store_saves_lowercase_hex(tmp_path):
     shares.load([(path, data)])
     assert shares.get("R2").share == b"\xab" * 32
     assert shares.save() == {path.name: store.json_bytes({"R1": "cd" * 32, "R2": "ab" * 32})}
+
+
+@st.composite
+def _share_spellings(draw) -> str:
+    """A spelling of a share's hex: each digit in either case, then maybe one
+    flaw: a whitespace character put in or put in place of a digit, a digit
+    dropped or added, or a digit replaced by a non-hex or a non-ASCII one."""
+    digits = draw(st.lists(st.sampled_from("0123456789abcdefABCDEF"), min_size=64, max_size=64))
+    at = draw(st.integers(0, 63))
+    flaw = draw(st.sampled_from(["none", "whitespace", "short", "long", "non-hex", "non-ascii"]))
+    if flaw == "whitespace":
+        digits[at:at + draw(st.integers(0, 1))] = draw(st.sampled_from(" \t\n"))
+    elif flaw == "short":
+        del digits[at]
+    elif flaw == "long":
+        digits.insert(at, draw(st.sampled_from("0aF")))
+    elif flaw != "none":
+        digits[at] = draw(st.sampled_from("gxZ-" if flaw == "non-hex" else "\u00e9\uff41\u0663"))
+    return "".join(digits)
+
+
+@pytest.fixture(scope="module")
+def held_gate(tmp_path_factory) -> tuple[Path, bytes, AccessTicket]:
+    state, _, tickets = _held_tickets(tmp_path_factory.mktemp("held"))
+    return state, (state / "gate.json").read_bytes(), tickets[0]
+
+
+@settings(derandomize=True, deadline=None)
+@given(spelling=_share_spellings())
+@example(spelling="ab " + "cd" * 31)
+@example(spelling="AB" * 32)
+def test_both_share_files_accept_exactly_64_hex_digits_in_either_case(held_gate, spelling):
+    accepted = re.fullmatch("[0-9a-fA-F]{64}", spelling) is not None
+    state, saved, ticket = held_gate
+    doc = json.loads(saved)
+    shares = doc["tickets"][0]["regulator_shares"]
+    record_id = next(iter(shares))
+    shares[record_id] = spelling
+    (state / "gate.json").write_bytes(store.json_bytes(doc))
+    path = state / "regulator_shares.json"
+    share_store = RegulatorShareStore()
+    shares_file = [(path, store.json_bytes({record_id: spelling}))]
+    if not accepted:
+        with pytest.raises(EncodingError, match=f"^{re.escape(str(state / 'gate.json'))}: "):
+            Deployment(state_dir=state).gate
+        with pytest.raises(EncodingError, match=f"^{re.escape(str(path))}: "):
+            share_store.load(shares_file)
+        return
+    gate = Deployment(state_dir=state).gate
+    shares[record_id] = spelling.lower()
+    assert gate.save()["gate.json"] == store.json_bytes(doc)
+    assert gate.ticket(ticket.ticket_id).regulator_shares[record_id].share == bytes.fromhex(spelling)
+    share_store.load(shares_file)
+    assert share_store.save() == {path.name: store.json_bytes({record_id: spelling.lower()})}
+    assert share_store.get(record_id).share == bytes.fromhex(spelling)
 
 
 def test_state_directory_layout_matches_readme(tmp_path):
