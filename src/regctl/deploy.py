@@ -7,18 +7,18 @@ the CLI can operate statefully across invocations and the scenario runner
 can snapshot a run for byte-level inspection.
 
 A command reaches few services, so a deployment loads only those it
-reaches. Loading a state directory reads the keys, the event log, the
-clock (one logical tick, never behind the last ledger entry) and the
-notifier's counts at once; the registry, the vault, the regulator share
-store, the silos and the gate are each built and loaded when first
-reached, once, under the deployment lock, and a save writes only the
-services built. A silo reaches the share store only to deposit or destroy
-a share, so an open, which takes the regulator's share from its ticket,
-reads no share file. Each file is read in full and checked before anything
-that depends on it runs. A record stream is checked strictly, unless a
-sealed document vouches for its bytes: it is then held as read, and decoded
-only as far as a command needs it, so an open decodes only the few silo
-records its lookup probes. The gate prunes the state it loads at the clock
+reaches. Loading a state directory reads the keys, the checkpoint, the
+event log, the clock (one logical tick, never behind the last ledger
+entry) and the notifier's counts at once; the registry, the vault, the
+regulator share store, the silos and the gate are each built and loaded
+when first reached, once, under the deployment lock, and a save writes
+only the services built. A silo reaches the share store only to deposit
+or destroy a share, so an open, which takes the regulator's share from its
+ticket, reads no share file. Each file is read in full and checked before
+anything that depends on it runs. A record stream is checked strictly,
+unless the checkpoint vouches for its bytes: it is then held as read, and
+decoded only as far as a command needs it, so an open decodes only the few
+silo records its lookup probes. The gate prunes the state it loads at the clock
 reading of the last save, with the filter a save applies, so a
 ``gate.json`` left unwritten by commands that never reached the gate
 loads as those saves would have written it.
@@ -27,14 +27,14 @@ Every service persists through one contract, ``Persisted``: only the
 deployment reads (``read_files``) and writes (``_write``) its files, and
 ``_save`` skips one whose ``changed`` mark is down while they still carry
 the ``store.stamp`` taken when they were last read or written, so a file
-replaced behind the process is written again from memory. A save returns
-each record stream of the event log and the registry as a ``store.Tail``.
-While the service's files still carry the stamp, and a stream's file is
-the size the stream last read or wrote, only its new lines are appended;
-any other file, a stream's included, is written whole through
-``store.write_atomic``. A service's seal is written last, so a crash
-leaves each stream as it was, then some prefix of its new lines, and a
-load drops an unterminated last line that follows the sealed ones.
+replaced behind the process is written again from memory. A stream a
+save returns as a ``store.Tail`` has only its new lines appended while
+those files carry the stamp; any other file is written whole through
+``store.write_atomic``. ``ledgers/checkpoint.json`` (``Checkpoint``) is
+the one seal: an HMAC keyed from both seeds over the ``store.FileMark`` a
+save returns beside each file a load may hold as read. A load hands each
+service the marks of its files; a save writes it last, when a marked file
+was written or it lost its stamp, so a crash leaves the new lines unvouched.
 
 With a seed, randomness is one deterministic stream, started at the first
 draw. In a state directory that draw bumps the count in
@@ -62,7 +62,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, TypeVar
 
-from . import store
+from . import crypto, store
 from .clock import Clock
 from .crypto import SigningIdentity
 from .errors import RegctlError
@@ -78,9 +78,34 @@ T = TypeVar("T")
 
 
 class Persisted(Protocol):
-    files: tuple[str, ...]  # relative to the state directory, in write order, any seal last
+    files: tuple[str, ...]  # relative to the state directory, in write order
     changed: bool  # set by its mutators since the files were read or written
-    def save(self) -> dict[str, bytes | store.Tail]: ...  # each of ``files``, by name
+    def save(self) -> dict[str, bytes | store.Tail | store.Marked]: ...  # each of ``files``
+
+
+class Checkpoint:
+    """The mark of each file a load may hold, sealed by a key only both seeds derive."""
+
+    files = ("ledgers/checkpoint.json",)
+    TAG = "CKPTv2"  # of the seal and of its key
+
+    def __init__(self, regulator: SigningIdentity, controller: SigningIdentity):
+        self._key = crypto.prf_derive(crypto.seed_key(regulator, self.TAG), self.TAG,
+                                      crypto.seed_key(controller, self.TAG))
+        self.marks: dict[str, store.FileMark] = {}
+        self.changed = False  # a marked file was written since this one was read or written
+
+    def save(self) -> dict[str, bytes]:
+        self.changed = False
+        marks = {name: store.to_doc(mark) for name, mark in self.marks.items()}
+        return {self.files[0]: store.sealed("files", marks, self._key, self.TAG)}
+
+    def load(self, files: store.Files) -> None:
+        """Take the marks ``files`` hold if their seal verifies; a bad mark raises."""
+        ((path, data),) = files
+        marks = store.unseal(data, "files", self._key, self.TAG) or {}
+        with store.reading(path, "a checkpoint"):
+            self.marks = {name: store.from_doc(store.FileMark, doc) for name, doc in marks.items()}
 
 
 def read_files(root: Path, names: Iterable[str]) -> store.Files:
@@ -120,6 +145,7 @@ class Deployment:
         self.regulator, self.controller = identities(reg_seed, ctrl_seed)
 
         self.event_log = EventLog(self.regulator, self.controller, self.clock)
+        self._checkpoint = Checkpoint(self.regulator, self.controller)
         self.notifier = Notifier(self.event_log, lock=self._lock)
         self._built: dict[str, Any] = {}  # service name -> the service, once reached
         self._stamps: dict[tuple[str, ...], store.Stamp | None] = {}  # a service's files -> theirs
@@ -143,7 +169,8 @@ class Deployment:
 
     @property
     def registry(self) -> Registry:
-        return self._reach("registry", self._new_registry, Registry.load)
+        return self._reach("registry", self._new_registry,
+                           lambda registry, files: registry.load(files, self._checkpoint.marks))
 
     @property
     def vault(self) -> Vault:
@@ -183,7 +210,7 @@ class Deployment:
             for silo_dir in sorted(p for p in (self.state_dir / "silos").iterdir() if p.is_dir()):
                 files = self._load(silo_files(silo_dir.name))
                 silo = self._new_silo(Silo.load_schema(files))
-                silo.load_records(files)
+                silo.load_records(files, self._checkpoint.marks)
                 silos[silo.domain] = silo
         return silos
 
@@ -289,9 +316,9 @@ class Deployment:
     # -- persistence -------------------------------------------------------------------------
 
     def save(self) -> None:
-        """Write the state directory: the keys, each service reached, then the
-        clock. A service never reached holds exactly what its files hold, so
-        only the services reached are saved."""
+        """Write the state directory: the keys, each service reached, the
+        clock, then the checkpoint. A service never reached holds exactly
+        what its files hold, so only the services reached are saved."""
         if self.state_dir is None:
             raise RegctlError("deployment has no state directory")
         with self._lock:
@@ -304,6 +331,7 @@ class Deployment:
                 if service is not None:
                     self._save(service)
             self._write({"clock.json": store.json_bytes(self.clock.now())})
+            self._save(self._checkpoint)
 
     def _save(self, service: Persisted) -> None:
         """Write the files of ``service``, unless it is unchanged and they still
@@ -319,18 +347,20 @@ class Deployment:
         self._write(service.save(), sizes)
         self._stamps[service.files] = store.stamp(*paths)
 
-    def _write(self, files: dict[str, bytes | store.Tail], sizes: dict[str, int] | None = None
-               ) -> None:
-        """Write ``files``: a tail is appended to a file whose size in
-        ``sizes`` is the one it follows, and any other file is written whole."""
+    def _write(self, files: dict[str, bytes | store.Tail | store.Marked],
+               sizes: dict[str, int] | None = None) -> None:
+        """Write ``files``: a tail is appended to a file whose size in ``sizes``
+        is the one it follows, any other file is written whole, each mark noted."""
         for name, data in files.items():
+            data, mark = data if isinstance(data, tuple) else (data, None)
             path = self.state_dir / name
-            if isinstance(data, store.Tail):
-                if sizes and sizes.get(name) == data.at:
-                    store.write_tail(path, data.data)
-                    continue
-                data = data.whole()
-            store.write_atomic(path, data)
+            if isinstance(data, store.Tail) and sizes and sizes.get(name) == data.at:
+                store.write_tail(path, data.data)
+            else:
+                store.write_atomic(path, data.whole() if isinstance(data, store.Tail) else data)
+            if mark is not None:
+                self._checkpoint.marks[name] = mark
+                self._checkpoint.changed = True
 
     def _load(self, names: tuple[str, ...]) -> store.Files:
         """The bytes of a service's files, read after their stamp is taken."""
@@ -342,10 +372,11 @@ class Deployment:
         return store.parse_count(*read_files(self.state_dir, (name,))[0])
 
     def _load_state(self) -> None:
-        """Load what every command needs: the event log, the clock and the
-        notifier. Each other service is loaded when first reached."""
+        """Load what every command needs: the checkpoint, the event log, the
+        clock and the notifier. Each other service is loaded when first reached."""
         with self._lock:
-            self.event_log.load(self._load(self.event_log.files))
+            self._checkpoint.load(self._load(Checkpoint.files))
+            self.event_log.load(self._load(self.event_log.files), self._checkpoint.marks)
             # never behind the ledger: a rolled-back clock.json would
             # revive expired windows, tickets and aliases
             last = self.event_log.regulator_ledger.head()

@@ -11,9 +11,9 @@ request id, and a replay reuses it), and neither need payloads (a request
 denied twice in one tick), so the log keeps every recorded payload and the
 bijection counts each (subject, event id) pair with its multiplicity.
 
-The two ledgers and ``events.log`` are ``store.Stream``s under one
-checkpoint, saved after them: a save hands each stream's new lines to the
-deployment to append, and the checkpoint to write whole. Only ``entries``,
+The two ledgers and ``events.log`` are ``store.Stream``s: a save hands
+each stream's new lines and its mark to the deployment, which appends the
+lines and records the mark in its checkpoint. Only ``entries``,
 ``historical_heads`` and ``payloads`` decode the bytes a load kept, on
 first use, so a load and save cost O(change) and not O(history). Recording
 an event sets ``changed``; an unchanged log whose files still carry their
@@ -111,32 +111,25 @@ class Event:
 _KIND_OF = {kind.value.encode(): kind for kind in EventKind}  # the kind a payload field names
 
 
-_CHECKPOINT_TAG = "CKPTv1"
-
-
 class EventLog:
     """Paired ledgers + payload store, behind one record() call."""
 
-    # the three streams, then the checkpoint that vouches for them
-    files = ("ledgers/regulator.log", "ledgers/controller.log", "ledgers/events.log",
-             "ledgers/checkpoint.json")
+    # events.log first: a save cut short leaves the ledgers no longer than a
+    # vouched events.log, so that its mark always counts as many as theirs
+    files = ("ledgers/events.log", "ledgers/regulator.log", "ledgers/controller.log")
 
     def __init__(self, regulator: SigningIdentity, controller: SigningIdentity, clock: Clock):
         self.regulator_ledger = Ledger(owner=regulator, counterpart=controller)
         self.controller_ledger = Ledger(owner=controller, counterpart=regulator)
         self.clock = clock
         self._payloads = store.Stream(bytes, bytes)  # payload i belongs to ledger entry i
-        self._payloads_path = Path(self.files[2])  # where the payloads were read from
-        self._checkpoint_key = crypto.seed_key(controller, "CKPTKEYv1")
+        self._payloads_path = Path(self.files[0])  # where the payloads were read from
         self.changed = False  # an event was recorded since the files were read or written
 
     @property
     def payloads(self) -> list[bytes]:
         """Every recorded payload, in record order; kept ones decode strictly on first use."""
         return self._payloads.records
-
-    def _streams(self) -> tuple[store.Stream, ...]:  # those ``files`` name, in order
-        return self.regulator_ledger.stream, self.controller_ledger.stream, self._payloads
 
     def next_event_id(self, prefix: str) -> str:
         """``prefix`` and the seq of the ledger entry the next ``record`` appends."""
@@ -199,28 +192,22 @@ class EventLog:
 
     # -- persistence -----------------------------------------------------------
 
-    def save(self) -> dict[str, bytes | store.Tail]:
-        """The tails of the ledger pair and events.log, then the checkpoint:
-        last, so that it never vouches for a file not yet written."""
+    def save(self) -> dict[str, store.Marked]:
+        """The tail of events.log and of each ledger, with its mark."""
         self.changed = False
-        files: dict[str, bytes | store.Tail] = {}
-        marks = {}
-        for name, stream in zip(self.files, self._streams()):
-            files[name], mark = stream.tail()
-            marks[name.removeprefix("ledgers/")] = store.to_doc(mark)
-        files[self.files[-1]] = store.sealed("files", marks, self._checkpoint_key, _CHECKPOINT_TAG)
-        return files
+        streams = self._payloads, self.regulator_ledger.stream, self.controller_ledger.stream
+        return {name: stream.tail() for name, stream in zip(self.files, streams)}
 
-    def load(self, files: store.Files) -> None:
-        """Load ``files`` into a log that holds no event yet: the streams the
-        checkpoint vouches for are kept undecoded, any other is decoded strictly."""
-        *streams, (checkpoint_path, checkpoint) = files
-        self._payloads_path = streams[2][0]
-        marks = store.unseal(checkpoint, "files", self._checkpoint_key, _CHECKPOINT_TAG) or {}
-        with store.reading(checkpoint_path, "a ledger checkpoint"):
-            marks = {name: store.from_doc(store.FileMark, mark) for name, mark in marks.items()}
-        for stream, (path, data) in zip(self._streams(), streams):
-            stream.load(path, data, marks.get(path.name))
+    def load(self, files: store.Files, marks: store.Marks = {}) -> None:
+        """Load ``files`` into a log that holds no event yet: a stream one of
+        ``marks`` vouches for is kept undecoded, any other is decoded strictly."""
+        ledgers = self.regulator_ledger.stream, self.controller_ledger.stream
+        for stream, name, (path, data) in zip(ledgers, self.files[1:], files[1:]):
+            stream.load(path, data, marks.get(name), "LOGv1")
+        (self._payloads_path, data), mark = files[0], marks.get(self.files[0])
+        if mark is not None and any(len(ledger) != mark.count for ledger in ledgers):
+            mark = None  # events.log holds one payload per entry of each ledger
+        self._payloads.load(self._payloads_path, data, mark)
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
 

@@ -20,13 +20,12 @@ hash-chained: each record's signature covers the chain head over every
 earlier record's bytes, so a replay verifies only the last signature.
 
 The journal is the record; ``registry.json`` beside it caches the state it
-leads to. A save appends the journal's new records, then writes that
-snapshot, sealed by an HMAC keyed from the regulator's seed and naming the
-SHA-256, record count and chain head of the journal bytes it was taken
-from. A load whose snapshot seal verifies and names exactly the journal's
-bytes builds the state from it and holds those bytes undecoded; any other
-load replays the journal strictly and leaves the registry ``changed``, as
-every mutation does, so the next save writes a fresh snapshot.
+leads to and the journal's chain head. A save appends the journal's new
+records, then writes that snapshot, each with its mark for the checkpoint.
+A load whose checkpoint vouches for both builds the state from the snapshot
+and holds the journal's bytes undecoded; any other load replays the journal
+strictly and leaves the registry ``changed``, as every mutation does, so
+the next save writes a fresh snapshot.
 """
 
 from __future__ import annotations
@@ -250,7 +249,6 @@ class Registry:
         self._journal = store.Stream(bytes, bytes)
         # crypto.chain_hash over every record in the journal
         self._journal_head = ZERO_HASH
-        self._snapshot_key = crypto.seed_key(regulator, "REGSNAPKEYv1")
         self.changed = False  # since the files were read or written
         # (signing payload, signature) of manifests whose signature verified
         self._verified_manifests: set[tuple[bytes, bytes]] = set()
@@ -286,28 +284,26 @@ class Registry:
         signature = crypto.sign(self.regulator, unsigned.signing_payload())
         return dataclasses.replace(unsigned, signature=signature)
 
-    def save(self) -> dict[str, bytes | store.Tail]:
-        """The journal's tail, then the snapshot taken from it: last, so that
-        it never vouches for a journal not yet written."""
+    def save(self) -> dict[str, store.Marked]:
+        """The journal's tail, then the snapshot taken from it, each with its mark."""
         self.changed = False
-        tail, mark = self._journal.tail()
-        return {"registry.journal": tail,
-                "registry.json": store.sealed("registry", self._snapshot(mark),
-                                              self._snapshot_key, _SNAPSHOT_TAG)}
+        snapshot = store.json_bytes(self._snapshot())
+        return {"registry.journal": self._journal.tail(),
+                "registry.json": (snapshot, store.FileMark(crypto.sha256(snapshot), 1))}
 
-    def load(self, files: store.Files) -> None:
+    def load(self, files: store.Files, marks: store.Marks = {}) -> None:
         """Load ``files`` into a fresh registry: from the snapshot, holding the
-        journal's bytes undecoded, when its seal verifies and it was taken from
-        exactly those bytes; else by replaying the journal strictly."""
+        journal's bytes undecoded, when ``marks`` vouch for both; else by
+        replaying the journal strictly."""
         (path, data), (snapshot_path, snapshot) = files
-        snapshot = store.unseal(snapshot, "registry", self._snapshot_key, _SNAPSHOT_TAG)
-        with store.reading(snapshot_path, "a registry snapshot"):
-            mark = None if snapshot is None else store.from_doc(store.FileMark, snapshot["journal"])
-            data = self._journal.hold(path, data, mark)
-            if data is None:
-                self._restore(snapshot)
-                self._journal_head = bytes.fromhex(snapshot["head"])
-                return
+        vouched = snapshot is not None and marks.get("registry.json") == store.FileMark(
+            crypto.sha256(snapshot), 1)
+        data = self._journal.hold(path, data, marks.get("registry.journal") if vouched else None,
+                                  "RECv1")
+        if data is None:
+            with store.reading(snapshot_path, "a registry snapshot"):
+                self._restore(json.loads(snapshot))
+            return
         self._replay(path, data)
         self.changed = True  # so that the next save writes a snapshot of it
 
@@ -335,17 +331,16 @@ class Registry:
 
     # -- the snapshot ------------------------------------------------------------
     #
-    # The live state, in dict order, and the journal it was taken from: the
-    # SHA-256 and record count of the journal's bytes, and its chain head.
-    # Purposes, manifests, authorizations and obligations are the documents
-    # their journal records apply; consents are columns of their fields.
+    # The live state, in dict order, and the chain head of the journal it
+    # was taken from. Purposes, manifests, authorizations and obligations
+    # are the documents their journal records apply; consents are columns
+    # of their fields.
 
-    def _snapshot(self, journal: store.FileMark) -> dict:
+    def _snapshot(self) -> dict:
         consents = self.consents.values()
         columns = [list(map(operator.attrgetter(name), consents)) for name in _CONSENT_FIELDS]
         columns[-1] = [None if proof is None else proof.hex() for proof in columns[-1]]
         return {
-            "journal": store.to_doc(journal),
             "head": self._journal_head.hex(),
             "purpose": [{"code": code, "description": description}
                         for code, description in self.purposes.items()],
@@ -356,6 +351,7 @@ class Registry:
         }
 
     def _restore(self, snapshot: dict) -> None:
+        self._journal_head = bytes.fromhex(snapshot["head"])
         for kind in ("purpose", "manifest", "auth", "obligation"):
             for doc in snapshot[kind]:
                 self._apply(kind, doc)
@@ -582,7 +578,6 @@ class Registry:
         return True
 
 
-_SNAPSHOT_TAG = "REGSNAPv1"
 _CONSENT_FIELDS = tuple(field.name for field in dataclasses.fields(ConsentRecord))
 
 

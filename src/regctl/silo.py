@@ -23,18 +23,18 @@ hex again at save. A silo reaches the share store only to deposit or
 destroy a share, so a command that reads records, an open among them,
 loads no share file.
 
-A silo's files are ``silos/<domain>/schema.json``, ``records.log`` and
-``mark.json``, the share store's ``regulator_shares.json``. A save writes
-``records.log`` sorted by record id, then seals its SHA-256 and record
-count in ``mark.json``, under an HMAC keyed from the controller's seed.
-A load whose mark vouches for ``records.log`` holds it undecoded: an id
-lookup (``controller_share``, ``fetch_ciphertext``, ``vid_of`` and the id
-check of ``put_record``) binary-searches its lines and decodes only the
-records it probes, and any other use decodes every record once. A load
-that no mark vouches for decodes every record strictly, and the next save
-seals the mark again. Every change sets ``changed``; the deployment
-encodes none of the files while the silo is unchanged and they still
-carry the stamp taken when they were read or written.
+A silo's files are ``silos/<domain>/schema.json`` and ``records.log``,
+the share store's ``regulator_shares.json``. A save writes ``records.log``
+sorted by record id and returns its mark, its SHA-256 and record count,
+for the deployment's checkpoint. A load that mark vouches for holds
+``records.log`` undecoded: an id lookup (``controller_share``,
+``fetch_ciphertext``, ``vid_of`` and the id check of ``put_record``)
+binary-searches its lines and decodes only the records it probes, and any
+other use decodes every record once. A load that no mark vouches for
+decodes every record strictly, and the next save marks it again. Every
+change sets ``changed``; the deployment encodes none of the files while
+the silo is unchanged and they still carry the stamp taken when they were
+read or written.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ _LEN = struct.Struct(">I")  # a canonical field's length prefix
 _SREC_HEAD = crypto.canon_encode("SRECv2", [])  # the tag's length prefix and the tag
 _ID_AT = len(_SREC_HEAD) + 4  # where a record's id starts, past its length prefix
 _SHARE_PREFIX = _LEN.pack(crypto.SHARE_BYTES)
-_MARK_TAG = "SMARKv1"  # the seal of mark.json
 _record_id = operator.attrgetter("record_id")  # the key records.log is sorted by
 
 
@@ -273,7 +272,6 @@ class Silo:
         # every record by id; None while ``_held`` holds them as loaded, sorted by id
         self._records: dict[str, SiloRecord] | None = {}
         self._held = store.Stream(SiloRecord.from_canonical, SiloRecord.canonical_bytes)
-        self._mark_key = crypto.seed_key(event_log.controller_ledger.owner, "SMARKKEYv1")
         self.files = silo_files(schema.domain)
         self.changed = False  # since the files were read or written
         self._lock = lock or threading.RLock()
@@ -391,36 +389,30 @@ class Silo:
 
     # -- persistence --------------------------------------------------------------
 
-    def save(self) -> dict[str, bytes]:
-        """The schema, the records sorted by id (held ones as they were read),
-        then the mark that vouches for them: last, so that it never vouches
-        for records not yet written."""
+    def save(self) -> dict[str, bytes | store.Marked]:
+        """The schema, then the records sorted by id (held ones as read) and their mark."""
         self.changed = False
-        schema, records, mark = self.files
+        schema, records = self.files
         if self._records is None:
-            data, file_mark = self._held.file()
+            held = self._held.file()
         else:
             data = store.encode_records(self._records[rid].canonical_bytes()
                                         for rid in sorted(self._records))
-            file_mark = store.FileMark(crypto.sha256(data), len(self._records))
-        return {schema: store.json_bytes(store.to_doc(self.schema)), records: data,
-                mark: store.sealed("records", store.to_doc(file_mark), self._mark_key, _MARK_TAG)}
+            held = data, store.FileMark(crypto.sha256(data), len(self._records))
+        return {schema: store.json_bytes(store.to_doc(self.schema)), records: held}
 
-    def load_records(self, files: store.Files) -> None:
+    def load_records(self, files: store.Files, marks: store.Marks = {}) -> None:
         """Replace the silo's records with those ``files`` hold: held undecoded
-        when the mark vouches for them, else decoded strictly. The schema is
-        the one the silo was built with, read by ``load_schema``."""
-        _, (path, data), (mark_path, mark) = files
-        mark = store.unseal(mark, "records", self._mark_key, _MARK_TAG)
-        with store.reading(mark_path, "a silo mark"):
-            mark = None if mark is None else store.from_doc(store.FileMark, mark)
-        data = self._held.hold(path, data, mark)
+        when their mark in ``marks`` vouches for them, else decoded strictly.
+        The schema is the one the silo was built with, read by ``load_schema``."""
+        _, (path, data) = files
+        data = self._held.hold(path, data, marks.get(self.files[1]))
         if data is None:
             self._records = None
         else:
             self._records = {record.record_id: record for record in
                              store.decode_records(path, data, SiloRecord.from_canonical)}
-            self.changed = True  # so that the next save seals a mark for them
+            self.changed = True  # so that the next save marks them
 
     @staticmethod
     def load_schema(files: store.Files) -> SiloSchema:
@@ -436,7 +428,6 @@ class Silo:
         return schema
 
 
-def silo_files(domain: str) -> tuple[str, str, str]:
-    """The files of the silo of ``domain``: its schema, its records, then
-    the mark that vouches for them."""
-    return f"silos/{domain}/schema.json", f"silos/{domain}/records.log", f"silos/{domain}/mark.json"
+def silo_files(domain: str) -> tuple[str, str]:
+    """The files of the silo of ``domain``: its schema, then its records."""
+    return f"silos/{domain}/schema.json", f"silos/{domain}/records.log"

@@ -31,11 +31,10 @@ timestamp granularity, goes unseen.
 
 In memory a record stream is a ``Stream``: the bytes a load kept,
 undecoded, then the records appended since. A load keeps only bytes a
-sealed document vouches for by their SHA-256 and record count: the event
-log's checkpoint, the registry's snapshot of its journal or a silo's mark,
-each saved after the bytes it vouches for, and only ``Stream.hold``
+``FileMark`` vouches for by their SHA-256 and record count, as the
+deployment's one checkpoint records them, and only ``Stream.hold``
 decides that. It also drops the one thing an append cut short leaves, an
-unterminated last line after the lines the seal vouches for. Kept bytes
+unterminated last line after the lines the mark vouches for. Kept bytes
 are what a strict writer wrote, so they are decoded without the strict
 check: each line through ``a2b_base64``, with no re-encoding to compare.
 ``Stream.find`` looks a record up among kept lines sorted by its key,
@@ -63,7 +62,7 @@ import os
 import tempfile
 import typing
 from pathlib import Path
-from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar
 
 from . import crypto
 from .errors import CustodyError, EncodingError, RegctlError
@@ -72,6 +71,8 @@ T = TypeVar("T")
 
 # a service's files as read: each path and its bytes, in the service's order; None if missing
 Files = list[tuple[Path, bytes | None]]
+Marked = tuple["bytes | Tail", "FileMark"]  # a file a load may hold as read, and its mark
+Marks = Mapping[str, "FileMark"]  # the checkpoint's marks, by the name of the file each is of
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -186,6 +187,18 @@ def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> lis
     return records
 
 
+def _ends_at(data: bytes, count: int, tag: str) -> bool:
+    """Whether the last line of the record stream ``data``, if any, begins
+    as record ``count - 1`` does: with ``tag``, then that seq."""
+    if not data:
+        return count == 0
+    try:
+        last = binascii.a2b_base64(data[data.rfind(b"\n", 0, -1) + 1:])
+        return last.startswith(crypto.canon_encode(tag, [count - 1]))
+    except (ValueError, RegctlError):  # bytes no strict writer wrote; a seq past 64 bits
+        return False
+
+
 @dataclasses.dataclass(frozen=True)
 class Tail:
     """A record stream's file as a save writes it: ``data`` appended after
@@ -218,14 +231,16 @@ class Stream(Generic[T]):
         self._hashed = 0
         self._size = 0  # the bytes of those records: the file as last read or written
 
-    def load(self, path: Path, data: bytes | None, mark: FileMark | None) -> None:
+    def load(self, path: Path, data: bytes | None, mark: FileMark | None,
+             tag: str | None = None) -> None:
         """Replace the stream with ``data``, read from ``path``: kept undecoded
         if ``mark`` vouches for it, else decoded strictly; None is empty."""
-        rest = self.hold(path, data, mark)
+        rest = self.hold(path, data, mark, tag)
         if rest is not None:
             self._records = decode_records(path, rest, self._decode)
 
-    def hold(self, path: Path, data: bytes | None, mark: FileMark | None) -> bytes | None:
+    def hold(self, path: Path, data: bytes | None, mark: FileMark | None,
+             tag: str | None = None) -> bytes | None:
         """Hold ``data``, the bytes read from ``path`` (None is empty),
         undecoded if ``mark`` vouches for them, and return None; else empty
         the stream and return the bytes for the caller to decode strictly and
@@ -237,8 +252,11 @@ class Stream(Generic[T]):
         vouches for; the stream then holds fewer bytes than the file, so its
         next save writes the file whole. ``data`` is hashed once, for the
         next save; a file with a fragment is hashed once more, up to its mark.
+        A stream of records that begin with ``tag`` and then their seq, 0 for
+        the first, is vouched for only when its last record's seq is
+        ``mark.count - 1``, so a mark that miscounts them vouches for nothing.
         """
-        data = data or b""
+        whole = data = data or b""
         self.replace(())
         self._sha = hashlib.sha256(data)
         if mark is not None and self._sha.digest() != mark.sha256 and not data.endswith(b"\n"):
@@ -252,6 +270,8 @@ class Stream(Generic[T]):
         if mark is None or self._sha.digest() != mark.sha256:
             self._hashed = data.count(b"\n")  # one record per line, once decoded
             return data
+        if tag is not None and not _ends_at(data, mark.count, tag):
+            return self.hold(path, whole, None)
         self._path, self._kept, self._kept_count = path, data, mark.count
         self._hashed = mark.count
         return None
@@ -339,10 +359,14 @@ class Stream(Generic[T]):
 
 @dataclasses.dataclass(frozen=True)
 class FileMark:
-    """What a sealed document records of the record stream it vouches for."""
+    """The SHA-256 and record count (a document is one) of a file a load may hold."""
 
     sha256: bytes
     count: int
+
+    def __post_init__(self):
+        if len(self.sha256) != crypto.HASH_BYTES or not _is_count(self.count):
+            raise ValueError("a mark is a 32-byte SHA-256 and a non-negative integer count")
 
 
 def sealed(name: str, content: Any, key: bytes, tag: str) -> bytes:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto, store
-from regctl.deploy import REGISTRY_DOMAIN
+from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto, deploy, store
+from regctl.deploy import REGISTRY_DOMAIN, identities, read_keys
+
+CHECKPOINT = "ledgers/checkpoint.json"
 
 
 @pytest.fixture
@@ -71,16 +74,45 @@ def count_calls(monkeypatch, *names: str, owner=crypto) -> dict[str, int]:
     return calls
 
 
-def whole(files: dict[str, bytes | store.Tail]) -> dict[str, bytes]:
+def whole(files: dict[str, bytes | store.Tail | store.Marked]) -> dict[str, bytes]:
     """The whole bytes of each file a service's ``save`` returned: a
-    stream's tail as the whole file it ends."""
+    stream's tail as the whole file it ends, a marked file without its mark."""
+    files = {name: data[0] if isinstance(data, tuple) else data for name, data in files.items()}
     return {name: data.whole() if isinstance(data, store.Tail) else data
             for name, data in files.items()}
 
 
-def write_files(root: Path, files: dict[str, bytes | store.Tail]) -> None:
+def marks(files: dict[str, bytes | store.Tail | store.Marked]) -> dict[str, store.FileMark]:
+    """The mark of each marked file a service's ``save`` returned, as the
+    deployment's checkpoint records it."""
+    return {name: data[1] for name, data in files.items() if isinstance(data, tuple)}
+
+
+def write_files(root: Path, files: dict[str, bytes | store.Tail | store.Marked]) -> None:
     """Write the files a service's ``save`` returned under ``root``, as a
     deployment does on a directory that holds none of them."""
     for name, data in whole(files).items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_bytes(data)
+
+
+def checkpoint_keys(state: Path) -> dict[str, bytes]:
+    """Keys to seal the checkpoint of ``state`` under: the deployment's, from
+    both seeds ("both"), and one from each seed alone."""
+    regulator, controller = identities(*read_keys(state)[:2])
+    tag = deploy.Checkpoint.TAG
+    keys = {"regulator": crypto.seed_key(regulator, tag),
+            "controller": crypto.seed_key(controller, tag)}
+    return {"both": crypto.prf_derive(keys["regulator"], tag, keys["controller"]), **keys}
+
+
+def checkpoint_marks(state: Path) -> dict:
+    """The marks the checkpoint of ``state`` holds, as its JSON has them."""
+    return json.loads((state / CHECKPOINT).read_bytes())["files"]
+
+
+def seal_checkpoint(state: Path, marks: dict, key: str = "both") -> None:
+    """Write ``marks`` as the checkpoint of ``state``, sealed under the key
+    ``checkpoint_keys`` names ``key``."""
+    (state / CHECKPOINT).write_bytes(store.sealed("files", marks, checkpoint_keys(state)[key],
+                                                  deploy.Checkpoint.TAG))

@@ -56,6 +56,18 @@ def _files(state: Path) -> dict[str, bytes]:
 
 def test_a_command_decides_and_saves_as_if_every_service_were_loaded(tmp_path, capsys,
                                                                      monkeypatch):
+    _decides_and_saves_as_if_every_service_were_loaded(tmp_path, capsys, monkeypatch, False)
+
+
+def test_a_command_decides_and_saves_as_if_every_service_were_loaded_strictly(
+        tmp_path, capsys, monkeypatch):
+    """The eager twin's checkpoint is deleted before each command, so it
+    loads every stream strictly and replays the registry journal."""
+    _decides_and_saves_as_if_every_service_were_loaded(tmp_path, capsys, monkeypatch, True)
+
+
+def _decides_and_saves_as_if_every_service_were_loaded(tmp_path, capsys, monkeypatch,
+                                                       strict: bool):
     lazy, eager = tmp_path / "lazy", tmp_path / "eager"
     world = _saved_world(lazy)
     shutil.copytree(lazy, eager)
@@ -68,12 +80,16 @@ def test_a_command_decides_and_saves_as_if_every_service_were_loaded(tmp_path, c
 
     def run(*argv: str) -> tuple[int, str, str]:
         result = _run(capsys, lazy, list(argv))
+        if strict:
+            (eager / "ledgers" / "checkpoint.json").unlink(missing_ok=True)
         with monkeypatch.context() as patch:
             patch.setattr(_Cli, "deployment", every_service_reached)
             assert _run(capsys, eager, list(argv)) == result, argv
         got, want = _files(lazy), _files(eager)
         if not any(word in argv for word in GATE_COMMANDS):
             got.pop("gate.json"), want.pop("gate.json")
+        if strict:
+            got.pop("ledgers/checkpoint.json"), want.pop("ledgers/checkpoint.json", None)
         assert got == want, argv
         return result
 

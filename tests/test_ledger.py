@@ -228,7 +228,6 @@ def test_events_log_reload_is_strict(pair, tmp_path, damage):
 def test_events_log_payloads_pair_with_ledger_entries_by_position(pair, tmp_path):
     fill(pair, 3)
     write_files(tmp_path, pair.event_log.save())
-    (tmp_path / "ledgers" / "checkpoint.json").unlink()
     path = tmp_path / "ledgers" / "events.log"
     lines = path.read_text().splitlines(keepends=True)
     lines[0], lines[1] = lines[1], lines[0]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from regctl import Basis, Deployment, Scope, SiloSchema, cross_verify, store
 from regctl.cli import main as cli_main
-from regctl.crypto import SHARE_BYTES, Holder, KeyShare, canon_encode, prf_derive, seed_key, sha256
+from regctl.crypto import SHARE_BYTES, Holder, KeyShare, canon_encode, prf_derive, sha256
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError, TicketConsumed, TicketExpired
 from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequest, AccessTicket
@@ -32,7 +32,7 @@ from regctl.registry import (
 from regctl.scenario import load_scenario, run
 from regctl.silo import RegulatorShareStore, SiloRecord
 
-from conftest import count_calls
+from conftest import CHECKPOINT, checkpoint_marks, count_calls, seal_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 STREAMS = ("regulator.log", "controller.log", "events.log")
@@ -595,7 +595,7 @@ def test_open_and_consent_give_encode_no_vault_silo_or_share_store(tmp_path, cap
 
 @pytest.mark.parametrize("name", [
     "vault/state.json", "silos/health/schema.json", "silos/health/records.log",
-    "silos/health/mark.json", "ledgers/events.log", "ledgers/checkpoint.json", "registry.journal", "registry.json",
+    "ledgers/events.log", "ledgers/checkpoint.json", "registry.journal", "registry.json",
     "regulator_shares.json"])
 def test_a_file_replaced_behind_a_loaded_deployment_is_rewritten(tmp_path, name):
     state = tmp_path / "state"
@@ -692,14 +692,12 @@ def _cli_state(tmp_path) -> tuple[Path, list[list[str]]]:
 
 
 def _strict_copy(state: Path, tmp_path: Path) -> Path:
-    """A copy of ``state`` with no checkpoint, no registry snapshot and no
-    silo mark, so every stream loads strictly and the registry journal is
-    replayed."""
+    """A copy of ``state`` with no checkpoint, so every stream loads strictly
+    and the registry journal is replayed."""
     strict = tmp_path / "strict"
     shutil.rmtree(strict, ignore_errors=True)
     shutil.copytree(state, strict)
-    for seal in ("ledgers/checkpoint.json", "registry.json", *strict.glob("silos/*/mark.json")):
-        (strict / seal).unlink(missing_ok=True)
+    (strict / CHECKPOINT).unlink(missing_ok=True)
     return strict
 
 
@@ -784,13 +782,12 @@ def test_a_checkpoint_that_still_records_heads_loads_held(tmp_path, monkeypatch)
     # checkpoints used to record each ledger's head hash (empty for events.log)
     state, commands = _cli_state(tmp_path)
     dep = Deployment(state_dir=state)
-    path = state / "ledgers" / "checkpoint.json"
-    files = json.loads(path.read_text())["files"]
-    files["regulator.log"]["head"] = dep.event_log.regulator_ledger.tip()[1].hex()
-    files["controller.log"]["head"] = dep.event_log.controller_ledger.tip()[1].hex()
-    files["events.log"]["head"] = ""
-    mac = prf_derive(seed_key(dep.controller, "CKPTKEYv1"), "CKPTv1", store.json_bytes(files))
-    path.write_bytes(store.json_bytes({"files": files, "mac": mac.hex()}))
+    path = state / CHECKPOINT
+    files = checkpoint_marks(state)
+    files["ledgers/regulator.log"]["head"] = dep.event_log.regulator_ledger.tip()[1].hex()
+    files["ledgers/controller.log"]["head"] = dep.event_log.controller_ledger.tip()[1].hex()
+    files["ledgers/events.log"]["head"] = ""
+    seal_checkpoint(state, files)
 
     decoded = count_calls(monkeypatch, "from_canonical", owner=LogEntry)
     streams = []
@@ -800,23 +797,67 @@ def test_a_checkpoint_that_still_records_heads_loads_held(tmp_path, monkeypatch)
     assert cli_main(commands[0]) == 0
     assert decoded["from_canonical"] <= 2
     assert not set(streams) & set(STREAMS)
-    assert "head" not in json.loads(path.read_text())["files"]["regulator.log"]
+    assert "head" not in checkpoint_marks(state)["ledgers/regulator.log"]
 
 
-def test_a_sealed_checkpoint_with_a_malformed_mark_fails_a_command_naming_it(tmp_path, capsys):
+@pytest.mark.parametrize("name, edit", [
+    ("ledgers/events.log", {"sha256": "zz"}),
+    ("ledgers/events.log", {"sha256": "ab" * 31}),
+    ("ledgers/regulator.log", {"count": "7"}),
+    ("ledgers/regulator.log", {"count": -1}),
+    ("registry.journal", {"count": True}),
+    ("silos/health/records.log", {"count": 1.0}),
+    ("registry.json", None),
+], ids=["non-hex", "short-digest", "text-count", "negative-count", "bool-count", "float-count",
+        "not-a-mark"])
+def test_a_sealed_checkpoint_with_a_malformed_mark_fails_a_command_naming_it(tmp_path, capsys,
+                                                                            name, edit):
     state, _ = _cli_state(tmp_path)
-    dep = Deployment(state_dir=state)
-    path = state / "ledgers" / "checkpoint.json"
-    files = json.loads(path.read_text())["files"]
-    files["events.log"]["sha256"] = "zz"
-    path.write_bytes(store.sealed("files", files, seed_key(dep.controller, "CKPTKEYv1"), "CKPTv1"))
+    path = state / CHECKPOINT
+    files = checkpoint_marks(state)
+    files[name] = None if edit is None else {**files[name], **edit}
+    seal_checkpoint(state, files)
     before = _snapshot(state)
     capsys.readouterr()
-    assert cli_main(["--state-dir", str(state), "silo", "list", "--domain", "health"]) == 1
+    assert cli_main(["--state-dir", str(state), "notifications", "--all", "v1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(f"error={re.escape(str(path))}: not a ledger checkpoint: [^\n]*\n", err)
+    assert re.fullmatch(f"error={re.escape(str(path))}: not a checkpoint: [^\n]*\n", err)
     assert _snapshot(state) == before
+
+
+@pytest.mark.parametrize("name, count", [
+    ("ledgers/regulator.log", 1_000_000), ("ledgers/controller.log", 0),
+    ("ledgers/events.log", 7), ("registry.journal", 7), ("registry.journal", 2**64)])
+def test_a_mark_that_miscounts_its_stream_vouches_for_nothing(tmp_path, capsys, monkeypatch,
+                                                              name, count):
+    """A sealed mark with the right SHA-256 and a wrong count loads its
+    stream strictly: the next ledger entries and journal record follow the
+    records the stream holds, as on a twin whose checkpoint counts right."""
+    state, commands = _cli_state(tmp_path)
+    twin = tmp_path / "twin"
+    shutil.copytree(state, twin)
+    marks = checkpoint_marks(state)
+    assert marks[name]["count"] != count
+    marks[name]["count"] = count
+    seal_checkpoint(state, marks)
+    strict = []
+    real_decode = store.decode_records
+    monkeypatch.setattr(store, "decode_records",
+                        lambda path, *args: strict.append(path) or real_decode(path, *args))
+    capsys.readouterr()
+    for argv in (commands[0][4:], ["consent", "give", "--subject", "s9", "--purpose", "CARE_AUDIT"]):
+        decided = [(cli_main(["--state-dir", str(root), "--seed", "97", *argv]), capsys.readouterr())
+                   for root in (state, twin)]
+        assert decided[0] == decided[1] and decided[0][0] == 0, argv
+    assert strict == [state / name]  # the twin's checkpoint vouches for every stream
+    assert _snapshot(state) == _snapshot(twin)
+    ledgers = state / "ledgers"
+    assert cli_main(["--state-dir", str(state), "verify-logs", str(ledgers / "regulator.log"),
+                     str(ledgers / "controller.log")]) == 0
+    assert capsys.readouterr().out == "regulator_chain=ok\ncontroller_chain=ok\ncross=ok\n"
+    (state / CHECKPOINT).unlink()
+    assert Deployment(state_dir=state).registry.has_live_consent("s9", "CARE_AUDIT")
 
 
 def test_a_rolled_back_clock_json_does_not_reopen_an_expired_window(tmp_path):
@@ -843,9 +884,9 @@ def test_malformed_line_after_a_save_is_refused_at_that_line(tmp_path, name, che
     lines[1] = lines[1][:8] + "!*" + lines[1][8:]
     path.write_text("\n".join(lines))
     if checkpoint != "stale":
-        doc_path = state / "ledgers" / "checkpoint.json"
+        doc_path = state / CHECKPOINT
         doc = json.loads(doc_path.read_text())
-        doc["files"][name]["sha256"] = sha256(path.read_bytes()).hex()
+        doc["files"][f"ledgers/{name}"]["sha256"] = sha256(path.read_bytes()).hex()
         doc_path.write_text(json.dumps(doc))
     with pytest.raises(EncodingError, match=f"{re.escape(str(path))}: undecodable record at line 1$"):
         Deployment(state_dir=state)
@@ -934,12 +975,15 @@ def test_a_streams_mark_is_the_digest_of_its_file_after_appends(tmp_path, how):
 
 
 def _marks_vouch_for_their_files(state: Path) -> None:
-    checkpoint = json.loads((state / "ledgers" / "checkpoint.json").read_bytes())["files"]
-    snapshot = json.loads((state / "registry.json").read_bytes())["registry"]["journal"]
-    for path, mark in [*((state / "ledgers" / n, checkpoint[n]) for n in STREAMS),
-                       (state / "registry.journal", snapshot)]:
-        data = path.read_bytes()
-        assert mark == {"sha256": sha256(data).hex(), "count": data.count(b"\n")}, path.name
+    checkpoint = checkpoint_marks(state)
+    streams = [f"ledgers/{name}" for name in STREAMS] + ["registry.journal",
+                                                          "silos/health/records.log"]
+    assert set(checkpoint) == {*streams, "registry.json"}
+    for name in streams:
+        data = (state / name).read_bytes()
+        assert checkpoint[name] == {"sha256": sha256(data).hex(), "count": data.count(b"\n")}, name
+    assert checkpoint["registry.json"] == {
+        "sha256": sha256((state / "registry.json").read_bytes()).hex(), "count": 1}
 
 
 @pytest.mark.parametrize("how", ["held", "strict", "decoded"])
@@ -968,12 +1012,10 @@ def test_a_snapshot_load_encodes_no_content_and_a_save_encodes_it_once(tmp_path,
 
     def snapshots() -> int:
         """How many documents encoded so far hold the snapshot content."""
-        return sum(isinstance(doc, dict) and ("consents" in doc
-                                              or isinstance(doc.get("registry"), dict))
-                   for doc in encoded)
+        return sum(isinstance(doc, dict) and "consents" in doc for doc in encoded)
     registry = Deployment(state_dir=state).registry
     assert not registry.changed and snapshots() == 0  # loaded from the snapshot
-    assert registry.save()["registry.json"] == (state / "registry.json").read_bytes()
+    assert registry.save()["registry.json"][0] == (state / "registry.json").read_bytes()
     assert snapshots() == 1
 
 

@@ -303,7 +303,7 @@ def test_journal_replay_rebuilds_state(dep, tmp_path):
     assert not replayed.has_live_consent("subject-1", "TAX_AUDIT")
     assert replayed.has_live_consent("subject-1", "TAX_RESEARCH")
     again = replayed.save()
-    assert again["registry.journal"].data == b""  # the replay appended nothing to write
+    assert again["registry.journal"][0].data == b""  # the replay appended nothing to write
     assert whole(again) == {"registry.journal": path.read_bytes(), "registry.json": live}
 
 

@@ -1,31 +1,39 @@
-"""registry.json: the sealed snapshot a registry loads from instead of
-replaying its journal.
+"""registry.json: the snapshot a registry loads from instead of replaying
+its journal, when the checkpoint vouches for it.
 
 The strict replay is the oracle: a command run on a state directory whose
-snapshot was deleted must print and write exactly what it does on one that
-loads from the snapshot. A snapshot that is edited, rolled back, taken from
-another state or sealed under another key is ignored: the journal is
-replayed, decisions stay as the journal has them, and the next save writes a
-valid snapshot again.
+checkpoint was deleted must print and write exactly what it does on one that
+loads from the snapshot. A snapshot the checkpoint does not vouch for is
+ignored (tests/test_tamper_cells.py edits it): the journal is replayed,
+decisions stay as the journal has them, and the next save writes a valid
+snapshot again.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
 from regctl import Basis, Deployment, Scope, SiloSchema, crypto, store
 from regctl.cli import main as cli_main
-from regctl.deploy import REGISTRY_DOMAIN, identities, read_keys
-from regctl.registry import _SNAPSHOT_TAG, Registry
+from regctl.deploy import REGISTRY_DOMAIN
+from regctl.registry import Registry
+
+from conftest import CHECKPOINT, checkpoint_marks, seal_checkpoint
 
 
 def _files(state: Path) -> dict[str, bytes]:
     return {p.relative_to(state).as_posix(): p.read_bytes()
             for p in sorted(state.rglob("*")) if p.is_file()}
+
+
+def _unsealed(state: Path) -> dict[str, bytes]:
+    """Every file of ``state`` but the checkpoint."""
+    files = _files(state)
+    files.pop(CHECKPOINT, None)
+    return files
 
 
 def _run(capsys, state: Path, seed: int, *argv: str) -> tuple[int, str, str]:
@@ -64,12 +72,12 @@ def test_every_command_writes_the_same_bytes_from_the_snapshot_as_from_the_repla
 
     def run(*argv: str) -> dict[str, str]:
         """Run one command in both directories, the strict one with no
-        snapshot, and check that both printed and wrote the same, and that
+        checkpoint, and check that both printed and wrote the same, and that
         the snapshot loads what the replay loads."""
         result = _run(capsys, held, seed, *argv)
         assert _run(capsys, strict, seed, *argv) == result, argv
-        assert _files(strict) == _files(held), argv
-        (strict / "registry.json").unlink(missing_ok=True)
+        assert _unsealed(strict) == _unsealed(held), argv
+        (strict / CHECKPOINT).unlink(missing_ok=True)
         if (held / "registry.journal").exists():
             assert _loaded_registry(held) == _loaded_registry(strict), argv
         return dict(pair.split("=", 1) for pair in result[1].split())
@@ -110,7 +118,8 @@ def test_every_command_writes_the_same_bytes_from_the_snapshot_as_from_the_repla
         dep.clock.advance(1)
         dep.registry.revoke(auth)
         dep.save()
-    assert _files(strict) == _files(held)
+    assert _unsealed(strict) == _unsealed(held)
+    (strict / CHECKPOINT).unlink()
     assert submit("q2", vids[0]) == {}  # Deny(Status), on stderr
     assert run("consent", "optout", "--subject", subjects[1],
                "--purpose", "CARE_AUDIT")["obligations"] == "1"
@@ -127,7 +136,7 @@ def test_every_command_writes_the_same_bytes_from_the_snapshot_as_from_the_repla
     assert replays.count(held) == 1
 
 
-# -- an edited snapshot is ignored ----------------------------------------------------
+# -- a forger who holds both seeds -----------------------------------------------------
 
 def _world(state: Path, seed: int) -> dict[str, str]:
     """Two consenting subjects with a health record each, a signed program and
@@ -149,13 +158,12 @@ def _world(state: Path, seed: int) -> dict[str, str]:
     return world
 
 
-def _opted_out(capsys, state: Path, seed: int) -> tuple[dict[str, str], bytes]:
-    """A world in which ``leaving`` opted out; and its snapshot from before."""
+def _opted_out(capsys, state: Path, seed: int) -> dict[str, str]:
+    """A world in which ``leaving`` opted out."""
     world = _world(state, seed)
-    before = (state / "registry.json").read_bytes()
     assert _run(capsys, state, seed, "consent", "optout", "--subject", world["leaving_subject"],
                 "--purpose", "CARE_AUDIT")[0] == 0
-    return world, before
+    return world
 
 
 def _submit(capsys, state: Path, world: dict[str, str], request_id: str, name: str):
@@ -164,68 +172,20 @@ def _submit(capsys, state: Path, world: dict[str, str], request_id: str, name: s
                 "--classes", "health", "--purpose", "CARE_AUDIT")
 
 
-def _reseal(path: Path, key: bytes) -> None:
-    """Make every consent in the snapshot at ``path`` live, sealed by ``key``."""
-    content = json.loads(path.read_bytes())["registry"]
-    opted_out_at = content["consents"][4]
-    content["consents"][4] = [None] * len(opted_out_at)
-    path.write_bytes(store.sealed("registry", content, key, _SNAPSHOT_TAG))
-
-
-def _flip_byte(path: Path, **_) -> None:
-    data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 0x01
-    path.write_bytes(bytes(data))
-
-
-def _roll_back(path: Path, before: bytes, **_) -> None:
-    path.write_bytes(before)
-
-
-def _from_another_seed(path: Path, capsys, tmp_path: Path, **_) -> None:
-    other = tmp_path / "other"
-    _opted_out(capsys, other, 24)
-    shutil.copyfile(other / "registry.json", path)
-
-
-def _resealed_under_a_wrong_key(path: Path, **_) -> None:
-    controller = identities(*read_keys(path.parent)[:2])[1]
-    _reseal(path, crypto.seed_key(controller, "REGSNAPKEYv1"))
-
-
-def _respaced(path: Path, **_) -> None:
-    """The same document and seal, with JSON's default separators."""
-    path.write_bytes(json.dumps(json.loads(path.read_bytes()), sort_keys=True).encode())
-
-
-@pytest.mark.parametrize("edit", [_flip_byte, _roll_back, _from_another_seed,
-                                  _resealed_under_a_wrong_key, _respaced],
-                         ids=["flipped-byte", "rolled-back", "another-seed", "wrong-key",
-                              "re-spaced"])
-def test_an_edited_snapshot_is_ignored_and_written_again(tmp_path, capsys, replays, edit):
-    clean = tmp_path / "clean"
-    world, before = _opted_out(capsys, clean, 23)
-    tampered = tmp_path / "tampered"
-    shutil.copytree(clean, tampered)
-    edit(tampered / "registry.json", before=before, capsys=capsys, tmp_path=tmp_path)
-    assert (tampered / "registry.json").read_bytes() != (clean / "registry.json").read_bytes()
-    replays.clear()
-    outcomes = []
-    for request_id, name in (("q1", "leaving"), ("q2", "staying")):
-        outcomes.append(_submit(capsys, tampered, world, request_id, name))
-        assert outcomes[-1] == _submit(capsys, clean, world, request_id, name)
-        assert _files(tampered) == _files(clean)
-    assert outcomes[0] == (1, "", "error=Deny(Consent)\n") and outcomes[1][0] == 0
-    assert replays == [tampered]  # once: that save wrote a valid snapshot
-
-
-def test_a_snapshot_resealed_under_the_regulator_key_is_trusted(tmp_path, capsys, replays):
-    """What README says: a writer who can read keys/ can forge a snapshot,
-    as it can forge journal records."""
+def test_a_checkpoint_resealed_under_the_two_seed_key_naming_an_edited_snapshot_is_trusted(
+        tmp_path, capsys, replays):
+    """What README says: a writer who can read keys/ holds both seeds, so it
+    can forge a checkpoint that names an edited snapshot, as it can forge
+    journal records."""
     state = tmp_path / "state"
-    world, _ = _opted_out(capsys, state, 23)
-    _reseal(state / "registry.json", crypto.seed_key(
-        identities(*read_keys(state)[:2])[0], "REGSNAPKEYv1"))
+    world = _opted_out(capsys, state, 23)
+    path = state / "registry.json"
+    content = json.loads(path.read_bytes())
+    content["consents"][4] = [None] * len(content["consents"][4])  # every consent live
+    path.write_bytes(store.json_bytes(content))
+    marks = checkpoint_marks(state)
+    marks["registry.json"]["sha256"] = crypto.sha256(path.read_bytes()).hex()
+    seal_checkpoint(state, marks)
     replays.clear()
     code, stdout, _ = _submit(capsys, state, world, "q1", "leaving")
     assert code == 0 and stdout.startswith("ticket_id=") and replays == []

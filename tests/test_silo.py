@@ -22,7 +22,7 @@ from regctl.scenario import load_scenario, run
 from regctl.silo import (RegulatorShareStore, Silo, SiloRecord, decode_fields, encode_fields,
                          record_aad)
 
-from conftest import count_calls, write_files
+from conftest import count_calls, marks, whole, write_files
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -144,9 +144,11 @@ def test_a_second_load_holds_exactly_the_files_records_and_shares(dep, tmp_path)
     _, vid = enroll(dep)
     silo = dep.silos["health"]
     first = silo.put_record(vid, {"bp": "120/80"})
-    write_files(tmp_path / "one", {**silo.save(), **dep.share_store.save()})
+    one = silo.save()
+    write_files(tmp_path / "one", {**one, **dep.share_store.save()})
     second = silo.put_record(vid, {"bp": "110/70"})
-    write_files(tmp_path / "two", {**silo.save(), **dep.share_store.save()})
+    two = silo.save()
+    write_files(tmp_path / "two", {**two, **dep.share_store.save()})
 
     shares = RegulatorShareStore()
     shares.load(read_files(tmp_path / "two", shares.files))
@@ -154,8 +156,8 @@ def test_a_second_load_holds_exactly_the_files_records_and_shares(dep, tmp_path)
     assert shares.get(first) == dep.share_store.get(first)
     assert shares.get(second) is None
     reloaded = Silo(silo.schema, lambda: shares, dep.vault.vid_exists, dep.event_log)
-    reloaded.load_records(read_files(tmp_path / "two", silo.files))
-    reloaded.load_records(read_files(tmp_path / "one", silo.files))
+    reloaded.load_records(read_files(tmp_path / "two", silo.files), marks(two))
+    reloaded.load_records(read_files(tmp_path / "one", silo.files), marks(one))
     assert reloaded.list_records() == [(first, vid)]
 
 
@@ -232,7 +234,7 @@ def test_a_record_file_line_does_not_tell_when_its_record_was_put(tmp_path):
         _, vid = enroll(d)
         d.clock.set_tick(tick)
         d.silos["health"].put_record(vid, {"bp": "120/80"})
-        lines.append(d.silos["health"].save()["silos/health/records.log"])
+        lines.append(whole(d.silos["health"].save())["silos/health/records.log"])
     assert lines[0] == lines[1] and lines[0].count(b"\n") == 1
 
 
@@ -432,12 +434,12 @@ def test_a_held_silo_answers_and_saves_as_a_strictly_loaded_one(records, absent,
         canonical = [SiloRecord.new(rid, vid, ciphertext,
                                     KeyShare(share, Holder.CONTROLLER)).canonical_bytes()
                      for rid, vid, ciphertext, share in records]
-        source.load_records(list(zip(names, (None, store.encode_records(canonical), None))))
+        source.load_records(list(zip(names, (None, store.encode_records(canonical)))))
         saved = source.save()
-        strict.load_records([(name, saved[name.as_posix()]) for name in names[:2]]
-                            + [(names[2], None)])
+        files = [(name, whole(saved)[name.as_posix()]) for name in names]
+        strict.load_records(files)  # no checkpoint: no mark vouches for them
         decoded["from_canonical"] = 0
-        held.load_records([(name, saved[name.as_posix()]) for name in names])
+        held.load_records(files, marks(saved))
         assert decoded["from_canonical"] == 0  # held, undecoded
         assert held.save() == strict.save() == saved
 

@@ -9,23 +9,26 @@ the test then asserts the refusal instead, as each closed-cell test does.
 
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, crypto, store
+from regctl import AccessRequest, Basis, Deployment, Scope, SiloSchema, store
 from regctl.cli import main as cli_main
+from regctl.crypto import sha256
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError
+from regctl.registry import Registry
 
-from conftest import count_calls
+from conftest import CHECKPOINT, checkpoint_marks, count_calls, seal_checkpoint
 
 
-def _saved_world(state: Path) -> dict[str, str]:
+def _saved_world(state: Path, seed: int = 23) -> dict[str, str]:
     """One consenting subject with a health record, a signed program and a
     consent-basis grant for it."""
-    dep = Deployment(seed=23, state_dir=state)
+    dep = Deployment(seed=seed, state_dir=state)
     dep.create_silo(SiloSchema(domain="health", field_classes=(("bp", "health"),)))
     dep.registry.register_purpose("CARE_AUDIT", "care")
     scope = Scope("health", ("health",), "read")
@@ -59,7 +62,9 @@ def _submit(capsys, state: Path, world: dict[str, str], request_id: str) -> tupl
 
 
 def test_open_cell_a_journal_rolled_back_past_an_optout_revives_the_consent(tmp_path, capsys):
-    """Closed by ROADMAP item 2: anchor each journal head in the ledgers."""
+    """Closed by ROADMAP item 2: anchor each journal head in the ledgers. The
+    checkpoint no longer vouches for the older journal, so it is replayed,
+    and nothing tells it from a journal whose checkpoint was lost."""
     state = tmp_path / "state"
     world = _saved_world(state)
     journal = state / "registry.journal"
@@ -73,7 +78,8 @@ def test_open_cell_a_journal_rolled_back_past_an_optout_revives_the_consent(tmp_
 
 
 def test_open_cell_a_gate_file_rolled_back_past_an_open_reopens_the_record(tmp_path, capsys):
-    """Closed by ROADMAP item 2: derive the consumed marks from the ledger."""
+    """Closed by ROADMAP item 2: derive the consumed marks from the ledger.
+    The checkpoint names no document, so nothing vouches for gate.json."""
     state = tmp_path / "state"
     world = _saved_world(state)
     code, stdout, _ = _submit(capsys, state, world, "q1")
@@ -93,7 +99,7 @@ def test_open_cell_the_ledgers_rolled_back_past_a_grant_erase_its_audit_and_noti
                                                                                    capsys):
     """Closed by ROADMAP item 11: check the ledgers against an auditor-held
     checkpoint. Both ledgers, events.log and the checkpoint roll back
-    together, so each still vouches for the others."""
+    together, so the checkpoint still vouches for the streams."""
     state = tmp_path / "state"
     world = _saved_world(state)
     ledgers = state / "ledgers"
@@ -151,9 +157,9 @@ def test_closed_cell_a_lost_share_fails_the_submit_in_process_with_the_nonce_uns
 
 def test_open_cell_a_records_log_rolled_back_to_the_previous_save_loads_the_older_records(
         tmp_path, capsys):
-    """Closed by ROADMAP item 8: one root commit over every file. The mark
-    no longer vouches for the older bytes, so they load strictly, and
-    nothing tells them from a records.log whose mark was lost."""
+    """Closed by ROADMAP item 8: a root commit over every file. The
+    checkpoint no longer vouches for the older bytes, so they load strictly,
+    and nothing tells them from a records.log whose checkpoint was lost."""
     state = tmp_path / "state"
     world = _saved_world(state)
     records = state / "silos" / "health" / "records.log"
@@ -171,9 +177,9 @@ def test_open_cell_a_records_log_rolled_back_to_the_previous_save_loads_the_olde
 
 def test_closed_cell_a_byte_flipped_in_records_log_under_an_intact_mark_is_refused_at_reach(
         tmp_path, capsys):
-    """The mark vouches only for the bytes it was sealed over: a records.log
-    with a byte's high bit flipped loads strictly, which refuses its line,
-    and nothing is saved."""
+    """The checkpoint vouches only for the bytes it was sealed over: a
+    records.log with a byte's high bit flipped loads strictly, which refuses
+    its line, and nothing is saved."""
     state = tmp_path / "state"
     world = _saved_world(state)
     code, stdout, _ = _submit(capsys, state, world, "q1")
@@ -193,80 +199,90 @@ def test_closed_cell_a_byte_flipped_in_records_log_under_an_intact_mark_is_refus
         assert _files(state) == before
 
 
-@pytest.mark.parametrize("edit", ["deleted", "re-spaced"])
-def test_closed_cell_a_lost_or_re_spaced_mark_loads_strictly_and_decides_and_saves_the_same(
-        tmp_path, capsys, monkeypatch, edit):
-    """A silo whose mark.json is gone or not byte for byte what the seal
-    writes loads records.log strictly, opens as the intact state does, and
-    its save seals the same mark again."""
+# -- the checkpoint, or a file it names, edited: the one seal ----------------------------
+
+def _delete(path: Path, **_) -> None:
+    path.unlink()
+
+
+def _roll_back(path: Path, earlier: bytes, **_) -> None:
+    path.write_bytes(earlier)
+
+
+def _respace(path: Path, **_) -> None:
+    """The same document, with JSON's default separators."""
+    path.write_bytes(json.dumps(json.loads(path.read_bytes()), sort_keys=True).encode())
+
+
+def _flip_byte(path: Path, **_) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _from_another_seed(path: Path, tmp_path: Path, **_) -> None:
+    other = tmp_path / "other"
+    _saved_world(other, seed=24)
+    shutil.copyfile(other / path.name, path)
+
+
+def _forged(key: str):
+    def forge(path: Path, **_) -> None:
+        """Drop every consent from the snapshot, and seal a checkpoint that
+        names the edited bytes under ``key``, from one seed alone."""
+        state = path.parent.parent
+        snapshot = state / "registry.json"
+        doc = json.loads(snapshot.read_bytes())
+        doc["consents"] = [[] for _ in doc["consents"]]
+        snapshot.write_bytes(store.json_bytes(doc))
+        marks = checkpoint_marks(state)
+        marks["registry.json"]["sha256"] = sha256(snapshot.read_bytes()).hex()
+        seal_checkpoint(state, marks, key)
+    return forge
+
+
+_EDITS = [*((CHECKPOINT, edit) for edit in (_delete, _roll_back, _respace, _flip_byte,
+                                             _forged("regulator"), _forged("controller"))),
+          *(("registry.json", edit) for edit in (_delete, _roll_back, _respace, _flip_byte,
+                                                  _from_another_seed))]
+
+
+@pytest.mark.parametrize("name, edit", _EDITS, ids=[
+    "checkpoint-deleted", "checkpoint-rolled-back", "checkpoint-re-spaced",
+    "checkpoint-flipped-byte", "checkpoint-resealed-by-the-regulator-alone",
+    "checkpoint-resealed-by-the-controller-alone", "snapshot-deleted", "snapshot-rolled-back",
+    "snapshot-re-spaced", "snapshot-flipped-byte", "snapshot-of-another-seed"])
+def test_closed_cell_an_unvouched_file_loads_strictly_and_decides_and_saves_as_the_twin(
+        tmp_path, capsys, monkeypatch, name, edit):
+    """The checkpoint vouches only for the bytes it names, and only when its
+    seal is the one both seeds make: after any other edit to it or to the
+    registry snapshot, the streams it no longer vouches for load strictly
+    and the journal is replayed. The next open and opt-out print what the
+    intact twin prints, and leave every file, the checkpoint included, as
+    the twin's."""
     state, twin = tmp_path / "state", tmp_path / "twin"
     world = _saved_world(state)
+    earlier = (state / name).read_bytes()  # the bytes before the last two saves
+    assert _run(capsys, state, "consent", "give", "--subject", "s2",
+                "--purpose", "CARE_AUDIT") == (0, "consent=recorded\n", "")
     code, stdout, _ = _submit(capsys, state, world, "q1")
     assert code == 0
     ticket = stdout.splitlines()[0].removeprefix("ticket_id=")
     shutil.copytree(state, twin)
-    mark = state / "silos" / "health" / "mark.json"
-    if edit == "deleted":
-        mark.unlink()
-    else:
-        mark.write_bytes(mark.read_bytes().replace(b":", b": "))
+    edit(state / name, earlier=earlier, tmp_path=tmp_path)
+    assert _files(state) != _files(twin)
+    replays = []
+    replay = Registry._replay
+    monkeypatch.setattr(Registry, "_replay",
+                        lambda self, path, data: replays.append(path.parent) or replay(
+                            self, path, data))
     decoded = count_calls(monkeypatch, "decode_records", owner=store)
-    opened = _run(capsys, state, "open", "--ticket", ticket, "--record", world["record"])
-    assert decoded["decode_records"] == 1
-    assert _run(capsys, twin, "open", "--ticket", ticket, "--record", world["record"]) == opened
-    assert decoded["decode_records"] == 1  # the intact mark vouches: no strict load
-    assert opened == (0, "bp=120/80\n", "")
+    for argv in (["open", "--ticket", ticket, "--record", world["record"]],
+                 ["consent", "optout", "--subject", world["subject"], "--purpose", "CARE_AUDIT"]):
+        result = _run(capsys, state, *argv)
+        assert result[0] == 0
+        strict = decoded["decode_records"]
+        assert _run(capsys, twin, *argv) == result, argv
+        assert decoded["decode_records"] == strict  # the intact checkpoint vouches: none strict
+    assert replays == [state] and decoded["decode_records"] > 0
     assert _files(state) == _files(twin)
-
-
-def test_closed_cell_a_checkpoint_rolled_back_alone_drops_no_entry_and_is_sealed_again(
-        tmp_path, capsys):
-    """A checkpoint rolled back to an earlier save's bytes vouches for none
-    of the longer streams, so they load strictly with every entry: the later
-    request still shows and verifies, and the next logging save seals them."""
-    state = tmp_path / "state"
-    world = _saved_world(state)
-    ledgers = state / "ledgers"
-    checkpoint = ledgers / "checkpoint.json"
-    earlier = checkpoint.read_bytes()
-    code, stdout, _ = _submit(capsys, state, world, "q1")
-    assert code == 0 and stdout.startswith("ticket_id=")
-    checkpoint.write_bytes(earlier)
-    log = Deployment(state_dir=state).event_log
-    lines = (ledgers / "events.log").read_bytes().count(b"\n")
-    assert len(log.payloads) == len(log.regulator_ledger.entries) == lines
-    code, stdout, _ = _run(capsys, state, "notifications", "--all", world["vid"])
-    assert code == 0 and "request_id=q1 " in stdout
-    assert _run(capsys, state, "verify-logs", str(ledgers / "regulator.log"),
-                str(ledgers / "controller.log")) == (
-        0, "regulator_chain=ok\ncontroller_chain=ok\ncross=ok\n", "")
-    code, stdout, _ = _submit(capsys, state, world, "q2")
-    assert code == 0 and stdout.startswith("ticket_id=")
-    marks = store.unseal(checkpoint.read_bytes(), "files", crypto.seed_key(
-        Deployment(state_dir=state).controller, "CKPTKEYv1"), "CKPTv1")
-    for name in ("regulator.log", "controller.log", "events.log"):
-        data = (ledgers / name).read_bytes()
-        assert marks[name] == {"sha256": crypto.sha256(data).hex(),
-                               "count": data.count(b"\n")}, name
-
-
-def test_closed_cell_a_registry_snapshot_rolled_back_alone_replays_every_record(tmp_path,
-                                                                                capsys):
-    """A registry.json rolled back to an earlier save's bytes no longer names
-    the longer journal, so the load replays every record: a consent given
-    after the old snapshot is still there."""
-    state = tmp_path / "state"
-    _saved_world(state)
-    snapshot = state / "registry.json"
-    earlier = snapshot.read_bytes()
-    assert _run(capsys, state, "consent", "give", "--subject", "s2",
-                "--purpose", "CARE_AUDIT") == (0, "consent=recorded\n", "")
-    snapshot.write_bytes(earlier)
-    registry = Deployment(state_dir=state).registry
-    assert registry.has_live_consent("s2", "CARE_AUDIT")
-    assert len(registry.journal) == (state / "registry.journal").read_bytes().count(b"\n")
-    code, stdout, _ = _run(capsys, state, "consent", "optout", "--subject", "s2",
-                           "--purpose", "CARE_AUDIT")
-    assert code == 0 and stdout.startswith("optout=recorded")
-    assert _run(capsys, state, "consent", "optout", "--subject", "s2",
-                "--purpose", "CARE_AUDIT")[0] == 1  # no live consent left to withdraw
