@@ -10,6 +10,9 @@ against it. Event ids need not be unique (a submit's event id is its
 request id, and a replay reuses it), and neither need payloads (a request
 denied twice in one tick), so the log keeps every recorded payload and the
 bijection counts each (subject, event id) pair with its multiplicity.
+The ledgers are the commit: a save appends ``events.log`` first, so one cut
+short before the ledger appends leaves payloads no entry commits to, and a
+load of two ledgers of n entries each holds only the first n payloads.
 
 The two ledgers and ``events.log`` are ``store.Stream``s: a save hands
 each stream's new lines and its mark to the deployment, which appends the
@@ -208,6 +211,11 @@ class EventLog:
         if mark is not None and any(len(ledger) != mark.count for ledger in ledgers):
             mark = None  # events.log holds one payload per entry of each ledger
         self._payloads.load(self._payloads_path, data, mark)
+        entries = len(ledgers[0])
+        if len(ledgers[1]) == entries < len(self._payloads):
+            # a save cut short after the events.log append: the ledgers are the commit
+            cut = len(data) - len(data.split(b"\n", entries)[-1])
+            self._payloads.load(self._payloads_path, data[:cut], mark)
         self.regulator_ledger.note_counterpart_head(*self.controller_ledger.tip())
         self.controller_ledger.note_counterpart_head(*self.regulator_ledger.tip())
 

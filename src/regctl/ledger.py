@@ -14,9 +14,10 @@ whole, so an entry is checked once, when it is read, and never
 re-encoded.
 
 File format: a ``store`` record stream of canonical entry bytes, held as a
-``store.Stream``. Loading is strict, so any byte-level tampering of a
-ledger file is reported even when the change only touches encoding slack.
-The one exception is a file whose bytes the MAC'd checkpoint records (see
+``store.Stream``. A load and ``verify-logs`` decode it by the one strict
+decoder, ``store.parse_records``, so any byte-level tampering of a ledger
+file is reported even when it only touches encoding slack. The one
+exception is a file whose bytes the MAC'd checkpoint records (see
 ``store``): those are exactly what this deployment saved, so the ledger
 keeps them undecoded until ``entries`` or ``historical_heads`` is first
 asked for. ``head`` and ``tip`` decode the last line alone: the head hash
@@ -255,13 +256,10 @@ class Ledger:
         self._verified_heads = None
 
 
-def parse_ledger_lines(raw: str) -> tuple[list[LogEntry], int | None]:
-    """Decode a ledger file strictly (``store.parse_records``).
-
-    Returns (entries, first_bad_line), so every byte-level mutation of the
-    file maps to a definite line.
-    """
-    return store.parse_records(raw, LogEntry.from_canonical)
+def parse_ledger_lines(data: bytes) -> tuple[list[LogEntry], int | None]:
+    """The entries of the ledger file ``data`` and its first bad line, None
+    if none: ``store.parse_records``, as every strict load reads the file."""
+    return store.parse_records(data, LogEntry.from_canonical)
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,7 @@ def verify_ledger_files(regulator_path: Path, controller_path: Path,
         ("controller", controller_path, controller, regulator),
     ):
         with store.named_file(path):
-            entries, bad = parse_ledger_lines(store.stream_text(Path(path).read_bytes()))
+            entries, bad = parse_ledger_lines(Path(path).read_bytes())
         if bad is not None:
             lines.append(f"{label}_chain=parse_error_at:{bad}")
             ok = False

@@ -4,10 +4,10 @@
   bytes, ended by ``"\\n"``. Decoding is strict: only ``"\\n"`` ends a
   line, the bytes must end with one, every line must be valid base64 that
   re-encodes to the identical text, and its bytes must decode; the first
-  line that breaks a rule is reported. ``decode_records`` checks the
-  base64 of a whole stream in C: it decodes each line and compares the
-  one re-encoding of all of them with the bytes read. Only a stream that
-  fails runs the line-by-line loop of ``parse_records``, to name the line.
+  line that breaks a rule is reported. ``parse_records`` is the one
+  strict decoder, which every strict load and ``verify-logs`` use: it
+  checks the base64 of a whole stream in C, and only a stream that fails
+  runs the line loop, to name the line.
 * JSON documents are encoded with sorted keys and compact separators.
   A dataclass's document holds its fields by name: ``bytes`` as hex, an
   enum as its value, a nested dataclass as its own document, a tuple as a
@@ -36,9 +36,10 @@ deployment's one checkpoint records them, and only ``Stream.hold``
 decides that. It also drops the one thing an append cut short leaves, an
 unterminated last line after the lines the mark vouches for. Kept bytes
 are what a strict writer wrote, so they are decoded without the strict
-check: each line through ``a2b_base64``, with no re-encoding to compare.
-``Stream.find`` looks a record up among kept lines sorted by its key,
-decoding only the lines it probes. A stream carries the SHA-256 state and
+check: each line through ``a2b_base64``, with no re-encoding to compare,
+and a line that still fails raises EncodingError naming the file and the
+line. ``Stream.find`` looks a record up among kept lines sorted by its
+key, decoding only the lines it probes. A stream carries the SHA-256 state and
 the size of the bytes it last read or wrote, so a load hashes them once
 and a save encodes and hashes only the records appended since.
 ``sealed`` and ``unseal`` are the one seal, an HMAC over the JSON bytes of
@@ -129,25 +130,38 @@ def encode_records(records: Iterable[bytes]) -> bytes:
     return b"".join(map(binascii.b2a_base64, records))  # each ends in "\n"
 
 
-def parse_records(raw: str, decode: Callable[[bytes], T]) -> tuple[list[T], int | None]:
-    """Decode a record stream strictly.
+def parse_records(data: bytes, decode: Callable[[bytes], T]) -> tuple[list[T], int | None]:
+    """Decode the record stream ``data`` strictly: (records, None), or the
+    records before its first bad line and that line's number.
 
-    Returns (records, first_bad_line). ``decode`` turns a record's bytes
-    into its value and raises on anything it cannot decode; it must be the
-    exact inverse of the canonical encoding that wrote the record, so a
-    line that passes re-encodes to itself.
+    ``decode`` must be the exact inverse of the canonical encoding that
+    wrote a record, and raise on anything else. ``a2b_base64`` ignores stray
+    characters, so a line is canonical base64 exactly when the one
+    re-encoding of all the lines gives the bytes back; only a stream that
+    fails runs the line loop, which names the line.
     """
+    try:
+        blobs = list(map(binascii.a2b_base64, data.split(b"\n")))
+        del blobs[-1]  # what follows the last "\n"
+        if encode_records(blobs) == data:
+            return list(map(decode, blobs)), None
+    except (ValueError, RegctlError):  # binascii.Error is a ValueError
+        pass
+    return _parse_lines(data, decode)
+
+
+def _parse_lines(data: bytes, decode: Callable[[bytes], T]) -> tuple[list[T], int | None]:
+    """``parse_records`` one line at a time: the reference its one C check
+    must agree with, and the loop that names the first bad line."""
     records: list[T] = []
-    if raw == "":
-        return records, None
     # only "\n" ends a record: splitlines() would also break on control
     # characters like \x0b, letting a mutated newline go unnoticed
-    if not raw.endswith("\n"):
-        return records, max(0, raw.count("\n"))
-    for i, line in enumerate(raw.split("\n")[:-1]):
+    if data and not data.endswith(b"\n"):
+        return records, data.count(b"\n")
+    for i, line in enumerate(data.split(b"\n")[:-1]):
         try:
             blob = base64.b64decode(line, validate=True)
-            if base64.b64encode(blob).decode("ascii") != line:
+            if base64.b64encode(blob) != line:
                 return records, i
             records.append(decode(blob))
         except (ValueError, RegctlError):  # binascii.Error is a ValueError
@@ -155,33 +169,10 @@ def parse_records(raw: str, decode: Callable[[bytes], T]) -> tuple[list[T], int 
     return records, None
 
 
-def stream_text(data: bytes) -> str:
-    """A record stream's bytes as text for ``parse_records``.
-
-    latin-1 maps every byte to one character, so a non-ASCII byte fails
-    its line's base64 check instead of the whole file's text decoding.
-    """
-    return data.decode("latin-1")
-
-
 def decode_records(path: Path, data: bytes, decode: Callable[[bytes], T]) -> list[T]:
-    """Decode the bytes of the record stream at ``path``; a bad line raises EncodingError.
-
-    It accepts exactly what ``parse_records`` accepts: a line is canonical
-    base64 of the bytes ``binascii.a2b_base64`` makes of it, which ignores
-    stray characters, exactly when re-encoding those bytes gives the line
-    back. Only a stream that fails is run through ``parse_records``, which
-    names its first bad line.
-    """
-    if data.endswith(b"\n"):
-        try:
-            blobs = list(map(binascii.a2b_base64, data.split(b"\n")))
-            del blobs[-1]  # what follows the last "\n"
-            if encode_records(blobs) == data:
-                return list(map(decode, blobs))
-        except (ValueError, RegctlError):  # binascii.Error is a ValueError
-            pass
-    records, bad = parse_records(stream_text(data), decode)
+    """``parse_records`` of the bytes read from ``path``; a bad line raises
+    EncodingError naming the file and the line."""
+    records, bad = parse_records(data, decode)
     if bad is not None:
         raise EncodingError(f"{path}: undecodable record at line {bad}")
     return records
@@ -309,10 +300,7 @@ class Stream(Generic[T]):
         low, high = 0, len(lines)
         while low < high:
             mid = (low + high) // 2
-            try:
-                record = self._decode(binascii.a2b_base64(lines[mid]))
-            except (ValueError, RegctlError):
-                raise EncodingError(f"{self._path}: undecodable record at line {mid}") from None
+            record = self._decode_kept(lines[mid], mid)
             probed = key_of(record)
             if probed == key:
                 return record
@@ -328,8 +316,16 @@ class Stream(Generic[T]):
             return self._records[-1]
         if self._kept and self._kept_last is None:
             line = self._kept[self._kept.rfind(b"\n", 0, -1) + 1:]
-            self._kept_last = self._decode(binascii.a2b_base64(line))
+            self._kept_last = self._decode_kept(line, self._kept_count - 1)
         return self._kept_last
+
+    def _decode_kept(self, line: bytes, at: int) -> T:
+        """The record of kept line ``at``, ``line``; bytes no strict writer
+        wrote raise EncodingError naming the stream's file and that line."""
+        try:
+            return self._decode(binascii.a2b_base64(line))
+        except (ValueError, RegctlError):
+            raise EncodingError(f"{self._path}: undecodable record at line {at}") from None
 
     def append(self, record: T) -> None:
         self._records.append(record)

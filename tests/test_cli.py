@@ -147,6 +147,15 @@ def test_consent_cycle_and_notifications(capsys, state):
     assert "outcome=Deleted" in stdout
 
 
+def test_an_optout_of_a_subject_the_vault_never_derived_erases_nothing(capsys, state):
+    assert invoke(capsys, *seeded(state, "purpose", "add", "CARE_AUDIT"))[0] == 0
+    consent = ("--subject", "s1", "--purpose", "CARE_AUDIT")
+    assert invoke(capsys, *seeded(state, "consent", "give", *consent))[0] == 0
+    assert invoke(capsys, *seeded(state, "consent", "optout", *consent)) == (
+        0, "optout=recorded obligations=0\n", "")
+    assert not Deployment(state_dir=state).registry.has_live_consent("s1", "CARE_AUDIT")
+
+
 def test_extension_pending_until_renewal_across_invocations(capsys, state):
     world = bootstrap(capsys, state)
     invoke(capsys, *seeded(state, "purpose", "add", "CARE_RESEARCH", "--desc", "new use"))

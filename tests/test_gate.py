@@ -234,6 +234,21 @@ def test_open_failures_are_logged(populated):
     assert len(dep.event_log.regulator_ledger.entries) == before + 1
 
 
+def test_an_open_of_a_record_an_opt_out_erased_is_refused_and_logged(populated):
+    """An opt-out drops the gate's copy of a ticket naming an erased record,
+    but the controller may still hold the ticket: its open finds no record."""
+    dep = populated["dep"]
+    result = dep.gate.submit(make_request(dep, populated))
+    dep.process_opt_out(populated["registry_vid"], "CARE_AUDIT")
+    assert dep.gate.ticket(result.ticket.ticket_id) is None
+    record_id = populated["record_id"]
+    with pytest.raises(NotFound, match=f"^record {record_id} no longer exists$"):
+        dep.gate.open_record(result.ticket, record_id)
+    refused = Event.from_canonical(dep.event_log.payloads[-1])
+    assert refused.kind == EventKind.OPEN_DENIED
+    assert refused.summary == f"open {record_id} refused: record {record_id} no longer exists"
+
+
 # -- program attestation --------------------------------------------------------------
 
 def test_registered_digest_attests(populated):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regctl import Deployment, cross_verify
+from regctl.cli import main as cli_main
 from regctl.deploy import read_files
 from regctl.crypto import ZERO_HASH, canon_encode, sha256
 from regctl.errors import EncodingError, StaleCrossHead
@@ -167,7 +168,7 @@ def test_persisted_ledger_reloads_and_verifies(pair, tmp_path):
     fill(pair, 10)
     path = tmp_path / "reg.log"
     pair.event_log.regulator_ledger.save(path)
-    entries, bad = parse_ledger_lines(path.read_text())
+    entries, bad = parse_ledger_lines(path.read_bytes())
     assert bad is None
     reloaded = Ledger(owner=pair.regulator, counterpart=pair.controller)
     reloaded.load_entries(entries)
@@ -191,10 +192,10 @@ def test_non_canonical_base64_line_is_flagged(pair, tmp_path):
     fill(pair, 3)
     path = tmp_path / "reg.log"
     pair.event_log.regulator_ledger.save(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_bytes().splitlines()
     decoded = base64.b64decode(lines[1])
-    lines[1] = base64.b64encode(decoded).decode().lower()  # same-ish, wrong text
-    _, bad = parse_ledger_lines("".join(l + "\n" for l in lines))
+    lines[1] = base64.b64encode(decoded).lower()  # same-ish, wrong text
+    _, bad = parse_ledger_lines(b"".join(l + b"\n" for l in lines))
     assert bad == 1
 
 
@@ -202,7 +203,7 @@ def test_missing_trailing_newline_is_flagged(pair, tmp_path):
     fill(pair, 3)
     path = tmp_path / "reg.log"
     pair.event_log.regulator_ledger.save(path)
-    _, bad = parse_ledger_lines(path.read_text()[:-1])
+    _, bad = parse_ledger_lines(path.read_bytes()[:-1])
     assert bad is not None
 
 
@@ -280,6 +281,37 @@ def test_verify_logs_hashes_each_entry_once(tmp_path, monkeypatch):
     assert check.lines == ["regulator_chain=ok", "controller_chain=ok", "cross=ok"]
     # verify_chain's heads serve cross_verify: one hash per entry of each ledger
     assert calls["chain_hash"] == 2 * 10
+
+
+@pytest.mark.parametrize("forked, divergence", [
+    ("regulator", "seq_a=1, seq_b=-1, cross head absent from second ledger"),
+    ("controller", "seq_a=-1, seq_b=1, cross head absent from first ledger")])
+def test_a_cross_head_the_counterpart_never_had_fails_verify_logs(tmp_path, capsys, forked,
+                                                                 divergence):
+    """Both chains verify and agree on every payload digest, but entry 1 of
+    ``forked`` commits to the head of a fork of its counterpart."""
+    state = tmp_path / "state"
+    dep = Deployment(seed=65, state_dir=state)
+    ledgers = {"regulator": Ledger(owner=dep.regulator, counterpart=dep.controller),
+               "controller": Ledger(owner=dep.controller, counterpart=dep.regulator)}
+    other = {"regulator": "controller", "controller": "regulator"}
+    real = ledgers[other[forked]]
+    fork = Ledger(owner=real.owner, counterpart=real.counterpart)
+    for i in range(2):  # two entries, so the fork's head is newer than any exchanged
+        fork.append(sha256(f"fork {i}".encode()), None, i)
+    for i in range(2):
+        for name, ledger in ledgers.items():
+            head = fork.head() if (name, i) == (forked, 1) else ledgers[other[name]].head()
+            ledger.append(sha256(f"event {i}".encode()), head, i)
+    paths = [state / "ledgers" / f"{name}.log" for name in ledgers]
+    for ledger, path in zip(ledgers.values(), paths):
+        ledger.save(path)
+    check = verify_ledger_files(*paths, dep.regulator, dep.controller)
+    lines = ["regulator_chain=ok", "controller_chain=ok", f"cross=Divergence({divergence})"]
+    assert (check.ok, check.lines) == (False, lines)
+    capsys.readouterr()
+    assert cli_main(["--state-dir", str(state), "verify-logs", *map(str, paths)]) == 1
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
 def test_entry_reordering_detected(pair):

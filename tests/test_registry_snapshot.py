@@ -189,3 +189,20 @@ def test_a_checkpoint_resealed_under_the_two_seed_key_naming_an_edited_snapshot_
     replays.clear()
     code, stdout, _ = _submit(capsys, state, world, "q1", "leaving")
     assert code == 0 and stdout.startswith("ticket_id=") and replays == []
+
+
+@pytest.mark.parametrize("load", ["snapshot", "replay"])
+def test_a_renewal_of_a_live_consent_keeps_its_grant_and_sets_its_renewal(tmp_path, load):
+    state = tmp_path / "state"
+    dep = Deployment(seed=31, state_dir=state)
+    dep.registry.register_purpose("CARE_AUDIT", "care")
+    dep.registry.record_consent("s1", "CARE_AUDIT")
+    granted = dep.clock.now()
+    dep.clock.advance(5)
+    dep.registry.record_consent_renewal("s1", "CARE_AUDIT")
+    dep.save()
+    if load == "replay":
+        (state / CHECKPOINT).unlink()
+    record = Deployment(state_dir=state).registry.consents[("s1", "CARE_AUDIT")]
+    assert (record.granted_at, record.renewed_at) == (granted, granted + 5)
+    assert record.live()

@@ -175,6 +175,25 @@ def test_open_cell_a_records_log_rolled_back_to_the_previous_save_loads_the_olde
         0, f"record_id={world['record']} vid={world['vid']}\n", "")  # the cell is open
 
 
+def test_open_cell_a_clock_json_moved_forward_opens_a_window_that_has_not_begun(tmp_path,
+                                                                              capsys):
+    """Closed by ROADMAP item 8: seal the tick. A load only floors
+    clock.json at the last ledger entry's timestamp, and nothing vouches
+    for it, so a tick moved forward goes unseen."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    code, stdout, _ = _run(capsys, state, "grant", "--grantee", "controller", "--domain",
+                           "health", "--classes", "health", "--purpose", "CARE_AUDIT",
+                           "--basis", "Legal", "--from", "1000", "--until", "2000")
+    assert code == 0
+    world["auth"] = stdout.strip().removeprefix("auth_id=")
+    assert _submit(capsys, state, world, "q1") == (1, "", "error=Deny(Window)\n")
+    (state / "clock.json").write_bytes(b"1500")
+    code, stdout, _ = _submit(capsys, state, world, "q2")
+    assert code == 0 and stdout.startswith("ticket_id=")  # the cell is open
+    assert "expires_at=1561\n" in stdout
+
+
 def test_closed_cell_a_byte_flipped_in_records_log_under_an_intact_mark_is_refused_at_reach(
         tmp_path, capsys):
     """The checkpoint vouches only for the bytes it was sealed over: a
