@@ -198,8 +198,7 @@ class Deployment:
 
     def _new_gate(self) -> Gate:
         return Gate(self.regulator, self.controller, self, self.event_log, self.clock,
-                    registry_vid_of=self._registry_vid_of, rand_bytes=self.rand_bytes,
-                    lock=self._lock)
+                    rand_bytes=self.rand_bytes, lock=self._lock)
 
     def _load_gate(self, gate: Gate, files: store.Files) -> None:
         gate.load_state(files, self._loaded_at)
@@ -249,9 +248,6 @@ class Deployment:
         self._write(files)
 
     # -- wiring callbacks -----------------------------------------------------------
-
-    def _registry_vid_of(self, domain: str, vid: str) -> str | None:
-        return self.vault.registry_vid_of(domain, vid)
 
     def _vid_exists(self, domain: str, vid: str) -> bool:
         return self.vault.vid_exists(domain, vid)

@@ -38,6 +38,7 @@ from .errors import (
 from .events import EventKind, EventLog
 from .registry import Decision, DenyReason, Registry, Scope
 from .silo import RegulatorShares, RegulatorShareStore, Silo, decode_fields, record_aad
+from .vault import Vault
 
 TICKET_TTL_SECONDS = 60
 FRESHNESS_WINDOW_SECONDS = 300
@@ -141,7 +142,7 @@ class SubmitResult:
 
 class Services(Protocol):
     """The services the gate reaches, each only when a call needs it: an
-    open needs no registry and no share store."""
+    open needs no registry, share store or vault."""
 
     @property
     def registry(self) -> Registry: ...
@@ -152,6 +153,9 @@ class Services(Protocol):
     @property
     def silos(self) -> Mapping[str, Silo]: ...
 
+    @property
+    def vault(self) -> Vault: ...
+
 
 class Gate:
     files = ("gate.json",)
@@ -159,14 +163,12 @@ class Gate:
 
     def __init__(self, regulator: SigningIdentity, controller: SigningIdentity,
                  services: Services, event_log: EventLog, clock: Clock,
-                 registry_vid_of: Callable[[str, str], str | None],
                  rand_bytes: Callable[[int], bytes], lock: threading.RLock):
         self.regulator = regulator
         self.controller = controller
         self._services = services
         self.event_log = event_log
         self.clock = clock
-        self.registry_vid_of = registry_vid_of
         self._rand = rand_bytes
         self._seen_nonces: dict[bytes, int] = {}  # nonce -> its request's timestamp
         self._consumed: dict[tuple[str, str], int] = {}  # (ticket, record) -> ticket expiry
@@ -217,9 +219,9 @@ class Gate:
             if abs(request.timestamp - now) > FRESHNESS_WINDOW_SECONDS:
                 return self._deny(request, payload, scope, DenyReason.STALE)
 
-            registry = self._services.registry
+            registry, vault = self._services.registry, self._services.vault
             for vid in request.subject_vids:
-                registry_vid = self.registry_vid_of(request.domain, vid) or ""
+                registry_vid = vault.registry_vid_of(request.domain, vid) or ""
                 decision = registry.check(request.auth_id, request.content_digest, scope,
                                           request.purpose_code, registry_vid, now)
                 if not decision.allowed:

@@ -37,7 +37,7 @@ from .errors import (
     ScenarioSyntaxError,
     WeakIdentifierRejected,
 )
-from .events import access_count, notification_pairs
+from .events import EventKind, access_count, notification_pairs
 from .gate import AccessRequest, AccessTicket
 from .ledger import Ledger, cross_verify
 from .registry import Basis, DenyReason, Scope
@@ -792,9 +792,11 @@ class _Runner:
         custody_ok, custody_detail = self._probe_dual_custody()
         results.append(InvariantResult("dual-custody", custody_ok, custody_detail))
 
+        # the gate's counts must agree with each other and with the opens both ledgers hold
         releases = dep.gate.plaintext_releases
         consumed = dep.gate.consumed_count()
-        results.append(InvariantResult("no-bypass", releases == consumed,
+        opened = sum(event.kind is EventKind.OPEN_OK for event in events)
+        results.append(InvariantResult("no-bypass", releases == consumed == opened,
                                        f"releases={releases} consumed={consumed}"))
 
         optout_ok, optout_detail = self._probe_optout_enforcement()

@@ -96,6 +96,13 @@ def write_files(root: Path, files: dict[str, bytes | store.Tail | store.Marked])
         (root / name).write_bytes(data)
 
 
+def state_files(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under the state directory ``root``, by its
+    path relative to ``root``."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 def checkpoint_keys(state: Path) -> dict[str, bytes]:
     """Keys to seal the checkpoint of ``state`` under: the deployment's, from
     both seeds ("both"), and one from each seed alone."""

@@ -30,6 +30,7 @@ from regctl.scenario import (
 )
 from regctl.silo import record_aad
 
+from conftest import state_files
 from truthtable import build_matrix
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -352,10 +353,7 @@ def test_acceptance_7_optout_deletion(tmp_path):
                     ciphertext.hex().encode(), cshare.hex().encode(), rshare.hex().encode(),
                     base64.b64encode(ciphertext)]
     leftovers = []
-    for path in sorted((tmp_path / "state").rglob("*")):
-        if not path.is_file():
-            continue
-        raw = path.read_bytes()
+    for path, raw in state_files(tmp_path / "state").items():
         blobs = [raw]
         for line in raw.splitlines():
             try:

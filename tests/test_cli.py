@@ -18,6 +18,8 @@ from regctl.crypto import canon_decode, canon_encode
 from regctl.deploy import REGISTRY_DOMAIN, Deployment
 from regctl.events import EventKind
 
+from conftest import state_files
+
 
 def invoke(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -74,6 +76,14 @@ def test_register_derive_matches_library(capsys, state):
     world = bootstrap(capsys, state)
     dep = Deployment(state_dir=Path(state))
     assert dep.vault.derive_vid(world["master"], "health").vid == world["vid"]
+    # a derive draws no randomness, so it leaves invocations.json, and every
+    # file but clock.json, whose one bare tick it advances by one, as it was
+    before = state_files(Path(state))
+    assert invoke(capsys, *seeded(state, "vault", "derive", "--master", world["master"],
+                                  "--domain", "health")) == (0, f"vid={world['vid']}\n", "")
+    after = state_files(Path(state))
+    assert after.pop("clock.json") == b"%d" % (int(before.pop("clock.json")) + 1)
+    assert after == before
 
 
 def test_submit_open_round_trip(capsys, state):
@@ -145,6 +155,8 @@ def test_consent_cycle_and_notifications(capsys, state):
     code, stdout, _ = invoke(capsys, *seeded(state, "notifications", world["vid"]))
     assert code == 0
     assert "outcome=Deleted" in stdout
+    # what a fetch delivered stays delivered in the next command
+    assert invoke(capsys, *seeded(state, "notifications", world["vid"])) == (0, "", "")
 
 
 def test_an_optout_of_a_subject_the_vault_never_derived_erases_nothing(capsys, state):
@@ -216,9 +228,17 @@ def test_verify_logs_ok_and_detects_tamper(capsys, state, tmp_path):
         tampered.write_bytes(bytes(raw))
         code, stdout, _ = invoke(capsys, *seeded(state, "verify-logs", str(tampered), str(ctrl)))
         assert code == 1
-    # the high-bit flip leaves a byte that is not UTF-8: only its line fails
+    # the high-bit flip leaves a byte that is not UTF-8: only its line fails,
+    # and the controller chain is still checked
     line = original[:middle].count(b"\n")
-    assert stdout.splitlines()[0] == f"regulator_chain=parse_error_at:{line}"
+    failed = f"regulator_chain=parse_error_at:{line}\ncontroller_chain=ok\n"
+    assert stdout == failed
+    # so do characters that are not base64, which a lax decoder would skip
+    lines = original.split(b"\n")
+    lines[line] = lines[line][:8] + b"!*" + lines[line][8:]
+    tampered.write_bytes(b"\n".join(lines))
+    assert invoke(capsys, *seeded(state, "verify-logs", str(tampered), str(ctrl))) == (
+        1, failed, "")
 
 
 def test_verify_logs_reads_only_keys_and_writes_nothing(capsys, state, tmp_path):
@@ -229,10 +249,10 @@ def test_verify_logs_reads_only_keys_and_writes_nothing(capsys, state, tmp_path)
                            "--purpose", "CARE_AUDIT"))
     ledgers = Path(state) / "ledgers"
     argv = ["verify-logs", str(ledgers / "regulator.log"), str(ledgers / "controller.log")]
-    before = {p: p.read_bytes() for p in Path(state).rglob("*") if p.is_file()}
+    before = state_files(Path(state))
     assert invoke(capsys, *seeded(state, *argv)) == (
         0, "regulator_chain=ok\ncontroller_chain=ok\ncross=ok\n", "")
-    assert {p: p.read_bytes() for p in Path(state).rglob("*") if p.is_file()} == before
+    assert state_files(Path(state)) == before
 
     code, stdout, stderr = invoke(capsys, *seeded(str(tmp_path / "empty"), *argv))
     assert (code, stdout) == (1, "")
@@ -244,11 +264,11 @@ def test_verify_logs_leaves_the_listing_of_a_library_saved_state_directory(capsy
     dep = Deployment(seed=5, state_dir=state)
     dep.vault.register_master({"name": "listed"})
     dep.save()
-    listing = sorted(state.rglob("*"))
+    before = state_files(state)
     ledgers = state / "ledgers"
     assert invoke(capsys, "--state-dir", str(state), "verify-logs",
                   str(ledgers / "regulator.log"), str(ledgers / "controller.log"))[0] == 0
-    assert sorted(state.rglob("*")) == listing
+    assert state_files(state) == before
 
 
 @pytest.mark.parametrize("argv", [["verify-logs", "{state}/ledgers/regulator.log",
@@ -287,8 +307,12 @@ def test_alias_and_route(capsys, state):
 
 def test_silo_list_matches_library(capsys, state):
     world = bootstrap(capsys, state)
+    before = state_files(Path(state))
     code, stdout, _ = invoke(capsys, *seeded(state, "silo", "list", "--domain", "health"))
     assert code == 0
+    after = state_files(Path(state))
+    after.pop("clock.json"), before.pop("clock.json")
+    assert after == before  # a listing writes no file but the clock
     dep = Deployment(state_dir=Path(state))
     expected = [f"record_id={rid} vid={vid}" for rid, vid in sorted(dep.silos["health"].list_records())]
     assert stdout.strip().splitlines() == expected
@@ -371,18 +395,14 @@ def test_a_counter_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(caps
     root = Path(state)
     path = root / name
     path.write_text(doc)
-
-    def files():
-        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-    before = files()
+    before = state_files(root)
     # every load reads clock.json; only the first seeded draw reads invocations.json
     argv = (("silo", "list", "--domain", "health") if name == "clock.json"
             else ("vault", "register", "name=drawn"))
     code, _, stderr = invoke(capsys, *seeded(state, *argv))
     assert code == 1
     assert stderr.startswith(f"error={path}: ")
-    assert files() == before
+    assert state_files(root) == before
 
 
 def test_the_clock_option_is_gone(capsys, state):
@@ -436,11 +456,7 @@ def test_a_state_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(capsys
         path.unlink()
     else:
         path.write_text(content)
-
-    def files():
-        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-    before = files()
+    before = state_files(root)
     code, stdout, stderr = invoke(capsys, *seeded(state, "submit", "--request-id", "q1",
                                                   "--program", "p1", "--auth", world["auth"],
                                                   "--domain", "health",
@@ -449,7 +465,7 @@ def test_a_state_file_of_the_wrong_shape_is_reported_and_nothing_is_saved(capsys
                                                   "--purpose", "CARE_AUDIT"))
     assert (code, stdout) == (1, "")
     assert stderr.startswith(f"error={path}: ")
-    assert files() == before
+    assert state_files(root) == before
 
 
 @pytest.mark.parametrize("domain", ["tax", "health"])
@@ -460,11 +476,11 @@ def test_a_silo_schema_that_names_another_domain_is_refused(capsys, state, domai
     edited = schema.read_bytes().replace(b'"domain":"health"', b'"domain":"tax"')
     assert edited != schema.read_bytes()
     schema.write_bytes(edited)
-    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    before = state_files(root)
     code, stdout, stderr = invoke(capsys, *seeded(state, "silo", "list", "--domain", domain))
     assert (code, stdout) == (1, "")
     assert stderr == f"error={schema}: names domain 'tax', not 'health'\n"
-    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+    assert state_files(root) == before
 
 
 def _edited_access_payload(events_log: Path, edit) -> int:
@@ -495,11 +511,11 @@ def test_a_payload_that_is_not_an_event_is_reported_by_index_and_nothing_is_save
     root = Path(state)
     events_log = root / "ledgers" / "events.log"
     index = _edited_access_payload(events_log, edit)
-    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    before = state_files(root)
     code, stdout, stderr = invoke(capsys, *seeded(state, "notifications", world["vid"]))
     assert (code, stdout) == (1, "")
     assert stderr == f"error={events_log}: payload {index} is not an event: {reason}\n"
-    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+    assert state_files(root) == before
 
 
 def test_run_scenario_exit_codes(capsys, state, tmp_path):
@@ -525,10 +541,6 @@ def test_report_flag_writes_file(capsys, tmp_path):
     assert out.read_text() == stdout
 
 
-def _state_files(root: Path) -> dict[Path, bytes]:
-    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
 _PROGRAM = ("program", "sign", "--program-id", "p2", "--purpose", "CARE_AUDIT",
             "--domain", "health", "--classes", "health")
 
@@ -547,11 +559,11 @@ def test_an_unreadable_file_argument_is_reported_and_the_state_is_left_alone(
              "not_utf8": str(tmp_path / "latin.scn")}
     (tmp_path / "latin.scn").write_bytes(b"\xffDOMAIN health\n")
     bootstrap(capsys, state)
-    before = _state_files(Path(state))
+    before = state_files(Path(state))
     argv = [arg.format(**names) for arg in argv]
     path = next(arg for arg in argv if arg in names.values())
     assert invoke(capsys, *seeded(state, *argv)) == (1, "", f"error={path}: {reason}\n")
-    assert _state_files(Path(state)) == before
+    assert state_files(Path(state)) == before
     fresh = tmp_path / "fresh"
     if argv[0] != "verify-logs":  # which needs keys
         assert invoke(capsys, *seeded(str(fresh), *argv)) == (1, "", f"error={path}: {reason}\n")
@@ -589,6 +601,12 @@ from regctl import (AccessRequest, Basis, Decision, Deployment, DenyReason, Scop
                           text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "domain=health\n"
+    # run as a module, the CLI exits with the code main returns
+    missing = str(tmp_path / "missing.scn")
+    done = subprocess.run([sys.executable, "-m", "regctl.cli", "run-scenario", missing], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"error={missing}: No such file or directory\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -604,11 +622,11 @@ from regctl import (AccessRequest, Basis, Decision, Deployment, DenyReason, Scop
 def test_refused_argument_leaves_state_untouched(capsys, state, argv):
     bootstrap(capsys, state)
     root = Path(state)
-    before = {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-    assert {"clock.json", "invocations.json"} <= {p.name for p in before}
+    before = state_files(root)
+    assert {"clock.json", "invocations.json"} <= set(before)
     code, _, stderr = invoke(capsys, *seeded(state, *argv))
     assert (code, stderr.startswith("error=")) == (1, True)
-    assert {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()} == before
+    assert state_files(root) == before
 
 
 # Captured from the parser that built every subcommand's parser up front; the

@@ -135,7 +135,7 @@ def test_opt_out_during_cohort_submit_is_ledgered_after_the_access(populated):
     second_vid = dep.vault.derive_vid(master, "health").vid
     dep.registry.record_consent(dep.vault.derive_vid(master, REGISTRY_DOMAIN).vid, "CARE_AUDIT")
     dep.silos["health"].put_record(second_vid, {"bp": "110/70"})
-    lookup = dep.gate.registry_vid_of
+    lookup = dep.vault.registry_vid_of
     opt_out = threading.Thread(target=dep.process_opt_out,
                                args=(first["registry_vid"], "CARE_AUDIT"))
 
@@ -145,7 +145,7 @@ def test_opt_out_during_cohort_submit_is_ledgered_after_the_access(populated):
             opt_out.join(WAIT)
         return lookup(domain, vid)
 
-    dep.gate.registry_vid_of = lookup_with_opt_out
+    dep.vault.registry_vid_of = lookup_with_opt_out
     result = dep.gate.submit(make_request(dep, first, subjects=[first["vid"], second_vid]))
     opt_out.join(WAIT)
     assert not opt_out.is_alive()

@@ -16,7 +16,7 @@ from regctl.gate import FRESHNESS_WINDOW_SECONDS, TICKET_TTL_SECONDS, AccessRequ
 from regctl.registry import Decision, DenyReason
 from regctl.silo import SiloRecord
 
-from conftest import count_calls
+from conftest import count_calls, state_files
 
 GATE_COMMANDS = ("submit", "open", "optout")  # the oracle's commands that reach the gate
 
@@ -47,11 +47,6 @@ def _run(capsys, state: Path, argv: list[str]) -> tuple[int, str, str]:
 
 def _out(result: tuple[int, str, str]) -> dict[str, str]:
     return dict(pair.split("=", 1) for pair in result[1].split())
-
-
-def _files(state: Path) -> dict[str, bytes]:
-    return {path.relative_to(state).as_posix(): path.read_bytes()
-            for path in sorted(state.rglob("*")) if path.is_file()}
 
 
 def test_a_command_decides_and_saves_as_if_every_service_were_loaded(tmp_path, capsys,
@@ -85,7 +80,7 @@ def _decides_and_saves_as_if_every_service_were_loaded(tmp_path, capsys, monkeyp
         with monkeypatch.context() as patch:
             patch.setattr(_Cli, "deployment", every_service_reached)
             assert _run(capsys, eager, list(argv)) == result, argv
-        got, want = _files(lazy), _files(eager)
+        got, want = state_files(lazy), state_files(eager)
         if not any(word in argv for word in GATE_COMMANDS):
             got.pop("gate.json"), want.pop("gate.json")
         if strict:
@@ -193,13 +188,13 @@ def test_a_command_that_reaches_a_vault_file_failing_its_load_saves_nothing(tmp_
     vids, master_ids, _ = doc["vids"]["health"]
     master_ids[vids.index(vid)] = world["master"]  # two health vids for one master
     path.write_text(json.dumps(doc))
-    before = _files(state)
+    before = state_files(state)
     code, _, err = _run(capsys, state, [
         "submit", "--request-id", "q1", "--program", "p1", "--auth", world["auth"],
         "--domain", "health", "--subjects", world["vid"], "--classes", "health",
         "--purpose", "CARE_AUDIT"])
     assert (code, err) == (1, f"error={path}: vid mappings are not one-to-one\n")
-    assert _files(state) == before
+    assert state_files(state) == before
 
 
 def test_a_command_that_logs_no_event_leaves_the_ledger_files_alone(tmp_path, capsys,
@@ -269,7 +264,7 @@ def test_a_vault_state_of_the_wrong_shape_fails_the_load_and_saves_nothing(tmp_p
     assert _run(capsys, state, derive)[0] == 0
     path = state / "vault" / "state.json"
     path.write_text(json.dumps(edit(json.loads(path.read_bytes()))))
-    before = _files(state)
+    before = state_files(state)
     code, _, err = _run(capsys, state, derive)
     assert code == 1 and err.startswith(f"error={path}: not a vault state document: ")
-    assert _files(state) == before
+    assert state_files(state) == before

@@ -32,7 +32,7 @@ from regctl.registry import (
 from regctl.scenario import load_scenario, run
 from regctl.silo import RegulatorShareStore, SiloRecord
 
-from conftest import CHECKPOINT, checkpoint_marks, count_calls, seal_checkpoint
+from conftest import CHECKPOINT, checkpoint_marks, count_calls, seal_checkpoint, state_files
 
 ROOT = Path(__file__).resolve().parents[1]
 STREAMS = ("regulator.log", "controller.log", "events.log")
@@ -67,11 +67,6 @@ def _request(dep: Deployment, world: dict, request_id: str,
 
 def _submit(dep: Deployment, world: dict, request_id: str):
     return dep.gate.submit(_request(dep, world, request_id))
-
-
-def _snapshot(root: Path) -> dict[str, bytes]:
-    return {path.relative_to(root).as_posix(): path.read_bytes()
-            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def test_reload_and_continue_operating(tmp_path):
@@ -123,8 +118,8 @@ def test_vault_secret_saved_only_under_keys(tmp_path):
     dep.save()
     secret_hex = (state / "keys" / "vault.secret").read_text().strip()
     needles = (secret_hex.encode(), bytes.fromhex(secret_hex))
-    holders = [path.relative_to(state).as_posix() for path in sorted(state.rglob("*"))
-               if path.is_file() and any(n in path.read_bytes() for n in needles)]
+    holders = [name for name, data in state_files(state).items()
+               if any(n in data for n in needles)]
     assert holders == ["keys/vault.secret"]
 
 
@@ -296,12 +291,12 @@ def test_an_open_on_a_gate_naming_an_unknown_operation_fails_and_saves_nothing(t
     doc = _gate_doc(state)
     doc["tickets"][0]["granted_scope"]["operation"] = "bogus"
     (state / "gate.json").write_bytes(store.json_bytes(doc))
-    before = _snapshot(state)
+    before = state_files(state)
     assert cli_main(["--state-dir", str(state), "open", "--ticket", world["ticket"],
                      "--record", world["record"]]) == 1
     assert capsys.readouterr().err == (f"error={state / 'gate.json'}: not a gate state document: "
                                        "unknown operation: bogus\n")
-    assert _snapshot(state) == before
+    assert state_files(state) == before
 
 
 def test_an_open_reads_no_share_file_and_a_put_or_a_submit_reads_it_once(tmp_path, capsys,
@@ -379,7 +374,7 @@ def test_erasure_after_an_earlier_save_leaves_no_trace(tmp_path):
 
     def holders() -> list[str]:
         found = []
-        for name, raw in _snapshot(state).items():
+        for name, raw in state_files(state).items():
             blobs = [raw]
             for line in raw.splitlines():
                 try:
@@ -402,11 +397,11 @@ def test_a_save_with_no_change_replaces_no_file(tmp_path, monkeypatch):
     world = _working_world(dep)
     assert _submit(dep, world, "q1").decision.allowed
     dep.save()
-    before = _snapshot(dep.state_dir)
+    before = state_files(dep.state_dir)
     calls = count_calls(monkeypatch, "replace", owner=store.os)
     dep.save()
     assert calls["replace"] == 0
-    assert _snapshot(dep.state_dir) == before
+    assert state_files(dep.state_dir) == before
 
 
 _STREAM_FILES = ("ledgers/regulator.log", "ledgers/controller.log", "ledgers/events.log",
@@ -440,7 +435,7 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch, how
     world = _working_world(dep)
     assert _submit(dep, world, "q0").decision.allowed  # so the checkpoint vouches for entries
     dep.save()
-    before = _snapshot(state)
+    before = state_files(state)
 
     def changed(root: Path) -> Deployment:
         """A deployment with a change to every service, to save under ``root``:
@@ -465,7 +460,7 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch, how
 
     saved = changed(tmp_path / "after")
     saved.save()
-    after = _snapshot(tmp_path / "after")
+    after = state_files(tmp_path / "after")
     changed_names = {name for name in after if before.get(name) != after[name]}
     assert len(changed_names) >= 10 and {"registry.journal", "registry.json"} <= changed_names
 
@@ -509,7 +504,7 @@ def test_interrupted_save_leaves_each_file_old_or_new(tmp_path, monkeypatch, how
                 crashed = False
             except OSError:
                 crashed = True
-        now = _snapshot(state)
+        now = state_files(state)
         leftovers = set(now) - set(before) - set(after)
         assert not leftovers, f"point {k} left {leftovers}"
         for name, data in now.items():
@@ -576,7 +571,7 @@ def test_skipped_saves_leave_the_bytes_every_save_encoding_leaves(tmp_path, caps
         with monkeypatch.context() as patch:
             patch.setattr(store, "stamp", lambda *paths: None)  # no stamp ever matches
             _cli(capsys, encoded, *argv)
-        assert _snapshot(encoded) == _snapshot(stamped), argv
+        assert state_files(encoded) == state_files(stamped), argv
         return out
 
     world = _cli_world(run)
@@ -667,17 +662,17 @@ def test_a_fragment_after_the_sealed_lines_is_dropped_and_the_next_logging_save_
     assert listed[0] == 0 and "request_id=q1 " in listed[1]
     assert _output(capsys, state, "notifications", "--all", world["vid"]) == listed
     assert events.read_bytes() == clean + b"QUJD"  # a command that logs nothing writes nothing
-    before, lines = _snapshot(unsealed), clean.count(b"\n")
+    before, lines = state_files(unsealed), clean.count(b"\n")
     assert _output(capsys, unsealed, "notifications", "--all", world["vid"]) == (
         1, "", f"error=<state>/ledgers/events.log: undecodable record at line {lines}\n")
-    assert _snapshot(unsealed) == before
+    assert state_files(unsealed) == before
 
     opened = _output(capsys, twin, "open", "--ticket", world["ticket"], "--record", world["record"])
     assert opened[0] == 0
     assert _output(capsys, state, "open", "--ticket", world["ticket"],
                    "--record", world["record"]) == opened
     assert events.read_bytes().endswith(b"\n")
-    assert _snapshot(state) == _snapshot(twin)
+    assert state_files(state) == state_files(twin)
 
 
 @pytest.mark.parametrize("checkpoint", ["kept", "deleted"])
@@ -702,7 +697,7 @@ def test_payloads_past_both_ledgers_are_dropped_and_the_next_logging_save_rewrit
     assert listed[0] == listed[1] and listed[0][0] == 0
     for root in (state, twin):
         assert cli_main(on(root, commands[1])) == 0
-    assert _snapshot(state) == _snapshot(twin)
+    assert state_files(state) == state_files(twin)
     log = Deployment(state_dir=state).event_log
     events = log.events_from_ledger(log.regulator_ledger, log.controller_ledger)
     assert [event.event_id for event in events] == ["q1", "q2", "q4"]
@@ -798,7 +793,7 @@ def test_commands_write_the_same_bytes_with_or_without_checkpoint(tmp_path):
         assert cli_main(argv) == 0
         (strict / "ledgers" / "checkpoint.json").unlink(missing_ok=True)
         assert cli_main([str(strict) if arg == str(state) else arg for arg in argv]) == 0
-    assert _snapshot(strict) == _snapshot(state)
+    assert state_files(strict) == state_files(state)
 
 
 def test_held_submit_decodes_one_last_entry_per_ledger_at_most(tmp_path, monkeypatch):
@@ -856,13 +851,13 @@ def test_a_sealed_checkpoint_with_a_malformed_mark_fails_a_command_naming_it(tmp
     files = checkpoint_marks(state)
     files[name] = None if edit is None else {**files[name], **edit}
     seal_checkpoint(state, files)
-    before = _snapshot(state)
+    before = state_files(state)
     capsys.readouterr()
     assert cli_main(["--state-dir", str(state), "notifications", "--all", "v1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert re.fullmatch(f"error={re.escape(str(path))}: not a checkpoint: [^\n]*\n", err)
-    assert _snapshot(state) == before
+    assert state_files(state) == before
 
 
 @pytest.mark.parametrize("name, count", [
@@ -890,7 +885,7 @@ def test_a_mark_that_miscounts_its_stream_vouches_for_nothing(tmp_path, capsys, 
                    for root in (state, twin)]
         assert decided[0] == decided[1] and decided[0][0] == 0, argv
     assert strict == [state / name]  # the twin's checkpoint vouches for every stream
-    assert _snapshot(state) == _snapshot(twin)
+    assert state_files(state) == state_files(twin)
     ledgers = state / "ledgers"
     assert cli_main(["--state-dir", str(state), "verify-logs", str(ledgers / "regulator.log"),
                      str(ledgers / "controller.log")]) == 0
@@ -944,11 +939,11 @@ def test_a_held_last_entry_that_does_not_decode_fails_a_command_naming_its_file_
     marks = checkpoint_marks(state)
     marks[f"ledgers/{name}"]["sha256"] = sha256(path.read_bytes()).hex()
     seal_checkpoint(state, marks)
-    before = _snapshot(state)
+    before = state_files(state)
     capsys.readouterr()
     assert _output(capsys, state, "silo", "list", "--domain", "health") == (
         1, "", f"error=<state>/ledgers/{name}: undecodable record at line {len(lines) - 1}\n")
-    assert _snapshot(state) == before
+    assert state_files(state) == before
 
 
 # -- the fast strict decode, the lean silo records and shares, the carried digest ---------
@@ -1095,7 +1090,7 @@ def test_a_respaced_checkpoint_loads_every_stream_strictly_and_is_written_back(
     decided = capsys.readouterr()
     assert cli_main([str(clean) if arg == str(state) else arg for arg in commands[0]]) == 0
     assert capsys.readouterr() == decided
-    assert _snapshot(state) == _snapshot(clean)
+    assert state_files(state) == state_files(clean)
 
 
 _json_docs = st.dictionaries(st.text(max_size=4),

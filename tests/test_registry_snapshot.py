@@ -21,17 +21,12 @@ from regctl.cli import main as cli_main
 from regctl.deploy import REGISTRY_DOMAIN
 from regctl.registry import Registry
 
-from conftest import CHECKPOINT, checkpoint_marks, seal_checkpoint
-
-
-def _files(state: Path) -> dict[str, bytes]:
-    return {p.relative_to(state).as_posix(): p.read_bytes()
-            for p in sorted(state.rglob("*")) if p.is_file()}
+from conftest import CHECKPOINT, checkpoint_marks, seal_checkpoint, state_files
 
 
 def _unsealed(state: Path) -> dict[str, bytes]:
     """Every file of ``state`` but the checkpoint."""
-    files = _files(state)
+    files = state_files(state)
     files.pop(CHECKPOINT, None)
     return files
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regctl.cli import main as cli_main
-from regctl.events import Event
+from regctl.events import Event, EventKind, EventLog
 from regctl.errors import InsufficientPopulation, ScenarioReferenceError, ScenarioSyntaxError
 from regctl.scenario import (
     ATTACK_KINDS,
@@ -23,7 +23,7 @@ from regctl.scenario import (
     run,
 )
 
-from conftest import count_calls
+from conftest import count_calls, state_files
 
 ROOT = Path(__file__).parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -216,6 +216,15 @@ def test_a_run_decodes_each_payload_once_for_the_mailboxes_and_once_for_the_inva
     assert payloads and decoded["from_canonical"] == 2 * payloads
 
 
+def test_a_release_the_ledgers_do_not_hold_fails_no_bypass(monkeypatch):
+    record = EventLog.record
+    monkeypatch.setattr(EventLog, "record", lambda self, kind, *args: (
+        b"" if kind is EventKind.OPEN_OK else record(self, kind, *args)))
+    report = run(load_scenario(SCENARIO_DIR / "honest.scn"))
+    assert "\nno-bypass FAIL releases=3 consumed=3\n" in report.render()
+    assert not report.passed
+
+
 # -- determinism -------------------------------------------------------------------
 
 def test_same_seed_same_report_bytes():
@@ -236,8 +245,7 @@ def test_run_scenario_report_matches_golden(name, tmp_path, capsys):
     state = tmp_path / "state"
     pinned = dict(reversed(line.split("  "))
                   for line in (REPORTS / f"{name}.sha256").read_text().splitlines())
-    present = {p.relative_to(state).as_posix() for p in state.rglob("*") if p.is_file()}
-    assert present == set(pinned)
+    assert set(state_files(state)) == set(pinned)
     for relpath, digest in pinned.items():
         assert sha256((state / relpath).read_bytes()).hexdigest() == digest, relpath
 

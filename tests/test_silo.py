@@ -22,7 +22,7 @@ from regctl.scenario import load_scenario, run
 from regctl.silo import (RegulatorShareStore, Silo, SiloRecord, decode_fields, encode_fields,
                          record_aad)
 
-from conftest import count_calls, marks, whole, write_files
+from conftest import count_calls, marks, state_files, whole, write_files
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -304,10 +304,7 @@ def test_post_deletion_state_has_no_trace_of_ciphertext_or_shares(tmp_path):
     needles = [ciphertext, controller_share, regulator_share,
                ciphertext.hex().encode(), controller_share.hex().encode(),
                regulator_share.hex().encode()]
-    for path in sorted((tmp_path / "state").rglob("*")):
-        if not path.is_file():
-            continue
-        raw = path.read_bytes()
+    for path, raw in state_files(tmp_path / "state").items():
         blobs = [raw]
         for line in raw.splitlines():
             try:

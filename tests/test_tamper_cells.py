@@ -1,8 +1,9 @@
 """Cells of the tamper matrix (ROADMAP item 1).
 
 Each open-cell test rolls state files back to the bytes they held before
-a command and asserts today's outcome: the rollback goes unseen, and the
-reloaded state decides as it did before that command. Each names the
+a command, or edits one, and asserts today's outcome: the change goes
+unseen, and the reloaded state decides as the rolled-back or edited bytes
+say. Each names the
 ROADMAP item that closes its cell. Closing a cell makes its test fail, and
 the test then asserts the refusal instead, as each closed-cell test does.
 """
@@ -22,7 +23,7 @@ from regctl.deploy import REGISTRY_DOMAIN
 from regctl.errors import EncodingError
 from regctl.registry import Registry
 
-from conftest import CHECKPOINT, checkpoint_marks, count_calls, seal_checkpoint
+from conftest import CHECKPOINT, checkpoint_marks, count_calls, seal_checkpoint, state_files
 
 
 def _saved_world(state: Path, seed: int = 23) -> dict[str, str]:
@@ -41,12 +42,6 @@ def _saved_world(state: Path, seed: int = 23) -> dict[str, str]:
     record = dep.silos["health"].put_record(vid, {"bp": "120/80"})
     dep.save()
     return {"auth": auth.auth_id, "vid": vid, "subject": subject, "record": record}
-
-
-def _files(state: Path) -> dict[str, bytes]:
-    """Every state file's bytes."""
-    return {p.relative_to(state).as_posix(): p.read_bytes()
-            for p in sorted(state.rglob("*")) if p.is_file()}
 
 
 def _run(capsys, state: Path, *argv: str) -> tuple[int, str, str]:
@@ -127,10 +122,10 @@ def test_closed_cell_an_emptied_share_store_fails_the_submit_and_saves_nothing(t
     world = _saved_world(state)
     shares = state / "regulator_shares.json"
     shares.write_bytes(b"{}")
-    before = _files(state)
+    before = state_files(state)
     assert _submit(capsys, state, world, "q1") == (
         1, "", f"error={shares}: no regulator share for record {world['record']}\n")
-    assert _files(state) == before
+    assert state_files(state) == before
 
 
 def test_closed_cell_a_lost_share_fails_the_submit_in_process_with_the_nonce_unspent(tmp_path):
@@ -194,6 +189,66 @@ def test_open_cell_a_clock_json_moved_forward_opens_a_window_that_has_not_begun(
     assert "expires_at=1561\n" in stdout
 
 
+def test_open_cell_an_edited_alias_real_number_routes_the_alias_to_the_edited_number(
+        tmp_path, capsys):
+    """Closed by ROADMAP item 8: name vault/state.json in the checkpoint.
+    Nothing vouches for the vault's document, so an alias grant edited in
+    place routes where the edit says."""
+    state = tmp_path / "state"
+    _saved_world(state)
+    master = _run(capsys, state, "vault", "register", "name=caller",
+                  "real_phone=0012300456")[1].strip().removeprefix("master_id=")
+    alias = _run(capsys, state, "vault", "alias", "--master", master,
+                 "--ttl", "30")[1].splitlines()[0].removeprefix("alias=")
+    assert _run(capsys, state, "vault", "route", "--alias", alias) == (
+        0, "real_number=0012300456\n", "")
+    path = state / "vault" / "state.json"
+    doc = json.loads(path.read_bytes())
+    (grant,) = doc["aliases"]
+    grant["real_number"] = "0099999999"
+    path.write_bytes(store.json_bytes(doc))
+    assert _run(capsys, state, "vault", "route", "--alias", alias) == (
+        0, "real_number=0099999999\n", "")  # the cell is open
+
+
+def test_open_cell_a_rolled_back_invocations_json_draws_an_earlier_commands_bytes(tmp_path,
+                                                                                 capsys):
+    """Closed by ROADMAP item 8: name invocations.json in the checkpoint.
+    Nothing vouches for the count that numbers each seeded command's byte
+    stream, so after a rollback the next seeded command draws the bytes an
+    earlier one drew: here a submit's nonce, which the gate has burned."""
+    state, twin = tmp_path / "state", tmp_path / "twin"
+    world = _saved_world(state)
+    invocations = state / "invocations.json"
+    before_submit = invocations.read_bytes()
+    code, stdout, _ = _submit(capsys, state, world, "q1")
+    assert code == 0 and stdout.startswith("ticket_id=")
+    shutil.copytree(state, twin)
+    code, stdout, _ = _submit(capsys, twin, world, "q2")
+    assert code == 0 and stdout.startswith("ticket_id=")
+    invocations.write_bytes(before_submit)
+    assert _submit(capsys, state, world, "q2") == (
+        1, "", "error=Deny(Replay)\n")  # the cell is open
+
+
+def test_open_cell_a_lowered_delivered_count_redelivers_fetched_notices(tmp_path, capsys):
+    """Closed by ROADMAP item 8: name notifications.json in the checkpoint.
+    Nothing vouches for the count of notices delivered to each vid, so a
+    count lowered by hand makes the next fetch deliver again what an
+    earlier fetch delivered."""
+    state = tmp_path / "state"
+    world = _saved_world(state)
+    assert _submit(capsys, state, world, "q1")[0] == 0
+    fetched = _run(capsys, state, "notifications", world["vid"])
+    assert fetched[0] == 0 and fetched[1].count("request_id=q1 ") == 1
+    assert _run(capsys, state, "notifications", world["vid"]) == (0, "", "")
+    path = state / "notifications.json"
+    counts = json.loads(path.read_bytes())
+    counts[world["vid"]] -= 1
+    path.write_bytes(store.json_bytes(counts))
+    assert _run(capsys, state, "notifications", world["vid"]) == fetched  # the cell is open
+
+
 def test_closed_cell_a_byte_flipped_in_records_log_under_an_intact_mark_is_refused_at_reach(
         tmp_path, capsys):
     """The checkpoint vouches only for the bytes it was sealed over: a
@@ -210,12 +265,12 @@ def test_closed_cell_a_byte_flipped_in_records_log_under_an_intact_mark_is_refus
         flipped = bytearray(original)
         flipped[at] ^= 0x80
         records.write_bytes(bytes(flipped))
-        before = _files(state)
+        before = state_files(state)
         with pytest.raises(EncodingError, match="records.log: undecodable record at line 0"):
             Deployment(state_dir=state).silos  # the first reach loads them
         assert _run(capsys, state, "open", "--ticket", ticket, "--record", world["record"]) == (
             1, "", f"error={records}: undecodable record at line 0\n"), at
-        assert _files(state) == before
+        assert state_files(state) == before
 
 
 # -- the checkpoint, or a file it names, edited: the one seal ----------------------------
@@ -289,7 +344,7 @@ def test_closed_cell_an_unvouched_file_loads_strictly_and_decides_and_saves_as_t
     ticket = stdout.splitlines()[0].removeprefix("ticket_id=")
     shutil.copytree(state, twin)
     edit(state / name, earlier=earlier, tmp_path=tmp_path)
-    assert _files(state) != _files(twin)
+    assert state_files(state) != state_files(twin)
     replays = []
     replay = Registry._replay
     monkeypatch.setattr(Registry, "_replay",
@@ -304,4 +359,4 @@ def test_closed_cell_an_unvouched_file_loads_strictly_and_decides_and_saves_as_t
         assert _run(capsys, twin, *argv) == result, argv
         assert decoded["decode_records"] == strict  # the intact checkpoint vouches: none strict
     assert replays == [state] and decoded["decode_records"] > 0
-    assert _files(state) == _files(twin)
+    assert state_files(state) == state_files(twin)
