@@ -793,11 +793,11 @@ class _Runner:
         results.append(InvariantResult("dual-custody", custody_ok, custody_detail))
 
         # the gate's counts must agree with each other and with the opens both ledgers hold
-        releases = dep.gate.plaintext_releases
-        consumed = dep.gate.consumed_count()
+        releases, consumed = dep.gate.plaintext_releases, dep.gate.consumed_count()
         opened = sum(event.kind is EventKind.OPEN_OK for event in events)
+        unledgered = "" if opened == releases else f" opened={opened}"
         results.append(InvariantResult("no-bypass", releases == consumed == opened,
-                                       f"releases={releases} consumed={consumed}"))
+                                       f"releases={releases} consumed={consumed}{unledgered}"))
 
         optout_ok, optout_detail = self._probe_optout_enforcement()
         results.append(InvariantResult("optout-enforcement", optout_ok, optout_detail))

@@ -264,10 +264,12 @@ def test_verify_logs_leaves_the_listing_of_a_library_saved_state_directory(capsy
     dep = Deployment(seed=5, state_dir=state)
     dep.vault.register_master({"name": "listed"})
     dep.save()
+    listing = sorted(state.rglob("*"))
     before = state_files(state)
     ledgers = state / "ledgers"
     assert invoke(capsys, "--state-dir", str(state), "verify-logs",
                   str(ledgers / "regulator.log"), str(ledgers / "controller.log"))[0] == 0
+    assert sorted(state.rglob("*")) == listing
     assert state_files(state) == before
 
 

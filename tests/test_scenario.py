@@ -221,7 +221,7 @@ def test_a_release_the_ledgers_do_not_hold_fails_no_bypass(monkeypatch):
     monkeypatch.setattr(EventLog, "record", lambda self, kind, *args: (
         b"" if kind is EventKind.OPEN_OK else record(self, kind, *args)))
     report = run(load_scenario(SCENARIO_DIR / "honest.scn"))
-    assert "\nno-bypass FAIL releases=3 consumed=3\n" in report.render()
+    assert "\nno-bypass FAIL releases=3 consumed=3 opened=0\n" in report.render()
     assert not report.passed
 
 
